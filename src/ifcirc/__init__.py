@@ -9,7 +9,7 @@ dead synapses, snap values to a resistor catalog, and account for energy.
 """
 from pathlib import Path
 
-from .rc import RCParams, charge_step, discharge_step, time_constant
+from .rc import RCParams, time_constant
 from .neuron import (
     IFNeuron,
     Network,
@@ -19,9 +19,8 @@ from .neuron import (
     Synapse,
     build_schedule,
     classify,
-    closed_form_potential,
+    infer_batch,
     infer_network,
-    infer_neuron,
     load_network,
     network_from_dict,
     network_to_dict,
@@ -47,7 +46,6 @@ from .training import (
     clamp_resistances,
     evaluate_accuracy,
     mse_loss,
-    potential_gradients,
     prune,
     rescale_network,
     train,
@@ -56,7 +54,9 @@ from .training import (
 from .hardware import (
     DEFAULT_CATALOG,
     EnergyReport,
+    MAX_GRID_POINTS,
     ResistorCatalog,
+    ResponseMap,
     energy_per_inference,
     energy_report_to_dict,
     max_inference_time,

@@ -30,7 +30,7 @@ from .hardware import (
     response_map,
     write_response_map_csv,
 )
-from .neuron import build_schedule, classify, infer_network, load_network, save_network
+from .neuron import build_schedule, classify, infer_batch, infer_network, load_network, save_network
 from .oracle import DEFAULT_CONFIG, IntegratorConfig, integrate_schedule
 from .training import (
     TrainConfig,
@@ -176,12 +176,14 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         rng = _rng(int(cfg["seed"]))
         labels = net.labels
         correct = 0
-        for s in samples:
-            potentials = [
+        clean = infer_batch(net, [(s.pitch, s.roll) for s in samples]).tolist()
+        # noise is drawn sample by sample, neuron by neuron: the seed's stream order
+        for s, potentials in zip(samples, clean):
+            noisy = [
                 perturb_readout(p, sigma, rng, supply_voltage=net.supply_voltage)
-                for p in infer_network(net, (s.pitch, s.roll))
+                for p in potentials
             ]
-            correct += labels[classify(potentials)] == s.label
+            correct += labels[classify(noisy)] == s.label
         accuracy = correct / len(samples)
     print(f"samples {len(samples)}")
     print(f"accuracy {accuracy!r}")

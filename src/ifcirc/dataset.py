@@ -6,8 +6,8 @@ and excluded.  Samples are intentionally NOT clamped to [0, 1]: clamping
 is the stimulation scheduler's job.
 
 Reproducibility: noise is generated with the Box-Muller transform over a
-seeded PCG64 uniform stream (one pair of uniforms per sample), so a given
-seed yields bit-identical datasets across platforms.
+seeded PCG64 uniform stream (one pair of uniforms per sample, all drawn in
+one call), so a given seed yields bit-identical datasets across platforms.
 """
 from __future__ import annotations
 
@@ -40,7 +40,7 @@ CLASS_MEANS: dict[str, tuple[float, float]] = {
 _CSV_HEADER = ["pitch", "roll", "label"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PostureSample:
     pitch: float
     roll: float
@@ -65,21 +65,19 @@ class DatasetConfig:
             raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
 
 
-def _gauss_pair(rng: np.random.Generator) -> tuple[float, float]:
-    # Box-Muller; u1 flipped into (0, 1] so log() is safe.
-    u1 = 1.0 - rng.random()
-    u2 = rng.random()
-    radius = math.sqrt(-2.0 * math.log(u1))
-    return radius * math.cos(2.0 * math.pi * u2), radius * math.sin(2.0 * math.pi * u2)
-
-
 def generate(cfg: DatasetConfig) -> list[PostureSample]:
     """n_per_class noisy samples per class, in class order, deterministic per seed."""
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    # one call draws the same PCG64 stream as 2n scalar draws; Box-Muller stays
+    # on the math module because numpy's SIMD log/cos/sin differ in the last ulp
+    uniforms = rng.random((len(cfg.class_means), 2 * cfg.n_per_class))
     samples = []
-    for label, (mean_pitch, mean_roll) in cfg.class_means.items():
-        for _ in range(cfg.n_per_class):
-            z_pitch, z_roll = _gauss_pair(rng)
+    for row, (label, (mean_pitch, mean_roll)) in zip(uniforms, cfg.class_means.items()):
+        pairs = iter(row.tolist())  # one class at a time keeps the float list short
+        for u1, u2 in zip(pairs, pairs):
+            radius = math.sqrt(-2.0 * math.log(1.0 - u1))  # 1 - u1 in (0, 1]: log() is safe
+            z_pitch = radius * math.cos(2.0 * math.pi * u2)
+            z_roll = radius * math.sin(2.0 * math.pi * u2)
             samples.append(
                 PostureSample(
                     pitch=mean_pitch + cfg.noise_sigma * z_pitch,

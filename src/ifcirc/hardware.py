@@ -6,24 +6,27 @@ from a parts catalog.  The default catalog keeps one significant digit
 supported.  Rounding is to the nearest catalog value by absolute distance,
 ties toward the larger part.
 
-Energy accounting follows the capacitor: a charge step draws
-q = C * (v1 - v0) from the supply at voltage v_in, so the supply delivers
-v_in * C * (v1 - v0); the capacitor stores (C/2) * (v1^2 - v0^2) of that
-and the series resistor dissipates the rest.  A discharge step dissipates
-exactly the stored energy it releases, (C/2) * (v0^2 - v1^2).
+Energy accounting follows the capacitor.  The excitatory phase charges it
+from rest to V_e, drawing q = C * V_e from the supply at voltage v_in, so
+the supply delivers C * v_in * V_e; the capacitor stores C * V_e^2 / 2 of
+that and the series resistors dissipate the rest.  The inhibitory phase
+draws nothing and turns C * (V_e^2 - V^2) / 2 of the stored energy into
+heat.  Summed over both phases: supply = C * v_in * V_e, stored = C * V^2 / 2
+and dissipated = supply - stored, all from the closed-form kernel.
 """
 from __future__ import annotations
 
 import csv
 import math
+import operator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
-from .neuron import Network, Polarity, build_schedule, infer_network
-from .rc import RCParams, charge_step, discharge_step
+from .kernel import duration_matrix, energy, forward
+from .neuron import Network, infer_batch
 
 __all__ = [
     "E12_MANTISSAS",
@@ -33,6 +36,8 @@ __all__ = [
     "round_resistance",
     "quantize_network",
     "perturb_readout",
+    "MAX_GRID_POINTS",
+    "ResponseMap",
     "response_map",
     "write_response_map_csv",
     "NeuronEnergy",
@@ -136,27 +141,73 @@ def perturb_readout(
     return min(max(noisy, 0.0), supply_voltage)
 
 
-def response_map(
-    net: Network, grid_step: float
-) -> list[tuple[float, float, list[float]]]:
-    """Membrane potentials over the full [0,1]^2 input grid.
+# a 1/1000 grid step fits (1001 x 1001 points); finer grids are refused
+# before anything is allocated, whatever the step a caller asks for
+MAX_GRID_POINTS = 1025**2
+_MAP_BLOCK = 4096  # grid points per kernel call, which bounds every temporary
 
-    Returns (pitch, roll, potentials) rows in row-major order, pitch as the
-    outer loop.  Both axes include the endpoints 0 and 1.
+
+class ResponseMap(Sequence):
+    """Read-only (pitch, roll, potentials) rows over a square input grid.
+
+    Rows run in row-major order, pitch as the outer loop; ``potentials`` is
+    a fresh list of floats per row.  The potentials live in one
+    (points, classes) array, so a row exists only while a caller holds it.
+    """
+
+    def __init__(self, axis: list[float], potentials: np.ndarray) -> None:
+        self._axis = axis
+        self._potentials = potentials
+
+    def __len__(self) -> int:
+        return len(self._potentials)
+
+    def __getitem__(self, index: int) -> tuple[float, float, list[float]]:
+        i = operator.index(index)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError("response map row index out of range")
+        pitch, roll = divmod(i, len(self._axis))
+        return self._axis[pitch], self._axis[roll], self._potentials[i].tolist()
+
+    def __iter__(self) -> Iterator[tuple[float, float, list[float]]]:
+        m = len(self._axis)
+        for p, pitch in enumerate(self._axis):
+            block = self._potentials[p * m : (p + 1) * m].tolist()
+            for roll, potentials in zip(self._axis, block):
+                yield pitch, roll, potentials
+
+
+def response_map(net: Network, grid_step: float) -> ResponseMap:
+    """Membrane potentials over the full [0,1]^2 input grid, at most MAX_GRID_POINTS.
+
+    Both axes include the endpoints 0 and 1.  One kernel call per block of
+    points keeps temporaries small; each row is bitwise equal to
+    :func:`ifcirc.infer_network` at its point.
     """
     if net.n_inputs != 2:
         raise ValueError(f"response maps need a 2-input network, got {net.n_inputs}")
     if not (0.0 < grid_step <= 1.0):
         raise ValueError(f"grid_step must be in (0, 1], got {grid_step}")
-    n_steps = int(math.floor(1.0 / grid_step + 1e-9))
+    span = 1.0 / grid_step + 1e-9
+    if span + 2.0 > math.sqrt(MAX_GRID_POINTS):  # the axis has at most floor(span) + 2 points
+        raise ValueError(
+            f"grid_step {grid_step!r} is too fine: response maps are capped at "
+            f"{MAX_GRID_POINTS} points"
+        )
+    n_steps = int(math.floor(span))
     axis = [min(i * grid_step, 1.0) for i in range(n_steps + 1)]
     if axis[-1] < 1.0:
         axis.append(1.0)
-    rows = []
-    for pitch in axis:
-        for roll in axis:
-            rows.append((pitch, roll, infer_network(net, (pitch, roll))))
-    return rows
+    m = len(axis)
+    grid = np.array(axis)
+    potentials = np.empty((m * m, len(net.neurons)))
+    for start in range(0, m * m, _MAP_BLOCK):
+        point = np.arange(start, min(start + _MAP_BLOCK, m * m))
+        stimuli = np.column_stack([grid[point // m], grid[point % m]])
+        potentials[start : start + len(point)] = infer_batch(net, stimuli)
+    return ResponseMap(axis, potentials)
 
 
 def write_response_map_csv(
@@ -197,49 +248,23 @@ class EnergyReport:
 def energy_per_inference(net: Network, stimulus: Sequence[float]) -> EnergyReport:
     """Energy drawn, stored, and dissipated over one full stimulation.
 
-    Walks the same charge/discharge fold as inference and applies the
-    per-step balance from the module docstring, so supply input equals
-    stored plus dissipated exactly (up to float roundoff).
+    Closed form from the module docstring, so the balance holds to roundoff.
     """
     if len(stimulus) != net.n_inputs:
         raise ValueError(f"expected {net.n_inputs} inputs, got {len(stimulus)}")
-    schedule = build_schedule(stimulus, net.t_max)
     v_in = net.supply_voltage
-    per_neuron = []
-    for neuron in net.neurons:
-        synmap = neuron.synapse_map()
-        cap = neuron.capacitance
-        v = 0.0
-        supply = 0.0
-        dissipated = 0.0
-        for slot in schedule.slots:
-            syn = synmap.get((slot.input_index, slot.polarity))
-            if syn is None or slot.duration == 0.0:
-                continue
-            params = RCParams(resistance=syn.resistance, capacitance=cap)
-            if slot.polarity is Polarity.EXCITATORY:
-                v_next = charge_step(v, params, v_in, slot.duration)
-                from_supply = v_in * cap * (v_next - v)
-                supply += from_supply
-                dissipated += from_supply - 0.5 * cap * (v_next**2 - v**2)
-            else:
-                v_next = discharge_step(v, params, slot.duration)
-                dissipated += 0.5 * cap * (v**2 - v_next**2)
-            v = v_next
-        stored = 0.5 * cap * v**2
-        per_neuron.append(
-            NeuronEnergy(
-                label=neuron.label,
-                supply_energy=supply,
-                stored_energy=stored,
-                dissipated_energy=dissipated,
-            )
-        )
+    fwd = forward(duration_matrix([stimulus], net.t_max), net.conductances, v_in)
+    capacitance = [neuron.capacitance for neuron in net.neurons]
+    supply, stored, dissipated = (e[:, 0].tolist() for e in energy(fwd, v_in, capacitance))
+    per_neuron = tuple(
+        NeuronEnergy(label, supply_energy=s, stored_energy=st, dissipated_energy=d)
+        for label, s, st, d in zip(net.labels, supply, stored, dissipated)
+    )
     return EnergyReport(
         supply_energy=sum(e.supply_energy for e in per_neuron),
         stored_energy=sum(e.stored_energy for e in per_neuron),
         dissipated_energy=sum(e.dissipated_energy for e in per_neuron),
-        per_neuron=tuple(per_neuron),
+        per_neuron=per_neuron,
     )
 
 

@@ -5,10 +5,10 @@ input vector is turned into a stimulation schedule: one excitatory slot
 per input (duration proportional to the input value), then one inhibitory
 slot per input.  Excitation must complete before inhibition because the
 capacitor has to hold charge before a discharge path can remove any.
-Inference folds the closed-form charge/discharge steps over the schedule,
-starting from a fully discharged capacitor; the final voltage is the
-membrane potential.  Classification picks the neuron with the highest
-potential.
+Starting from a fully discharged capacitor, the voltage left at the end is
+the membrane potential; it has a closed form, evaluated for whole batches
+by :mod:`ifcirc.kernel` from the network's compiled conductances.
+Classification picks the neuron with the highest potential.
 
 Every input additionally carries an always-on bias connection (input value
 fixed at 1) so a neuron can charge even when the pattern is all zeros.
@@ -20,10 +20,13 @@ import enum
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
-from .rc import RCParams, charge_step, discharge_step
+import numpy as np
+
+from .kernel import duration_matrix, forward
 
 __all__ = [
     "Polarity",
@@ -33,8 +36,7 @@ __all__ = [
     "Slot",
     "StimulationSchedule",
     "build_schedule",
-    "infer_neuron",
-    "closed_form_potential",
+    "infer_batch",
     "infer_network",
     "classify",
     "spike",
@@ -129,6 +131,17 @@ class Network:
     def labels(self) -> tuple[str, ...]:
         return tuple(n.label for n in self.neurons)
 
+    @cached_property
+    def conductances(self) -> np.ndarray:
+        """G = 1/(R·C) per synapse in :mod:`ifcirc.kernel` layout; compiled once, read-only."""
+        g = np.zeros((2, len(self.neurons), self.n_inputs + 1))
+        for k, neuron in enumerate(self.neurons):
+            for syn in neuron.synapses:
+                phase = int(syn.polarity is Polarity.INHIBITORY)
+                g[phase, k, syn.input_index] = 1.0 / (syn.resistance * neuron.capacitance)
+        g.flags.writeable = False
+        return g
+
 
 @dataclass(frozen=True)
 class Slot:
@@ -162,65 +175,25 @@ class StimulationSchedule:
 def build_schedule(stimulus: Sequence[float], t_max: float) -> StimulationSchedule:
     """Turn an input vector into a stimulation schedule.
 
-    Each component maps to a duration clamp(x, 0, 1) * t_max; the bias line
-    (appended as the last index) always runs for the full t_max.  Excitatory
-    slots come first, both phases in ascending input order.  Negative inputs
-    clamp to zero duration: a negative stimulation time has no physical
-    meaning.
+    Durations are one row of :func:`ifcirc.kernel.duration_matrix`, which
+    clamps each input to [0, 1] and appends the full-length bias line.
+    Excitatory slots come first, both phases in ascending input order.
     """
-    durations = []
-    for value in stimulus:
-        if math.isnan(value):
-            raise ValueError("stimulus contains NaN")
-        durations.append(min(max(value, 0.0), 1.0) * t_max)
-    durations.append(t_max)  # bias line
+    durations = duration_matrix([stimulus], t_max)[0].tolist()
     slots = [Slot(i, Polarity.EXCITATORY, d) for i, d in enumerate(durations)]
     slots += [Slot(i, Polarity.INHIBITORY, d) for i, d in enumerate(durations)]
     return StimulationSchedule(tuple(slots))
 
 
-def infer_neuron(neuron: IFNeuron, schedule: StimulationSchedule, v_in: float) -> float:
-    """Membrane potential after folding the schedule over a discharged capacitor.
+def infer_batch(net: Network, stimuli: Sequence[Sequence[float]]) -> np.ndarray:
+    """Membrane potentials, (n, classes), for n input vectors in one kernel call.
 
-    Slots with no matching synapse in the neuron are skipped with zero
-    effect (the line simply is not wired to this unit).
+    Row i is bitwise equal to ``infer_network(net, stimuli[i])``.
     """
-    synapses = neuron.synapse_map()
-    voltage = 0.0
-    for slot in schedule.slots:
-        syn = synapses.get((slot.input_index, slot.polarity))
-        if syn is None or slot.duration == 0.0:
-            continue
-        params = RCParams(syn.resistance, neuron.capacitance)
-        if slot.polarity is Polarity.EXCITATORY:
-            voltage = charge_step(voltage, params, v_in, slot.duration)
-        else:
-            voltage = discharge_step(voltage, params, slot.duration)
-    return voltage
-
-
-def closed_form_potential(neuron: IFNeuron, schedule: StimulationSchedule, v_in: float) -> float:
-    """Algebraic form of :func:`infer_neuron`.
-
-    Folding the exponential steps from zero collapses to
-
-        V = v_in * (1 - exp(-sum_e dt_e / tau_e)) * exp(-sum_i dt_i / tau_i)
-
-    which must agree with the recurrent fold to ~1e-12 relative.
-    """
-    synapses = neuron.synapse_map()
-    charge_exponent = 0.0
-    discharge_exponent = 0.0
-    for slot in schedule.slots:
-        syn = synapses.get((slot.input_index, slot.polarity))
-        if syn is None:
-            continue
-        rate = slot.duration / (syn.resistance * neuron.capacitance)
-        if slot.polarity is Polarity.EXCITATORY:
-            charge_exponent += rate
-        else:
-            discharge_exponent += rate
-    return v_in * -math.expm1(-charge_exponent) * math.exp(-discharge_exponent)
+    durations = duration_matrix(stimuli, net.t_max)
+    if durations.shape[1] != net.n_inputs + 1:
+        raise ValueError(f"expected {net.n_inputs} inputs, got {durations.shape[1] - 1}")
+    return forward(durations, net.conductances, net.supply_voltage).v.T
 
 
 def infer_network(net: Network, stimulus: Sequence[float]) -> list[float]:
@@ -230,8 +203,7 @@ def infer_network(net: Network, stimulus: Sequence[float]) -> list[float]:
     """
     if len(stimulus) != net.n_inputs:
         raise ValueError(f"expected {net.n_inputs} inputs, got {len(stimulus)}")
-    schedule = build_schedule(stimulus, net.t_max)
-    return [infer_neuron(neuron, schedule, net.supply_voltage) for neuron in net.neurons]
+    return infer_batch(net, [stimulus])[0].tolist()
 
 
 def classify(potentials: Sequence[float]) -> int:

@@ -1,13 +1,14 @@
 """Fine-step numerical integration of the charge/discharge ODEs.
 
-The closed-form steps in :mod:`ifcirc.rc` are exact solutions of
+The closed form in :mod:`ifcirc.kernel` is the exact solution of
 
     charge:     tau * dV/dt = v_in - V
     discharge:  tau * dV/dt = -V
 
-This module integrates those differential forms directly (RK4 by default,
-Euler for convergence-order checks) and serves as an independent reference
-for the closed-form model: the two must agree to ~1e-6 relative at the
+folded over a stimulation schedule.  This module integrates those
+differential forms directly, slot by slot (RK4 by default, Euler for
+convergence-order checks), and shares no code with the kernel, so it is an
+independent reference for it: the two must agree to ~1e-6 relative at the
 default step of tau_min / 1000.
 """
 from __future__ import annotations
@@ -114,7 +115,7 @@ def integrate_schedule(
     v_in: float,
     cfg: IntegratorConfig = DEFAULT_CONFIG,
 ) -> float:
-    """Slot-by-slot numerical integration; reference for ``infer_neuron``.
+    """Slot-by-slot numerical integration; reference for ``infer_network``.
 
     The step resolves against the smallest time constant among the
     neuron's synapses so every transient is finely resolved.

@@ -1,25 +1,26 @@
-"""Single-step charge and discharge physics of the two synapse circuits.
+"""The resistor-capacitor pair behind a single synapse.
 
 An excitatory synapse is a series resistor driving the membrane capacitor
 from a supply voltage; an inhibitory synapse is a transistor-gated parallel
 resistor that bleeds the capacitor to ground.  Both transients are
-first-order linear ODEs with exact solutions, so a stimulation of any
-duration is a single closed-form update:
+first-order linear ODEs with time constant tau = R * C:
 
-    charge:     v(t + dt) = v_in - (v_in - v(t)) * exp(-dt / tau)
-    discharge:  v(t + dt) = v(t) * exp(-dt / tau)
+    charge:     tau * dV/dt = v_in - V
+    discharge:  tau * dV/dt = -V
 
-with tau = R * C.  All quantities are plain SI floats (ohms, farads,
-seconds, volts).  The circuit is treated as ideal: no capacitor leakage,
-no transistor on-resistance, no diode drops.  Hardware quantization lives
-in :mod:`ifcirc.hardware`, not here.
+Their exact solutions, folded over a whole stimulation, are the closed
+form in :mod:`ifcirc.kernel`; :mod:`ifcirc.oracle` integrates the ODEs
+themselves.  All quantities are plain SI floats (ohms, farads, seconds,
+volts).  The circuit is treated as ideal: no capacitor leakage, no
+transistor on-resistance, no diode drops.  Hardware quantization lives in
+:mod:`ifcirc.hardware`, not here.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-__all__ = ["RCParams", "time_constant", "charge_step", "discharge_step"]
+__all__ = ["RCParams", "time_constant"]
 
 
 @dataclass(frozen=True)
@@ -43,35 +44,3 @@ class RCParams:
 def time_constant(params: RCParams) -> float:
     """Seconds to reach ~63.2% of the target voltage (or to retain ~36.8%)."""
     return params.tau
-
-
-def _check_duration(dt: float) -> None:
-    if not (math.isfinite(dt) and dt >= 0.0):
-        raise ValueError(f"stimulation duration must be >= 0, got {dt}")
-
-
-def charge_step(v0: float, params: RCParams, v_in: float, dt: float) -> float:
-    """Charge the capacitor from ``v0`` toward ``v_in`` for ``dt`` seconds.
-
-    Exact solution of tau * dV/dt = v_in - V.  Requires 0 <= v0 <= v_in;
-    the hardware never drives a charged capacitor with a lower supply, so
-    v0 > v_in is rejected rather than extrapolated.
-    """
-    _check_duration(dt)
-    if not 0.0 <= v0 <= v_in:
-        raise ValueError(f"initial voltage must satisfy 0 <= v0 <= v_in, got v0={v0}, v_in={v_in}")
-    # expm1 keeps the step exact at dt=0 and cancellation-free for dt << tau,
-    # where the textbook v_in - (v_in - v0)*exp(...) loses all precision
-    v1 = v0 - (v_in - v0) * math.expm1(-dt / params.tau)
-    return min(max(v1, v0), v_in)
-
-
-def discharge_step(v0: float, params: RCParams, dt: float) -> float:
-    """Discharge the capacitor from ``v0`` toward ground for ``dt`` seconds.
-
-    Exact solution of tau * dV/dt = -V.
-    """
-    _check_duration(dt)
-    if not (math.isfinite(v0) and v0 >= 0.0):
-        raise ValueError(f"initial voltage must be >= 0, got {v0}")
-    return v0 * math.exp(-dt / params.tau)

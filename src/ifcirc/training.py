@@ -1,13 +1,11 @@
 """Gradient-descent training of resistance values.
 
 The loss is the MSE between membrane potentials and per-class target
-potentials (supply voltage for the true class, 0 for the rest).  The
-final potential has the closed form V = v_in * (1 - A) * B with
-A = exp(-sum_e dt_e / (R_e C)) and B = exp(-sum_i dt_i / (R_i C)), so the
-gradients with respect to the resistances are analytic:
-
-    dV/dR_e = -v_in * A * B * dt_e / (R_e^2 * C)
-    dV/dR_i = +v_in * (1 - A) * B * dt_i / (R_i^2 * C)
+potentials (supply voltage for the true class, 0 for the rest).  Each
+epoch runs the closed-form kernel (:mod:`ifcirc.kernel`) forward over the
+whole training set and takes its analytic gradient with respect to the
+conductances G = 1/(R C); the chain rule dG/dR = -G/R turns that into the
+gradient with respect to the resistances.
 
 Raw resistances (1e3..1e6 ohms) make these gradients explode, so training
 runs in a rescaled parameterization: every resistance is multiplied by a
@@ -27,23 +25,14 @@ from typing import Sequence
 import numpy as np
 
 from .dataset import PostureSample
-from .neuron import (
-    IFNeuron,
-    Network,
-    Polarity,
-    StimulationSchedule,
-    Synapse,
-    build_schedule,
-    classify,
-    infer_network,
-)
+from .kernel import duration_matrix, forward, gradient
+from .neuron import IFNeuron, Network, Polarity, Synapse, infer_batch
 
 __all__ = [
     "TrainConfig",
     "TrainResult",
     "TrainingDivergedError",
     "mse_loss",
-    "potential_gradients",
     "rescale_network",
     "clamp_resistances",
     "prune",
@@ -120,47 +109,6 @@ def mse_loss(potentials: Sequence[float], targets: Sequence[float]) -> float:
     return sum((p - t) ** 2 for p, t in zip(potentials, targets)) / len(potentials)
 
 
-def potential_gradients(
-    neuron: IFNeuron, schedule: StimulationSchedule, v_in: float
-) -> list[float]:
-    """Analytic dV/dR for each synapse, ordered as ``neuron.synapses``.
-
-    Synapses whose slots have zero total duration get gradient 0: a line
-    that is never stimulated cannot influence the potential.
-    """
-    synmap = neuron.synapse_map()
-    durations: dict[tuple[int, Polarity], float] = {}
-    for slot in schedule.slots:
-        key = (slot.input_index, slot.polarity)
-        if key in synmap:
-            durations[key] = durations.get(key, 0.0) + slot.duration
-    cap = neuron.capacitance
-    charge_exp = sum(
-        d / (synmap[key].resistance * cap)
-        for key, d in durations.items()
-        if key[1] is Polarity.EXCITATORY
-    )
-    discharge_exp = sum(
-        d / (synmap[key].resistance * cap)
-        for key, d in durations.items()
-        if key[1] is Polarity.INHIBITORY
-    )
-    charge_factor = math.exp(-charge_exp)  # fraction of the charging gap left
-    discharge_factor = math.exp(-discharge_exp)
-    grads = []
-    for syn in neuron.synapses:
-        duration = durations.get((syn.input_index, syn.polarity), 0.0)
-        if duration == 0.0:
-            grads.append(0.0)
-            continue
-        if syn.polarity is Polarity.EXCITATORY:
-            g = -v_in * charge_factor * discharge_factor * duration / (syn.resistance**2 * cap)
-        else:
-            g = v_in * (1.0 - charge_factor) * discharge_factor * duration / (syn.resistance**2 * cap)
-        grads.append(g)
-    return grads
-
-
 def rescale_network(net: Network, k: float) -> Network:
     """Multiply every resistance by k and divide every capacitance by k.
 
@@ -213,14 +161,8 @@ def prune(net: Network, *, r_max: float = 1e6, threshold_fraction: float = 0.999
 
 
 def _features(samples: Sequence[PostureSample]) -> np.ndarray:
-    return np.array([[s.pitch, s.roll] for s in samples], dtype=np.float64)
-
-
-def _duration_matrix(samples: Sequence[PostureSample], t_max: float) -> np.ndarray:
-    # clamp(x, 0, 1) * t_max per input, plus the always-on bias column
-    x = np.clip(_features(samples), 0.0, 1.0) * t_max
-    bias = np.full((x.shape[0], 1), t_max)
-    return np.hstack([x, bias])
+    # one list per column converts several times faster than one per row
+    return np.array([[s.pitch for s in samples], [s.roll for s in samples]], dtype=np.float64).T
 
 
 def train(samples: Sequence[PostureSample], cfg: TrainConfig = TrainConfig()) -> TrainResult:
@@ -239,57 +181,47 @@ def train(samples: Sequence[PostureSample], cfg: TrainConfig = TrainConfig()) ->
     n_classes = len(classes)
     v_in = cfg.supply_voltage
 
-    durations = _duration_matrix(samples, cfg.t_max)  # (n, lines)
+    durations = duration_matrix(_features(samples), cfg.t_max)  # (n, lines)
     class_index = {label: i for i, label in enumerate(classes)}
-    targets = np.full((len(samples), n_classes), cfg.target_low, dtype=np.float64)
-    for row, s in enumerate(samples):
-        targets[row, class_index[s.label]] = cfg.effective_target_high
+    targets = np.full((n_classes, len(samples)), cfg.target_low, dtype=np.float64)
+    for col, s in enumerate(samples):
+        targets[class_index[s.label], col] = cfg.effective_target_high
 
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     log_lo, log_hi = math.log(cfg.init_r_min), math.log(cfg.init_r_max)
-    r_exc = np.exp(rng.uniform(log_lo, log_hi, size=(n_classes, n_lines)))
-    r_inh = np.exp(rng.uniform(log_lo, log_hi, size=(n_classes, n_lines)))
+    # (polarity, class, line): excitatory in [0], inhibitory in [1]
+    r = np.exp(rng.uniform(log_lo, log_hi, size=(2, n_classes, n_lines)))
 
     # rescaled working units: resistances shrink, capacitance grows, taus unchanged
     scale = cfg.scale_factor
-    r_exc *= scale
-    r_inh *= scale
+    r *= scale
     cap = cfg.capacitance / scale
     lo, hi = cfg.r_min * scale, cfg.r_max * scale
 
-    n = len(samples)
     history: list[float] = []
     epochs_run = 0
-    for epoch in range(cfg.epochs):
-        charge = np.exp(-durations @ (1.0 / (r_exc * cap)).T)  # A, (n, classes)
-        linger = np.exp(-durations @ (1.0 / (r_inh * cap)).T)  # B
-        potentials = v_in * (1.0 - charge) * linger
-        loss = float(np.mean((potentials - targets) ** 2))
+    while True:
+        g = 1.0 / (r * cap)
+        fwd = forward(durations, g, v_in)
+        residual = fwd.v - targets
+        loss = float(np.vdot(residual, residual)) / residual.size
         if not math.isfinite(loss):
-            raise TrainingDivergedError(epoch)
+            raise TrainingDivergedError(epochs_run)
         history.append(loss)
         window = cfg.early_stop_window
-        if len(history) > window and history[-window - 1] - history[-1] < cfg.early_stop_delta:
+        if epochs_run == cfg.epochs or (
+            len(history) > window and history[-window - 1] - history[-1] < cfg.early_stop_delta
+        ):
             break
-
-        dl_dv = 2.0 * (potentials - targets) / (n * n_classes)
-        grad_exc = -(v_in / cap) * ((dl_dv * charge * linger).T @ durations) / r_exc**2
-        grad_inh = (v_in / cap) * ((dl_dv * (1.0 - charge) * linger).T @ durations) / r_inh**2
-        r_exc = np.clip(r_exc - cfg.learning_rate * grad_exc, lo, hi)
-        r_inh = np.clip(r_inh - cfg.learning_rate * grad_inh, lo, hi)
+        grad_g = gradient(durations, v_in, fwd, residual) * (2.0 / residual.size)
+        r = np.clip(r - cfg.learning_rate * grad_g * (-g / r), lo, hi)  # dG/dR = -G/R
         epochs_run += 1
-
-    charge = np.exp(-durations @ (1.0 / (r_exc * cap)).T)
-    linger = np.exp(-durations @ (1.0 / (r_inh * cap)).T)
-    final_loss = float(np.mean((v_in * (1.0 - charge) * linger - targets) ** 2))
-    if len(history) == epochs_run:  # no early stop: record the post-update loss
-        history.append(final_loss)
 
     neurons = []
     for ci, label in enumerate(classes):
         synapses = [
-            Synapse(j, Polarity.EXCITATORY, float(r_exc[ci, j] / scale)) for j in range(n_lines)
-        ] + [Synapse(j, Polarity.INHIBITORY, float(r_inh[ci, j] / scale)) for j in range(n_lines)]
+            Synapse(j, Polarity.EXCITATORY, float(r[0, ci, j] / scale)) for j in range(n_lines)
+        ] + [Synapse(j, Polarity.INHIBITORY, float(r[1, ci, j] / scale)) for j in range(n_lines)]
         neurons.append(IFNeuron(label=label, capacitance=cfg.capacitance, synapses=tuple(synapses)))
     network = Network(
         neurons=tuple(neurons),
@@ -301,18 +233,26 @@ def train(samples: Sequence[PostureSample], cfg: TrainConfig = TrainConfig()) ->
 
 
 def evaluate_accuracy(net: Network, samples: Sequence[PostureSample]) -> float:
-    """Fraction of samples whose argmax class matches the label."""
+    """Fraction of samples whose argmax class matches the label.
+
+    Ties go to the lowest neuron index, as in :func:`ifcirc.classify`.
+    """
     if len(samples) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     labels = net.labels
-    known = set(labels)
-    correct = 0
-    for s in samples:
-        if s.label not in known:
-            raise ValueError(f"sample label {s.label!r} not among network classes {labels}")
-        if labels[classify(infer_network(net, (s.pitch, s.roll)))] == s.label:
-            correct += 1
-    return correct / len(samples)
+    index: dict[str, int] = {}
+    for i, label in enumerate(labels):
+        index.setdefault(label, i)
+    try:
+        truth = np.array([index[s.label] for s in samples])
+    except KeyError as exc:
+        label = exc.args[0]
+        raise ValueError(f"sample label {label!r} not among network classes {labels}") from None
+    potentials = infer_batch(net, _features(samples))
+    if not np.isfinite(potentials).all():
+        raise ValueError("potentials must be finite")
+    predicted = np.array([index[label] for label in labels])[potentials.argmax(axis=1)]
+    return int(np.count_nonzero(predicted == truth)) / len(samples)
 
 
 def write_loss_csv(history: Sequence[float], path: str | Path) -> None:

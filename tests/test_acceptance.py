@@ -26,23 +26,18 @@ from ifcirc import (
     Network,
     Polarity,
     RCParams,
-    Slot,
-    StimulationSchedule,
     Synapse,
     TrainConfig,
     build_schedule,
-    charge_step,
     classify,
-    closed_form_potential,
-    discharge_step,
     energy_per_inference,
     evaluate_accuracy,
     example_model_path,
     generate,
+    infer_batch,
     infer_network,
     integrate_schedule,
     load_network,
-    potential_gradients,
     prune,
     quantize_network,
     rescale_network,
@@ -53,6 +48,7 @@ from ifcirc import (
     train_logistic_baseline,
 )
 from ifcirc.cli import main as cli_main
+from ifcirc.kernel import duration_matrix, forward, gradient
 
 
 def _verdict(number: int, description: str, ok: bool, detail: str) -> None:
@@ -86,10 +82,9 @@ def test_criterion_1_oracle_equivalence():
     for _ in range(1000):
         n_inputs = int(rng.integers(1, 4))
         neuron = _random_neuron(rng, n_inputs)
-        schedule = build_schedule(
-            tuple(float(x) for x in rng.uniform(0.0, 1.0, n_inputs)), t_max=0.05
-        )
-        exact = closed_form_potential(neuron, schedule, 1.0)
+        stimulus = tuple(float(x) for x in rng.uniform(0.0, 1.0, n_inputs))
+        schedule = build_schedule(stimulus, t_max=0.05)
+        (exact,) = infer_network(Network(neurons=(neuron,), n_inputs=n_inputs), stimulus)
         tau_min = min(s.resistance * neuron.capacitance for s in neuron.synapses)
         ode = integrate_schedule(
             neuron, schedule, 1.0, IntegratorConfig(step=tau_min / 300.0, method="rk4")
@@ -120,13 +115,22 @@ def test_criterion_2_gradient_correctness():
             1.0,
             tuple(Synapse(i, p, float(rng.uniform(0.02, 1.0))) for i, p in keep),
         )
-        schedule = build_schedule(
-            tuple(float(x) for x in rng.uniform(0.1, 1.0, 2)),
-            t_max=float(rng.uniform(0.002, 0.012)),
-        )
+        stimulus = tuple(float(x) for x in rng.uniform(0.1, 1.0, 2))
+        t_max = float(rng.uniform(0.002, 0.012))
         v_in = float(rng.uniform(0.5, 5.0))
-        grads = potential_gradients(neuron, schedule, v_in)
-        for k, (syn, grad) in enumerate(zip(neuron.synapses, grads)):
+
+        def potential(unit):
+            net = Network(neurons=(unit,), n_inputs=2, supply_voltage=v_in, t_max=t_max)
+            return infer_network(net, stimulus)[0]
+
+        # dV/dG from the gradient train() calls, then dG/dR = -1/(R^2 C)
+        net = Network(neurons=(neuron,), n_inputs=2, supply_voltage=v_in, t_max=t_max)
+        durations = duration_matrix([stimulus], t_max)
+        fwd = forward(durations, net.conductances, v_in)
+        dv_dg = gradient(durations, v_in, fwd, np.ones_like(fwd.v))
+        for k, syn in enumerate(neuron.synapses):
+            phase = int(syn.polarity is Polarity.INHIBITORY)
+            grad = -dv_dg[phase, 0, syn.input_index] / (syn.resistance**2 * neuron.capacitance)
             if syn.polarity is Polarity.EXCITATORY and grad > 0:
                 sign_ok = False
             if syn.polarity is Polarity.INHIBITORY and grad < 0:
@@ -136,11 +140,7 @@ def test_criterion_2_gradient_correctness():
             for delta in (h, -h):
                 shifted = list(neuron.synapses)
                 shifted[k] = Synapse(syn.input_index, syn.polarity, syn.resistance + delta)
-                fd_args.append(
-                    closed_form_potential(
-                        IFNeuron("u", 1.0, tuple(shifted)), schedule, v_in
-                    )
-                )
+                fd_args.append(potential(IFNeuron("u", 1.0, tuple(shifted))))
             fd = (fd_args[0] - fd_args[1]) / (2 * h)
             if abs(grad - fd) > 1e-12:
                 worst = max(worst, _rel_err(grad, fd))
@@ -244,22 +244,16 @@ def test_criterion_6_physics_properties():
 
     net = load_network(example_model_path())
     for _ in range(200):
-        # permutation invariance within each phase
-        neuron = _random_neuron(rng, 3)
-        schedule = build_schedule(
-            tuple(float(x) for x in rng.uniform(0.0, 1.0, 3)), t_max=0.05
-        )
-        exc = [s for s in schedule.slots if s.polarity is Polarity.EXCITATORY]
-        inh = [s for s in schedule.slots if s.polarity is Polarity.INHIBITORY]
-        shuffled = StimulationSchedule(
-            tuple(s for i in rng.permutation(len(exc)) for s in [exc[i]])
-            + tuple(s for i in rng.permutation(len(inh)) for s in [inh[i]])
-        )
+        # permutation invariance of the line sums in both phases
+        unit = Network(neurons=(_random_neuron(rng, 3),), n_inputs=3)
+        durations = duration_matrix([rng.uniform(0.0, 1.0, 3)], t_max=0.05)
+        order = rng.permutation(4)
+        g = unit.conductances
         worst_perm = max(
             worst_perm,
             _rel_err(
-                closed_form_potential(neuron, schedule, 1.0),
-                closed_form_potential(neuron, shuffled, 1.0),
+                float(forward(durations, g, 1.0).v[0, 0]),
+                float(forward(durations[:, order], g[:, :, order], 1.0).v[0, 0]),
             ),
         )
 
@@ -279,31 +273,42 @@ def test_criterion_6_physics_properties():
         )
         argmax_ok &= classify(base_pots) == classify(alt_pots)
 
-        # charge/discharge monotonicity and bounds
+        # charge/discharge monotonicity and bounds: line 0 charges the
+        # capacitor to v0, then line 1 charges ("up") or drains ("down") it
         params = RCParams(float(10.0 ** rng.uniform(3, 6)), 1e-6)
         v0 = float(rng.uniform(0.0, 1.0))
-        last_up, last_down = v0, v0
-        for dt in np.cumsum(rng.uniform(1e-4, 0.02, 5)):
-            up = charge_step(v0, params, 1.0, float(dt))
-            down = discharge_step(v0, params, float(dt))
-            mono_ok &= last_up <= up <= 1.0 and 0.0 <= down <= last_down
-            last_up, last_down = up, down
+        t0 = -params.tau * math.log1p(-v0)
+        steps = np.concatenate([[0.0], np.cumsum(rng.uniform(1e-4, 0.02, 5))])
+        r = params.resistance
+        precharge = Synapse(0, Polarity.EXCITATORY, r)
+        up = IFNeuron("up", 1e-6, (precharge, Synapse(1, Polarity.EXCITATORY, r)))
+        down = IFNeuron("down", 1e-6, (precharge, Synapse(1, Polarity.INHIBITORY, r)))
+        t_max = t0 + steps[-1]
+        pair = Network(neurons=(up, down), n_inputs=2, t_max=t_max)
+        curves = infer_batch(pair, [(t0 / t_max, dt / t_max) for dt in steps])
+        ups, downs = curves[:, 0], curves[:, 1]
+        mono_ok &= bool(
+            (np.diff(ups) >= 0).all() and ups[-1] <= 1.0
+            and (np.diff(downs) <= 0).all() and downs[-1] >= 0.0
+        )
 
-        # charge-phase energy balance vs the analytic resistor integral
+        # charge-phase energy vs the analytic resistor integrals: line 0
+        # charges from rest to v_start through r0, line 1 from v_start on
         v_start = float(rng.uniform(0.0, 0.9))
         v_in = float(rng.uniform(max(v_start, 0.1) + 0.05, 2.0))
         duration = float(rng.uniform(1e-4, 0.1))
-        v_end = charge_step(v_start, params, v_in, duration)
-        supplied = v_in * params.capacitance * (v_end - v_start)
-        dissipated = supplied - 0.5 * params.capacitance * (v_end**2 - v_start**2)
-        tau = params.resistance * params.capacitance
-        analytic = (
-            (v_in - v_start) ** 2
-            / params.resistance
-            * (tau / 2.0)
-            * -math.expm1(-2.0 * duration / tau)
+        r0 = float(10.0 ** rng.uniform(3, 6))
+        tau0, tau = r0 * 1e-6, params.tau
+        t0 = -tau0 * math.log1p(-v_start / v_in)
+        lines = (Synapse(0, Polarity.EXCITATORY, r0), Synapse(1, Polarity.EXCITATORY, r))
+        unit = IFNeuron("u", 1e-6, lines)
+        t_max = max(t0, duration)
+        charged = Network(neurons=(unit,), n_inputs=2, supply_voltage=v_in, t_max=t_max)
+        report = energy_per_inference(charged, (t0 / t_max, duration / t_max))
+        analytic = v_in**2 / r0 * (tau0 / 2.0) * -math.expm1(-2.0 * t0 / tau0) + (
+            (v_in - v_start) ** 2 / r * (tau / 2.0) * -math.expm1(-2.0 * duration / tau)
         )
-        worst_energy = max(worst_energy, _rel_err(dissipated, analytic))
+        worst_energy = max(worst_energy, _rel_err(report.dissipated_energy, analytic))
 
     report = energy_per_inference(net, (0.4, 0.6))
     worst_energy = max(

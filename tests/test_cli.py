@@ -243,6 +243,29 @@ def test_eval_bundled_on_clean_means(tmp_path, capsys):
     assert "accuracy 1.0" in out
 
 
+@pytest.mark.parametrize(
+    "sigma, accuracy", [(0.05, "0.9888888888888889"), (0.3, "0.8944444444444445")]
+)
+def test_eval_with_readout_noise_frozen_output(tmp_path, capsys, sigma, accuracy):
+    """Noise is drawn sample-major, neuron-minor: the seed's PCG64 stream order.
+
+    Frozen from the per-sample inference loop the batched kernel replaced;
+    drawing the same noise neuron-major changes both accuracies.
+    """
+    data = tmp_path / "data.csv"
+    assert run_cli(capsys, "gen-data", "--n", 300, "--seed", 1, "--out", data)[0] == 0
+    code, out, _ = run_cli(
+        capsys, "eval", "--model", "bundled", "--data", data,
+        "--noise-sigma", sigma, "--seed", 3,
+    )
+    assert code == 0
+    assert out.replace(str(data), "DATA") == (
+        f'config {{"data": "DATA", "model": "bundled", "noise_sigma": {sigma}, "seed": 3}}\n'
+        "samples 900\n"
+        f"accuracy {accuracy}\n"
+    )
+
+
 def test_eval_with_readout_noise_is_seeded(tmp_path, tiny_csv, capsys):
     argv = ("eval", "--model", "bundled", "--data", tiny_csv,
             "--noise-sigma", 0.1, "--seed", 5)
@@ -308,6 +331,17 @@ def test_response_map_csv(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "pitch,roll,stand,lie,sit"
     assert len(lines) == 10
+
+
+def test_response_map_refuses_oversized_grid(tmp_path, capsys):
+    out = tmp_path / "map.csv"
+    code, _, err = run_cli(
+        capsys, "response-map", "--model", "bundled", "--step", "1e-6", "--out", out
+    )
+    assert code == 1
+    assert err.startswith("error: ") and "capped at" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_energy_report(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import statistics
 
@@ -42,6 +43,22 @@ def test_first_sample_frozen_for_seed_42():
     assert first.label == "stand"
     assert first.pitch == pytest.approx(-0.06395707354344424, abs=0.0)
     assert first.roll == pytest.approx(0.02584521963543267, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "seed, digest",
+    [
+        (0, "c0caaffb2e9d361d621a9145869f6a114d20207b263e16befa9ced329a5650ea"),
+        (42, "51bc833a0f50ffc8a812942101fa70b0262c945a0c489c9d85dfd27cc7ee29a4"),
+    ],
+)
+def test_gen_data_csv_frozen(tmp_path, seed, digest):
+    """The default gen-data CSV, byte for byte, frozen from the scalar-draw generator."""
+    from ifcirc.cli import main
+
+    path = tmp_path / "data.csv"
+    assert main(["gen-data", "--seed", str(seed), "--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 def test_zero_sigma_yields_exact_means():
@@ -132,3 +149,4 @@ def test_posture_sample_is_frozen():
     s = PostureSample(0.1, 0.2, "stand")
     with pytest.raises(AttributeError):
         s.pitch = 0.5
+    assert not hasattr(s, "__dict__")  # slotted: datasets hold many of these

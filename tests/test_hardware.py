@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from ifcirc import (
     DEFAULT_CATALOG,
     CLASS_MEANS,
+    MAX_GRID_POINTS,
     IFNeuron,
     Network,
     Polarity,
@@ -32,6 +33,7 @@ from ifcirc import (
     round_resistance,
     write_response_map_csv,
 )
+from ifcirc import hardware
 
 
 # ------------------------------- catalogs -----------------------------------
@@ -177,6 +179,45 @@ def test_response_map_includes_endpoint_for_uneven_step(bundled_model):
 def test_response_map_matches_point_inference(bundled_model):
     for pitch, roll, potentials in response_map(bundled_model, 0.5):
         assert potentials == infer_network(bundled_model, (pitch, roll))
+
+
+def test_response_map_is_a_read_only_sequence(bundled_model):
+    rows = response_map(bundled_model, 0.25)
+    listed = list(rows)
+    assert [rows[i] for i in range(len(rows))] == listed
+    assert rows[-1] == listed[-1] and rows[-25] == listed[0]
+    assert isinstance(rows[0][0], float) and isinstance(rows[0][2], list)
+    with pytest.raises(IndexError):
+        rows[25]
+    with pytest.raises(IndexError):
+        rows[-26]
+    with pytest.raises(TypeError):
+        rows[0] = (0.0, 0.0, [0.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("step", [0.25, 0.3, 0.07])
+def test_response_map_blocks_not_dividing_the_grid(bundled_model, monkeypatch, step):
+    whole = list(response_map(bundled_model, step))
+    monkeypatch.setattr(hardware, "_MAP_BLOCK", 7)
+    rows = response_map(bundled_model, step)
+    assert len(rows) % 7 != 0
+    assert list(rows) == whole
+    for pitch, roll, potentials in rows:
+        assert potentials == infer_network(bundled_model, (pitch, roll))
+
+
+def test_response_map_caps_the_grid(bundled_model, monkeypatch):
+    def no_kernel(*_args):
+        raise AssertionError("a refused grid must not reach the kernel")
+
+    monkeypatch.setattr(hardware, "infer_batch", no_kernel)
+    for step in (1e-6, 5e-324, 0.0009):
+        with pytest.raises(ValueError, match="capped at"):
+            response_map(bundled_model, step)
+    monkeypatch.undo()
+    # the benchmark's and CLI's steps stay well inside the cap
+    assert 201**2 < MAX_GRID_POINTS / 10
+    assert len(response_map(bundled_model, 0.001)) == 1001**2 <= MAX_GRID_POINTS
 
 
 def test_response_map_validation(bundled_model):

@@ -1,4 +1,4 @@
-"""Schedule construction, the inference fold, and model serialization.
+"""Schedule construction, closed-form inference, and model serialization.
 
 Frozen potentials come from standalone fine-step RK4 integration of the
 underlying ODEs with the published resistances, independent of the closed
@@ -7,6 +7,7 @@ forms implemented here.
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -20,9 +21,8 @@ from ifcirc import (
     Synapse,
     build_schedule,
     classify,
-    closed_form_potential,
+    infer_batch,
     infer_network,
-    infer_neuron,
     load_network,
     network_from_dict,
     network_to_dict,
@@ -87,46 +87,53 @@ def test_slot_rejects_negative_duration():
 # ------------------------------ inference ----------------------------------
 
 
-def _single(polarity, resistance, cap=1e-6):
-    return IFNeuron(
-        label="u", capacitance=cap, synapses=(Synapse(0, polarity, resistance),)
-    )
+def _single(polarity, resistance, cap=1e-6, n_inputs=1, t_max=0.01):
+    neuron = IFNeuron(label="u", capacitance=cap, synapses=(Synapse(0, polarity, resistance),))
+    return Network(neurons=(neuron,), n_inputs=n_inputs, t_max=t_max)
+
+
+def _fold(neuron, schedule, v_in):
+    """Reference: exact charge/discharge steps folded slot by slot from rest."""
+    synapses = neuron.synapse_map()
+    v = 0.0
+    for slot in schedule.slots:
+        syn = synapses.get((slot.input_index, slot.polarity))
+        if syn is None:
+            continue
+        rate = -slot.duration / (syn.resistance * neuron.capacitance)
+        if slot.polarity is Polarity.EXCITATORY:
+            v -= (v_in - v) * math.expm1(rate)
+        else:
+            v *= math.exp(rate)
+    return v
 
 
 def test_single_excitatory_synapse_charges():
-    neuron = _single(Polarity.EXCITATORY, 10e3)
-    sched = StimulationSchedule(slots=(Slot(0, Polarity.EXCITATORY, 0.01),))
-    assert infer_neuron(neuron, sched, 1.0) == pytest.approx(
-        0.6321205588285577, rel=1e-10
-    )
+    (v,) = infer_network(_single(Polarity.EXCITATORY, 10e3), (1.0,))
+    assert v == pytest.approx(0.6321205588285577, rel=1e-10)
 
 
 def test_unmatched_slots_are_skipped():
-    neuron = _single(Polarity.EXCITATORY, 10e3)
-    sched = StimulationSchedule(
-        slots=(
-            Slot(0, Polarity.EXCITATORY, 0.01),
-            Slot(3, Polarity.EXCITATORY, 0.02),  # no such synapse
-            Slot(0, Polarity.INHIBITORY, 0.02),  # no inhibitory side either
-        )
-    )
-    assert infer_neuron(neuron, sched, 1.0) == pytest.approx(
-        0.6321205588285577, rel=1e-10
-    )
+    # lines 1, 2 and the bias run for the full t_max but reach no synapse
+    net = _single(Polarity.EXCITATORY, 10e3, n_inputs=3)
+    (v,) = infer_network(net, (1.0, 1.0, 1.0))
+    assert v == pytest.approx(0.6321205588285577, rel=1e-10)
 
 
 def test_empty_schedule_leaves_capacitor_discharged():
-    neuron = _single(Polarity.EXCITATORY, 10e3)
-    assert infer_neuron(neuron, StimulationSchedule(slots=()), 1.0) == 0.0
+    net = _single(Polarity.EXCITATORY, 10e3)
+    assert infer_network(net, (0.0,)) == [0.0]
+    # a -0.0 input must not print as a -0.0 potential
+    assert math.copysign(1.0, infer_network(net, (-0.0,))[0]) == 1.0
 
 
 @given(data=st.data(), v_in=voltages)
 def test_closed_form_equals_fold(data, v_in):
     neuron, n_inputs = data.draw(neurons())
     stimulus = [data.draw(stimulus_values) for _ in range(n_inputs)]
-    sched = build_schedule(stimulus, t_max=0.05)
-    fold = infer_neuron(neuron, sched, v_in)
-    closed = closed_form_potential(neuron, sched, v_in)
+    net = Network(neurons=(neuron,), n_inputs=n_inputs, supply_voltage=v_in, t_max=0.05)
+    (closed,) = infer_network(net, stimulus)
+    fold = _fold(neuron, build_schedule(stimulus, t_max=0.05), v_in)
     assert math.isclose(fold, closed, rel_tol=1e-12, abs_tol=1e-12 * v_in)
 
 
@@ -134,8 +141,46 @@ def test_closed_form_equals_fold(data, v_in):
 def test_potential_bounded_by_supply(data, v_in):
     neuron, n_inputs = data.draw(neurons())
     stimulus = [data.draw(stimulus_values) for _ in range(n_inputs)]
-    v = infer_neuron(neuron, build_schedule(stimulus, 0.05), v_in)
+    net = Network(neurons=(neuron,), n_inputs=n_inputs, supply_voltage=v_in)
+    (v,) = infer_network(net, stimulus)
     assert 0.0 <= v <= v_in
+
+
+batch_values = st.one_of(
+    stimulus_values,
+    st.sampled_from([0.0, -0.0, 1.0, -1e300, 1e300, math.inf, -math.inf]),
+)
+
+
+@given(net=networks(), data=st.data())
+def test_batch_rows_equal_single_inference(net, data):
+    """Bitwise: a kernel batch row equals the same input inferred alone."""
+    n = data.draw(st.integers(1, 40))
+    stimuli = [[data.draw(batch_values) for _ in range(net.n_inputs)] for _ in range(n)]
+    rows = infer_batch(net, stimuli)
+    assert rows.shape == (n, len(net.neurons))
+    for row, stimulus in zip(rows.tolist(), stimuli):
+        assert row == infer_network(net, stimulus)
+
+
+def test_conductances_compiled_once(bundled_model, pruned_bundled_model):
+    g = bundled_model.conductances
+    assert g is bundled_model.conductances
+    assert g.shape == (2, 3, 3)
+    assert not g.flags.writeable
+    stand = bundled_model.neurons[0]
+    syn = stand.synapses[0]
+    phase = int(syn.polarity is Polarity.INHIBITORY)
+    assert g[phase, 0, syn.input_index] == 1.0 / (syn.resistance * stand.capacitance)
+    # a pruned synapse is an unwired line: conductance 0
+    assert np.count_nonzero(pruned_bundled_model.conductances) == 9
+
+
+def test_infer_batch_checks_arity(bundled_model):
+    with pytest.raises(ValueError, match="expected 2 inputs"):
+        infer_batch(bundled_model, [(0.0, 0.0, 0.0)])
+    with pytest.raises(ValueError):
+        infer_batch(bundled_model, [(0.0, float("nan"))])
 
 
 # ------------------------- bundled-model behavior --------------------------

@@ -11,11 +11,12 @@ import pytest
 from ifcirc import (
     IFNeuron,
     IntegratorConfig,
+    Network,
     Polarity,
     RCParams,
     Synapse,
     build_schedule,
-    closed_form_potential,
+    infer_network,
     integrate_charge,
     integrate_discharge,
     integrate_schedule,
@@ -108,7 +109,7 @@ def test_schedule_integration_matches_closed_form():
     )
     schedule = build_schedule((0.3, 0.7), t_max=0.05)
     ode = integrate_schedule(neuron, schedule, 1.0)
-    closed = closed_form_potential(neuron, schedule, 1.0)
+    (closed,) = infer_network(Network(neurons=(neuron,), n_inputs=2), (0.3, 0.7))
     assert ode == pytest.approx(closed, rel=1e-9)
 
 

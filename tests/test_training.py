@@ -1,8 +1,10 @@
 """Loss, analytic gradients, rescaling, pruning, and the training loop.
 
-The finite-difference comparisons re-derive every gradient from voltage
-evaluations alone, so they would catch a wrong sign, a wrong power of R,
-or a dropped duration term independently of the formulas under test.
+The gradient under test is :func:`ifcirc.kernel.gradient`, the one
+``train()`` calls every epoch.  The finite-difference comparisons
+re-derive it from forward evaluations alone, so they would catch a wrong
+sign, a wrong factor, or a dropped duration term independently of the
+formulas under test.
 """
 import math
 
@@ -20,20 +22,18 @@ from ifcirc import (
     Synapse,
     TrainConfig,
     TrainingDivergedError,
-    build_schedule,
     classify,
     clamp_resistances,
-    closed_form_potential,
     evaluate_accuracy,
     generate,
     infer_network,
     mse_loss,
-    potential_gradients,
     prune,
     rescale_network,
     train,
     train_logistic_baseline,
 )
+from ifcirc.kernel import duration_matrix, forward, gradient
 from ifcirc.training import write_loss_csv
 
 
@@ -64,24 +64,24 @@ def test_mse_loss_rejects_mismatch():
 # ------------------------------ gradients -----------------------------------
 
 
-def _fd_gradient(neuron, schedule, v_in, syn_index, h):
-    """Central finite difference on one synapse's resistance."""
-    base = neuron.synapses[syn_index]
-    def bumped(delta):
-        synapses = list(neuron.synapses)
-        synapses[syn_index] = Synapse(base.input_index, base.polarity, base.resistance + delta)
-        shifted = IFNeuron(neuron.label, neuron.capacitance, tuple(synapses))
-        return closed_form_potential(shifted, schedule, v_in)
-    return (bumped(h) - bumped(-h)) / (2 * h)
+def _dv_dg(net, stimuli, dl_dv=None):
+    """The gradient train() calls, for a network's conductances at ``stimuli``."""
+    durations = duration_matrix(stimuli, net.t_max)
+    fwd = forward(durations, net.conductances, net.supply_voltage)
+    weights = np.ones_like(fwd.v) if dl_dv is None else dl_dv
+    return gradient(durations, net.supply_voltage, fwd, weights)
 
 
 def test_gradient_single_excitatory_frozen_value():
     neuron = IFNeuron("u", 1e-6, (Synapse(0, Polarity.EXCITATORY, 10e3),))
-    sched = build_schedule((1.0,), t_max=0.01)
-    (grad,) = potential_gradients(neuron, sched, 1.0)
-    assert grad == pytest.approx(-math.exp(-1) * 1e-4, rel=1e-12)
+    net = Network(neurons=(neuron,), n_inputs=1, t_max=0.01)
+    grad = _dv_dg(net, [(1.0,)])
+    assert grad[0, 0, 0] == pytest.approx(math.exp(-1) * 0.01, rel=1e-12)
+    # chain rule dG/dR = -G/R, as train() applies it, gives dV/dR
+    g = net.conductances[0, 0, 0]
+    assert grad[0, 0, 0] * (-g / 10e3) == pytest.approx(-math.exp(-1) * 1e-4, rel=1e-12)
     # frozen central difference (h = 1 ohm) from the standalone oracle script
-    assert grad == pytest.approx(-3.6787944178495735e-05, rel=1e-6)
+    assert grad[0, 0, 0] * (-g / 10e3) == pytest.approx(-3.6787944178495735e-05, rel=1e-6)
 
 
 def test_gradient_zero_for_zero_duration():
@@ -90,58 +90,85 @@ def test_gradient_zero_for_zero_duration():
         1e-6,
         (Synapse(0, Polarity.EXCITATORY, 10e3), Synapse(1, Polarity.EXCITATORY, 10e3)),
     )
-    sched = build_schedule((0.0, 1.0), t_max=0.01)
-    grads = potential_gradients(neuron, sched, 1.0)
-    assert grads[0] == 0.0
-    assert grads[1] != 0.0
+    net = Network(neurons=(neuron,), n_inputs=2, t_max=0.01)
+    grad = _dv_dg(net, [(0.0, 1.0)])
+    assert grad[0, 0, 0] == 0.0
+    assert grad[0, 0, 1] != 0.0
 
 
 def test_gradients_zero_without_excitation():
-    # nothing ever charges, so no resistance can influence the potential
+    # nothing ever charges, so no inhibitory conductance can influence the potential
     neuron = IFNeuron("u", 1e-6, (Synapse(0, Polarity.INHIBITORY, 10e3),))
-    sched = build_schedule((1.0,), t_max=0.01)
-    assert potential_gradients(neuron, sched, 1.0) == [0.0]
+    net = Network(neurons=(neuron,), n_inputs=1, t_max=0.01)
+    assert _dv_dg(net, [(1.0,)])[1].tolist() == [[0.0, 0.0]]
 
 
 @st.composite
 def gradient_instances(draw):
-    """Rescaled-parameterization neurons in well-conditioned ranges.
+    """Rescaled-parameterization networks in well-conditioned ranges.
 
-    Exponent sums stay O(1) so neither 1-exp(...) nor the finite
-    differences fall into cancellation noise.
+    Any (line, polarity) pair may be unwired, and inputs at or below zero
+    give zero-duration lines.  Exponent sums stay O(1) so neither
+    1-exp(...) nor the finite differences fall into cancellation noise.
     """
-    resistances = st.floats(0.02, 1.0)
-    synapses = [Synapse(0, Polarity.EXCITATORY, draw(resistances))]
-    if draw(st.booleans()):
-        synapses.append(Synapse(1, Polarity.EXCITATORY, draw(resistances)))
-    for idx in range(2):
-        if draw(st.booleans()):
-            synapses.append(Synapse(idx, Polarity.INHIBITORY, draw(resistances)))
-    neuron = IFNeuron("u", 1.0, tuple(synapses))
-    stimulus = (draw(st.floats(0.1, 1.0)), draw(st.floats(0.1, 1.0)))
-    schedule = build_schedule(stimulus, t_max=draw(st.floats(0.002, 0.012)))
-    return neuron, schedule, draw(st.floats(0.5, 5.0))
+    n_classes = draw(st.integers(1, 3))
+    neurons = []
+    for k in range(n_classes):
+        synapses = [
+            Synapse(line, polarity, draw(st.floats(0.02, 1.0)))
+            for line in range(3)
+            for polarity in Polarity
+            if draw(st.booleans())
+        ]
+        neurons.append(IFNeuron(f"c{k}", 1.0, tuple(synapses)))
+    net = Network(
+        neurons=tuple(neurons),
+        n_inputs=2,
+        supply_voltage=draw(st.floats(0.5, 5.0)),
+        t_max=draw(st.floats(0.002, 0.012)),
+    )
+    inputs = st.one_of(st.floats(0.1, 1.0), st.sampled_from([0.0, -0.3]))
+    n = draw(st.integers(1, 4))
+    stimuli = [(draw(inputs), draw(inputs)) for _ in range(n)]
+    dl_dv = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=n * n_classes,
+                                   max_size=n * n_classes))).reshape(n_classes, n)
+    return net, stimuli, dl_dv
 
 
 @given(instance=gradient_instances())
 @settings(max_examples=200)
-def test_gradients_match_finite_differences(instance, ):
-    neuron, schedule, v_in = instance
-    grads = potential_gradients(neuron, schedule, v_in)
-    for i, (syn, grad) in enumerate(zip(neuron.synapses, grads)):
-        fd = _fd_gradient(neuron, schedule, v_in, i, h=1e-6 * syn.resistance)
-        assert grad == pytest.approx(fd, rel=1e-4, abs=1e-12)
+def test_gradients_match_finite_differences(instance):
+    net, stimuli, dl_dv = instance
+    durations = duration_matrix(stimuli, net.t_max)
+    v_in = net.supply_voltage
+
+    def potentials(g):
+        return forward(durations, g, v_in).v
+
+    grad = _dv_dg(net, stimuli, dl_dv)
+    g0 = np.array(net.conductances)
+    scale = max(g0.max(), 1.0)
+    for index in np.ndindex(g0.shape):
+        h = 1e-6 * (g0[index] or scale)  # unwired synapses (G = 0) included
+        up, down = g0.copy(), g0.copy()
+        up[index] += h
+        down[index] -= h
+        # difference per output first: weights of very different size must not
+        # bury a small term in the rounding of a large one
+        fd = float(np.sum(dl_dv * (potentials(up) - potentials(down)))) / (2 * h)
+        assert grad[index] == pytest.approx(fd, rel=1e-4, abs=1e-12)
+        if durations[:, index[2]].max() == 0.0:
+            assert grad[index] == 0.0  # a line that never runs has no gradient
 
 
 @given(instance=gradient_instances())
 @settings(max_examples=200)
 def test_gradient_signs(instance):
-    neuron, schedule, v_in = instance
-    for syn, grad in zip(neuron.synapses, potential_gradients(neuron, schedule, v_in)):
-        if syn.polarity is Polarity.EXCITATORY:
-            assert grad <= 0.0
-        else:
-            assert grad >= 0.0
+    net, stimuli, _ = instance
+    grad = _dv_dg(net, stimuli)
+    # more excitatory conductance charges higher, more inhibitory drains lower
+    assert (grad[0] >= 0.0).all()
+    assert (grad[1] <= 0.0).all()
 
 
 # ------------------------------ rescaling -----------------------------------

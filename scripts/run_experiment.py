@@ -44,7 +44,7 @@ def parse_args():
     parser.add_argument("--sigma", type=float, default=0.04, help="dataset noise")
     parser.add_argument("--data-seed", type=int, default=42)
     parser.add_argument("--train-seed", type=int, default=TrainConfig().seed)
-    parser.add_argument("--epochs", type=int, default=5000)
+    parser.add_argument("--epochs", type=int, default=TrainConfig().epochs)
     parser.add_argument("--holdout", type=float, default=0.2)
     parser.add_argument("--grid-step", type=float, default=0.01)
     parser.add_argument("--catalog", default="one_significant_digit")

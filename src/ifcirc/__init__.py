@@ -9,7 +9,7 @@ dead synapses, snap values to a resistor catalog, and account for energy.
 """
 from pathlib import Path
 
-from .rc import RCParams, time_constant
+from .rc import RCParams
 from .neuron import (
     IFNeuron,
     Network,

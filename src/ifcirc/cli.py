@@ -117,19 +117,15 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
     return 0
 
 
+# TrainConfig fields the train subcommand exposes; their defaults come from TrainConfig
+_TRAIN_FIELDS = (
+    "learning_rate", "epochs", "seed", "r_min", "r_max", "t_max", "capacitance", "supply_voltage",
+)
 _TRAIN_DEFAULTS = {
     "data": None,
     "out": "model.json",
     "loss_out": None,
-    "learning_rate": 5e-4,
-    "epochs": 5000,
-    "seed": 6,
-    "r_min": 1e3,
-    "r_max": 1e6,
-    "scale_factor": 1e-6,
-    "t_max": 0.05,
-    "capacitance": 1e-6,
-    "supply_voltage": 1.0,
+    **{key: getattr(TrainConfig(), key) for key in _TRAIN_FIELDS},
 }
 
 
@@ -138,17 +134,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
     _echo_config(cfg)
     _require(cfg, "data")
     samples = read_csv(cfg["data"])
-    train_cfg = TrainConfig(
-        learning_rate=cfg["learning_rate"],
-        epochs=int(cfg["epochs"]),
-        seed=int(cfg["seed"]),
-        r_min=cfg["r_min"],
-        r_max=cfg["r_max"],
-        scale_factor=cfg["scale_factor"],
-        t_max=cfg["t_max"],
-        capacitance=cfg["capacitance"],
-        supply_voltage=cfg["supply_voltage"],
-    )
+    # each value takes its default's type: int for epochs and seed, float for the rest
+    train_cfg = TrainConfig(**{key: type(_TRAIN_DEFAULTS[key])(cfg[key]) for key in _TRAIN_FIELDS})
     result = train(samples, train_cfg)
     save_network(result.network, cfg["out"])
     if cfg["loss_out"] is not None:
@@ -375,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--r-min", type=float, help="resistance floor, ohms")
     p.add_argument("--r-max", type=float, help="resistance ceiling, ohms")
-    p.add_argument("--scale-factor", type=float, help="training rescale factor")
     p.add_argument("--t-max", type=float, help="full-scale stimulation time, seconds")
     p.add_argument("--capacitance", type=float, help="membrane capacitance, farads")
     p.add_argument("--supply-voltage", type=float)

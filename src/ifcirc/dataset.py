@@ -110,7 +110,10 @@ def read_csv(path: str | Path) -> list[PostureSample]:
             if len(row) != 3:
                 raise ValueError(f"{path}: line {line_no}: expected 3 fields, got {len(row)}")
             try:
-                samples.append(PostureSample(float(row[0]), float(row[1]), row[2]))
+                pitch, roll = float(row[0]), float(row[1])
+                if not (math.isfinite(pitch) and math.isfinite(roll)):
+                    raise ValueError(f"non-finite value in {row[0]!r},{row[1]!r}")
+                samples.append(PostureSample(pitch, roll, row[2]))
             except ValueError as exc:
                 raise ValueError(f"{path}: line {line_no}: {exc}") from exc
     return samples

@@ -255,28 +255,64 @@ def network_to_dict(net: Network) -> dict:
     }
 
 
-def network_from_dict(doc: dict) -> Network:
-    version = doc.get("schema_version")
+_FIELD_TYPES = {
+    float: ((int, float), "a finite number"),
+    int: ((int,), "an integer"),
+    str: ((str,), "a string"),
+    list: ((list,), "a list"),
+}
+
+
+def _field(obj: object, key: str, kind: type, where: str = ""):
+    """``obj[key]`` as ``kind``; a missing or mistyped value raises ValueError naming its path."""
+    path = f"{where}.{key}" if where else key
+    if not isinstance(obj, dict):
+        raise ValueError(f"model field {where or 'root'} must be a JSON object")
+    if key not in obj:
+        raise ValueError(f"model field {path} is missing")
+    value = obj[key]
+    types, description = _FIELD_TYPES[kind]
+    try:
+        ok = isinstance(value, types) and not isinstance(value, bool)
+        converted = kind(value) if ok else None
+        ok = ok and (kind is not float or math.isfinite(converted))
+    except OverflowError:  # an integer beyond the float range
+        ok = False
+    if not ok:
+        raise ValueError(f"model field {path} must be {description}, got {json.dumps(value)}")
+    return converted
+
+
+def network_from_dict(doc: object) -> Network:
+    """Build a network from a model document; a bad field raises ValueError naming its path."""
+    version = _field(doc, "schema_version", int)
     if version != MODEL_SCHEMA_VERSION:
         raise ValueError(f"unsupported model schema_version {version!r}")
-    capacitance = float(doc["capacitance"])
-    neurons = tuple(
-        IFNeuron(
-            label=entry["label"],
-            capacitance=capacitance,
-            synapses=tuple(
-                Synapse(int(s["input_index"]), Polarity(s["polarity"]), float(s["resistance_ohms"]))
-                for s in entry["synapses"]
-            ),
-        )
-        for entry in doc["neurons"]
-    )
+    capacitance = _field(doc, "capacitance", float)
+    neurons = []
+    for k, entry in enumerate(_field(doc, "neurons", list)):
+        where = f"neurons[{k}]"
+        synapses = []
+        for j, syn in enumerate(_field(entry, "synapses", list, where)):
+            at = f"{where}.synapses[{j}]"
+            index = _field(syn, "input_index", int, at)
+            polarity = _field(syn, "polarity", str, at)
+            resistance = _field(syn, "resistance_ohms", float, at)
+            try:
+                synapses.append(Synapse(index, Polarity(polarity), resistance))
+            except ValueError as exc:
+                raise ValueError(f"model field {at}: {exc}") from None
+        label = _field(entry, "label", str, where)
+        try:
+            neurons.append(IFNeuron(label, capacitance, tuple(synapses)))
+        except ValueError as exc:
+            raise ValueError(f"model field {where}: {exc}") from None
     return Network(
-        neurons=neurons,
-        n_inputs=int(doc["n_inputs"]),
-        supply_voltage=float(doc["supply_voltage"]),
-        t_max=float(doc["t_max"]),
-        threshold=float(doc["threshold"]),
+        neurons=tuple(neurons),
+        n_inputs=_field(doc, "n_inputs", int),
+        supply_voltage=_field(doc, "supply_voltage", float),
+        t_max=_field(doc, "t_max", float),
+        threshold=_field(doc, "threshold", float),
     )
 
 
@@ -287,7 +323,8 @@ def save_network(net: Network, path: str | Path) -> None:
 
 def load_network(path: str | Path) -> Network:
     try:
-        doc = json.loads(Path(path).read_text())
+        return network_from_dict(json.loads(Path(path).read_text()))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}: not a valid model file: {exc}") from exc
-    return network_from_dict(doc)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["RCParams", "time_constant"]
+__all__ = ["RCParams"]
 
 
 @dataclass(frozen=True)
@@ -38,9 +38,5 @@ class RCParams:
 
     @property
     def tau(self) -> float:
+        """Seconds to reach ~63.2% of the target voltage (or to retain ~36.8%)."""
         return self.resistance * self.capacitance
-
-
-def time_constant(params: RCParams) -> float:
-    """Seconds to reach ~63.2% of the target voltage (or to retain ~36.8%)."""
-    return params.tau

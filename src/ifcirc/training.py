@@ -4,15 +4,14 @@ The loss is the MSE between membrane potentials and per-class target
 potentials (supply voltage for the true class, 0 for the rest).  Each
 epoch runs the closed-form kernel (:mod:`ifcirc.kernel`) forward over the
 whole training set and takes its analytic gradient with respect to the
-conductances G = 1/(R C); the chain rule dG/dR = -G/R turns that into the
-gradient with respect to the resistances.
+conductances G = 1/(R C).
 
-Raw resistances (1e3..1e6 ohms) make these gradients explode, so training
-runs in a rescaled parameterization: every resistance is multiplied by a
-scale factor (default 1e-6, putting them in [1e-3, 1]) and the capacitance
-is divided by the same factor.  Time constants, hence all potentials, are
-unchanged; only the gradient scale shrinks.  Persisted models are always
-converted back to hardware ohms.
+Descent runs on the log-resistances u = ln R.  Since G = e^(-u)/C, the
+chain rule gives dL/du = -G * dL/dG, and the box [r_min, r_max] becomes
+the box [ln r_min, ln r_max].  A step in u is a relative change of R, so
+one learning rate suits resistances from 1e3 to 1e6 ohms in any units,
+and a synapse the loss wants gone walks to the ceiling, where
+:func:`prune` removes it.
 """
 from __future__ import annotations
 
@@ -54,15 +53,11 @@ class TrainingDivergedError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    learning_rate: float = 5e-4
+    learning_rate: float = 5.0  # step size on u = ln R
     epochs: int = 5000
-    # log-uniform init from this seed lands in a basin that separates the
-    # default posture datasets within the epoch budget; roughly a third of
-    # seeds do, the rest converge too slowly at this learning rate
-    seed: int = 6
-    r_min: float = 1e3  # ohms, hardware units
+    seed: int = 0
+    r_min: float = 1e3  # ohms
     r_max: float = 1e6
-    scale_factor: float = 1e-6
     target_high: float | None = None  # defaults to supply_voltage
     target_low: float = 0.0
     # electrical configuration of the trained network
@@ -77,14 +72,12 @@ class TrainConfig:
     early_stop_delta: float = 1e-9
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be a positive real, got {self.learning_rate}")
         if self.epochs <= 0:
             raise ValueError("epochs must be > 0")
         if not 0 < self.r_min < self.r_max:
             raise ValueError(f"need 0 < r_min < r_max, got {self.r_min}, {self.r_max}")
-        if self.scale_factor <= 0:
-            raise ValueError("scale_factor must be > 0")
         if not self.r_min <= self.init_r_min <= self.init_r_max <= self.r_max:
             raise ValueError("initialization range must lie within [r_min, r_max]")
 
@@ -165,46 +158,48 @@ def _features(samples: Sequence[PostureSample]) -> np.ndarray:
     return np.array([[s.pitch for s in samples], [s.roll for s in samples]], dtype=np.float64).T
 
 
+def _loss_and_gradient(
+    log_r: np.ndarray, durations: np.ndarray, targets: np.ndarray, cfg: TrainConfig
+) -> tuple[float, np.ndarray]:
+    """MSE loss and dL/du at log-resistances u, (2, classes, lines), over the batch."""
+    g = 1.0 / (np.exp(log_r) * cfg.capacitance)
+    fwd = forward(durations, g, cfg.supply_voltage)
+    residual = fwd.v - targets
+    loss = float(np.vdot(residual, residual)) / residual.size
+    dl_dg = gradient(durations, cfg.supply_voltage, fwd, residual) * (2.0 / residual.size)
+    return loss, -g * dl_dg  # dG/du = -G
+
+
 def train(samples: Sequence[PostureSample], cfg: TrainConfig = TrainConfig()) -> TrainResult:
-    """Full-batch gradient descent on all resistances.
+    """Full-batch gradient descent on all log-resistances.
 
     Every class gets one neuron wired to every input (bias included) with
     both polarities; dead synapses are removed later by :func:`prune`.
-    Training runs in the rescaled parameterization and the returned network
-    is converted back to hardware ohms.  Deterministic for a given config.
+    Deterministic for a given config.
     """
     if len(samples) == 0:
         raise ValueError("cannot train on an empty dataset")
     classes = list(dict.fromkeys(s.label for s in samples))
-    n_inputs = 2
-    n_lines = n_inputs + 1  # plus bias
+    features = _features(samples)
+    n_inputs = features.shape[1]
     n_classes = len(classes)
-    v_in = cfg.supply_voltage
 
-    durations = duration_matrix(_features(samples), cfg.t_max)  # (n, lines)
+    durations = duration_matrix(features, cfg.t_max)  # (n, lines)
     class_index = {label: i for i, label in enumerate(classes)}
     targets = np.full((n_classes, len(samples)), cfg.target_low, dtype=np.float64)
     for col, s in enumerate(samples):
         targets[class_index[s.label], col] = cfg.effective_target_high
 
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
-    log_lo, log_hi = math.log(cfg.init_r_min), math.log(cfg.init_r_max)
-    # (polarity, class, line): excitatory in [0], inhibitory in [1]
-    r = np.exp(rng.uniform(log_lo, log_hi, size=(2, n_classes, n_lines)))
-
-    # rescaled working units: resistances shrink, capacitance grows, taus unchanged
-    scale = cfg.scale_factor
-    r *= scale
-    cap = cfg.capacitance / scale
-    lo, hi = cfg.r_min * scale, cfg.r_max * scale
+    log_lo, log_hi = math.log(cfg.r_min), math.log(cfg.r_max)
+    # (polarity, class, line): excitatory in [0], inhibitory in [1]; log-uniform init
+    u = rng.uniform(math.log(cfg.init_r_min), math.log(cfg.init_r_max),
+                    size=(2, n_classes, n_inputs + 1))
 
     history: list[float] = []
     epochs_run = 0
     while True:
-        g = 1.0 / (r * cap)
-        fwd = forward(durations, g, v_in)
-        residual = fwd.v - targets
-        loss = float(np.vdot(residual, residual)) / residual.size
+        loss, dl_du = _loss_and_gradient(u, durations, targets, cfg)
         if not math.isfinite(loss):
             raise TrainingDivergedError(epochs_run)
         history.append(loss)
@@ -213,15 +208,18 @@ def train(samples: Sequence[PostureSample], cfg: TrainConfig = TrainConfig()) ->
             len(history) > window and history[-window - 1] - history[-1] < cfg.early_stop_delta
         ):
             break
-        grad_g = gradient(durations, v_in, fwd, residual) * (2.0 / residual.size)
-        r = np.clip(r - cfg.learning_rate * grad_g * (-g / r), lo, hi)  # dG/dR = -G/R
+        u = np.clip(u - cfg.learning_rate * dl_du, log_lo, log_hi)
         epochs_run += 1
 
+    # a pinned synapse gets its bound exactly: exp(ln r_max) may be an ulp off r_max
+    r = np.select([u <= log_lo, u >= log_hi], [cfg.r_min, cfg.r_max], np.exp(u))
     neurons = []
     for ci, label in enumerate(classes):
         synapses = [
-            Synapse(j, Polarity.EXCITATORY, float(r[0, ci, j] / scale)) for j in range(n_lines)
-        ] + [Synapse(j, Polarity.INHIBITORY, float(r[1, ci, j] / scale)) for j in range(n_lines)]
+            Synapse(j, polarity, float(r[phase, ci, j]))
+            for phase, polarity in enumerate(Polarity)
+            for j in range(n_inputs + 1)
+        ]
         neurons.append(IFNeuron(label=label, capacitance=cfg.capacitance, synapses=tuple(synapses)))
     network = Network(
         neurons=tuple(neurons),

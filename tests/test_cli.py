@@ -5,12 +5,15 @@ exit-code contract (0 ok, 1 user error, 2 validation failure), and byte-level
 reproducibility of every artifact a seeded run writes.
 """
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from ifcirc import load_network
+import ifcirc
+from ifcirc import TrainConfig, example_model_path, load_network
 from ifcirc.cli import main
 
 
@@ -63,8 +66,11 @@ def test_unknown_flag_is_user_error(capsys):
 
 
 def test_module_entry_point():
+    # the child imports the same ifcirc as this suite, installed or not
+    src = str(Path(ifcirc.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
-        [sys.executable, "-m", "ifcirc", "--version"], capture_output=True, text=True
+        [sys.executable, "-m", "ifcirc", "--version"], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("ifcirc ")
@@ -229,6 +235,27 @@ def test_train_and_eval_round_trip(tmp_path, tiny_csv, capsys):
     assert 0.0 <= accuracy <= 1.0
 
 
+def test_train_defaults_come_from_trainconfig(tmp_path, tiny_csv, capsys):
+    code, out, _ = run_cli(
+        capsys, "train", "--data", tiny_csv, "--epochs", 1, "--out", tmp_path / "m.json"
+    )
+    assert code == 0
+    cfg = echoed_config(out)
+    fields = ("learning_rate", "seed", "r_min", "r_max", "t_max", "capacitance", "supply_voltage")
+    assert set(cfg) == {"data", "out", "loss_out", "epochs", *fields}
+    assert all(cfg[key] == getattr(TrainConfig(), key) for key in fields)
+
+
+def test_train_has_no_rescale_flag(tmp_path, tiny_csv, capsys):
+    argv = ("train", "--data", tiny_csv, "--out", tmp_path / "m.json", "--epochs", 1)
+    assert run_cli(capsys, *argv, "--scale-factor", "1e-6")[0] == 1
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"scale_factor": 1e-6}))
+    code, _, err = run_cli(capsys, *argv, "--config", cfg_path)
+    assert code == 1
+    assert "unknown config keys: scale_factor" in err
+
+
 def test_train_requires_data(capsys):
     code, _, err = run_cli(capsys, "train")
     assert code == 1
@@ -270,6 +297,36 @@ def test_eval_with_readout_noise_is_seeded(tmp_path, tiny_csv, capsys):
     argv = ("eval", "--model", "bundled", "--data", tiny_csv,
             "--noise-sigma", 0.1, "--seed", 5)
     assert run_cli(capsys, *argv) == run_cli(capsys, *argv)
+
+
+def _csv_with(tmp_path, row):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"pitch,roll,label\n0.1,0.2,stand\n{row}\n0.0,0.25,sit\n")
+    return path
+
+
+def test_eval_rejects_infinite_csv_field(tmp_path, capsys):
+    data = _csv_with(tmp_path, "inf,0.0,lie")
+    code, out, err = run_cli(capsys, "eval", "--model", "bundled", "--data", data)
+    assert code == 1
+    assert err.startswith(f"error: {data}: line 3: non-finite") and "Traceback" not in err
+    assert "accuracy" not in out
+
+
+def test_train_rejects_infinite_csv_field(tmp_path, capsys):
+    data = _csv_with(tmp_path, "0.5,-inf,lie")
+    model = tmp_path / "model.json"
+    code, _, err = run_cli(capsys, "train", "--data", data, "--epochs", 5, "--out", model)
+    assert code == 1
+    assert err.startswith(f"error: {data}: line 3: non-finite")
+    assert not model.exists()
+
+
+def test_nan_csv_field_reports_its_line(tmp_path, capsys):
+    data = _csv_with(tmp_path, "nan,0.0,lie")
+    code, _, err = run_cli(capsys, "eval", "--model", "bundled", "--data", data)
+    assert code == 1
+    assert err.startswith(f"error: {data}: line 3: non-finite")
 
 
 # --------------------------- prune / quantize --------------------------------
@@ -316,6 +373,38 @@ def test_quantize_custom_needs_values(tmp_path, capsys):
     )
     assert code == 1
     assert "catalog-values" in err
+
+
+def _model_with(tmp_path, edit):
+    doc = json.loads(example_model_path().read_text())
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(edit(doc)))
+    return path
+
+
+def _null_field(key, doc):
+    doc["neurons"][0]["synapses"][2][key] = None
+    return doc
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: [doc], "model field root must be a JSON object"),
+        (lambda doc: {k: v for k, v in doc.items() if k != "threshold"},
+         "model field threshold is missing"),
+        (lambda doc: {**doc, "threshold": None}, "model field threshold must be a finite number, got null"),
+        (lambda doc: _null_field("resistance_ohms", doc),
+         "model field neurons[0].synapses[2].resistance_ohms must be a finite number, got null"),
+    ],
+    ids=["list-root", "missing-threshold", "null-threshold", "null-resistance"],
+)
+def test_malformed_model_is_user_error(tmp_path, capsys, edit, message):
+    model = _model_with(tmp_path, edit)
+    code, out, err = run_cli(capsys, "infer", "--model", model, "--pitch", 0, "--roll", 0)
+    assert code == 1
+    assert err == f"error: {model}: {message}\n"
+    assert "potential" not in out
 
 
 # --------------------------- response-map / energy ---------------------------

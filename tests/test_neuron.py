@@ -281,6 +281,24 @@ def test_load_rejects_unknown_schema_version(bundled_model, tmp_path):
         load_network(path)
 
 
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("polarity", "sideways", "model field neurons[1].synapses[0]: 'sideways' is not a valid"),
+        ("resistance_ohms", -5.0, "model field neurons[1].synapses[0]: resistance must be"),
+        ("input_index", 0.5, "model field neurons[1].synapses[0].input_index must be an integer"),
+        ("input_index", True, "model field neurons[1].synapses[0].input_index must be an integer"),
+        ("resistance_ohms", 10**400, "model field neurons[1].synapses[0].resistance_ohms must be a"),
+    ],
+)
+def test_network_from_dict_names_the_bad_synapse(bundled_model, field, value, message):
+    doc = network_to_dict(bundled_model)
+    doc["neurons"][1]["synapses"][0][field] = value
+    with pytest.raises(ValueError) as exc_info:
+        network_from_dict(doc)
+    assert str(exc_info.value).startswith(message)
+
+
 def test_heterogeneous_capacitance_is_unserializable():
     a = IFNeuron("a", 1e-6, (Synapse(0, Polarity.EXCITATORY, 1e4),))
     b = IFNeuron("b", 2e-6, (Synapse(0, Polarity.EXCITATORY, 1e4),))

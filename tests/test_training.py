@@ -30,11 +30,13 @@ from ifcirc import (
     mse_loss,
     prune,
     rescale_network,
+    split,
     train,
     train_logistic_baseline,
 )
 from ifcirc.kernel import duration_matrix, forward, gradient
-from ifcirc.training import write_loss_csv
+from ifcirc.neuron import infer_batch
+from ifcirc.training import _loss_and_gradient, write_loss_csv
 
 
 # -------------------------------- loss --------------------------------------
@@ -171,6 +173,68 @@ def test_gradient_signs(instance):
     assert (grad[1] <= 0.0).all()
 
 
+@st.composite
+def log_resistance_instances(draw):
+    """Log-resistances, durations and targets as one training epoch sees them.
+
+    Resistances span the default init range in hardware ohms, so exponent
+    sums D·G stay within [0, 5]; inputs at or below zero give zero-duration
+    lines.
+    """
+    n_classes = draw(st.integers(1, 3))
+    cfg = TrainConfig(
+        supply_voltage=draw(st.floats(0.5, 5.0)), t_max=draw(st.floats(0.005, 0.05))
+    )
+    lines = 3
+    log_r = np.log(np.array(draw(st.lists(
+        st.floats(1e4, 1e6), min_size=2 * n_classes * lines, max_size=2 * n_classes * lines
+    )))).reshape(2, n_classes, lines)
+    inputs = st.one_of(st.floats(0.1, 1.0), st.sampled_from([0.0, -0.3]))
+    n = draw(st.integers(1, 4))
+    durations = duration_matrix([(draw(inputs), draw(inputs)) for _ in range(n)], cfg.t_max)
+    targets = np.array(draw(st.lists(
+        st.floats(0.0, cfg.supply_voltage), min_size=n * n_classes, max_size=n * n_classes
+    ))).reshape(n_classes, n)
+    return log_r, durations, targets, cfg
+
+
+@given(instance=log_resistance_instances())
+@settings(max_examples=200)
+def test_loss_and_gradient_match_finite_differences_in_log_r(instance):
+    """The loss and dL/du that train() steps on, against central differences in u."""
+    log_r, durations, targets, cfg = instance
+
+    def potentials(u):
+        return forward(durations, 1.0 / (np.exp(u) * cfg.capacitance), cfg.supply_voltage).v
+
+    value, grad = _loss_and_gradient(log_r, durations, targets, cfg)
+    # the loss is the MSE of the potentials infer_batch gives for R = e^u
+    neurons = tuple(
+        IFNeuron(f"c{k}", cfg.capacitance, tuple(
+            Synapse(line, polarity, float(np.exp(log_r[phase, k, line])))
+            for phase, polarity in enumerate(Polarity)
+            for line in range(log_r.shape[2])
+        ))
+        for k in range(log_r.shape[1])
+    )
+    net = Network(neurons, n_inputs=2, supply_voltage=cfg.supply_voltage, t_max=cfg.t_max)
+    stimuli = durations[:, :-1] / cfg.t_max
+    expected = float(np.mean((infer_batch(net, stimuli).T - targets) ** 2))
+    assert value == pytest.approx(expected, rel=1e-12)
+    h = 1e-6
+    for index in np.ndindex(log_r.shape):
+        up, down = log_r.copy(), log_r.copy()
+        up[index] += h
+        down[index] -= h
+        v_up, v_down = potentials(up), potentials(down)
+        # L(up) - L(down) per output, so a small change is not lost in the
+        # rounding of the whole loss
+        delta = float(np.sum((v_up - v_down) * (v_up + v_down - 2.0 * targets))) / targets.size
+        assert grad[index] == pytest.approx(delta / (2 * h), rel=1e-4, abs=1e-12)
+        if durations[:, index[2]].max() == 0.0:
+            assert grad[index] == 0.0  # a line that never runs has no gradient
+
+
 # ------------------------------ rescaling -----------------------------------
 
 
@@ -289,22 +353,26 @@ def test_training_is_deterministic():
 
 
 def test_training_respects_bounds():
-    # aggressive rate drives resistances into the clamp walls, never past
-    cfg = TrainConfig(learning_rate=10.0, epochs=200, seed=0)
+    # 2000x the default rate drives resistances into both clamp walls, never past
+    cfg = TrainConfig(learning_rate=1e4, epochs=200, seed=0)
     result = train(_quick_dataset(5), cfg)
-    for neuron in result.network.neurons:
-        for syn in neuron.synapses:
-            assert 1e3 <= syn.resistance <= 1e6
+    rs = [syn.resistance for neuron in result.network.neurons for syn in neuron.synapses]
+    assert all(1e3 <= r <= 1e6 for r in rs)
+    assert 1e3 in rs and 1e6 in rs  # pinned synapses carry their bound exactly
 
 
 def test_training_early_stop_on_plateau():
+    # at 20x the default rate the resistances reach their walls and the loss
+    # flattens well inside the budget; from 250 on this init collapses instead
     samples = [PostureSample(0.0, 0.0, "stand"), PostureSample(0.5, 0.0, "lie")]
-    cfg = TrainConfig(learning_rate=0.5, epochs=5000, seed=0)
+    cfg = TrainConfig(learning_rate=100.0, epochs=5000, seed=0)
     result = train(samples, cfg)
     assert result.epochs_run < 5000
     assert len(result.loss_history) == result.epochs_run + 1
     window = result.loss_history[-101:]
     assert window[0] - window[-1] < 1e-9
+    assert result.loss_history[-1] < 0.003  # the separating plateau, not a collapse
+    assert evaluate_accuracy(result.network, samples) == 1.0
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -329,7 +397,9 @@ def test_trainconfig_validation():
     with pytest.raises(ValueError):
         TrainConfig(r_min=1e6, r_max=1e3)
     with pytest.raises(ValueError):
-        TrainConfig(scale_factor=-1e-6)
+        TrainConfig(learning_rate=math.nan)
+    with pytest.raises(ValueError):
+        TrainConfig(init_r_max=2e6)  # above r_max
     with pytest.raises(ValueError):
         TrainConfig(init_r_min=10.0)  # below r_min
 
@@ -343,6 +413,27 @@ def test_trained_network_shape():
     for neuron in net.neurons:
         assert len(neuron.synapses) == 6
         assert neuron.capacitance == 1e-6
+
+
+@pytest.fixture(scope="module")
+def seed_sweep():
+    """Default-config runs for init seeds 0-11 on the seed-42 80/20 split."""
+    samples = generate(DatasetConfig(n_per_class=300, noise_sigma=0.04, seed=42))
+    train_set, test_set = split(samples, 0.8, seed=42)
+    return test_set, [train(train_set, TrainConfig(seed=seed)) for seed in range(12)]
+
+
+def test_training_converges_from_most_inits(seed_sweep):
+    test_set, results = seed_sweep
+    accuracies = [evaluate_accuracy(result.network, test_set) for result in results]
+    assert sum(accuracy >= 0.95 for accuracy in accuracies) >= 11, accuracies
+
+
+def test_trained_default_model_prunes_to_half(seed_sweep):
+    _, results = seed_sweep
+    network = results[TrainConfig().seed].network
+    assert sum(len(n.synapses) for n in network.neurons) == 18
+    assert sum(len(n.synapses) for n in prune(network).neurons) <= 9
 
 
 # --------------------------- evaluation helpers -----------------------------

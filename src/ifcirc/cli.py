@@ -1,19 +1,25 @@
 """Command-line front end.
 
 Subcommands cover the full loop: gen-data, train, eval, prune, quantize,
-infer, response-map, energy, validate.  Settings come from built-in
-defaults, overlaid by an optional JSON config file (--config), overlaid by
-explicit command-line flags.  The effective merged config is echoed on the
-first output line so any run can be reproduced from its log.
+infer, response-map, energy, validate.  Each subcommand's settings live in
+one table (``_COMMANDS``): a setting is ``(key, type, default, help)``, and
+the table generates the ``--key-with-dashes`` flags, the help text with
+each default, the defaults themselves and the type check of config-file
+values.  Settings come from those defaults, overlaid by an optional JSON
+config file (--config), overlaid by explicit command-line flags.  The
+effective merged config is echoed on the first output line so any run can
+be reproduced from its log.
 
-Exit codes: 0 success, 1 user error (bad flags, bad files, bad values),
-2 internal/validation failure (e.g. the oracle check exceeding tolerance).
+Exit codes: 0 success, 1 user error (bad flags, bad files, bad values,
+settings under which training diverges), 2 internal/validation failure (e.g. the oracle check exceeding tolerance).
 """
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from dataclasses import fields
 from typing import Sequence
 
 import numpy as np
@@ -30,10 +36,19 @@ from .hardware import (
     response_map,
     write_response_map_csv,
 )
-from .neuron import build_schedule, classify, infer_batch, infer_network, load_network, save_network
-from .oracle import DEFAULT_CONFIG, IntegratorConfig, integrate_schedule
+from .neuron import (
+    build_schedule,
+    classify,
+    infer_batch,
+    infer_network,
+    json_value,
+    load_network,
+    save_network,
+)
+from .oracle import IntegratorConfig, integrate_schedule
 from .training import (
     TrainConfig,
+    TrainingDivergedError,
     evaluate_accuracy,
     prune,
     train,
@@ -43,14 +58,14 @@ from .training import (
 _BUNDLED = "bundled"  # sentinel meaning "use the packaged example model"
 
 
-def _echo_config(cfg: dict) -> None:
-    print("config", json.dumps(cfg, sort_keys=True))
+def _merge_config(args: argparse.Namespace, settings: Sequence[tuple]) -> dict:
+    """defaults <- config file <- explicit flags, rejecting unknown keys and mistyped values.
 
-
-def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
-    """defaults <- config file <- explicit flags, rejecting unknown keys."""
-    cfg = dict(defaults)
-    if getattr(args, "config", None) is not None:
+    A config-file value must match its setting's type (an integer also
+    passes as a float); null passes only where the default is unset.
+    """
+    cfg = {key: default for key, _, default, _ in settings}
+    if args.config is not None:
         with open(args.config) as fh:
             try:
                 file_cfg = json.load(fh)
@@ -58,12 +73,14 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
                 raise ValueError(f"config file {args.config}: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise ValueError(f"config file {args.config} must hold a JSON object")
-        unknown = sorted(set(file_cfg) - set(defaults))
+        unknown = sorted(set(file_cfg) - set(cfg))
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        cfg.update(file_cfg)
-    for key in defaults:
-        value = getattr(args, key, None)
+        for key, kind, default, _ in settings:
+            if key in file_cfg and (file_cfg[key] is not None or default is not None):
+                cfg[key] = json_value(file_cfg[key], kind, f"config key {key}")
+    for key in cfg:
+        value = getattr(args, key)
         if value is not None:
             cfg[key] = value
     return cfg
@@ -86,27 +103,15 @@ def _rng(seed: int) -> np.random.Generator:
 
 # ------------------------------ subcommands --------------------------------
 
-_GEN_DEFAULTS = {
-    "n": 300,
-    "sigma": 0.04,
-    "seed": 0,
-    "out": "data.csv",
-    "holdout": 0.0,
-    "holdout_out": None,
-}
 
-
-def _cmd_gen_data(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args, _GEN_DEFAULTS)
-    _echo_config(cfg)
-    ds_cfg = DatasetConfig(n_per_class=int(cfg["n"]), noise_sigma=cfg["sigma"], seed=int(cfg["seed"]))
-    samples = generate(ds_cfg)
+def _cmd_gen_data(cfg: dict) -> int:
+    samples = generate(DatasetConfig(n_per_class=cfg["n"], noise_sigma=cfg["sigma"], seed=cfg["seed"]))
     holdout = cfg["holdout"]
     if not 0.0 <= holdout < 1.0:
         raise ValueError(f"holdout fraction must be in [0, 1), got {holdout}")
     if holdout > 0.0:
         _require(cfg, "holdout_out")
-        kept, held = split(samples, 1.0 - holdout, seed=int(cfg["seed"]))
+        kept, held = split(samples, 1.0 - holdout, seed=cfg["seed"])
         write_csv(kept, cfg["out"])
         write_csv(held, cfg["holdout_out"])
         print(f"wrote {len(kept)} rows to {cfg['out']}")
@@ -117,25 +122,10 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
     return 0
 
 
-# TrainConfig fields the train subcommand exposes; their defaults come from TrainConfig
-_TRAIN_FIELDS = (
-    "learning_rate", "epochs", "seed", "r_min", "r_max", "t_max", "capacitance", "supply_voltage",
-)
-_TRAIN_DEFAULTS = {
-    "data": None,
-    "out": "model.json",
-    "loss_out": None,
-    **{key: getattr(TrainConfig(), key) for key in _TRAIN_FIELDS},
-}
-
-
-def _cmd_train(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args, _TRAIN_DEFAULTS)
-    _echo_config(cfg)
+def _cmd_train(cfg: dict) -> int:
     _require(cfg, "data")
     samples = read_csv(cfg["data"])
-    # each value takes its default's type: int for epochs and seed, float for the rest
-    train_cfg = TrainConfig(**{key: type(_TRAIN_DEFAULTS[key])(cfg[key]) for key in _TRAIN_FIELDS})
+    train_cfg = TrainConfig(**{f.name: cfg[f.name] for f in fields(TrainConfig) if f.name in cfg})
     result = train(samples, train_cfg)
     save_network(result.network, cfg["out"])
     if cfg["loss_out"] is not None:
@@ -147,12 +137,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-_EVAL_DEFAULTS = {"model": None, "data": None, "noise_sigma": 0.0, "seed": 0}
-
-
-def _cmd_eval(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args, _EVAL_DEFAULTS)
-    _echo_config(cfg)
+def _cmd_eval(cfg: dict) -> int:
     net = _load_model(cfg)
     _require(cfg, "data")
     samples = read_csv(cfg["data"])
@@ -160,7 +145,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if sigma == 0.0:
         accuracy = evaluate_accuracy(net, samples)
     else:
-        rng = _rng(int(cfg["seed"]))
+        rng = _rng(cfg["seed"])
         labels = net.labels
         correct = 0
         clean = infer_batch(net, [(s.pitch, s.roll) for s in samples]).tolist()
@@ -177,17 +162,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-_PRUNE_DEFAULTS = {
-    "model": None,
-    "out": "pruned.json",
-    "r_max": 1e6,
-    "threshold_fraction": 0.999,
-}
-
-
-def _cmd_prune(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args, _PRUNE_DEFAULTS)
-    _echo_config(cfg)
+def _cmd_prune(cfg: dict) -> int:
     net = _load_model(cfg)
     pruned = prune(net, r_max=cfg["r_max"], threshold_fraction=cfg["threshold_fraction"])
     before = sum(len(n.synapses) for n in net.neurons)
@@ -200,24 +175,13 @@ def _cmd_prune(args: argparse.Namespace) -> int:
     return 0
 
 
-_QUANTIZE_DEFAULTS = {
-    "model": None,
-    "out": "quantized.json",
-    "catalog": "one_significant_digit",
-    "catalog_values": None,  # comma-separated ohms, only for --catalog custom
-}
-
-
-def _cmd_quantize(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args, _QUANTIZE_DEFAULTS)
-    _echo_config(cfg)
+def _cmd_quantize(cfg: dict) -> int:
     net = _load_model(cfg)
     if cfg["catalog"] == "custom":
         raw = cfg["catalog_values"]
         if not raw:
             raise ValueError("--catalog custom needs --catalog-values")
-        values = tuple(float(v) for v in str(raw).split(","))
-        catalog = ResistorCatalog(mode="custom", values=values)
+        catalog = ResistorCatalog(mode="custom", values=tuple(float(v) for v in raw.split(",")))
     else:
         catalog = ResistorCatalog(mode=cfg["catalog"])
     quantized = quantize_network(net, catalog)
@@ -233,18 +197,13 @@ def _cmd_quantize(args: argparse.Namespace) -> int:
     return 0
 
 
-_INFER_DEFAULTS = {"model": None, "pitch": None, "roll": None, "noise_sigma": 0.0, "seed": 0}
-
-
-def _cmd_infer(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args, _INFER_DEFAULTS)
-    _echo_config(cfg)
+def _cmd_infer(cfg: dict) -> int:
     net = _load_model(cfg)
     _require(cfg, "pitch")
     _require(cfg, "roll")
     potentials = infer_network(net, (cfg["pitch"], cfg["roll"]))
     if cfg["noise_sigma"] > 0.0:
-        rng = _rng(int(cfg["seed"]))
+        rng = _rng(cfg["seed"])
         potentials = [
             perturb_readout(p, cfg["noise_sigma"], rng, supply_voltage=net.supply_voltage)
             for p in potentials
@@ -255,12 +214,7 @@ def _cmd_infer(args: argparse.Namespace) -> int:
     return 0
 
 
-_MAP_DEFAULTS = {"model": None, "step": 0.01, "out": "response_map.csv"}
-
-
-def _cmd_response_map(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args, _MAP_DEFAULTS)
-    _echo_config(cfg)
+def _cmd_response_map(cfg: dict) -> int:
     net = _load_model(cfg)
     rows = response_map(net, cfg["step"])
     write_response_map_csv(rows, net.labels, cfg["out"])
@@ -268,12 +222,7 @@ def _cmd_response_map(args: argparse.Namespace) -> int:
     return 0
 
 
-_ENERGY_DEFAULTS = {"model": None, "pitch": None, "roll": None, "out": None}
-
-
-def _cmd_energy(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args, _ENERGY_DEFAULTS)
-    _echo_config(cfg)
+def _cmd_energy(cfg: dict) -> int:
     net = _load_model(cfg)
     _require(cfg, "pitch")
     _require(cfg, "roll")
@@ -290,22 +239,17 @@ def _cmd_energy(args: argparse.Namespace) -> int:
     return 0
 
 
-_VALIDATE_DEFAULTS = {
-    "model": _BUNDLED,
-    "trials": 100,
-    "seed": 0,
-    "tolerance": 1e-6,
-    "step_divisor": 1000.0,
-}
-
-
-def _cmd_validate(args: argparse.Namespace) -> int:
-    cfg = _merge_config(args, _VALIDATE_DEFAULTS)
-    _echo_config(cfg)
+def _cmd_validate(cfg: dict) -> int:
+    if cfg["trials"] < 1:
+        raise ValueError(f"trials must be >= 1, got {cfg['trials']}")
+    if not (math.isfinite(cfg["tolerance"]) and cfg["tolerance"] >= 0.0):
+        raise ValueError(f"tolerance must be a finite number >= 0, got {cfg['tolerance']}")
+    if not (math.isfinite(cfg["step_divisor"]) and cfg["step_divisor"] > 0.0):
+        raise ValueError(f"step divisor must be a finite number > 0, got {cfg['step_divisor']}")
     net = _load_model(cfg)
-    rng = _rng(int(cfg["seed"]))
+    rng = _rng(cfg["seed"])
     worst = 0.0
-    for _ in range(int(cfg["trials"])):
+    for _ in range(cfg["trials"]):
         stimulus = tuple(float(x) for x in rng.random(net.n_inputs))
         schedule = build_schedule(stimulus, net.t_max)
         exact = infer_network(net, stimulus)
@@ -317,7 +261,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             ode = integrate_schedule(neuron, schedule, net.supply_voltage, ode_cfg)
             err = abs(closed - ode) / max(abs(closed), abs(ode), 1e-12)
             worst = max(worst, err)
-    print(f"trials {int(cfg['trials'])}")
+    print(f"trials {cfg['trials']}")
     print(f"max_relative_error {worst!r}")
     print(f"tolerance {cfg['tolerance']!r}")
     if worst > cfg["tolerance"]:
@@ -327,11 +271,73 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0
 
 
-# -------------------------------- parser ------------------------------------
+# ------------------------------- settings -----------------------------------
 
+_MODEL = ("model", str, None, f"model JSON path, or '{_BUNDLED}'")
+_SEED = ("seed", int, 0, "random seed")
+_NOISE = ("noise_sigma", float, 0.0, "gaussian readout noise, volts")
+_PITCH = ("pitch", float, None, "pitch input")
+_ROLL = ("roll", float, None, "roll input")
+_TRAIN = TrainConfig()
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON file of settings; flags override it")
+# command -> (help, handler, settings); a setting is (key, type, default, help)
+_COMMANDS = {
+    "gen-data": ("generate a synthetic posture dataset CSV", _cmd_gen_data, (
+        ("n", int, 300, "samples per class"),
+        ("sigma", float, 0.04, "gaussian noise sigma"),
+        _SEED,
+        ("out", str, "data.csv", "output CSV path"),
+        ("holdout", float, 0.0, "fraction held out to a second CSV"),
+        ("holdout_out", str, None, "path for the held-out CSV"),
+    )),
+    "train": ("train resistances by gradient descent", _cmd_train, (
+        ("data", str, None, "training CSV"),
+        ("out", str, "model.json", "output model JSON"),
+        ("loss_out", str, None, "optional epoch,loss CSV"),
+        ("learning_rate", float, _TRAIN.learning_rate, "step size on ln R"),
+        ("epochs", int, _TRAIN.epochs, "epoch budget"),
+        ("seed", int, _TRAIN.seed, "initialization seed"),
+        ("r_min", float, _TRAIN.r_min, "resistance floor, ohms"),
+        ("r_max", float, _TRAIN.r_max, "resistance ceiling, ohms"),
+        ("t_max", float, _TRAIN.t_max, "full-scale stimulation time, seconds"),
+        ("capacitance", float, _TRAIN.capacitance, "membrane capacitance, farads"),
+        ("supply_voltage", float, _TRAIN.supply_voltage, "supply voltage, volts"),
+    )),
+    "eval": ("classification accuracy of a model on a CSV", _cmd_eval, (
+        _MODEL, ("data", str, None, "evaluation CSV"), _NOISE, _SEED,
+    )),
+    "prune": ("drop synapses stuck at the resistance ceiling", _cmd_prune, (
+        _MODEL,
+        ("out", str, "pruned.json", "output model JSON"),
+        ("r_max", float, 1e6, "training ceiling, ohms"),
+        ("threshold_fraction", float, 0.999, "prune at this fraction of r-max"),
+    )),
+    "quantize": ("snap resistances to a parts catalog", _cmd_quantize, (
+        _MODEL,
+        ("out", str, "quantized.json", "output model JSON"),
+        ("catalog", str, "one_significant_digit",
+         "catalog mode: one_significant_digit, e12, e24 or custom"),
+        ("catalog_values", str, None, "comma-separated ohms for --catalog custom"),
+    )),
+    "infer": ("classify a single (pitch, roll) input", _cmd_infer, (
+        _MODEL, _PITCH, _ROLL, _NOISE, _SEED,
+    )),
+    "response-map": ("potentials over the full input grid, as CSV", _cmd_response_map, (
+        _MODEL,
+        ("step", float, 0.01, "grid step in (0, 1]"),
+        ("out", str, "response_map.csv", "output CSV"),
+    )),
+    "energy": ("energy drawn/stored/dissipated for one inference", _cmd_energy, (
+        _MODEL, _PITCH, _ROLL, ("out", str, None, "optional JSON report path"),
+    )),
+    "validate": ("check closed-form inference against the ODE oracle", _cmd_validate, (
+        ("model", str, _BUNDLED, "model JSON path"),
+        ("trials", int, 100, "random stimuli to test"),
+        _SEED,
+        ("tolerance", float, 1e-6, "max relative error"),
+        ("step_divisor", float, 1000.0, "oracle step = tau_min / divisor"),
+    )),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -341,93 +347,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subs = parser.add_subparsers(dest="command", metavar="command")
-
-    p = subs.add_parser("gen-data", help="generate a synthetic posture dataset CSV")
-    _add_common(p)
-    p.add_argument("--n", type=int, help="samples per class (default 300)")
-    p.add_argument("--sigma", type=float, help="gaussian noise sigma (default 0.04)")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", help="output CSV path (default data.csv)")
-    p.add_argument("--holdout", type=float, help="fraction held out to a second CSV (default 0)")
-    p.add_argument("--holdout-out", help="path for the held-out CSV")
-    p.set_defaults(func=_cmd_gen_data)
-
-    p = subs.add_parser("train", help="train resistances by gradient descent")
-    _add_common(p)
-    p.add_argument("--data", help="training CSV")
-    p.add_argument("--out", help="output model JSON (default model.json)")
-    p.add_argument("--loss-out", help="optional epoch,loss CSV")
-    p.add_argument("--learning-rate", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--r-min", type=float, help="resistance floor, ohms")
-    p.add_argument("--r-max", type=float, help="resistance ceiling, ohms")
-    p.add_argument("--t-max", type=float, help="full-scale stimulation time, seconds")
-    p.add_argument("--capacitance", type=float, help="membrane capacitance, farads")
-    p.add_argument("--supply-voltage", type=float)
-    p.set_defaults(func=_cmd_train)
-
-    p = subs.add_parser("eval", help="classification accuracy of a model on a CSV")
-    _add_common(p)
-    p.add_argument("--model", help=f"model JSON path, or '{_BUNDLED}'")
-    p.add_argument("--data", help="evaluation CSV")
-    p.add_argument("--noise-sigma", type=float, help="gaussian readout noise (default 0)")
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=_cmd_eval)
-
-    p = subs.add_parser("prune", help="drop synapses stuck at the resistance ceiling")
-    _add_common(p)
-    p.add_argument("--model", help=f"model JSON path, or '{_BUNDLED}'")
-    p.add_argument("--out", help="output model JSON (default pruned.json)")
-    p.add_argument("--r-max", type=float, help="training ceiling, ohms (default 1e6)")
-    p.add_argument("--threshold-fraction", type=float, help="prune at fraction of r-max (default 0.999)")
-    p.set_defaults(func=_cmd_prune)
-
-    p = subs.add_parser("quantize", help="snap resistances to a parts catalog")
-    _add_common(p)
-    p.add_argument("--model", help=f"model JSON path, or '{_BUNDLED}'")
-    p.add_argument("--out", help="output model JSON (default quantized.json)")
-    p.add_argument(
-        "--catalog",
-        choices=["one_significant_digit", "e12", "e24", "custom"],
-        help="catalog mode (default one_significant_digit)",
-    )
-    p.add_argument("--catalog-values", help="comma-separated ohms for --catalog custom")
-    p.set_defaults(func=_cmd_quantize)
-
-    p = subs.add_parser("infer", help="classify a single (pitch, roll) input")
-    _add_common(p)
-    p.add_argument("--model", help=f"model JSON path, or '{_BUNDLED}'")
-    p.add_argument("--pitch", type=float)
-    p.add_argument("--roll", type=float)
-    p.add_argument("--noise-sigma", type=float, help="gaussian readout noise (default 0)")
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=_cmd_infer)
-
-    p = subs.add_parser("response-map", help="potentials over the full input grid, as CSV")
-    _add_common(p)
-    p.add_argument("--model", help=f"model JSON path, or '{_BUNDLED}'")
-    p.add_argument("--step", type=float, help="grid step in [0,1] (default 0.01)")
-    p.add_argument("--out", help="output CSV (default response_map.csv)")
-    p.set_defaults(func=_cmd_response_map)
-
-    p = subs.add_parser("energy", help="energy drawn/stored/dissipated for one inference")
-    _add_common(p)
-    p.add_argument("--model", help=f"model JSON path, or '{_BUNDLED}'")
-    p.add_argument("--pitch", type=float)
-    p.add_argument("--roll", type=float)
-    p.add_argument("--out", help="optional JSON report path")
-    p.set_defaults(func=_cmd_energy)
-
-    p = subs.add_parser("validate", help="check closed-form inference against the ODE oracle")
-    _add_common(p)
-    p.add_argument("--model", help=f"model JSON path (default '{_BUNDLED}')")
-    p.add_argument("--trials", type=int, help="random stimuli to test (default 100)")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--tolerance", type=float, help="max relative error (default 1e-6)")
-    p.add_argument("--step-divisor", type=float, help="oracle step = tau_min / divisor")
-    p.set_defaults(func=_cmd_validate)
-
+    for command, (command_help, _, settings) in _COMMANDS.items():
+        sub = subs.add_parser(command, help=command_help)
+        sub.add_argument("--config", help="JSON file of settings; flags override it")
+        for key, kind, default, help_text in settings:
+            shown = "" if default is None else f" (default {default})"
+            sub.add_argument("--" + key.replace("_", "-"), type=kind, help=help_text + shown)
     return parser
 
 
@@ -438,12 +363,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors; those are user errors here
         return 0 if exc.code in (0, None) else 1
-    if getattr(args, "func", None) is None:
+    if args.command is None:
         parser.print_usage(sys.stderr)
         return 1
+    _, handler, settings = _COMMANDS[args.command]
     try:
-        return args.func(args)
-    except (ValueError, OSError) as exc:
+        cfg = _merge_config(args, settings)
+        print("config", json.dumps(cfg, sort_keys=True))
+        return handler(cfg)
+    except (ValueError, OSError, TrainingDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

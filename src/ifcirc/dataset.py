@@ -61,8 +61,8 @@ class DatasetConfig:
     def __post_init__(self) -> None:
         if self.n_per_class <= 0:
             raise ValueError(f"n_per_class must be > 0, got {self.n_per_class}")
-        if self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError(f"noise_sigma must be a finite number >= 0, got {self.noise_sigma}")
 
 
 def generate(cfg: DatasetConfig) -> list[PostureSample]:

@@ -263,14 +263,11 @@ _FIELD_TYPES = {
 }
 
 
-def _field(obj: object, key: str, kind: type, where: str = ""):
-    """``obj[key]`` as ``kind``; a missing or mistyped value raises ValueError naming its path."""
-    path = f"{where}.{key}" if where else key
-    if not isinstance(obj, dict):
-        raise ValueError(f"model field {where or 'root'} must be a JSON object")
-    if key not in obj:
-        raise ValueError(f"model field {path} is missing")
-    value = obj[key]
+def json_value(value: object, kind: type, name: str):
+    """A value parsed from JSON, as ``kind``: int, str, list, or a finite float (ints convert).
+
+    Booleans are not numbers here.  A mismatch raises ValueError naming ``name``.
+    """
     types, description = _FIELD_TYPES[kind]
     try:
         ok = isinstance(value, types) and not isinstance(value, bool)
@@ -279,8 +276,18 @@ def _field(obj: object, key: str, kind: type, where: str = ""):
     except OverflowError:  # an integer beyond the float range
         ok = False
     if not ok:
-        raise ValueError(f"model field {path} must be {description}, got {json.dumps(value)}")
+        raise ValueError(f"{name} must be {description}, got {json.dumps(value)}")
     return converted
+
+
+def _field(obj: object, key: str, kind: type, where: str = ""):
+    """``obj[key]`` as ``kind``; a missing or mistyped value raises ValueError naming its path."""
+    path = f"{where}.{key}" if where else key
+    if not isinstance(obj, dict):
+        raise ValueError(f"model field {where or 'root'} must be a JSON object")
+    if key not in obj:
+        raise ValueError(f"model field {path} is missing")
+    return json_value(obj[key], kind, f"model field {path}")
 
 
 def network_from_dict(doc: object) -> Network:

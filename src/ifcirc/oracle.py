@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 from .neuron import IFNeuron, Polarity, StimulationSchedule
 from .rc import RCParams
@@ -47,42 +48,30 @@ class IntegratorConfig:
 
 DEFAULT_CONFIG = IntegratorConfig()
 
+# One march takes at most this many steps (a few seconds of RK4); a finer
+# step or a longer slot is refused instead of running for hours.
+MAX_STEPS = 10**7
 
-def _march_charge(v: float, v_in: float, tau: float, dt: float, step: float, method: str) -> float:
+
+def _march(v: float, target: float, tau: float, dt: float, step: float, method: str) -> float:
+    """March tau * dV/dt = target - V from v over dt: target v_in charges, 0.0 discharges."""
+    if dt / step > MAX_STEPS:
+        raise ValueError(f"integrating {dt!r} s at step {step!r} s takes over {MAX_STEPS} steps")
     # Fixed steps plus one partial final step so the total duration is exact.
     n_full = int(dt // step)
     remainder = dt - n_full * step
-    steps = [step] * n_full
+    steps = repeat(step, n_full)
     if remainder > 0.0:
-        steps.append(remainder)
+        steps = chain(steps, (remainder,))
     if method == "euler":
         for h in steps:
-            v += h * (v_in - v) / tau
+            v += h * (target - v) / tau
         return v
     for h in steps:
-        k1 = (v_in - v) / tau
-        k2 = (v_in - (v + 0.5 * h * k1)) / tau
-        k3 = (v_in - (v + 0.5 * h * k2)) / tau
-        k4 = (v_in - (v + h * k3)) / tau
-        v += h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-    return v
-
-
-def _march_discharge(v: float, tau: float, dt: float, step: float, method: str) -> float:
-    n_full = int(dt // step)
-    remainder = dt - n_full * step
-    steps = [step] * n_full
-    if remainder > 0.0:
-        steps.append(remainder)
-    if method == "euler":
-        for h in steps:
-            v -= h * v / tau
-        return v
-    for h in steps:
-        k1 = -v / tau
-        k2 = -(v + 0.5 * h * k1) / tau
-        k3 = -(v + 0.5 * h * k2) / tau
-        k4 = -(v + h * k3) / tau
+        k1 = (target - v) / tau
+        k2 = (target - (v + 0.5 * h * k1)) / tau
+        k3 = (target - (v + 0.5 * h * k2)) / tau
+        k4 = (target - (v + h * k3)) / tau
         v += h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
     return v
 
@@ -95,7 +84,7 @@ def integrate_charge(
         raise ValueError(f"duration must be >= 0, got {dt}")
     if dt == 0.0:
         return v0
-    return _march_charge(v0, v_in, params.tau, dt, cfg.resolve_step(params.tau), cfg.method)
+    return _march(v0, v_in, params.tau, dt, cfg.resolve_step(params.tau), cfg.method)
 
 
 def integrate_discharge(
@@ -106,7 +95,7 @@ def integrate_discharge(
         raise ValueError(f"duration must be >= 0, got {dt}")
     if dt == 0.0:
         return v0
-    return _march_discharge(v0, params.tau, dt, cfg.resolve_step(params.tau), cfg.method)
+    return _march(v0, 0.0, params.tau, dt, cfg.resolve_step(params.tau), cfg.method)
 
 
 def integrate_schedule(
@@ -132,8 +121,6 @@ def integrate_schedule(
         if syn is None or slot.duration == 0.0:
             continue
         tau = syn.resistance * neuron.capacitance
-        if slot.polarity is Polarity.EXCITATORY:
-            voltage = _march_charge(voltage, v_in, tau, slot.duration, step, cfg.method)
-        else:
-            voltage = _march_discharge(voltage, tau, slot.duration, step, cfg.method)
+        target = v_in if slot.polarity is Polarity.EXCITATORY else 0.0
+        voltage = _march(voltage, target, tau, slot.duration, step, cfg.method)
     return voltage

@@ -145,6 +145,10 @@ def prune(net: Network, *, r_max: float = 1e6, threshold_fraction: float = 0.999
     threshold is a fraction of r_max rather than exact equality because
     clamped float updates may sit infinitesimally below the bound.
     """
+    if not (math.isfinite(r_max) and r_max > 0):
+        raise ValueError(f"r_max must be a finite resistance > 0, got {r_max}")
+    if not math.isfinite(threshold_fraction):
+        raise ValueError(f"threshold_fraction must be finite, got {threshold_fraction}")
     cutoff = threshold_fraction * r_max
     neurons = tuple(
         replace(neuron, synapses=tuple(s for s in neuron.synapses if s.resistance < cutoff))

@@ -4,13 +4,18 @@ Covers the config-merge precedence (defaults < config file < flags), the
 exit-code contract (0 ok, 1 user error, 2 validation failure), and byte-level
 reproducibility of every artifact a seeded run writes.
 """
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ifcirc
 from ifcirc import TrainConfig, example_model_path, load_network
@@ -117,6 +122,69 @@ def test_gen_data_rejects_bad_holdout_fraction(tmp_path, capsys):
     assert "error:" in err
 
 
+# ------------------------- flags and defaults (frozen) ------------------------
+
+# every subcommand's settings and defaults; a new knob must be added here on purpose
+FROZEN_SETTINGS = {
+    "gen-data": {"n": 300, "sigma": 0.04, "seed": 0, "out": "data.csv", "holdout": 0.0,
+                 "holdout_out": None},
+    "train": {"data": None, "out": "model.json", "loss_out": None, "learning_rate": 5.0,
+              "epochs": 5000, "seed": 0, "r_min": 1e3, "r_max": 1e6, "t_max": 0.05,
+              "capacitance": 1e-6, "supply_voltage": 1.0},
+    "eval": {"model": None, "data": None, "noise_sigma": 0.0, "seed": 0},
+    "prune": {"model": None, "out": "pruned.json", "r_max": 1e6, "threshold_fraction": 0.999},
+    "quantize": {"model": None, "out": "quantized.json", "catalog": "one_significant_digit",
+                 "catalog_values": None},
+    "infer": {"model": None, "pitch": None, "roll": None, "noise_sigma": 0.0, "seed": 0},
+    "response-map": {"model": None, "step": 0.01, "out": "response_map.csv"},
+    "energy": {"model": None, "pitch": None, "roll": None, "out": None},
+    "validate": {"model": "bundled", "trials": 100, "seed": 0, "tolerance": 1e-6,
+                 "step_divisor": 1000.0},
+}
+
+
+def _help_entries(help_text):
+    """--flag -> its help text, whitespace-normalized, from an argparse --help page."""
+    entries, current = {}, None
+    for line in help_text.split("options:", 1)[1].splitlines():
+        if line.startswith("  -"):
+            current = line.split()[0].rstrip(",")
+            entries[current] = line
+        elif current is not None:
+            entries[current] += " " + line
+    return {flag: " ".join(text.split()) for flag, text in entries.items()}
+
+
+@pytest.mark.parametrize("command", sorted(FROZEN_SETTINGS))
+def test_help_lists_every_flag_with_its_default(capsys, command):
+    code, out, _ = run_cli(capsys, command, "--help")
+    assert code == 0
+    entries = _help_entries(out)
+    flags = {"--" + key.replace("_", "-"): v for key, v in FROZEN_SETTINGS[command].items()}
+    assert set(entries) == {"-h", "--config", *flags}
+    for flag, default in flags.items():
+        if default is None:
+            assert "(default" not in entries[flag]
+        else:
+            assert entries[flag].endswith(f"(default {default})")
+
+
+@pytest.mark.parametrize("command", sorted(FROZEN_SETTINGS))
+def test_defaults_are_frozen(tmp_path, monkeypatch, capsys, command):
+    # each run stops right after the config echo: a required setting is missing
+    # (gen-data needs none and writes its default CSV into the scratch directory)
+    monkeypatch.chdir(tmp_path)
+    expected = dict(FROZEN_SETTINGS[command])
+    argv = [command]
+    if command == "validate":
+        expected["model"] = str(tmp_path / "absent.json")
+        argv += ["--model", expected["model"]]
+    _, out, _ = run_cli(capsys, *argv)
+    echoed = echoed_config(out)
+    assert echoed == expected
+    assert [type(v) for v in echoed.values()] == [type(expected[k]) for k in echoed]
+
+
 # ------------------------------ config files --------------------------------
 
 
@@ -167,6 +235,44 @@ def test_malformed_config_is_user_error(tmp_path, capsys):
 
 def test_missing_config_file_is_user_error(tmp_path, capsys):
     assert run_cli(capsys, "gen-data", "--config", tmp_path / "absent.json")[0] == 1
+
+
+@pytest.mark.parametrize(
+    "argv, file_cfg, message",
+    [
+        (("train", "--data", "x.csv"), {"epochs": None}, "config key epochs must be an integer, got null"),
+        (("response-map", "--model", "bundled"), {"step": "x"},
+         'config key step must be a finite number, got "x"'),
+        (("gen-data",), {"holdout": "0.2"}, 'config key holdout must be a finite number, got "0.2"'),
+        (("gen-data",), {"n": 1.5}, "config key n must be an integer, got 1.5"),
+        (("gen-data",), {"seed": True}, "config key seed must be an integer, got true"),
+        (("gen-data",), {"sigma": 10**400}, "config key sigma must be a finite number"),
+        (("validate",), {"tolerance": float("nan")}, "config key tolerance must be a finite number, got NaN"),
+        (("quantize", "--model", "bundled"), {"catalog_values": [1000, 2000]},
+         "config key catalog_values must be a string, got [1000, 2000]"),
+        (("infer", "--model", "bundled"), {"pitch": False}, "config key pitch must be a finite number, got false"),
+    ],
+    ids=["null-epochs", "str-step", "str-holdout", "float-n", "bool-seed", "huge-sigma",
+         "nan-tolerance", "list-catalog-values", "bool-pitch"],
+)
+def test_config_values_are_type_checked(tmp_path, monkeypatch, capsys, argv, file_cfg, message):
+    monkeypatch.chdir(tmp_path)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(file_cfg))
+    code, out, err = run_cli(capsys, *argv, "--config", cfg_path)
+    assert code == 1
+    assert err.startswith(f"error: {message}") and "Traceback" not in err
+    assert out == ""
+    assert not (tmp_path / "data.csv").exists()
+
+
+def test_config_integer_is_accepted_as_float(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"sigma": 1, "holdout_out": None}))
+    code, out, _ = run_cli(capsys, "gen-data", "--config", cfg_path, "--n", 2, "--out", tmp_path / "d.csv")
+    assert code == 0
+    assert out.splitlines()[0].endswith('"seed": 0, "sigma": 1.0}')
+    assert echoed_config(out)["holdout_out"] is None
 
 
 # -------------------------------- infer -------------------------------------
@@ -254,6 +360,15 @@ def test_train_has_no_rescale_flag(tmp_path, tiny_csv, capsys):
     code, _, err = run_cli(capsys, *argv, "--config", cfg_path)
     assert code == 1
     assert "unknown config keys: scale_factor" in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_diverging_training_is_user_error(tmp_path, tiny_csv, capsys):
+    model = tmp_path / "m.json"
+    code, _, err = run_cli(capsys, "train", "--data", tiny_csv, "--capacitance", 0, "--out", model)
+    assert code == 1
+    assert err == "error: training loss became non-finite at epoch 0\n"
+    assert not model.exists()
 
 
 def test_train_requires_data(capsys):
@@ -375,6 +490,14 @@ def test_quantize_custom_needs_values(tmp_path, capsys):
     assert "catalog-values" in err
 
 
+def test_quantize_unknown_catalog_is_user_error(tmp_path, capsys):
+    out = tmp_path / "q.json"
+    code, _, err = run_cli(capsys, "quantize", "--model", "bundled", "--catalog", "e6", "--out", out)
+    assert code == 1
+    assert err.startswith("error: unknown catalog mode 'e6' (one of: one_significant_digit, e12, e24, custom)")
+    assert not out.exists()
+
+
 def _model_with(tmp_path, edit):
     doc = json.loads(example_model_path().read_text())
     path = tmp_path / "model.json"
@@ -468,6 +591,44 @@ def test_validate_fails_above_tolerance(capsys):
     assert "validation ok" not in out
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--trials", 0, "trials must be >= 1, got 0"),
+        ("--trials", -3, "trials must be >= 1, got -3"),
+        ("--tolerance", "nan", "tolerance must be a finite number >= 0, got nan"),
+        ("--tolerance", "-0.5", "tolerance must be a finite number >= 0, got -0.5"),
+        ("--step-divisor", 0, "step divisor must be a finite number > 0, got 0.0"),
+        ("--step-divisor", "inf", "step divisor must be a finite number > 0, got inf"),
+    ],
+)
+def test_validate_refuses_settings_that_check_nothing(capsys, flag, value, message):
+    code, out, err = run_cli(capsys, "validate", "--trials", 1, flag, value)
+    assert code == 1
+    assert err == f"error: {message}\n"
+    assert "validation ok" not in out
+
+
+def test_validate_refuses_an_endless_march(tmp_path, capsys):
+    # before the oracle's step cap, both ran for hours or ended in an OverflowError
+    code, _, err = run_cli(capsys, "validate", "--trials", 1, "--step-divisor", "1e300")
+    assert code == 1 and "steps" in err and err.startswith("error: integrating")
+    model = _model_with(tmp_path, lambda doc: {**doc, "t_max": 1e300})
+    code, _, err = run_cli(capsys, "validate", "--trials", 1, "--model", model)
+    assert code == 1 and "steps" in err and err.startswith("error: integrating")
+
+
+def test_non_finite_parameters_are_user_errors(tmp_path, capsys):
+    pruned, data = tmp_path / "pruned.json", tmp_path / "data.csv"
+    code, _, err = run_cli(capsys, "prune", "--model", "bundled", "--r-max", "nan", "--out", pruned)
+    assert code == 1
+    assert err == "error: r_max must be a finite resistance > 0, got nan\n"
+    code, _, err = run_cli(capsys, "gen-data", "--n", 2, "--sigma", "nan", "--out", data)
+    assert code == 1
+    assert err == "error: noise_sigma must be a finite number >= 0, got nan\n"
+    assert not pruned.exists() and not data.exists()
+
+
 # ---------------------------- reproducibility --------------------------------
 
 
@@ -509,3 +670,120 @@ def test_response_map_is_byte_reproducible(tmp_path, capsys):
 def test_validate_is_reproducible(capsys):
     argv = ("validate", "--trials", 2, "--seed", 11)
     assert run_cli(capsys, *argv) == run_cli(capsys, *argv)
+
+
+# -------------------------------- fuzzing ------------------------------------
+# main() on mutated config files, CSV rows and model files must never raise:
+# it returns 0 or 1 (2 only from validate's failed check), and says why.
+
+_JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 4),  # small, so no example trains or generates at scale
+    st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.5, 1e-300, 1e300, math.nan, math.inf, -math.inf]),
+    st.sampled_from(["", ".", "bundled", "e24", "custom", "1000,2000", "nan"]),
+    st.text(alphabet="abe0.,-", max_size=5),
+    st.lists(st.integers(0, 2), max_size=2),
+)
+
+# settings that keep an unmutated run small and, where they can, successful
+_FUZZ_BASE = {
+    "gen-data": {"n": 2, "out": "d.csv", "holdout_out": "h.csv"},
+    "train": {"data": "tiny.csv", "epochs": 2, "out": "m.json", "loss_out": "l.csv"},
+    "eval": {"model": "bundled", "data": "tiny.csv"},
+    "prune": {"model": "bundled", "out": "p.json"},
+    "quantize": {"model": "bundled", "out": "q.json"},
+    "infer": {"model": "bundled", "pitch": 0.1, "roll": 0.2},
+    "response-map": {"model": "bundled", "step": 0.5, "out": "map.csv"},
+    "energy": {"model": "bundled", "pitch": 0.1, "roll": 0.2, "out": "e.json"},
+    "validate": {"trials": 1, "step_divisor": 10.0},
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    assert _run_in(path, ["gen-data", "--n", 3, "--seed", 2, "--out", "tiny.csv"])[0] == 0
+    return path
+
+
+def _run_in(directory, argv):
+    """main(argv) with ``directory`` as working directory: (code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(directory)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([str(a) for a in argv])
+    finally:
+        os.chdir(cwd)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_clean_exit(directory, argv):
+    code, _, err = _run_in(directory, argv)
+    assert code in ((0, 1, 2) if argv[0] == "validate" else (0, 1))
+    if code == 1:
+        assert err.startswith("error: ")
+    if code == 2:
+        assert "validation FAILED" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", sorted(FROZEN_SETTINGS))
+@settings(max_examples=30)
+@given(data=st.data())
+def test_fuzzed_config_is_never_a_crash(fuzz_dir, command, data):
+    keys = st.sampled_from(sorted(FROZEN_SETTINGS[command]))
+    mutation = data.draw(st.dictionaries(keys, _JSON_VALUES, max_size=4))
+    (fuzz_dir / "cfg.json").write_text(json.dumps({**_FUZZ_BASE[command], **mutation}))
+    _assert_clean_exit(fuzz_dir, [command, "--config", "cfg.json"])
+
+
+_CSV_FIELDS = st.one_of(
+    st.sampled_from(["0.1", "-0.2", "1e3", "nan", "-inf", "", "stand", "sit", "lie", " 0.5"]),
+    st.text(alphabet='0.e-,"x', max_size=4),
+)
+
+
+@settings(max_examples=60)
+@given(
+    header=st.sampled_from(["pitch,roll,label", "pitch,roll", "label,roll,pitch", ""]),
+    rows=st.lists(st.lists(_CSV_FIELDS, max_size=4), max_size=4),
+)
+def test_fuzzed_csv_is_never_a_crash(fuzz_dir, header, rows):
+    (fuzz_dir / "rows.csv").write_text("\n".join([header, *(",".join(r) for r in rows)]) + "\n")
+    _assert_clean_exit(fuzz_dir, ["eval", "--model", "bundled", "--data", "rows.csv"])
+    _assert_clean_exit(fuzz_dir, ["eval", "--model", "bundled", "--data", "rows.csv",
+                                  "--noise-sigma", 0.1])
+    _assert_clean_exit(fuzz_dir, ["train", "--data", "rows.csv", "--epochs", 2, "--out", "m.json"])
+
+
+_MODEL_COMMANDS = (
+    ("infer", "--pitch", 0.3, "--roll", 0.1),
+    ("energy", "--pitch", 0.3, "--roll", 0.1),
+    ("eval", "--data", "tiny.csv"),
+    ("prune", "--out", "p.json"),
+    ("quantize", "--catalog", "e24", "--out", "q.json"),
+    ("response-map", "--step", 0.5, "--out", "map.csv"),
+    ("validate", "--trials", 1, "--step-divisor", 10),
+)
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_fuzzed_model_is_never_a_crash(fuzz_dir, data):
+    doc = json.loads(example_model_path().read_text())
+    # the document, one neuron or one synapse, equally often
+    levels = [[doc], doc["neurons"], [s for n in doc["neurons"] for s in n["synapses"]]]
+    fields = st.sampled_from(levels).flatmap(
+        lambda level: st.sampled_from([(c, key) for c in level for key in c])
+    )
+    for container, key in data.draw(st.lists(fields, min_size=1, max_size=3)):
+        if data.draw(st.booleans()):
+            container.pop(key, None)
+        else:
+            container[key] = data.draw(_JSON_VALUES)
+    (fuzz_dir / "model.json").write_text(json.dumps(doc))
+    for command, *rest in _MODEL_COMMANDS:
+        _assert_clean_exit(fuzz_dir, [command, "--model", "model.json", *rest])

@@ -84,6 +84,9 @@ def test_config_validation():
         DatasetConfig(n_per_class=0)
     with pytest.raises(ValueError):
         DatasetConfig(n_per_class=10, noise_sigma=-0.1)
+    for sigma in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="noise_sigma must be a finite number"):
+            DatasetConfig(n_per_class=10, noise_sigma=sigma)
 
 
 def test_csv_round_trip_is_exact(tmp_path):

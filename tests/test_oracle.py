@@ -40,6 +40,16 @@ def test_config_rejects_bad_arguments():
         IntegratorConfig(method="rk5")
 
 
+def test_march_refuses_more_than_max_steps():
+    from ifcirc.oracle import MAX_STEPS
+
+    cfg = IntegratorConfig(step=1e-9)
+    with pytest.raises(ValueError, match=f"takes over {MAX_STEPS} steps"):
+        integrate_charge(0.0, TEN_MS, v_in=1.0, dt=1e-9 * (MAX_STEPS + 1), cfg=cfg)
+    with pytest.raises(ValueError, match=f"takes over {MAX_STEPS} steps"):
+        integrate_discharge(1.0, TEN_MS, dt=1e300, cfg=cfg)
+
+
 def test_rk4_matches_analytic_charge():
     v = integrate_charge(0.0, TEN_MS, v_in=1.0, dt=0.01)
     assert v == pytest.approx(EXACT_ONE_TAU, rel=1e-9)

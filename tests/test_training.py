@@ -329,6 +329,23 @@ def test_prune_respects_threshold_fraction(bundled_model):
     assert sum(len(n.synapses) for n in stripped.neurons) == 0
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"r_max": math.nan}, "r_max must be a finite resistance > 0"),
+        ({"r_max": math.inf}, "r_max must be a finite resistance > 0"),
+        ({"r_max": 0.0}, "r_max must be a finite resistance > 0"),
+        ({"r_max": -1e6}, "r_max must be a finite resistance > 0"),
+        ({"threshold_fraction": math.nan}, "threshold_fraction must be finite"),
+        ({"threshold_fraction": -math.inf}, "threshold_fraction must be finite"),
+    ],
+)
+def test_prune_rejects_bad_ceiling(bundled_model, kwargs, message):
+    # a nan ceiling compares false everywhere and would drop every synapse
+    with pytest.raises(ValueError, match=message):
+        prune(bundled_model, **kwargs)
+
+
 # ------------------------------ training ------------------------------------
 
 

@@ -9,7 +9,6 @@ dead synapses, snap values to a resistor catalog, and account for energy.
 """
 from pathlib import Path
 
-from .rc import RCParams
 from .neuron import (
     IFNeuron,
     Network,
@@ -27,7 +26,7 @@ from .neuron import (
     save_network,
     spike,
 )
-from .oracle import IntegratorConfig, integrate_charge, integrate_discharge, integrate_schedule
+from .oracle import IntegratorConfig, integrate_schedule
 from .dataset import (
     CLASS_MEANS,
     CLASSES,
@@ -43,9 +42,7 @@ from .training import (
     TrainConfig,
     TrainResult,
     TrainingDivergedError,
-    clamp_resistances,
     evaluate_accuracy,
-    mse_loss,
     prune,
     rescale_network,
     train,

@@ -202,7 +202,7 @@ def _cmd_infer(cfg: dict) -> int:
     _require(cfg, "pitch")
     _require(cfg, "roll")
     potentials = infer_network(net, (cfg["pitch"], cfg["roll"]))
-    if cfg["noise_sigma"] > 0.0:
+    if cfg["noise_sigma"] != 0.0:
         rng = _rng(cfg["seed"])
         potentials = [
             perturb_readout(p, cfg["noise_sigma"], rng, supply_voltage=net.supply_voltage)
@@ -244,8 +244,7 @@ def _cmd_validate(cfg: dict) -> int:
         raise ValueError(f"trials must be >= 1, got {cfg['trials']}")
     if not (math.isfinite(cfg["tolerance"]) and cfg["tolerance"] >= 0.0):
         raise ValueError(f"tolerance must be a finite number >= 0, got {cfg['tolerance']}")
-    if not (math.isfinite(cfg["step_divisor"]) and cfg["step_divisor"] > 0.0):
-        raise ValueError(f"step divisor must be a finite number > 0, got {cfg['step_divisor']}")
+    ode_cfg = IntegratorConfig(step_divisor=cfg["step_divisor"])
     net = _load_model(cfg)
     rng = _rng(cfg["seed"])
     worst = 0.0
@@ -254,10 +253,6 @@ def _cmd_validate(cfg: dict) -> int:
         schedule = build_schedule(stimulus, net.t_max)
         exact = infer_network(net, stimulus)
         for neuron, closed in zip(net.neurons, exact):
-            tau_min = min(
-                (s.resistance * neuron.capacitance for s in neuron.synapses), default=1.0
-            )
-            ode_cfg = IntegratorConfig(step=tau_min / cfg["step_divisor"], method="rk4")
             ode = integrate_schedule(neuron, schedule, net.supply_voltage, ode_cfg)
             err = abs(closed - ode) / max(abs(closed), abs(ode), 1e-12)
             worst = max(worst, err)
@@ -335,7 +330,7 @@ _COMMANDS = {
         ("trials", int, 100, "random stimuli to test"),
         _SEED,
         ("tolerance", float, 1e-6, "max relative error"),
-        ("step_divisor", float, 1000.0, "oracle step = tau_min / divisor"),
+        ("step_divisor", float, IntegratorConfig().step_divisor, "oracle step = tau_min / divisor"),
     )),
 }
 

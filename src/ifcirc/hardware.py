@@ -133,8 +133,8 @@ def perturb_readout(
     supply_voltage: float = 1.0,
 ) -> float:
     """Add Gaussian readout noise and clamp to the physical voltage range."""
-    if sigma < 0:
-        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be a finite number >= 0, got {sigma}")
     if not isinstance(rng, np.random.Generator):
         rng = np.random.Generator(np.random.PCG64(rng))
     noisy = potential + float(rng.normal(0.0, sigma))

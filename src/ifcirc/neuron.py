@@ -87,6 +87,13 @@ class IFNeuron:
             if key in seen:
                 raise ValueError(f"duplicate synapse for input {syn.input_index} ({syn.polarity.value})")
             seen.add(key)
+            tau = syn.resistance * self.capacitance
+            if tau == 0.0 or math.isinf(1.0 / tau):  # the kernel needs a finite G = 1/(R·C)
+                raise ValueError(
+                    f"time constant R·C of input {syn.input_index} ({syn.polarity.value}) is "
+                    f"{tau!r} s, too small for a finite conductance: "
+                    f"{syn.resistance!r} ohms, {self.capacitance!r} farads"
+                )
 
     def synapse_map(self) -> dict[tuple[int, Polarity], Synapse]:
         return {(s.input_index, s.polarity): s for s in self.synapses}

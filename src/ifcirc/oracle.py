@@ -5,11 +5,12 @@ The closed form in :mod:`ifcirc.kernel` is the exact solution of
     charge:     tau * dV/dt = v_in - V
     discharge:  tau * dV/dt = -V
 
-folded over a stimulation schedule.  This module integrates those
-differential forms directly, slot by slot (RK4 by default, Euler for
-convergence-order checks), and shares no code with the kernel, so it is an
-independent reference for it: the two must agree to ~1e-6 relative at the
-default step of tau_min / 1000.
+folded over a stimulation schedule, with tau = R * C per synapse.  This
+module integrates those differential forms directly, slot by slot (RK4 by
+default, Euler for convergence-order checks), and shares no code with the
+kernel, so it is an independent reference for it: the two must agree to
+~1e-6 relative at the default step of tau_min / 1000, where tau_min is the
+smallest time constant among the neuron's synapses.
 """
 from __future__ import annotations
 
@@ -18,32 +19,24 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 
 from .neuron import IFNeuron, Polarity, StimulationSchedule
-from .rc import RCParams
 
-__all__ = ["IntegratorConfig", "integrate_charge", "integrate_discharge", "integrate_schedule"]
+__all__ = ["IntegratorConfig", "integrate_schedule"]
 
 _METHODS = ("rk4", "euler")
 
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Fixed-step integrator settings.
+    """Fixed-step integrator settings: the step is tau_min / step_divisor."""
 
-    ``step=None`` resolves to tau_min / 1000 of the system under test,
-    where tau_min is the smallest time constant involved.
-    """
-
-    step: float | None = None  # seconds
+    step_divisor: float = 1000.0
     method: str = "rk4"
 
     def __post_init__(self) -> None:
-        if self.step is not None and not (math.isfinite(self.step) and self.step > 0):
-            raise ValueError(f"integrator step must be > 0, got {self.step}")
+        if not (math.isfinite(self.step_divisor) and self.step_divisor > 0):
+            raise ValueError(f"step divisor must be a finite number > 0, got {self.step_divisor}")
         if self.method not in _METHODS:
             raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
-
-    def resolve_step(self, tau_min: float) -> float:
-        return self.step if self.step is not None else tau_min / 1000.0
 
 
 DEFAULT_CONFIG = IntegratorConfig()
@@ -76,45 +69,28 @@ def _march(v: float, target: float, tau: float, dt: float, step: float, method: 
     return v
 
 
-def integrate_charge(
-    v0: float, params: RCParams, v_in: float, dt: float, cfg: IntegratorConfig = DEFAULT_CONFIG
-) -> float:
-    """Numerically integrate tau * dV/dt = v_in - V from v0 over dt."""
-    if not (math.isfinite(dt) and dt >= 0.0):
-        raise ValueError(f"duration must be >= 0, got {dt}")
-    if dt == 0.0:
-        return v0
-    return _march(v0, v_in, params.tau, dt, cfg.resolve_step(params.tau), cfg.method)
-
-
-def integrate_discharge(
-    v0: float, params: RCParams, dt: float, cfg: IntegratorConfig = DEFAULT_CONFIG
-) -> float:
-    """Numerically integrate tau * dV/dt = -V from v0 over dt."""
-    if not (math.isfinite(dt) and dt >= 0.0):
-        raise ValueError(f"duration must be >= 0, got {dt}")
-    if dt == 0.0:
-        return v0
-    return _march(v0, 0.0, params.tau, dt, cfg.resolve_step(params.tau), cfg.method)
-
-
 def integrate_schedule(
     neuron: IFNeuron,
     schedule: StimulationSchedule,
     v_in: float,
     cfg: IntegratorConfig = DEFAULT_CONFIG,
 ) -> float:
-    """Slot-by-slot numerical integration; reference for ``infer_network``.
+    """Slot-by-slot numerical integration from rest; reference for ``infer_network``.
 
-    The step resolves against the smallest time constant among the
-    neuron's synapses so every transient is finely resolved.
+    The step is the smallest time constant among the neuron's synapses
+    over ``cfg.step_divisor``, so every transient is finely resolved.
     """
     synapses = neuron.synapse_map()
     if synapses:
         tau_min = min(s.resistance for s in neuron.synapses) * neuron.capacitance
     else:
         tau_min = 1.0  # no synapses -> nothing integrates; any step works
-    step = cfg.resolve_step(tau_min)
+    step = tau_min / cfg.step_divisor
+    if not step > 0.0:
+        raise ValueError(
+            f"time constant {tau_min!r} s over step divisor {cfg.step_divisor!r} "
+            f"leaves an integrator step of {step!r} s; it must be > 0"
+        )
     voltage = 0.0
     for slot in schedule.slots:
         syn = synapses.get((slot.input_index, slot.polarity))

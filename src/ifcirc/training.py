@@ -31,9 +31,7 @@ __all__ = [
     "TrainConfig",
     "TrainResult",
     "TrainingDivergedError",
-    "mse_loss",
     "rescale_network",
-    "clamp_resistances",
     "prune",
     "train",
     "LogisticBaseline",
@@ -80,6 +78,10 @@ class TrainConfig:
             raise ValueError(f"need 0 < r_min < r_max, got {self.r_min}, {self.r_max}")
         if not self.r_min <= self.init_r_min <= self.init_r_max <= self.r_max:
             raise ValueError("initialization range must lie within [r_min, r_max]")
+        if self.early_stop_window < 1:
+            raise ValueError(f"early_stop_window must be >= 1, got {self.early_stop_window}")
+        if not math.isfinite(self.early_stop_delta):
+            raise ValueError(f"early_stop_delta must be finite, got {self.early_stop_delta}")
 
     @property
     def effective_target_high(self) -> float:
@@ -91,15 +93,6 @@ class TrainResult:
     network: Network
     loss_history: list[float]  # loss before each update, plus the final loss
     epochs_run: int
-
-
-def mse_loss(potentials: Sequence[float], targets: Sequence[float]) -> float:
-    """Mean squared difference between potentials and target potentials."""
-    if len(potentials) != len(targets):
-        raise ValueError(f"length mismatch: {len(potentials)} potentials vs {len(targets)} targets")
-    if len(potentials) == 0:
-        raise ValueError("cannot compute loss of empty vectors")
-    return sum((p - t) ** 2 for p, t in zip(potentials, targets)) / len(potentials)
 
 
 def rescale_network(net: Network, k: float) -> Network:
@@ -114,23 +107,6 @@ def rescale_network(net: Network, k: float) -> Network:
             neuron,
             capacitance=neuron.capacitance / k,
             synapses=tuple(replace(s, resistance=s.resistance * k) for s in neuron.synapses),
-        )
-        for neuron in net.neurons
-    )
-    return replace(net, neurons=neurons)
-
-
-def clamp_resistances(net: Network, r_min: float, r_max: float) -> Network:
-    """Project every resistance into [r_min, r_max]."""
-    if not r_min < r_max:
-        raise ValueError(f"need r_min < r_max, got {r_min}, {r_max}")
-    neurons = tuple(
-        replace(
-            neuron,
-            synapses=tuple(
-                replace(s, resistance=min(max(s.resistance, r_min), r_max))
-                for s in neuron.synapses
-            ),
         )
         for neuron in net.neurons
     )

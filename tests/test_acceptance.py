@@ -25,7 +25,6 @@ from ifcirc import (
     IntegratorConfig,
     Network,
     Polarity,
-    RCParams,
     Synapse,
     TrainConfig,
     build_schedule,
@@ -85,9 +84,8 @@ def test_criterion_1_oracle_equivalence():
         stimulus = tuple(float(x) for x in rng.uniform(0.0, 1.0, n_inputs))
         schedule = build_schedule(stimulus, t_max=0.05)
         (exact,) = infer_network(Network(neurons=(neuron,), n_inputs=n_inputs), stimulus)
-        tau_min = min(s.resistance * neuron.capacitance for s in neuron.synapses)
         ode = integrate_schedule(
-            neuron, schedule, 1.0, IntegratorConfig(step=tau_min / 300.0, method="rk4")
+            neuron, schedule, 1.0, IntegratorConfig(step_divisor=300.0, method="rk4")
         )
         worst = max(worst, _rel_err(exact, ode))
     elapsed = time.perf_counter() - start
@@ -275,11 +273,11 @@ def test_criterion_6_physics_properties():
 
         # charge/discharge monotonicity and bounds: line 0 charges the
         # capacitor to v0, then line 1 charges ("up") or drains ("down") it
-        params = RCParams(float(10.0 ** rng.uniform(3, 6)), 1e-6)
+        r = float(10.0 ** rng.uniform(3, 6))
+        tau = r * 1e-6
         v0 = float(rng.uniform(0.0, 1.0))
-        t0 = -params.tau * math.log1p(-v0)
+        t0 = -tau * math.log1p(-v0)
         steps = np.concatenate([[0.0], np.cumsum(rng.uniform(1e-4, 0.02, 5))])
-        r = params.resistance
         precharge = Synapse(0, Polarity.EXCITATORY, r)
         up = IFNeuron("up", 1e-6, (precharge, Synapse(1, Polarity.EXCITATORY, r)))
         down = IFNeuron("down", 1e-6, (precharge, Synapse(1, Polarity.INHIBITORY, r)))
@@ -298,7 +296,7 @@ def test_criterion_6_physics_properties():
         v_in = float(rng.uniform(max(v_start, 0.1) + 0.05, 2.0))
         duration = float(rng.uniform(1e-4, 0.1))
         r0 = float(10.0 ** rng.uniform(3, 6))
-        tau0, tau = r0 * 1e-6, params.tau
+        tau0 = r0 * 1e-6
         t0 = -tau0 * math.log1p(-v_start / v_in)
         lines = (Synapse(0, Polarity.EXCITATORY, r0), Synapse(1, Polarity.EXCITATORY, r))
         unit = IFNeuron("u", 1e-6, lines)

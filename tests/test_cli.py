@@ -414,6 +414,17 @@ def test_eval_with_readout_noise_is_seeded(tmp_path, tiny_csv, capsys):
     assert run_cli(capsys, *argv) == run_cli(capsys, *argv)
 
 
+@pytest.mark.parametrize("sigma", ["-1", "nan", "inf"])
+@pytest.mark.parametrize("command", ["infer", "eval"])
+def test_readout_noise_refuses_a_sigma_that_is_not_a_noise(tiny_csv, capsys, command, sigma):
+    # infer used to ignore -1 and nan, eval blamed nan on the potentials, both took inf
+    inputs = ("--pitch", 0.1, "--roll", 0.1) if command == "infer" else ("--data", tiny_csv)
+    code, out, err = run_cli(capsys, command, "--model", "bundled", *inputs, "--noise-sigma", sigma)
+    assert code == 1
+    assert err == f"error: sigma must be a finite number >= 0, got {float(sigma)}\n"
+    assert len(out.splitlines()) == 1  # the echoed config, nothing else
+
+
 def _csv_with(tmp_path, row):
     path = tmp_path / "bad.csv"
     path.write_text(f"pitch,roll,label\n0.1,0.2,stand\n{row}\n0.0,0.25,sit\n")
@@ -616,6 +627,30 @@ def test_validate_refuses_an_endless_march(tmp_path, capsys):
     model = _model_with(tmp_path, lambda doc: {**doc, "t_max": 1e300})
     code, _, err = run_cli(capsys, "validate", "--trials", 1, "--model", model)
     assert code == 1 and "steps" in err and err.startswith("error: integrating")
+
+
+def test_validate_refuses_a_time_constant_without_a_step(tmp_path, capsys):
+    def with_tau(resistance, capacitance):
+        def edit(doc):
+            for neuron in doc["neurons"]:
+                for syn in neuron["synapses"]:
+                    syn["resistance_ohms"] = resistance
+            return {**doc, "capacitance": capacitance}
+        return _model_with(tmp_path, edit)
+
+    # R·C underflows to 0, or to 1e-323 s where G = 1/(R·C) is infinite: refused on load
+    # (energy used to print nan joules and exit 0 on the second)
+    for capacitance in (1e-30, 1e-23):
+        model = with_tau(1e-300, capacitance)
+        for argv in (("validate", "--trials", 1), ("energy", "--pitch", 0, "--roll", 0.5)):
+            code, _, err = run_cli(capsys, *argv, "--model", model)
+            assert code == 1 and err.startswith("error: ")
+            assert "too small for a finite conductance" in err
+    # R·C = 1e-300 s is a model, but tau_min / 1e30 leaves the oracle a zero step
+    model = with_tau(1e-3, 1e-297)
+    code, _, err = run_cli(capsys, "validate", "--trials", 1, "--model", model,
+                           "--step-divisor", "1e30")
+    assert code == 1 and err.startswith("error: ") and "integrator step of 0.0 s" in err
 
 
 def test_non_finite_parameters_are_user_errors(tmp_path, capsys):

@@ -16,11 +16,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ifcirc import RCParams
+from ifcirc import IFNeuron, Polarity, Synapse
 from ifcirc.kernel import duration_matrix, forward
 from conftest import capacitances, resistances, voltages
 
-TEN_MS = RCParams(resistance=10e3, capacitance=1e-6)  # tau = 10 ms
+R, TAU = 10e3, 10e3 * 1e-6  # 10 kOhm into 1 uF: tau = 10 ms
 
 
 def phases(charge=(), discharge=(), cap=1e-6, v_in=1.0, extra=(0.0,)):
@@ -40,22 +40,18 @@ def phases(charge=(), discharge=(), cap=1e-6, v_in=1.0, extra=(0.0,)):
     return forward(d, g, v_in).v[0].tolist()
 
 
-def precharge(v0, params, v_in=1.0):
-    """The charge line that brings a rested capacitor to v0."""
-    return (params.resistance, -params.tau * math.log1p(-v0 / v_in))
-
-
-def test_time_constant():
-    assert TEN_MS.tau == pytest.approx(0.01, rel=1e-12)
+def precharge(v0, r, tau, v_in=1.0):
+    """The charge line through r that brings a rested capacitor to v0; tau = r * C."""
+    return (r, -tau * math.log1p(-v0 / v_in))
 
 
 def test_charge_step_matches_ode_oracle():
-    (v,) = phases(charge=[precharge(0.5, TEN_MS), (10e3, 0.01)])
+    (v,) = phases(charge=[precharge(0.5, R, TAU), (10e3, 0.01)])
     assert v == pytest.approx(0.8160602794142788, rel=1e-10)
 
 
 def test_discharge_step_matches_ode_oracle():
-    (v,) = phases(charge=[precharge(0.8, TEN_MS)], discharge=[(10e3, 0.005)])
+    (v,) = phases(charge=[precharge(0.8, R, TAU)], discharge=[(10e3, 0.005)])
     assert v == pytest.approx(0.4852245277701068, rel=1e-10)
 
 
@@ -78,11 +74,11 @@ def test_zero_duration_is_identity():
 
 def test_invalid_params_rejected():
     with pytest.raises(ValueError):
-        RCParams(resistance=-1.0, capacitance=1e-6)
+        Synapse(0, Polarity.EXCITATORY, -1.0)
     with pytest.raises(ValueError):
-        RCParams(resistance=1e3, capacitance=0.0)
+        IFNeuron("u", 0.0, (Synapse(0, Polarity.EXCITATORY, 1e3),))
     with pytest.raises(ValueError):
-        RCParams(resistance=math.inf, capacitance=1e-6)
+        Synapse(0, Polarity.EXCITATORY, math.inf)
 
 
 def test_invalid_step_arguments_rejected():
@@ -98,8 +94,7 @@ def test_invalid_step_arguments_rejected():
 @given(r=resistances, c=capacitances, v_in=voltages,
        frac=st.floats(0.0, 0.99), dt=st.floats(0.0, 1.0))
 def test_charge_bounded_and_monotone(r, c, v_in, frac, dt):
-    params = RCParams(r, c)
-    line = precharge(frac * v_in, params, v_in)
+    line = precharge(frac * v_in, r, r * c, v_in)
     v0, v1, v2 = phases(charge=[line, (r, 0.0)], cap=c, v_in=v_in, extra=(0.0, dt, dt + 0.01))
     assert v0 <= v1 <= v_in
     # longer stimulation can only get closer to the supply
@@ -109,8 +104,7 @@ def test_charge_bounded_and_monotone(r, c, v_in, frac, dt):
 @given(r=resistances, c=capacitances, v_in=voltages,
        frac=st.floats(0.0, 0.99), dt=st.floats(0.0, 1.0))
 def test_discharge_bounded_and_monotone(r, c, v_in, frac, dt):
-    params = RCParams(r, c)
-    line = precharge(frac * v_in, params, v_in)
+    line = precharge(frac * v_in, r, r * c, v_in)
     v0, v1, v2 = phases(
         charge=[line], discharge=[(r, 0.0)], cap=c, v_in=v_in, extra=(0.0, dt, dt + 0.01)
     )

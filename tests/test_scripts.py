@@ -1,0 +1,53 @@
+"""Smoke runs of the experiment scripts, as subprocesses on small inputs.
+
+The scripts import ``ifcirc``'s public names; a rename or a deletion
+there shows up here as a failed run rather than only in the next manual
+experiment.
+"""
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+import ifcirc
+from ifcirc import load_network
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(name, *argv):
+    # the child imports the same ifcirc as this suite, installed or not
+    src = str(Path(ifcirc.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *map(str, argv)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_run_experiment_writes_every_artifact(tmp_path):
+    lines = run_script(
+        "run_experiment.py", "--n", 30, "--epochs", 50, "--grid-step", 0.25, "--out-dir", tmp_path
+    )
+    assert lines[0] == "dataset: 72 train / 18 test, sigma=0.04"
+    assert lines[1].startswith("trained: 50 epochs in ")
+    assert "response map: 25 grid points at step 0.25" in lines
+    assert lines[-1] == f"artifacts in {tmp_path}/"
+    for name in ("model.json", "pruned.json", "quantized.json"):
+        assert load_network(tmp_path / name).labels == ("stand", "sit", "lie")
+    assert (tmp_path / "loss.csv").read_text().count("\n") == 1 + 51  # header, 50 epochs + final
+    assert (tmp_path / "response_map.csv").read_text().count("\n") == 1 + 25
+    assert len((tmp_path / "train.csv").read_text().splitlines()) == 1 + 72
+    assert set(json.loads((tmp_path / "energy.json").read_text())) == {"stand", "sit", "lie"}
+
+
+def test_sweep_seeds_reports_every_seed():
+    lines = run_script("sweep_seeds.py", "--seeds", 2, "--epochs", 50)
+    assert lines[0].split() == ["seed", "epochs", "final", "loss", "accuracy", "kept"]
+    assert [line.split()[:2] for line in lines[1:3]] == [["0", "50"], ["1", "50"]]
+    assert re.fullmatch(r"[0-2]/2 seeds reach 0\.95 within 50 epochs: \[[0-9, ]*\]", lines[-1])
+    assert len(lines) == 4

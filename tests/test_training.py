@@ -23,11 +23,9 @@ from ifcirc import (
     TrainConfig,
     TrainingDivergedError,
     classify,
-    clamp_resistances,
     evaluate_accuracy,
     generate,
     infer_network,
-    mse_loss,
     prune,
     rescale_network,
     split,
@@ -42,25 +40,44 @@ from ifcirc.training import _loss_and_gradient, write_loss_csv
 # -------------------------------- loss --------------------------------------
 
 
-def test_mse_loss_zero_at_target():
-    assert mse_loss((1.0, 0.0, 0.0), (1.0, 0.0, 0.0)) == 0.0
+def _train_loss(net, stimulus, targets):
+    """The loss train() computes for a fully wired ``net`` at one input."""
+    log_r = np.empty((2, len(net.neurons), net.n_inputs + 1))
+    for k, neuron in enumerate(net.neurons):
+        for syn in neuron.synapses:
+            log_r[int(syn.polarity is Polarity.INHIBITORY), k, syn.input_index] = math.log(
+                syn.resistance
+            )
+    cfg = TrainConfig(
+        capacitance=net.neurons[0].capacitance, t_max=net.t_max, supply_voltage=net.supply_voltage
+    )
+    durations = duration_matrix([stimulus], net.t_max)
+    return _loss_and_gradient(log_r, durations, np.array(targets)[:, None], cfg)[0]
 
 
-def test_mse_loss_simple_value():
-    assert mse_loss((0.5, 0.0, 0.0), (1.0, 0.0, 0.0)) == pytest.approx(0.25 / 3)
+def _potentials_and_loss(offset):
+    """Potentials of a uniform 3-class network, and the loss against them shifted by ``offset``."""
+    cfg = TrainConfig()
+    log_r = np.full((2, 3, 3), math.log(1e5))
+    durations = duration_matrix([(0.3, 0.7)], cfg.t_max)
+    v = forward(durations, 1.0 / (np.exp(log_r) * cfg.capacitance), cfg.supply_voltage).v
+    return _loss_and_gradient(log_r, durations, v + np.asarray(offset)[:, None], cfg)
 
 
-def test_mse_loss_on_bundled_potentials(bundled_model):
-    pots = infer_network(bundled_model, (0.0, 0.0))
-    loss = mse_loss(pots, (1.0, 0.0, 0.0))
+def test_loss_zero_at_target():
+    loss, grad = _potentials_and_loss((0.0, 0.0, 0.0))
+    assert loss == 0.0
+    assert not grad.any()
+
+
+def test_loss_simple_value():
+    loss, _ = _potentials_and_loss((0.5, 0.0, 0.0))
+    assert loss == pytest.approx(0.25 / 3)
+
+
+def test_loss_on_bundled_potentials(bundled_model):
+    loss = _train_loss(bundled_model, (0.0, 0.0), (1.0, 0.0, 0.0))
     assert loss == pytest.approx(0.002227668520731167, rel=1e-9)
-
-
-def test_mse_loss_rejects_mismatch():
-    with pytest.raises(ValueError):
-        mse_loss((1.0, 0.0), (1.0, 0.0, 0.0))
-    with pytest.raises(ValueError):
-        mse_loss((), ())
 
 
 # ------------------------------ gradients -----------------------------------
@@ -277,8 +294,8 @@ def test_rescale_preserves_potentials(bundled_model, k, pitch, roll):
 
 def test_rescale_preserves_loss(bundled_model):
     targets = (1.0, 0.0, 0.0)
-    orig = mse_loss(infer_network(bundled_model, (0.0, 0.0)), targets)
-    scaled = mse_loss(infer_network(rescale_network(bundled_model, 1e-6), (0.0, 0.0)), targets)
+    orig = _train_loss(bundled_model, (0.0, 0.0), targets)
+    scaled = _train_loss(rescale_network(bundled_model, 1e-6), (0.0, 0.0), targets)
     assert scaled == pytest.approx(orig, rel=1e-12)
 
 
@@ -286,24 +303,16 @@ def test_rescale_preserves_loss(bundled_model):
 
 
 def test_clamp_examples():
-    neuron = IFNeuron(
-        "u",
-        1e-6,
-        (
-            Synapse(0, Polarity.EXCITATORY, 2000e3),
-            Synapse(1, Polarity.EXCITATORY, 500e3),
-            Synapse(2, Polarity.EXCITATORY, 0.5e3),
-        ),
-    )
-    net = Network(neurons=(neuron,), n_inputs=2)
-    clamped = clamp_resistances(net, 1e3, 1000e3)
-    rs = [s.resistance for s in clamped.neurons[0].synapses]
-    assert rs == [1000e3, 500e3, 1e3]
+    # one overshooting step sends every ln R past a wall; each lands on its bound exactly
+    cfg = TrainConfig(learning_rate=1e12, epochs=1, r_min=2e3, r_max=5e5, init_r_max=5e5)
+    result = train(_quick_dataset(5), cfg)
+    rs = [syn.resistance for neuron in result.network.neurons for syn in neuron.synapses]
+    assert set(rs) == {2e3, 5e5}
 
 
-def test_clamp_rejects_inverted_bounds(bundled_model):
-    with pytest.raises(ValueError):
-        clamp_resistances(bundled_model, 1e6, 1e3)
+def test_clamp_rejects_inverted_bounds():
+    with pytest.raises(ValueError, match="need 0 < r_min < r_max"):
+        train(_quick_dataset(5), TrainConfig(r_min=1e6, r_max=1e3))
 
 
 def test_prune_bundled_model_leaves_nine(bundled_model):
@@ -419,6 +428,14 @@ def test_trainconfig_validation():
         TrainConfig(init_r_max=2e6)  # above r_max
     with pytest.raises(ValueError):
         TrainConfig(init_r_min=10.0)  # below r_min
+    # a window below 1 stopped nothing (0) or raised IndexError (< 0)
+    for window in (0, -5):
+        with pytest.raises(ValueError, match="early_stop_window must be >= 1"):
+            TrainConfig(early_stop_window=window)
+    # a NaN delta silently turned early stopping off
+    for delta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="early_stop_delta must be finite"):
+            TrainConfig(early_stop_delta=delta)
 
 
 def test_trained_network_shape():

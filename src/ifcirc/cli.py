@@ -39,7 +39,6 @@ from .hardware import (
 from .neuron import (
     build_schedule,
     classify,
-    infer_batch,
     infer_network,
     json_value,
     load_network,
@@ -141,22 +140,8 @@ def _cmd_eval(cfg: dict) -> int:
     net = _load_model(cfg)
     _require(cfg, "data")
     samples = read_csv(cfg["data"])
-    sigma = cfg["noise_sigma"]
-    if sigma == 0.0:
-        accuracy = evaluate_accuracy(net, samples)
-    else:
-        rng = _rng(cfg["seed"])
-        labels = net.labels
-        correct = 0
-        clean = infer_batch(net, [(s.pitch, s.roll) for s in samples]).tolist()
-        # noise is drawn sample by sample, neuron by neuron: the seed's stream order
-        for s, potentials in zip(samples, clean):
-            noisy = [
-                perturb_readout(p, sigma, rng, supply_voltage=net.supply_voltage)
-                for p in potentials
-            ]
-            correct += labels[classify(noisy)] == s.label
-        accuracy = correct / len(samples)
+    rng = _rng(cfg["seed"])
+    accuracy = evaluate_accuracy(net, samples, noise_sigma=cfg["noise_sigma"], rng=rng)
     print(f"samples {len(samples)}")
     print(f"accuracy {accuracy!r}")
     return 0
@@ -285,7 +270,7 @@ _COMMANDS = {
         ("holdout", float, 0.0, "fraction held out to a second CSV"),
         ("holdout_out", str, None, "path for the held-out CSV"),
     )),
-    "train": ("train resistances by gradient descent", _cmd_train, (
+    "train": ("train resistances by gradient descent on MSE plus supply energy", _cmd_train, (
         ("data", str, None, "training CSV"),
         ("out", str, "model.json", "output model JSON"),
         ("loss_out", str, None, "optional epoch,loss CSV"),
@@ -297,6 +282,10 @@ _COMMANDS = {
         ("t_max", float, _TRAIN.t_max, "full-scale stimulation time, seconds"),
         ("capacitance", float, _TRAIN.capacitance, "membrane capacitance, farads"),
         ("supply_voltage", float, _TRAIN.supply_voltage, "supply voltage, volts"),
+        ("energy_weight", float, _TRAIN.energy_weight,
+         "weight of the supply-energy term v_in * mean(V_e) in the loss; 0: MSE alone"),
+        ("target_high", float, _TRAIN.target_high,
+         "true-class target potential, volts; unset: 0.6 x supply voltage"),
     )),
     "eval": ("classification accuracy of a model on a CSV", _cmd_eval, (
         _MODEL, ("data", str, None, "evaluation CSV"), _NOISE, _SEED,

@@ -66,15 +66,25 @@ def forward(durations: np.ndarray, conductances: np.ndarray, v_in: float) -> For
     return Forward(v_e, v_e * factors[1], factors)
 
 
-def gradient(durations: np.ndarray, v_in: float, fwd: Forward, dl_dv: np.ndarray) -> np.ndarray:
+def gradient(
+    durations: np.ndarray,
+    v_in: float,
+    fwd: Forward,
+    dl_dv: np.ndarray,
+    dl_dve: np.ndarray | float | None = None,
+) -> np.ndarray:
     """dL/dG, (2, classes, lines), from dL/dV, (classes, n), at ``fwd``.
 
     dV/dG_e = v_in * exp(-D·G_e) * exp(-D·G_i) * D and dV/dG_i = -V * D,
-    summed over the batch.  A line that never runs (D = 0) gets 0.
+    summed over the batch.  A line that never runs (D = 0) gets 0.  A loss
+    that also depends on V_e passes dL/dV_e (broadcast to (classes, n)):
+    dV_e/dG_e = v_in * exp(-D·G_e) * D, and V_e does not depend on G_i.
     """
     weights = dl_dv * fwd.factors
     weights[0] *= fwd.factors[1]
     weights[1] *= fwd.v_e  # dL/dV * exp(-D·G_i) * V_e = dL/dV * V
+    if dl_dve is not None:
+        weights[0] += dl_dve * fwd.factors[0]
     classes = weights.shape[1]
     grad = (weights.reshape(2 * classes, -1) @ durations).reshape(2, classes, -1)
     return grad * np.array([v_in, -1.0])[:, None, None]

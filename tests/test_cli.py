@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ifcirc
-from ifcirc import TrainConfig, example_model_path, load_network
+from ifcirc import TrainConfig, example_model_path, load_network, read_csv, train
 from ifcirc.cli import main
 
 
@@ -130,7 +130,8 @@ FROZEN_SETTINGS = {
                  "holdout_out": None},
     "train": {"data": None, "out": "model.json", "loss_out": None, "learning_rate": 5.0,
               "epochs": 5000, "seed": 0, "r_min": 1e3, "r_max": 1e6, "t_max": 0.05,
-              "capacitance": 1e-6, "supply_voltage": 1.0},
+              "capacitance": 1e-6, "supply_voltage": 1.0, "energy_weight": 0.1,
+              "target_high": None},
     "eval": {"model": None, "data": None, "noise_sigma": 0.0, "seed": 0},
     "prune": {"model": None, "out": "pruned.json", "r_max": 1e6, "threshold_fraction": 0.999},
     "quantize": {"model": None, "out": "quantized.json", "catalog": "one_significant_digit",
@@ -347,9 +348,38 @@ def test_train_defaults_come_from_trainconfig(tmp_path, tiny_csv, capsys):
     )
     assert code == 0
     cfg = echoed_config(out)
-    fields = ("learning_rate", "seed", "r_min", "r_max", "t_max", "capacitance", "supply_voltage")
+    fields = ("learning_rate", "seed", "r_min", "r_max", "t_max", "capacitance", "supply_voltage",
+              "energy_weight", "target_high")
     assert set(cfg) == {"data", "out", "loss_out", "epochs", *fields}
     assert all(cfg[key] == getattr(TrainConfig(), key) for key in fields)
+
+
+@pytest.mark.parametrize("argv, file_cfg, message", [
+    (("--target-high", -1), {}, "target_low must be below target_high, got 0.0 >= -1.0"),
+    (("--target-high", "nan"), {}, "target_high must be finite, got nan"),
+    (("--energy-weight", -0.5), {}, "energy_weight must be a finite number >= 0, got -0.5"),
+    (("--energy-weight", "inf"), {}, "energy_weight must be a finite number >= 0, got inf"),
+    ((), {"target_high": 0}, "target_low must be below target_high, got 0.0 >= 0.0"),
+    ((), {"energy_weight": -1}, "energy_weight must be a finite number >= 0, got -1.0"),
+])
+def test_train_refuses_targets_it_cannot_meet(tmp_path, tiny_csv, capsys, argv, file_cfg, message):
+    cfg_path, model = tmp_path / "cfg.json", tmp_path / "m.json"
+    cfg_path.write_text(json.dumps(file_cfg))
+    code, _, err = run_cli(
+        capsys, "train", "--data", tiny_csv, "--out", model, "--config", cfg_path, *argv
+    )
+    assert code == 1
+    assert err == f"error: {message}\n"
+    assert not model.exists()
+
+
+def test_train_objective_flags_reach_trainconfig(tmp_path, tiny_csv, capsys):
+    model = tmp_path / "m.json"
+    argv = ("--epochs", 20, "--energy-weight", 0.3, "--target-high", 0.8)
+    code, _, _ = run_cli(capsys, "train", "--data", tiny_csv, "--out", model, *argv)
+    assert code == 0
+    cfg = TrainConfig(epochs=20, energy_weight=0.3, target_high=0.8)
+    assert load_network(model) == train(read_csv(tiny_csv), cfg).network
 
 
 def test_train_has_no_rescale_flag(tmp_path, tiny_csv, capsys):

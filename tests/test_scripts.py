@@ -45,9 +45,29 @@ def test_run_experiment_writes_every_artifact(tmp_path):
     assert set(json.loads((tmp_path / "energy.json").read_text())) == {"stand", "sit", "lie"}
 
 
+HEADER = ["seed", "epochs", "final", "loss", "accuracy", "quantized", "noisy", "kept", "nJ",
+          "margin_p1", "margin_p50"]
+
+
 def test_sweep_seeds_reports_every_seed():
     lines = run_script("sweep_seeds.py", "--seeds", 2, "--epochs", 50)
-    assert lines[0].split() == ["seed", "epochs", "final", "loss", "accuracy", "kept"]
+    assert lines[0].split() == HEADER
     assert [line.split()[:2] for line in lines[1:3]] == [["0", "50"], ["1", "50"]]
     assert re.fullmatch(r"[0-2]/2 seeds reach 0\.95 within 50 epochs: \[[0-9, ]*\]", lines[-1])
     assert len(lines) == 4
+
+
+def test_sweep_seeds_prices_the_energy_weight():
+    """A larger energy weight, same everything else: less supply energy per inference."""
+    energy = {}
+    for weight in (0, 0.3):
+        lines = run_script(
+            "sweep_seeds.py", "--seeds", 1, "--epochs", 200, "--n", 30,
+            "--energy-weight", weight, "--target-high", 1.0,
+        )
+        assert lines[0].split() == HEADER
+        row = dict(zip(HEADER[:3] + HEADER[4:], lines[1].split()))  # 'final loss' is one column
+        assert row["seed"] == "0" and row["epochs"] == "200"
+        assert 0 <= float(row["margin_p1"]) <= float(row["margin_p50"]) <= 1.0
+        energy[weight] = float(row["nJ"])
+    assert 0 < energy[0.3] < energy[0]

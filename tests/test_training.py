@@ -6,7 +6,9 @@ re-derive it from forward evaluations alone, so they would catch a wrong
 sign, a wrong factor, or a dropped duration term independently of the
 formulas under test.
 """
+import hashlib
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ifcirc import (
+    CLASS_MEANS,
     DatasetConfig,
     IFNeuron,
     Network,
@@ -23,11 +26,15 @@ from ifcirc import (
     TrainConfig,
     TrainingDivergedError,
     classify,
+    energy_per_inference,
     evaluate_accuracy,
     generate,
     infer_network,
+    perturb_readout,
     prune,
+    quantize_network,
     rescale_network,
+    save_network,
     split,
     train,
     train_logistic_baseline,
@@ -49,15 +56,16 @@ def _train_loss(net, stimulus, targets):
                 syn.resistance
             )
     cfg = TrainConfig(
-        capacitance=net.neurons[0].capacitance, t_max=net.t_max, supply_voltage=net.supply_voltage
+        capacitance=net.neurons[0].capacitance, t_max=net.t_max, supply_voltage=net.supply_voltage,
+        energy_weight=0.0, target_high=1.0,
     )
     durations = duration_matrix([stimulus], net.t_max)
     return _loss_and_gradient(log_r, durations, np.array(targets)[:, None], cfg)[0]
 
 
 def _potentials_and_loss(offset):
-    """Potentials of a uniform 3-class network, and the loss against them shifted by ``offset``."""
-    cfg = TrainConfig()
+    """Potentials of a uniform 3-class network, and the MSE against them shifted by ``offset``."""
+    cfg = TrainConfig(energy_weight=0.0, target_high=1.0)
     log_r = np.full((2, 3, 3), math.log(1e5))
     durations = duration_matrix([(0.3, 0.7)], cfg.t_max)
     v = forward(durations, 1.0 / (np.exp(log_r) * cfg.capacitance), cfg.supply_voltage).v
@@ -192,7 +200,7 @@ def test_gradient_signs(instance):
 
 @st.composite
 def log_resistance_instances(draw):
-    """Log-resistances, durations and targets as one training epoch sees them.
+    """Log-resistances, durations, targets and weights as one training epoch sees them.
 
     Resistances span the default init range in hardware ohms, so exponent
     sums D·G stay within [0, 5]; inputs at or below zero give zero-duration
@@ -200,7 +208,8 @@ def log_resistance_instances(draw):
     """
     n_classes = draw(st.integers(1, 3))
     cfg = TrainConfig(
-        supply_voltage=draw(st.floats(0.5, 5.0)), t_max=draw(st.floats(0.005, 0.05))
+        supply_voltage=draw(st.floats(0.5, 5.0)), t_max=draw(st.floats(0.005, 0.05)),
+        energy_weight=draw(st.floats(0.0, 1.0)),
     )
     lines = 3
     log_r = np.log(np.array(draw(st.lists(
@@ -220,33 +229,47 @@ def log_resistance_instances(draw):
 def test_loss_and_gradient_match_finite_differences_in_log_r(instance):
     """The loss and dL/du that train() steps on, against central differences in u."""
     log_r, durations, targets, cfg = instance
+    v_in, size = cfg.supply_voltage, targets.size
 
-    def potentials(u):
-        return forward(durations, 1.0 / (np.exp(u) * cfg.capacitance), cfg.supply_voltage).v
+    def conductances(u):
+        return 1.0 / (np.exp(u) * cfg.capacitance)
 
     value, grad = _loss_and_gradient(log_r, durations, targets, cfg)
-    # the loss is the MSE of the potentials infer_batch gives for R = e^u
-    neurons = tuple(
-        IFNeuron(f"c{k}", cfg.capacitance, tuple(
-            Synapse(line, polarity, float(np.exp(log_r[phase, k, line])))
-            for phase, polarity in enumerate(Polarity)
-            for line in range(log_r.shape[2])
-        ))
-        for k in range(log_r.shape[1])
-    )
-    net = Network(neurons, n_inputs=2, supply_voltage=cfg.supply_voltage, t_max=cfg.t_max)
+    # the loss is the MSE of the potentials infer_batch gives for R = e^u, plus
+    # the energy term; V_e is the potential of the excitatory synapses alone
+    def network(polarities):
+        neurons = tuple(
+            IFNeuron(f"c{k}", cfg.capacitance, tuple(
+                Synapse(line, polarity, float(np.exp(log_r[phase, k, line])))
+                for phase, polarity in enumerate(Polarity)
+                if polarity in polarities
+                for line in range(log_r.shape[2])
+            ))
+            for k in range(log_r.shape[1])
+        )
+        return Network(neurons, n_inputs=2, supply_voltage=v_in, t_max=cfg.t_max)
+
     stimuli = durations[:, :-1] / cfg.t_max
-    expected = float(np.mean((infer_batch(net, stimuli).T - targets) ** 2))
+    v = infer_batch(network(tuple(Polarity)), stimuli).T
+    v_e = infer_batch(network((Polarity.EXCITATORY,)), stimuli).T
+    expected = float(np.mean((v - targets) ** 2)) + cfg.energy_weight * v_in * float(np.mean(v_e))
     assert value == pytest.approx(expected, rel=1e-12)
+    # the energy term's own gradient: d sum(V_e)/du through the kernel's dL/dV_e input
+    fwd = forward(durations, conductances(log_r), v_in)
+    energy_grad = -conductances(log_r) * gradient(durations, v_in, fwd, np.zeros_like(targets), 1.0)
     h = 1e-6
     for index in np.ndindex(log_r.shape):
         up, down = log_r.copy(), log_r.copy()
         up[index] += h
         down[index] -= h
-        v_up, v_down = potentials(up), potentials(down)
+        f_up = forward(durations, conductances(up), v_in)
+        f_down = forward(durations, conductances(down), v_in)
         # L(up) - L(down) per output, so a small change is not lost in the
         # rounding of the whole loss
-        delta = float(np.sum((v_up - v_down) * (v_up + v_down - 2.0 * targets))) / targets.size
+        mse_delta = float(np.sum((f_up.v - f_down.v) * (f_up.v + f_down.v - 2.0 * targets)))
+        energy_delta = float(np.sum(f_up.v_e - f_down.v_e))
+        assert energy_grad[index] == pytest.approx(energy_delta / (2 * h), rel=1e-4, abs=1e-12)
+        delta = (mse_delta + cfg.energy_weight * v_in * energy_delta) / size
         assert grad[index] == pytest.approx(delta / (2 * h), rel=1e-4, abs=1e-12)
         if durations[:, index[2]].max() == 0.0:
             assert grad[index] == 0.0  # a line that never runs has no gradient
@@ -391,7 +414,7 @@ def test_training_early_stop_on_plateau():
     # at 20x the default rate the resistances reach their walls and the loss
     # flattens well inside the budget; from 250 on this init collapses instead
     samples = [PostureSample(0.0, 0.0, "stand"), PostureSample(0.5, 0.0, "lie")]
-    cfg = TrainConfig(learning_rate=100.0, epochs=5000, seed=0)
+    cfg = TrainConfig(learning_rate=100.0, epochs=5000, seed=0, energy_weight=0.0, target_high=1.0)
     result = train(samples, cfg)
     assert result.epochs_run < 5000
     assert len(result.loss_history) == result.epochs_run + 1
@@ -438,6 +461,26 @@ def test_trainconfig_validation():
             TrainConfig(early_stop_delta=delta)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    # each trained without complaint: 0% and 17% training accuracy for the first two
+    ({"target_high": -1.0}, "target_low must be below target_high, got 0.0 >= -1.0"),
+    ({"target_low": 2.0}, "target_low must be below target_high, got 2.0 >= 0.6"),
+    ({"target_low": 0.6}, "target_low must be below target_high, got 0.6 >= 0.6"),
+    ({"target_high": math.nan}, "target_high must be finite, got nan"),
+    ({"target_high": math.inf}, "target_high must be finite, got inf"),
+    ({"target_low": -math.inf}, "target_low must be finite, got -inf"),
+    ({"energy_weight": -0.1}, "energy_weight must be a finite number >= 0, got -0.1"),
+    ({"energy_weight": math.nan}, "energy_weight must be a finite number >= 0, got nan"),
+    ({"energy_weight": math.inf}, "energy_weight must be a finite number >= 0, got inf"),
+    # -1 was refused only by the trained Network, after every epoch had run; nan diverged
+    ({"supply_voltage": math.nan}, "supply_voltage must be > 0, got nan"),
+    ({"supply_voltage": -1.0}, "supply_voltage must be > 0, got -1.0"),
+])
+def test_trainconfig_refuses_targets_it_cannot_meet(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        TrainConfig(**kwargs)
+
+
 def test_trained_network_shape():
     result = train(_quick_dataset(5), TrainConfig(epochs=5, seed=0))
     net = result.network
@@ -450,11 +493,29 @@ def test_trained_network_shape():
 
 
 @pytest.fixture(scope="module")
-def seed_sweep():
-    """Default-config runs for init seeds 0-11 on the seed-42 80/20 split."""
+def split_42():
+    """The seed-42 80/20 split (720/180) of the default posture dataset."""
     samples = generate(DatasetConfig(n_per_class=300, noise_sigma=0.04, seed=42))
-    train_set, test_set = split(samples, 0.8, seed=42)
+    return split(samples, 0.8, seed=42)
+
+
+@pytest.fixture(scope="module")
+def seed_sweep(split_42):
+    """Default-config runs for init seeds 0-11 on the seed-42 split."""
+    train_set, test_set = split_42
     return test_set, [train(train_set, TrainConfig(seed=seed)) for seed in range(12)]
+
+
+@pytest.fixture(scope="module")
+def mse_result(split_42):
+    """The MSE objective alone, true-class target at the supply: the objective before
+    the energy term."""
+    return train(split_42[0], TrainConfig(energy_weight=0.0, target_high=1.0))
+
+
+# sha256 of the model JSON mse_result saves, frozen from the trainer before the
+# energy term existed, when this config was the default
+MSE_MODEL_SHA256 = "ad19f3ec9cae9d84ed793a5bfe7514ffe689fab5033a31616569e329d2e70eb3"
 
 
 def test_training_converges_from_most_inits(seed_sweep):
@@ -470,12 +531,58 @@ def test_trained_default_model_prunes_to_half(seed_sweep):
     assert sum(len(n.synapses) for n in prune(network).neurons) <= 9
 
 
+def test_mse_objective_reproduces_its_model_byte_for_byte(mse_result, tmp_path):
+    path = tmp_path / "model.json"
+    save_network(mse_result.network, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == MSE_MODEL_SHA256
+
+
+def _quantized_and_supply_nj(network):
+    """The pruned, quantized circuit and its mean supply energy at the class means, nJ."""
+    quantized = quantize_network(prune(network))
+    reports = [energy_per_inference(quantized, mean) for mean in CLASS_MEANS.values()]
+    return quantized, statistics.fmean(r.supply_energy for r in reports) * 1e9
+
+
+def test_energy_term_cuts_supply_energy_at_equal_accuracy(seed_sweep, mse_result):
+    test_set, results = seed_sweep
+    network = results[TrainConfig().seed].network
+    quantized, energy = _quantized_and_supply_nj(network)
+    mse_quantized, mse_energy = _quantized_and_supply_nj(mse_result.network)
+    assert energy <= 0.6 * mse_energy, (energy, mse_energy)
+    assert evaluate_accuracy(network, test_set) >= evaluate_accuracy(mse_result.network, test_set)
+    assert evaluate_accuracy(quantized, test_set) >= evaluate_accuracy(mse_quantized, test_set)
+
+
+def test_loss_history_never_increases(seed_sweep):
+    _, results = seed_sweep
+    for seed, result in enumerate(results):
+        history = result.loss_history
+        increases = [i for i in range(1, len(history)) if history[i] > history[i - 1]]
+        assert not increases, (seed, increases[:5])
+
+
 # --------------------------- evaluation helpers -----------------------------
 
 
 def test_evaluate_accuracy_on_clean_means(bundled_model):
     clean = generate(DatasetConfig(n_per_class=4, noise_sigma=0.0, seed=0))
     assert evaluate_accuracy(bundled_model, clean) == 1.0
+
+
+def test_evaluate_accuracy_with_readout_noise(bundled_model):
+    """Noise is drawn sample by sample, neuron by neuron, as eval --noise-sigma does."""
+    samples = _quick_dataset(20, seed=1)
+    rng = np.random.Generator(np.random.PCG64(3))
+    hits = 0
+    for s in samples:
+        potentials = infer_network(bundled_model, (s.pitch, s.roll))
+        noisy = [perturb_readout(p, 0.3, rng) for p in potentials]
+        hits += bundled_model.labels[classify(noisy)] == s.label
+    rng = np.random.Generator(np.random.PCG64(3))
+    noisy_accuracy = evaluate_accuracy(bundled_model, samples, noise_sigma=0.3, rng=rng)
+    assert noisy_accuracy == hits / len(samples)
+    assert noisy_accuracy < evaluate_accuracy(bundled_model, samples)
 
 
 def test_evaluate_accuracy_rejects_unknown_labels(bundled_model):

@@ -9,10 +9,10 @@ quantized circuit: held-out accuracy clean and under readout noise of
 means in nJ, and the 1st and 50th percentiles of the held-out top-1 −
 top-2 margin in volts.  ``--energy-weight`` and ``--target-high`` set the
 training objective, so runs over a few values trace the energy/accuracy
-frontier.  Descent on the log-resistances makes the outcome all but
-independent of where the log-uniform initialization lands: on the default
-seed-42 split every one of init seeds 0-11 reaches 1.0 held-out accuracy
-and prunes to 7 of 18 synapses.
+frontier.  Projected Levenberg–Marquardt on the log-resistances makes the
+outcome independent of where the log-uniform initialization lands: on the
+default seed-42 split every one of init seeds 0-11 ends at the same loss,
+reaches 1.0 held-out accuracy and prunes to 7 of 18 synapses.
 
     python3 scripts/sweep_seeds.py --seeds 12
     python3 scripts/sweep_seeds.py --seeds 1 --energy-weight 0 --target-high 1.0

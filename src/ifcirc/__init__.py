@@ -4,7 +4,7 @@ Each output class is one neuron: a capacitor charged through excitatory
 resistors and drained through inhibitory ones, with stimulation time per
 input line proportional to the input value.  The membrane potential after
 the full stimulation sequence is the class score.  The package covers the
-whole loop: simulate, train the resistances by gradient descent, prune
+whole loop: simulate, train the resistances by Levenberg–Marquardt, prune
 dead synapses, snap values to a resistor catalog, and account for energy.
 """
 from pathlib import Path

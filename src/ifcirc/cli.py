@@ -270,12 +270,11 @@ _COMMANDS = {
         ("holdout", float, 0.0, "fraction held out to a second CSV"),
         ("holdout_out", str, None, "path for the held-out CSV"),
     )),
-    "train": ("train resistances by gradient descent on MSE plus supply energy", _cmd_train, (
+    "train": ("train resistances by Levenberg-Marquardt on MSE plus supply energy", _cmd_train, (
         ("data", str, None, "training CSV"),
         ("out", str, "model.json", "output model JSON"),
         ("loss_out", str, None, "optional epoch,loss CSV"),
-        ("learning_rate", float, _TRAIN.learning_rate, "step size on ln R"),
-        ("epochs", int, _TRAIN.epochs, "epoch budget"),
+        ("epochs", int, _TRAIN.epochs, "budget of accepted iterations"),
         ("seed", int, _TRAIN.seed, "initialization seed"),
         ("r_min", float, _TRAIN.r_min, "resistance floor, ohms"),
         ("r_max", float, _TRAIN.r_max, "resistance ceiling, ohms"),

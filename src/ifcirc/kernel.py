@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-__all__ = ["Forward", "duration_matrix", "forward", "gradient", "energy"]
+__all__ = ["Forward", "duration_matrix", "forward", "sensitivities", "gradient", "energy"]
 
 
 class Forward(NamedTuple):
@@ -66,6 +66,11 @@ def forward(durations: np.ndarray, conductances: np.ndarray, v_in: float) -> For
     return Forward(v_e, v_e * factors[1], factors)
 
 
+def sensitivities(fwd: Forward, v_in: float) -> np.ndarray:
+    """dV/d(D·G) per sample, (2, classes, n): v_in * exp(-D·G_e) * exp(-D·G_i) and -V."""
+    return np.stack((v_in * fwd.factors[0] * fwd.factors[1], -fwd.v))
+
+
 def gradient(
     durations: np.ndarray,
     v_in: float,
@@ -75,19 +80,15 @@ def gradient(
 ) -> np.ndarray:
     """dL/dG, (2, classes, lines), from dL/dV, (classes, n), at ``fwd``.
 
-    dV/dG_e = v_in * exp(-D·G_e) * exp(-D·G_i) * D and dV/dG_i = -V * D,
-    summed over the batch.  A line that never runs (D = 0) gets 0.  A loss
-    that also depends on V_e passes dL/dV_e (broadcast to (classes, n)):
-    dV_e/dG_e = v_in * exp(-D·G_e) * D, and V_e does not depend on G_i.
+    dL/dV * :func:`sensitivities` * D, summed over the batch: a line that
+    never runs (D = 0) gets 0.  A loss that also depends on V_e passes
+    dL/dV_e (broadcast to (classes, n)): dV_e/dG_e = v_in * exp(-D·G_e) * D,
+    and V_e does not depend on G_i.
     """
-    weights = dl_dv * fwd.factors
-    weights[0] *= fwd.factors[1]
-    weights[1] *= fwd.v_e  # dL/dV * exp(-D·G_i) * V_e = dL/dV * V
+    weights = dl_dv * sensitivities(fwd, v_in)
     if dl_dve is not None:
-        weights[0] += dl_dve * fwd.factors[0]
-    classes = weights.shape[1]
-    grad = (weights.reshape(2 * classes, -1) @ durations).reshape(2, classes, -1)
-    return grad * np.array([v_in, -1.0])[:, None, None]
+        weights[0] += dl_dve * v_in * fwd.factors[0]
+    return (weights.reshape(-1, weights.shape[2]) @ durations).reshape(*weights.shape[:2], -1)
 
 
 def energy(fwd: Forward, v_in: float, capacitance: np.ndarray) -> tuple[np.ndarray, ...]:

@@ -6,11 +6,11 @@ The closed form in :mod:`ifcirc.kernel` is the exact solution of
     discharge:  tau * dV/dt = -V
 
 folded over a stimulation schedule, with tau = R * C per synapse.  This
-module integrates those differential forms directly, slot by slot (RK4 by
-default, Euler for convergence-order checks), and shares no code with the
-kernel, so it is an independent reference for it: the two must agree to
-~1e-6 relative at the default step of tau_min / 1000, where tau_min is the
-smallest time constant among the neuron's synapses.
+module integrates those differential forms directly, slot by slot with
+RK4, and shares no code with the kernel, so it is an independent
+reference for it: the two must agree to ~1e-6 relative at the default
+step of tau_min / 1000, where tau_min is the smallest time constant among
+the neuron's synapses.
 """
 from __future__ import annotations
 
@@ -22,21 +22,15 @@ from .neuron import IFNeuron, Polarity, StimulationSchedule
 
 __all__ = ["IntegratorConfig", "integrate_schedule"]
 
-_METHODS = ("rk4", "euler")
-
-
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Fixed-step integrator settings: the step is tau_min / step_divisor."""
 
     step_divisor: float = 1000.0
-    method: str = "rk4"
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.step_divisor) and self.step_divisor > 0):
             raise ValueError(f"step divisor must be a finite number > 0, got {self.step_divisor}")
-        if self.method not in _METHODS:
-            raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
 
 
 DEFAULT_CONFIG = IntegratorConfig()
@@ -46,7 +40,7 @@ DEFAULT_CONFIG = IntegratorConfig()
 MAX_STEPS = 10**7
 
 
-def _march(v: float, target: float, tau: float, dt: float, step: float, method: str) -> float:
+def _march(v: float, target: float, tau: float, dt: float, step: float) -> float:
     """March tau * dV/dt = target - V from v over dt: target v_in charges, 0.0 discharges."""
     if dt / step > MAX_STEPS:
         raise ValueError(f"integrating {dt!r} s at step {step!r} s takes over {MAX_STEPS} steps")
@@ -56,10 +50,6 @@ def _march(v: float, target: float, tau: float, dt: float, step: float, method: 
     steps = repeat(step, n_full)
     if remainder > 0.0:
         steps = chain(steps, (remainder,))
-    if method == "euler":
-        for h in steps:
-            v += h * (target - v) / tau
-        return v
     for h in steps:
         k1 = (target - v) / tau
         k2 = (target - (v + 0.5 * h * k1)) / tau
@@ -98,5 +88,5 @@ def integrate_schedule(
             continue
         tau = syn.resistance * neuron.capacitance
         target = v_in if slot.polarity is Polarity.EXCITATORY else 0.0
-        voltage = _march(voltage, target, tau, slot.duration, step, cfg.method)
+        voltage = _march(voltage, target, tau, slot.duration, step)
     return voltage

@@ -1,4 +1,4 @@
-"""Gradient-descent training of resistance values.
+"""Training of resistance values by projected Levenberg–Marquardt.
 
 The loss is the MSE between membrane potentials and per-class target
 potentials (0.6 of the supply voltage for the true class, 0 for the rest
@@ -12,17 +12,16 @@ energy per unit capacitance, in the MSE's units (volts squared).  It
 prices every volt the circuit charges only to bleed it off again.  On the
 posture task, with the true-class target below the supply, the trained
 circuit draws half the energy of the MSE-only one at the same held-out
-accuracy.  Each epoch runs the
-closed-form kernel (:mod:`ifcirc.kernel`) forward over the whole training
-set and takes its analytic gradient with respect to the conductances
-G = 1/(R C).
+accuracy.
 
-Descent runs on the log-resistances u = ln R.  Since G = e^(-u)/C, the
-chain rule gives dL/du = -G * dL/dG, and the box [r_min, r_max] becomes
-the box [ln r_min, ln r_max].  A step in u is a relative change of R, so
-one learning rate suits resistances from 1e3 to 1e6 ohms in any units,
-and a synapse the loss wants gone walks to the ceiling, where
-:func:`prune` removes it.
+Training runs on u = ln R in the box [ln r_min, ln r_max]; a synapse the
+loss wants gone walks to the ceiling, where :func:`prune` removes it.
+Each step is projected Levenberg–Marquardt on H = (2/size) JᵀJ, the
+Gauss–Newton matrix of the MSE, J = dV/du, one small block per neuron.
+Synapses on a bound pushed outward stay; the others solve
+(H + mu * (diag H + 1e-12)) delta = -dL/du, the energy term entering by
+the exact gradient only.  delta is capped at 0.5 in ln R: uncapped steps
+can pin synapses at a stationary point of three times the optimal loss.
 """
 from __future__ import annotations
 
@@ -36,7 +35,7 @@ import numpy as np
 
 from .dataset import PostureSample
 from .hardware import perturb_readout
-from .kernel import duration_matrix, forward, gradient
+from .kernel import duration_matrix, forward, gradient, sensitivities
 from .neuron import IFNeuron, Network, Polarity, Synapse, infer_batch
 
 __all__ = [
@@ -63,8 +62,7 @@ class TrainingDivergedError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    learning_rate: float = 5.0  # step size on u = ln R
-    epochs: int = 5000
+    epochs: int = 5000  # budget of accepted iterations
     seed: int = 0
     r_min: float = 1e3  # ohms
     r_max: float = 1e6
@@ -79,23 +77,17 @@ class TrainConfig:
     # log-uniform initialization range, hardware ohms
     init_r_min: float = 1e4
     init_r_max: float = 1e6
-    # stop early once loss improves by less than this over the window
-    early_stop_window: int = 100
-    early_stop_delta: float = 1e-9
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(f"learning_rate must be a positive real, got {self.learning_rate}")
         if self.epochs <= 0:
             raise ValueError("epochs must be > 0")
         if not 0 < self.r_min < self.r_max:
             raise ValueError(f"need 0 < r_min < r_max, got {self.r_min}, {self.r_max}")
         if not self.r_min <= self.init_r_min <= self.init_r_max <= self.r_max:
             raise ValueError("initialization range must lie within [r_min, r_max]")
-        if self.early_stop_window < 1:
-            raise ValueError(f"early_stop_window must be >= 1, got {self.early_stop_window}")
-        if not math.isfinite(self.early_stop_delta):
-            raise ValueError(f"early_stop_delta must be finite, got {self.early_stop_delta}")
+        for name, value in (("capacitance", self.capacitance), ("t_max", self.t_max)):
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be a finite number > 0, got {value}")
         if not self.supply_voltage > 0:  # the default true-class target scales with it
             raise ValueError(f"supply_voltage must be > 0, got {self.supply_voltage}")
         for name in ("target_high", "target_low"):
@@ -120,8 +112,8 @@ class TrainConfig:
 @dataclass(frozen=True)
 class TrainResult:
     network: Network
-    loss_history: list[float]  # loss before each update, plus the final loss
-    epochs_run: int
+    loss_history: list[float]  # initial loss, then the loss after each accepted iteration
+    epochs_run: int  # accepted iterations
 
 
 def rescale_network(net: Network, k: float) -> Network:
@@ -167,12 +159,16 @@ def _features(samples: Sequence[PostureSample]) -> np.ndarray:
     return np.array([[s.pitch for s in samples], [s.roll for s in samples]], dtype=np.float64).T
 
 
+# step cap in ln R; damping factors and range (floored: mu never underflows to 0); stop tolerance
+_MAX_STEP, _MU_DOWN, _MU_UP, _MU_MIN, _MU_MAX, _REL_TOL = 0.5, 3.0, 10.0, 1e-10, 1e10, 1e-13
+
+
 def _loss_and_gradient(
     log_r: np.ndarray, durations: np.ndarray, targets: np.ndarray, cfg: TrainConfig
-) -> tuple[float, np.ndarray]:
-    """Loss and dL/du at log-resistances u, (2, classes, lines), over the batch.
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Loss, dL/du and J at log-resistances u, (2, classes, lines), over the batch.
 
-    L = MSE(V, targets) + energy_weight * v_in * mean(V_e).
+    L = MSE(V, targets) + energy_weight * v_in * mean(V_e); J = dV_c/du[:, c], (c, n, 2 * lines).
     """
     v_in = cfg.supply_voltage
     g = 1.0 / (np.exp(log_r) * cfg.capacitance)
@@ -183,11 +179,13 @@ def _loss_and_gradient(
     # both parts of dL/dV and dL/dV_e share the factor 2 / size applied after the sum
     dl_dve = 0.5 * cfg.energy_weight * v_in
     dl_dg = gradient(durations, v_in, fwd, residual, dl_dve) * (2.0 / residual.size)
-    return loss, -g * dl_dg  # dG/du = -G
+    jac = sensitivities(fwd, v_in).transpose(1, 2, 0)[..., None] * durations[:, None, :]
+    jac *= -g.transpose(1, 0, 2)[:, None]  # dG/du = -G
+    return loss, -g * dl_dg, jac.reshape(*fwd.v.shape, -1)
 
 
 def train(samples: Sequence[PostureSample], cfg: TrainConfig = TrainConfig()) -> TrainResult:
-    """Full-batch gradient descent on all log-resistances.
+    """Projected Levenberg–Marquardt on all log-resistances, full batch.
 
     Every class gets one neuron wired to every input (bias included) with
     both polarities; dead synapses are removed later by :func:`prune`.
@@ -212,21 +210,33 @@ def train(samples: Sequence[PostureSample], cfg: TrainConfig = TrainConfig()) ->
     u = rng.uniform(math.log(cfg.init_r_min), math.log(cfg.init_r_max),
                     size=(2, n_classes, n_inputs + 1))
 
-    history: list[float] = []
-    epochs_run = 0
-    while True:
-        loss, dl_du = _loss_and_gradient(u, durations, targets, cfg)
-        if not math.isfinite(loss):
-            raise TrainingDivergedError(epochs_run)
-        history.append(loss)
-        window = cfg.early_stop_window
-        if epochs_run == cfg.epochs or (
-            len(history) > window and history[-window - 1] - history[-1] < cfg.early_stop_delta
-        ):
+    loss, grad, jac = _loss_and_gradient(u, durations, targets, cfg)
+    if not math.isfinite(loss):
+        raise TrainingDivergedError(0)
+    history, mu, eye = [loss], 1.0, np.eye(2 * (n_inputs + 1))
+    while len(history) <= cfg.epochs and mu <= _MU_MAX:
+        # per neuron, (classes, 2 * lines) as in J; pin each synapse on a bound pushed outward
+        free = ~(((u <= log_lo) & (grad > 0)) | ((u >= log_hi) & (grad < 0)))
+        free, rhs = (x.transpose(1, 0, 2).reshape(n_classes, -1) for x in (free, -grad))
+        hess = jac.transpose(0, 2, 1) @ jac * (2.0 / targets.size)
+        a = hess + mu * (np.einsum("cii->ci", hess) + 1e-12)[:, None] * eye
+        a = np.where(free[:, :, None] & free[:, None], a, eye)  # a pinned synapse steps 0
+        try:
+            step = np.linalg.solve(a, np.where(free, rhs, 0.0)[..., None])
+        except np.linalg.LinAlgError:  # singular in floating point: damp harder
+            mu *= _MU_UP
+            continue
+        step = step.reshape(n_classes, 2, -1).transpose(1, 0, 2)
+        trial = np.clip(u + np.clip(step, -_MAX_STEP, _MAX_STEP), log_lo, log_hi)
+        trial_loss, trial_grad, trial_jac = _loss_and_gradient(trial, durations, targets, cfg)
+        if not trial_loss <= loss:  # rejected: damp harder; a rejected trial costs no budget
+            mu *= _MU_UP
+            continue
+        history.append(trial_loss)
+        u, loss, grad, jac = trial, trial_loss, trial_grad, trial_jac
+        mu = max(mu / _MU_DOWN, _MU_MIN)
+        if history[-2] - loss <= _REL_TOL * history[-2]:
             break
-        u = np.clip(u - cfg.learning_rate * dl_du, log_lo, log_hi)
-        epochs_run += 1
-
     # a pinned synapse gets its bound exactly: exp(ln r_max) may be an ulp off r_max
     r = np.select([u <= log_lo, u >= log_hi], [cfg.r_min, cfg.r_max], np.exp(u))
     neurons = []
@@ -243,7 +253,7 @@ def train(samples: Sequence[PostureSample], cfg: TrainConfig = TrainConfig()) ->
         supply_voltage=cfg.supply_voltage,
         t_max=cfg.t_max,
     )
-    return TrainResult(network=network, loss_history=history, epochs_run=epochs_run)
+    return TrainResult(network=network, loss_history=history, epochs_run=len(history) - 1)
 
 
 def evaluate_accuracy(

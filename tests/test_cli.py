@@ -128,10 +128,9 @@ def test_gen_data_rejects_bad_holdout_fraction(tmp_path, capsys):
 FROZEN_SETTINGS = {
     "gen-data": {"n": 300, "sigma": 0.04, "seed": 0, "out": "data.csv", "holdout": 0.0,
                  "holdout_out": None},
-    "train": {"data": None, "out": "model.json", "loss_out": None, "learning_rate": 5.0,
-              "epochs": 5000, "seed": 0, "r_min": 1e3, "r_max": 1e6, "t_max": 0.05,
-              "capacitance": 1e-6, "supply_voltage": 1.0, "energy_weight": 0.1,
-              "target_high": None},
+    "train": {"data": None, "out": "model.json", "loss_out": None, "epochs": 5000, "seed": 0,
+              "r_min": 1e3, "r_max": 1e6, "t_max": 0.05, "capacitance": 1e-6,
+              "supply_voltage": 1.0, "energy_weight": 0.1, "target_high": None},
     "eval": {"model": None, "data": None, "noise_sigma": 0.0, "seed": 0},
     "prune": {"model": None, "out": "pruned.json", "r_max": 1e6, "threshold_fraction": 0.999},
     "quantize": {"model": None, "out": "quantized.json", "catalog": "one_significant_digit",
@@ -348,7 +347,7 @@ def test_train_defaults_come_from_trainconfig(tmp_path, tiny_csv, capsys):
     )
     assert code == 0
     cfg = echoed_config(out)
-    fields = ("learning_rate", "seed", "r_min", "r_max", "t_max", "capacitance", "supply_voltage",
+    fields = ("seed", "r_min", "r_max", "t_max", "capacitance", "supply_voltage",
               "energy_weight", "target_high")
     assert set(cfg) == {"data", "out", "loss_out", "epochs", *fields}
     assert all(cfg[key] == getattr(TrainConfig(), key) for key in fields)
@@ -383,21 +382,36 @@ def test_train_objective_flags_reach_trainconfig(tmp_path, tiny_csv, capsys):
 
 
 def test_train_has_no_rescale_flag(tmp_path, tiny_csv, capsys):
+    # nor a learning rate: training has no step size to set
     argv = ("train", "--data", tiny_csv, "--out", tmp_path / "m.json", "--epochs", 1)
-    assert run_cli(capsys, *argv, "--scale-factor", "1e-6")[0] == 1
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"scale_factor": 1e-6}))
-    code, _, err = run_cli(capsys, *argv, "--config", cfg_path)
-    assert code == 1
-    assert "unknown config keys: scale_factor" in err
+    for key, value in (("scale_factor", 1e-6), ("learning_rate", 5.0)):
+        assert run_cli(capsys, *argv, "--" + key.replace("_", "-"), value)[0] == 1
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({key: value}))
+        code, _, err = run_cli(capsys, *argv, "--config", cfg_path)
+        assert code == 1
+        assert f"unknown config keys: {key}" in err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_diverging_training_is_user_error(tmp_path, tiny_csv, capsys):
     model = tmp_path / "m.json"
-    code, _, err = run_cli(capsys, "train", "--data", tiny_csv, "--capacitance", 0, "--out", model)
+    argv = ("--supply-voltage", "inf", "--out", model)
+    code, _, err = run_cli(capsys, "train", "--data", tiny_csv, *argv)
     assert code == 1
     assert err == "error: training loss became non-finite at epoch 0\n"
+    assert not model.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("key", ["capacitance", "t_max"])
+def test_train_refuses_a_circuit_without_time_constants(tmp_path, tiny_csv, capsys, key):
+    # capacitance 0 ran into numpy warnings and a non-finite loss; t_max 0 trained on nothing
+    model = tmp_path / "m.json"
+    argv = ("--" + key.replace("_", "-"), 0, "--out", model)
+    code, _, err = run_cli(capsys, "train", "--data", tiny_csv, *argv)
+    assert code == 1
+    assert err == f"error: {key} must be a finite number > 0, got 0.0\n"
     assert not model.exists()
 
 

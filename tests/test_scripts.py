@@ -67,7 +67,7 @@ def test_sweep_seeds_prices_the_energy_weight():
         )
         assert lines[0].split() == HEADER
         row = dict(zip(HEADER[:3] + HEADER[4:], lines[1].split()))  # 'final loss' is one column
-        assert row["seed"] == "0" and row["epochs"] == "200"
+        assert row["seed"] == "0" and int(row["epochs"]) <= 200
         assert 0 <= float(row["margin_p1"]) <= float(row["margin_p50"]) <= 1.0
         energy[weight] = float(row["nJ"])
     assert 0 < energy[0.3] < energy[0]

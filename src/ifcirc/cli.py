@@ -188,11 +188,10 @@ def _cmd_infer(cfg: dict) -> int:
     _require(cfg, "roll")
     potentials = infer_network(net, (cfg["pitch"], cfg["roll"]))
     if cfg["noise_sigma"] != 0.0:
-        rng = _rng(cfg["seed"])
-        potentials = [
-            perturb_readout(p, cfg["noise_sigma"], rng, supply_voltage=net.supply_voltage)
-            for p in potentials
-        ]
+        potentials = perturb_readout(
+            np.array(potentials), cfg["noise_sigma"], _rng(cfg["seed"]),
+            supply_voltage=net.supply_voltage,
+        ).tolist()
     for label, potential in zip(net.labels, potentials):
         print(f"potential {label} {potential!r}")
     print(f"class {net.labels[classify(potentials)]}")
@@ -276,8 +275,8 @@ _COMMANDS = {
         ("loss_out", str, None, "optional epoch,loss CSV"),
         ("epochs", int, _TRAIN.epochs, "budget of accepted iterations"),
         ("seed", int, _TRAIN.seed, "initialization seed"),
-        ("r_min", float, _TRAIN.r_min, "resistance floor, ohms"),
-        ("r_max", float, _TRAIN.r_max, "resistance ceiling, ohms"),
+        ("r_min", float, _TRAIN.r_min, "resistance floor, ohms: the smallest part available"),
+        ("r_max", float, _TRAIN.r_max, "resistance ceiling, ohms: the largest part available"),
         ("t_max", float, _TRAIN.t_max, "full-scale stimulation time, seconds"),
         ("capacitance", float, _TRAIN.capacitance, "membrane capacitance, farads"),
         ("supply_voltage", float, _TRAIN.supply_voltage, "supply voltage, volts"),
@@ -292,7 +291,7 @@ _COMMANDS = {
     "prune": ("drop synapses stuck at the resistance ceiling", _cmd_prune, (
         _MODEL,
         ("out", str, "pruned.json", "output model JSON"),
-        ("r_max", float, 1e6, "training ceiling, ohms"),
+        ("r_max", float, _TRAIN.r_max, "resistance ceiling, ohms: the model's train --r-max"),
         ("threshold_fraction", float, 0.999, "prune at this fraction of r-max"),
     )),
     "quantize": ("snap resistances to a parts catalog", _cmd_quantize, (

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
@@ -56,7 +56,6 @@ class DatasetConfig:
     n_per_class: int
     noise_sigma: float = 0.04
     seed: int = 0
-    class_means: dict[str, tuple[float, float]] = field(default_factory=lambda: dict(CLASS_MEANS))
 
     def __post_init__(self) -> None:
         if self.n_per_class <= 0:
@@ -70,9 +69,9 @@ def generate(cfg: DatasetConfig) -> list[PostureSample]:
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     # one call draws the same PCG64 stream as 2n scalar draws; Box-Muller stays
     # on the math module because numpy's SIMD log/cos/sin differ in the last ulp
-    uniforms = rng.random((len(cfg.class_means), 2 * cfg.n_per_class))
+    uniforms = rng.random((len(CLASS_MEANS), 2 * cfg.n_per_class))
     samples = []
-    for row, (label, (mean_pitch, mean_roll)) in zip(uniforms, cfg.class_means.items()):
+    for row, (label, (mean_pitch, mean_roll)) in zip(uniforms, CLASS_MEANS.items()):
         pairs = iter(row.tolist())  # one class at a time keeps the float list short
         for u1, u2 in zip(pairs, pairs):
             radius = math.sqrt(-2.0 * math.log(1.0 - u1))  # 1 - u1 in (0, 1]: log() is safe

@@ -126,19 +126,23 @@ def quantize_network(net: Network, catalog: ResistorCatalog = DEFAULT_CATALOG) -
 
 
 def perturb_readout(
-    potential: float,
+    potential: float | np.ndarray,
     sigma: float,
     rng: int | np.random.Generator | None = None,
     *,
     supply_voltage: float = 1.0,
-) -> float:
-    """Add Gaussian readout noise and clamp to the physical voltage range."""
+) -> float | np.ndarray:
+    """Add Gaussian readout noise and clamp to the physical voltage range.
+
+    An array of potentials draws its noise in C order, as one call per element would.
+    """
     if not (math.isfinite(sigma) and sigma >= 0):
         raise ValueError(f"sigma must be a finite number >= 0, got {sigma}")
     if not isinstance(rng, np.random.Generator):
         rng = np.random.Generator(np.random.PCG64(rng))
-    noisy = potential + float(rng.normal(0.0, sigma))
-    return min(max(noisy, 0.0), supply_voltage)
+    if isinstance(potential, np.ndarray):  # one draw call; a float stays on the cheaper scalar path
+        return np.clip(potential + rng.normal(0.0, sigma, potential.shape), 0.0, supply_voltage)
+    return min(max(potential + float(rng.normal(0.0, sigma)), 0.0), supply_voltage)
 
 
 # a 1/1000 grid step fits (1001 x 1001 points); finer grids are refused

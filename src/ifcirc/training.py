@@ -1,8 +1,8 @@
 """Training of resistance values by projected Levenberg–Marquardt.
 
 The loss is the MSE between membrane potentials and per-class target
-potentials (0.6 of the supply voltage for the true class, 0 for the rest
-by default), plus an energy term:
+potentials (by default 0.6 of the supply voltage for the true class; 0 V
+for the other classes), plus an energy term:
 
     L = MSE(V, targets) + energy_weight * v_in * mean(V_e)
 
@@ -14,8 +14,10 @@ posture task, with the true-class target below the supply, the trained
 circuit draws half the energy of the MSE-only one at the same held-out
 accuracy.
 
-Training runs on u = ln R in the box [ln r_min, ln r_max]; a synapse the
-loss wants gone walks to the ceiling, where :func:`prune` removes it.
+Training runs on u = ln R in the box [ln r_min, ln r_max], the parts
+available, from u uniform over its top two decades; a synapse the loss
+wants gone walks to the ceiling, where :func:`prune` removes it.  As the
+init rescales with the box, training is invariant under (R * k, C / k).
 Each step is projected Levenberg–Marquardt on H = (2/size) JᵀJ, the
 Gauss–Newton matrix of the MSE, J = dV/du, one small block per neuron.
 Synapses on a bound pushed outward stay; the others solve
@@ -63,42 +65,36 @@ class TrainingDivergedError(RuntimeError):
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 5000  # budget of accepted iterations
-    seed: int = 0
-    r_min: float = 1e3  # ohms
+    seed: int = 0  # of the init: ln R log-uniform over the box's top two decades
+    r_min: float = 1e3  # ohms; [r_min, r_max] is the range of parts available
     r_max: float = 1e6
     target_high: float | None = None  # true-class target, volts; None: 0.6 * supply_voltage
-    target_low: float = 0.0  # target of the other classes, volts; below target_high
     # weight of the supply-energy term v_in * mean(V_e) in the loss; 0 trains on the MSE alone
     energy_weight: float = 0.1
     # electrical configuration of the trained network
     capacitance: float = 1e-6
     t_max: float = 0.05
     supply_voltage: float = 1.0
-    # log-uniform initialization range, hardware ohms
-    init_r_min: float = 1e4
-    init_r_max: float = 1e6
 
     def __post_init__(self) -> None:
         if self.epochs <= 0:
             raise ValueError("epochs must be > 0")
-        if not 0 < self.r_min < self.r_max:
-            raise ValueError(f"need 0 < r_min < r_max, got {self.r_min}, {self.r_max}")
-        if not self.r_min <= self.init_r_min <= self.init_r_max <= self.r_max:
-            raise ValueError("initialization range must lie within [r_min, r_max]")
+        if not 0 < self.r_min < self.r_max < math.inf:
+            raise ValueError(f"need 0 < r_min < r_max < inf, got {self.r_min}, {self.r_max}")
         for name, value in (("capacitance", self.capacitance), ("t_max", self.t_max)):
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be a finite number > 0, got {value}")
+        rc = self.r_min * self.capacitance  # the largest D * G training forms is t_max / rc
+        if not (rc > 0 and math.isfinite(1.0 / rc)):
+            raise ValueError(f"capacitance {self.capacitance} is too small: 1/(r_min*C) overflows")
+        if not math.isfinite(self.t_max / rc):
+            raise ValueError(f"t_max {self.t_max} is too long: t_max/(r_min*C) overflows")
         if not self.supply_voltage > 0:  # the default true-class target scales with it
             raise ValueError(f"supply_voltage must be > 0, got {self.supply_voltage}")
-        for name in ("target_high", "target_low"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if not self.target_low < self.effective_target_high:
-            raise ValueError(
-                f"target_low must be below target_high, got {self.target_low} "
-                f">= {self.effective_target_high}"
-            )
+        if self.target_high is not None and not math.isfinite(self.target_high):
+            raise ValueError(f"target_high must be finite, got {self.target_high}")
+        if not self.effective_target_high > 0:  # the other classes target 0 V
+            raise ValueError(f"target_high must be > 0, got {self.target_high}")
         if not (math.isfinite(self.energy_weight) and self.energy_weight >= 0):
             raise ValueError(
                 f"energy_weight must be a finite number >= 0, got {self.energy_weight}"
@@ -134,7 +130,9 @@ def rescale_network(net: Network, k: float) -> Network:
     return replace(net, neurons=neurons)
 
 
-def prune(net: Network, *, r_max: float = 1e6, threshold_fraction: float = 0.999) -> Network:
+def prune(
+    net: Network, *, r_max: float = TrainConfig.r_max, threshold_fraction: float = 0.999
+) -> Network:
     """Drop synapses whose resistance reached the training ceiling.
 
     A resistance at the upper bound lets almost no current through, so the
@@ -159,6 +157,8 @@ def _features(samples: Sequence[PostureSample]) -> np.ndarray:
     return np.array([[s.pitch for s in samples], [s.roll for s in samples]], dtype=np.float64).T
 
 
+# the init spans the box's top two decades: synapses start weak, the task recruits what it needs
+_INIT_SPAN = 100.0
 # step cap in ln R; damping factors and range (floored: mu never underflows to 0); stop tolerance
 _MAX_STEP, _MU_DOWN, _MU_UP, _MU_MIN, _MU_MAX, _REL_TOL = 0.5, 3.0, 10.0, 1e-10, 1e10, 1e-13
 
@@ -200,14 +200,14 @@ def train(samples: Sequence[PostureSample], cfg: TrainConfig = TrainConfig()) ->
 
     durations = duration_matrix(features, cfg.t_max)  # (n, lines)
     class_index = {label: i for i, label in enumerate(classes)}
-    targets = np.full((n_classes, len(samples)), cfg.target_low, dtype=np.float64)
+    targets = np.zeros((n_classes, len(samples)))
     for col, s in enumerate(samples):
         targets[class_index[s.label], col] = cfg.effective_target_high
 
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     log_lo, log_hi = math.log(cfg.r_min), math.log(cfg.r_max)
     # (polarity, class, line): excitatory in [0], inhibitory in [1]; log-uniform init
-    u = rng.uniform(math.log(cfg.init_r_min), math.log(cfg.init_r_max),
+    u = rng.uniform(max(log_lo, math.log(cfg.r_max / _INIT_SPAN)), log_hi,
                     size=(2, n_classes, n_inputs + 1))
 
     loss, grad, jac = _loss_and_gradient(u, durations, targets, cfg)
@@ -285,10 +285,7 @@ def evaluate_accuracy(
     if not np.isfinite(potentials).all():
         raise ValueError("potentials must be finite")
     if noise_sigma != 0.0:
-        potentials = np.array([
-            [perturb_readout(p, noise_sigma, rng, supply_voltage=net.supply_voltage) for p in row]
-            for row in potentials.tolist()
-        ])
+        potentials = perturb_readout(potentials, noise_sigma, rng, supply_voltage=net.supply_voltage)
     predicted = np.array([index[label] for label in labels])[potentials.argmax(axis=1)]
     return int(np.count_nonzero(predicted == truth)) / len(samples)
 
@@ -302,6 +299,8 @@ def write_loss_csv(history: Sequence[float], path: str | Path) -> None:
 
 
 # --------------------------- logistic baseline -----------------------------
+
+_BASELINE_LEARNING_RATE, _BASELINE_EPOCHS, _BASELINE_SEED = 0.5, 2000, 0  # gradient descent
 
 
 @dataclass(frozen=True)
@@ -325,10 +324,6 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
 def train_logistic_baseline(
     train_samples: Sequence[PostureSample],
     test_samples: Sequence[PostureSample] | None = None,
-    *,
-    learning_rate: float = 0.5,
-    epochs: int = 2000,
-    seed: int = 0,
 ) -> LogisticBaseline:
     """Multinomial logistic regression by full-batch gradient descent.
 
@@ -344,17 +339,17 @@ def train_logistic_baseline(
     for row, s in enumerate(train_samples):
         y[row, index[s.label]] = 1.0
 
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = np.random.Generator(np.random.PCG64(_BASELINE_SEED))
     weights = rng.normal(0.0, 0.01, size=(x.shape[1], len(classes)))
     bias = np.zeros(len(classes))
     n = len(train_samples)
-    for epoch in range(epochs):
+    for epoch in range(_BASELINE_EPOCHS):
         probs = _softmax(x @ weights + bias)
         if not np.all(np.isfinite(probs)):
             raise TrainingDivergedError(epoch)
         grad = probs - y
-        weights -= learning_rate * (x.T @ grad) / n
-        bias -= learning_rate * grad.sum(axis=0) / n
+        weights -= _BASELINE_LEARNING_RATE * (x.T @ grad) / n
+        bias -= _BASELINE_LEARNING_RATE * grad.sum(axis=0) / n
 
     held_out = test_samples if test_samples is not None else train_samples
     model = LogisticBaseline(classes=classes, weights=weights, bias=bias, accuracy=0.0)

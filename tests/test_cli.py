@@ -5,6 +5,7 @@ exit-code contract (0 ok, 1 user error, 2 validation failure), and byte-level
 reproducibility of every artifact a seeded run writes.
 """
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -347,18 +348,18 @@ def test_train_defaults_come_from_trainconfig(tmp_path, tiny_csv, capsys):
     )
     assert code == 0
     cfg = echoed_config(out)
-    fields = ("seed", "r_min", "r_max", "t_max", "capacitance", "supply_voltage",
-              "energy_weight", "target_high")
-    assert set(cfg) == {"data", "out", "loss_out", "epochs", *fields}
-    assert all(cfg[key] == getattr(TrainConfig(), key) for key in fields)
+    # every training setting is a flag: TrainConfig has no Python-only field
+    fields = [f.name for f in dataclasses.fields(TrainConfig)]
+    assert set(cfg) == {"data", "out", "loss_out", *fields}
+    assert all(cfg[key] == getattr(TrainConfig(), key) for key in fields if key != "epochs")
 
 
 @pytest.mark.parametrize("argv, file_cfg, message", [
-    (("--target-high", -1), {}, "target_low must be below target_high, got 0.0 >= -1.0"),
+    (("--target-high", -1), {}, "target_high must be > 0, got -1.0"),
     (("--target-high", "nan"), {}, "target_high must be finite, got nan"),
     (("--energy-weight", -0.5), {}, "energy_weight must be a finite number >= 0, got -0.5"),
     (("--energy-weight", "inf"), {}, "energy_weight must be a finite number >= 0, got inf"),
-    ((), {"target_high": 0}, "target_low must be below target_high, got 0.0 >= 0.0"),
+    ((), {"target_high": 0}, "target_high must be > 0, got 0.0"),
     ((), {"energy_weight": -1}, "energy_weight must be a finite number >= 0, got -1.0"),
 ])
 def test_train_refuses_targets_it_cannot_meet(tmp_path, tiny_csv, capsys, argv, file_cfg, message):
@@ -413,6 +414,35 @@ def test_train_refuses_a_circuit_without_time_constants(tmp_path, tiny_csv, caps
     assert code == 1
     assert err == f"error: {key} must be a finite number > 0, got 0.0\n"
     assert not model.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("key, value", [("capacitance", "1e-320"), ("t_max", "1e308")])
+def test_train_refuses_a_time_constant_that_overflows(tmp_path, tiny_csv, capsys, key, value):
+    # 1e-320 F ran into numpy warnings and a non-finite loss; t_max 1e308 overflowed D * G
+    # and wrote a saturated model
+    model = tmp_path / "m.json"
+    argv = ("--" + key.replace("_", "-"), value, "--out", model)
+    code, _, err = run_cli(capsys, "train", "--data", tiny_csv, *argv)
+    assert code == 1
+    assert err.startswith(f"error: {key} {float(value)} is too ")
+    assert not model.exists()
+
+
+def test_train_and_prune_share_a_narrower_box(tmp_path, capsys):
+    # train --r-max 5e5 used to fail: its hidden initialization range reached 1e6
+    data, held = tmp_path / "train.csv", tmp_path / "test.csv"
+    argv = ("--n", 300, "--seed", 42, "--holdout", 0.2, "--out", data, "--holdout-out", held)
+    assert run_cli(capsys, "gen-data", *argv)[0] == 0
+    model, pruned = tmp_path / "m.json", tmp_path / "p.json"
+    code, _, _ = run_cli(capsys, "train", "--data", data, "--r-max", 5e5, "--out", model)
+    assert code == 0
+    rs = [syn.resistance for n in load_network(model).neurons for syn in n.synapses]
+    assert all(1e3 <= r <= 5e5 for r in rs)
+    code, out, _ = run_cli(capsys, "prune", "--model", model, "--r-max", 5e5, "--out", pruned)
+    assert code == 0
+    counts = {k: int(v) for k, v in (l.split() for l in out.splitlines()[1:3])}
+    assert counts["synapses_after"] < counts["synapses_before"] == len(rs)
 
 
 def test_train_requires_data(capsys):

@@ -144,6 +144,17 @@ def test_perturb_deterministic_by_seed():
     assert perturb_readout(0.5, 0.1, rng=8) != a
 
 
+def test_perturb_array_draws_what_per_element_calls_draw():
+    potentials = np.random.Generator(np.random.PCG64(1)).uniform(-0.2, 1.2, size=(500, 3))
+    looped_rng, array_rng = (np.random.Generator(np.random.PCG64(3)) for _ in range(2))
+    looped = [[perturb_readout(p, 0.3, looped_rng) for p in row] for row in potentials.tolist()]
+    noisy = perturb_readout(potentials, 0.3, array_rng)
+    assert noisy.shape == potentials.shape
+    assert noisy.tolist() == looped  # bitwise, clamps included
+    assert array_rng.random() == looped_rng.random()  # the stream continues in step
+    assert type(perturb_readout(0.5, 0.1, rng=7)) is float
+
+
 def test_perturb_noise_statistics():
     rng = np.random.Generator(np.random.PCG64(0))
     draws = [perturb_readout(0.5, 0.05, rng) for _ in range(4000)]

@@ -358,7 +358,7 @@ def test_clamp_examples():
     # a target ten times the supply pushes every ln R of the one neuron into a
     # wall (excitatory down, inhibitory up); each lands on its bound exactly
     stand = [s for s in _quick_dataset(5) if s.label == "stand"]
-    cfg = TrainConfig(r_min=2e3, r_max=5e5, init_r_max=5e5, energy_weight=0.0, target_high=10.0)
+    cfg = TrainConfig(r_min=2e3, r_max=5e5, energy_weight=0.0, target_high=10.0)
     result = train(stand, cfg)
     rs = [syn.resistance for neuron in result.network.neurons for syn in neuron.synapses]
     assert set(rs) == {2e3, 5e5}
@@ -474,10 +474,6 @@ def test_trainconfig_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):
         TrainConfig(r_min=1e6, r_max=1e3)
-    with pytest.raises(ValueError):
-        TrainConfig(init_r_max=2e6)  # above r_max
-    with pytest.raises(ValueError):
-        TrainConfig(init_r_min=10.0)  # below r_min
     # capacitance 0 made every G infinite and the loss non-finite; t_max 0 trained on nothing
     for name in ("capacitance", "t_max"):
         for value in (0.0, -1.0, math.nan, math.inf):
@@ -486,13 +482,13 @@ def test_trainconfig_validation():
 
 
 @pytest.mark.parametrize("kwargs, message", [
-    # each trained without complaint: 0% and 17% training accuracy for the first two
-    ({"target_high": -1.0}, "target_low must be below target_high, got 0.0 >= -1.0"),
-    ({"target_low": 2.0}, "target_low must be below target_high, got 2.0 >= 0.6"),
-    ({"target_low": 0.6}, "target_low must be below target_high, got 0.6 >= 0.6"),
+    # -1 once trained without complaint, to 0% training accuracy
+    ({"target_high": -1.0}, "target_high must be > 0, got -1.0"),
+    ({"target_high": 0.0}, "target_high must be > 0, got 0.0"),
+    ({"target_high": -math.inf}, "target_high must be finite, got -inf"),
     ({"target_high": math.nan}, "target_high must be finite, got nan"),
     ({"target_high": math.inf}, "target_high must be finite, got inf"),
-    ({"target_low": -math.inf}, "target_low must be finite, got -inf"),
+    ({"supply_voltage": 0.0}, "supply_voltage must be > 0, got 0.0"),
     ({"energy_weight": -0.1}, "energy_weight must be a finite number >= 0, got -0.1"),
     ({"energy_weight": math.nan}, "energy_weight must be a finite number >= 0, got nan"),
     ({"energy_weight": math.inf}, "energy_weight must be a finite number >= 0, got inf"),
@@ -606,6 +602,24 @@ def test_every_init_lands_on_the_same_mse_optimum(split_42):
     _assert_one_final_loss([train(split_42[0], replace(cfg, seed=seed)) for seed in range(12)])
 
 
+def test_training_is_invariant_under_rescaling(split_42):
+    """Box and capacitance rescaled as (R * k, C / k) train to the same potentials: the
+    init is drawn from the box, so it rescales with it."""
+    train_set, test_set = split_42
+    features = np.array([(s.pitch, s.roll) for s in test_set])
+
+    def run(k):
+        cfg = TrainConfig(r_min=1e3 * k, r_max=1e6 * k, capacitance=1e-6 / k)
+        result = train(train_set, cfg)
+        return result.epochs_run, infer_batch(result.network, features)
+
+    epochs, potentials = run(1.0)
+    for k in (0.1, 10.0, 1e3):
+        scaled_epochs, scaled = run(k)
+        assert scaled_epochs == epochs, k
+        assert np.abs(scaled - potentials).max() <= 1e-12, k
+
+
 def test_returned_point_is_stationary(split_42, seed_sweep):
     """No synapse off its bound, nor one the gradient pushes back into the box, has a
     gradient left at the returned resistances."""
@@ -615,7 +629,7 @@ def test_returned_point_is_stationary(split_42, seed_sweep):
     lo, hi = math.log(cfg.r_min), math.log(cfg.r_max)
     for result in seed_sweep[1]:
         targets = np.array([
-            [cfg.effective_target_high if s.label == label else cfg.target_low for s in train_set]
+            [cfg.effective_target_high if s.label == label else 0.0 for s in train_set]
             for label in result.network.labels
         ])
         log_r = _log_r(result.network)
@@ -667,20 +681,20 @@ def test_write_loss_csv(tmp_path):
 
 def test_baseline_single_class_is_perfect():
     samples = [PostureSample(0.0, 0.0, "stand") for _ in range(10)]
-    model = train_logistic_baseline(samples, epochs=50)
+    model = train_logistic_baseline(samples)
     assert model.accuracy == 1.0
 
 
 def test_baseline_separates_quick_dataset():
     train_set = _quick_dataset(40, seed=1)
     test_set = _quick_dataset(10, seed=2)
-    model = train_logistic_baseline(train_set, test_set, epochs=1000)
+    model = train_logistic_baseline(train_set, test_set)
     assert model.accuracy >= 0.95
 
 
 def test_baseline_is_deterministic():
     samples = _quick_dataset(10, seed=4)
-    a = train_logistic_baseline(samples, epochs=100, seed=1)
-    b = train_logistic_baseline(samples, epochs=100, seed=1)
+    a = train_logistic_baseline(samples)
+    b = train_logistic_baseline(samples)
     assert a.accuracy == b.accuracy
     assert np.array_equal(a.weights, b.weights)

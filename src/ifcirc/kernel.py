@@ -11,10 +11,11 @@ D holds the stimulation time of every line, bias last, as ``durations``
 of shape (n, lines).  G = 1/(R·C) per synapse, 0 where a line is unwired,
 as ``conductances`` of shape (2, classes, lines), excitatory in [0].
 Results are (classes, n).  Inference, training and energy accounting all
-run this one kernel.  Each line sum is an explicit loop over the few
-lines, never a BLAS product, and the rest is elementwise, so a sample's
-potentials come from the same float operations whatever the batch shape:
-a batch row is bitwise equal to that sample evaluated alone.
+run this one kernel; training differentiates V through :func:`sensitivities`.
+Each line sum is an explicit loop over the few lines, never a BLAS
+product, and the rest is elementwise, so a sample's potentials come from
+the same float operations whatever the batch shape: a batch row is
+bitwise equal to that sample evaluated alone.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-__all__ = ["Forward", "duration_matrix", "forward", "sensitivities", "gradient", "energy"]
+__all__ = ["Forward", "duration_matrix", "forward", "sensitivities", "energy"]
 
 
 class Forward(NamedTuple):
@@ -69,26 +70,6 @@ def forward(durations: np.ndarray, conductances: np.ndarray, v_in: float) -> For
 def sensitivities(fwd: Forward, v_in: float) -> np.ndarray:
     """dV/d(D·G) per sample, (2, classes, n): v_in * exp(-D·G_e) * exp(-D·G_i) and -V."""
     return np.stack((v_in * fwd.factors[0] * fwd.factors[1], -fwd.v))
-
-
-def gradient(
-    durations: np.ndarray,
-    v_in: float,
-    fwd: Forward,
-    dl_dv: np.ndarray,
-    dl_dve: np.ndarray | float | None = None,
-) -> np.ndarray:
-    """dL/dG, (2, classes, lines), from dL/dV, (classes, n), at ``fwd``.
-
-    dL/dV * :func:`sensitivities` * D, summed over the batch: a line that
-    never runs (D = 0) gets 0.  A loss that also depends on V_e passes
-    dL/dV_e (broadcast to (classes, n)): dV_e/dG_e = v_in * exp(-D·G_e) * D,
-    and V_e does not depend on G_i.
-    """
-    weights = dl_dv * sensitivities(fwd, v_in)
-    if dl_dve is not None:
-        weights[0] += dl_dve * v_in * fwd.factors[0]
-    return (weights.reshape(-1, weights.shape[2]) @ durations).reshape(*weights.shape[:2], -1)
 
 
 def energy(fwd: Forward, v_in: float, capacitance: np.ndarray) -> tuple[np.ndarray, ...]:

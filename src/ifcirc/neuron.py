@@ -208,8 +208,6 @@ def infer_network(net: Network, stimulus: Sequence[float]) -> list[float]:
 
     Neurons are independent; they all see the same schedule (bias included).
     """
-    if len(stimulus) != net.n_inputs:
-        raise ValueError(f"expected {net.n_inputs} inputs, got {len(stimulus)}")
     return infer_batch(net, [stimulus])[0].tolist()
 
 

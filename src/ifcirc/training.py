@@ -37,7 +37,7 @@ import numpy as np
 
 from .dataset import PostureSample
 from .hardware import perturb_readout
-from .kernel import duration_matrix, forward, gradient, sensitivities
+from .kernel import duration_matrix, forward, sensitivities
 from .neuron import IFNeuron, Network, Polarity, Synapse, infer_batch
 
 __all__ = [
@@ -89,6 +89,9 @@ class TrainConfig:
             raise ValueError(f"capacitance {self.capacitance} is too small: 1/(r_min*C) overflows")
         if not math.isfinite(self.t_max / rc):
             raise ValueError(f"t_max {self.t_max} is too long: t_max/(r_min*C) overflows")
+        # training forms R * C as exp(ln R) * C, at most exp(ln r_max) * C
+        if not math.isfinite(math.exp(math.log(self.r_max)) * self.capacitance):
+            raise ValueError(f"r_max {self.r_max} is too large: r_max*C overflows")
         if not self.supply_voltage > 0:  # the default true-class target scales with it
             raise ValueError(f"supply_voltage must be > 0, got {self.supply_voltage}")
         if self.target_high is not None and not math.isfinite(self.target_high):
@@ -169,6 +172,8 @@ def _loss_and_gradient(
     """Loss, dL/du and J at log-resistances u, (2, classes, lines), over the batch.
 
     L = MSE(V, targets) + energy_weight * v_in * mean(V_e); J = dV_c/du[:, c], (c, n, 2 * lines).
+    Both contract the one :func:`~ifcirc.kernel.sensitivities` array with the durations:
+    dL/dG summed over the batch, J per sample.  A line that never runs (D = 0) gets 0.
     """
     v_in = cfg.supply_voltage
     g = 1.0 / (np.exp(log_r) * cfg.capacitance)
@@ -176,10 +181,14 @@ def _loss_and_gradient(
     residual = fwd.v - targets
     loss = float(np.vdot(residual, residual)) / residual.size
     loss += cfg.energy_weight * v_in * float(fwd.v_e.mean())
-    # both parts of dL/dV and dL/dV_e share the factor 2 / size applied after the sum
-    dl_dve = 0.5 * cfg.energy_weight * v_in
-    dl_dg = gradient(durations, v_in, fwd, residual, dl_dve) * (2.0 / residual.size)
-    jac = sensitivities(fwd, v_in).transpose(1, 2, 0)[..., None] * durations[:, None, :]
+    sens = sensitivities(fwd, v_in)  # dV/d(D·G)
+    # dL/dV and dL/dV_e share the factor 2 / size applied after the sum over the batch;
+    # dV_e/d(D·G_e) = v_in * exp(-D·G_e), and V_e does not depend on G_i
+    weights = residual * sens
+    weights[0] += 0.5 * cfg.energy_weight * v_in * v_in * fwd.factors[0]
+    dl_dg = (weights.reshape(-1, residual.shape[1]) @ durations).reshape(g.shape)
+    dl_dg *= 2.0 / residual.size
+    jac = sens.transpose(1, 2, 0)[..., None] * durations[:, None, :]
     jac *= -g.transpose(1, 0, 2)[:, None]  # dG/du = -G
     return loss, -g * dl_dg, jac.reshape(*fwd.v.shape, -1)
 

@@ -47,7 +47,7 @@ from ifcirc import (
     train_logistic_baseline,
 )
 from ifcirc.cli import main as cli_main
-from ifcirc.kernel import duration_matrix, forward, gradient
+from ifcirc.kernel import duration_matrix, forward, sensitivities
 
 
 def _verdict(number: int, description: str, ok: bool, detail: str) -> None:
@@ -119,11 +119,11 @@ def test_criterion_2_gradient_correctness():
             net = Network(neurons=(unit,), n_inputs=2, supply_voltage=v_in, t_max=t_max)
             return infer_network(net, stimulus)[0]
 
-        # dV/dG from the gradient train() calls, then dG/dR = -1/(R^2 C)
+        # dV/dG from the sensitivities train() uses, then dG/dR = -1/(R^2 C)
         net = Network(neurons=(neuron,), n_inputs=2, supply_voltage=v_in, t_max=t_max)
         durations = duration_matrix([stimulus], t_max)
         fwd = forward(durations, net.conductances, v_in)
-        dv_dg = gradient(durations, v_in, fwd, np.ones_like(fwd.v))
+        dv_dg = sensitivities(fwd, v_in) @ durations
         for k, syn in enumerate(neuron.synapses):
             phase = int(syn.polarity is Polarity.INHIBITORY)
             grad = -dv_dg[phase, 0, syn.input_index] / (syn.resistance**2 * neuron.capacitance)

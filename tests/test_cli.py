@@ -429,6 +429,17 @@ def test_train_refuses_a_time_constant_that_overflows(tmp_path, tiny_csv, capsys
     assert not model.exists()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_train_refuses_a_largest_time_constant_that_overflows(tmp_path, tiny_csv, capsys):
+    # r_max * C = 1e600 overflowed in numpy and wrote a model that never charges
+    model = tmp_path / "m.json"
+    argv = ("--r-max", "1e300", "--capacitance", "1e300", "--out", model)
+    code, _, err = run_cli(capsys, "train", "--data", tiny_csv, *argv)
+    assert code == 1
+    assert err == "error: r_max 1e+300 is too large: r_max*C overflows\n"
+    assert not model.exists()
+
+
 def test_train_and_prune_share_a_narrower_box(tmp_path, capsys):
     # train --r-max 5e5 used to fail: its hidden initialization range reached 1e6
     data, held = tmp_path / "train.csv", tmp_path / "test.csv"

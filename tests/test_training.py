@@ -1,10 +1,11 @@
 """Loss, analytic gradients, rescaling, pruning, and the training loop.
 
-The derivatives under test are :func:`ifcirc.kernel.gradient` and the
-Jacobian J = dV/du, the ones ``train()`` uses every iteration.  The
-finite-difference comparisons re-derive them from forward evaluations
-alone, so they would catch a wrong sign, a wrong factor, or a dropped
-duration term independently of the formulas under test.
+The derivatives under test are :func:`ifcirc.kernel.sensitivities`,
+dV/d(D·G) per sample, and the dL/du and Jacobian J = dV/du that
+``train()`` contracts from it every iteration.  The finite-difference
+comparisons re-derive them from forward evaluations alone, so they would
+catch a wrong sign, a wrong factor, or a dropped duration term
+independently of the formulas under test.
 """
 import hashlib
 import math
@@ -40,7 +41,7 @@ from ifcirc import (
     train,
     train_logistic_baseline,
 )
-from ifcirc.kernel import duration_matrix, forward, gradient
+from ifcirc.kernel import duration_matrix, forward, sensitivities
 from ifcirc.neuron import infer_batch
 from ifcirc.training import _loss_and_gradient, write_loss_csv
 
@@ -98,11 +99,11 @@ def test_loss_on_bundled_potentials(bundled_model):
 
 
 def _dv_dg(net, stimuli, dl_dv=None):
-    """The gradient train() calls, for a network's conductances at ``stimuli``."""
+    """dL/dG from the sensitivities train() uses, for a network's conductances at ``stimuli``."""
     durations = duration_matrix(stimuli, net.t_max)
     fwd = forward(durations, net.conductances, net.supply_voltage)
     weights = np.ones_like(fwd.v) if dl_dv is None else dl_dv
-    return gradient(durations, net.supply_voltage, fwd, weights)
+    return (weights * sensitivities(fwd, net.supply_voltage)) @ durations
 
 
 def test_gradient_single_excitatory_frozen_value():
@@ -260,9 +261,12 @@ def test_loss_and_gradient_match_finite_differences_in_log_r(instance):
     v_e = infer_batch(network((Polarity.EXCITATORY,)), stimuli).T
     expected = float(np.mean((v - targets) ** 2)) + cfg.energy_weight * v_in * float(np.mean(v_e))
     assert value == pytest.approx(expected, rel=1e-12)
-    # the energy term's own gradient: d sum(V_e)/du through the kernel's dL/dV_e input
-    fwd = forward(durations, conductances(log_r), v_in)
-    energy_grad = -conductances(log_r) * gradient(durations, v_in, fwd, np.zeros_like(targets), 1.0)
+    # the energy term's own gradient, d sum(V_e)/du: V_e is the V of the circuit without
+    # its inhibitory synapses, so dV_e/d(D·G_e) is that circuit's sensitivity; G_i has none
+    g = conductances(log_r)
+    excitatory = forward(durations, g * np.array([1.0, 0.0])[:, None, None], v_in)
+    dve_dg = sensitivities(excitatory, v_in)[0] @ durations
+    energy_grad = -g * np.stack((dve_dg, np.zeros_like(dve_dg)))
     h = 1e-6
     for index in np.ndindex(log_r.shape):
         up, down = log_r.copy(), log_r.copy()
@@ -536,6 +540,8 @@ def mse_result(split_42):
 # sha256 of the model JSON mse_result saves, frozen from the Levenberg–Marquardt
 # trainer; this config was the default before the energy term existed
 MSE_MODEL_SHA256 = "f06a44f6bcd93959ee1436150562e231b3d8962678db1d0c595bfdf24485b425"
+# sha256 of the model JSON the default config (seed 0, energy term on) saves, 87 iterations
+DEFAULT_MODEL_SHA256 = "b69094168d77b27ff6b81dfd69af27d92fb78b5663188a03cbbbec5e52495048"
 
 
 def test_training_converges_from_most_inits(seed_sweep):
@@ -555,6 +561,14 @@ def test_mse_objective_reproduces_its_model_byte_for_byte(mse_result, tmp_path):
     path = tmp_path / "model.json"
     save_network(mse_result.network, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == MSE_MODEL_SHA256
+
+
+def test_default_objective_reproduces_its_model_byte_for_byte(seed_sweep, tmp_path):
+    result = seed_sweep[1][TrainConfig().seed]
+    assert result.epochs_run == 87
+    path = tmp_path / "model.json"
+    save_network(result.network, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == DEFAULT_MODEL_SHA256
 
 
 def _quantized_and_supply_nj(network):
@@ -636,6 +650,38 @@ def test_returned_point_is_stationary(split_42, seed_sweep):
         grad = _loss_and_gradient(log_r, durations, targets, cfg)[1]
         pinned = ((log_r <= lo) & (grad > 0)) | ((log_r >= hi) & (grad < 0))
         assert np.abs(grad[~pinned]).max() <= 1e-6
+
+
+def _failing_solve(monkeypatch, failures):
+    """Make np.linalg.solve raise LinAlgError on its first ``failures`` calls; returns the
+    list of calls made."""
+    solve, calls = np.linalg.solve, []
+
+    def flaky(a, b):
+        calls.append(a.shape)
+        if len(calls) <= failures:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", flaky)
+    return calls
+
+
+def test_a_singular_solve_damps_harder_and_training_goes_on(split_42, seed_sweep, monkeypatch):
+    calls = _failing_solve(monkeypatch, 1)
+    result = train(split_42[0], TrainConfig())
+    assert len(calls) > 1
+    expected = seed_sweep[1][TrainConfig().seed].loss_history[-1]
+    assert result.loss_history[-1] == pytest.approx(expected, rel=1e-9)
+
+
+def test_a_solve_that_always_fails_ends_training_without_a_step(monkeypatch):
+    calls = _failing_solve(monkeypatch, math.inf)
+    samples = [PostureSample(0.0, 0.0, "stand"), PostureSample(0.5, 0.0, "lie")]
+    result = train(samples, TrainConfig())
+    assert len(calls) == 11  # mu = 1, 10, ..., 1e10, the damping cap
+    assert result.epochs_run == 0
+    assert len(result.loss_history) == 1
 
 
 # --------------------------- evaluation helpers -----------------------------

@@ -24,9 +24,8 @@ from .neuron import (
     network_from_dict,
     network_to_dict,
     save_network,
-    spike,
 )
-from .oracle import IntegratorConfig, integrate_schedule
+from .oracle import integrate_schedule
 from .dataset import (
     CLASS_MEANS,
     CLASSES,

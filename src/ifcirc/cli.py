@@ -44,7 +44,7 @@ from .neuron import (
     load_network,
     save_network,
 )
-from .oracle import IntegratorConfig, integrate_schedule
+from .oracle import STEP_DIVISOR, integrate_schedule
 from .training import (
     TrainConfig,
     TrainingDivergedError,
@@ -149,7 +149,7 @@ def _cmd_eval(cfg: dict) -> int:
 
 def _cmd_prune(cfg: dict) -> int:
     net = _load_model(cfg)
-    pruned = prune(net, r_max=cfg["r_max"], threshold_fraction=cfg["threshold_fraction"])
+    pruned = prune(net, r_max=cfg["r_max"])
     before = sum(len(n.synapses) for n in net.neurons)
     after = sum(len(n.synapses) for n in pruned.neurons)
     save_network(pruned, cfg["out"])
@@ -162,13 +162,11 @@ def _cmd_prune(cfg: dict) -> int:
 
 def _cmd_quantize(cfg: dict) -> int:
     net = _load_model(cfg)
-    if cfg["catalog"] == "custom":
-        raw = cfg["catalog_values"]
-        if not raw:
-            raise ValueError("--catalog custom needs --catalog-values")
-        catalog = ResistorCatalog(mode="custom", values=tuple(float(v) for v in raw.split(",")))
-    else:
-        catalog = ResistorCatalog(mode=cfg["catalog"])
+    raw = cfg["catalog_values"]
+    values = tuple(float(v) for v in raw.split(",")) if raw else ()
+    if cfg["catalog"] == "custom" and not values:
+        raise ValueError("--catalog custom needs --catalog-values")
+    catalog = ResistorCatalog(mode=cfg["catalog"], values=values)
     quantized = quantize_network(net, catalog)
     save_network(quantized, cfg["out"])
     changed = sum(
@@ -228,7 +226,6 @@ def _cmd_validate(cfg: dict) -> int:
         raise ValueError(f"trials must be >= 1, got {cfg['trials']}")
     if not (math.isfinite(cfg["tolerance"]) and cfg["tolerance"] >= 0.0):
         raise ValueError(f"tolerance must be a finite number >= 0, got {cfg['tolerance']}")
-    ode_cfg = IntegratorConfig(step_divisor=cfg["step_divisor"])
     net = _load_model(cfg)
     rng = _rng(cfg["seed"])
     worst = 0.0
@@ -237,7 +234,7 @@ def _cmd_validate(cfg: dict) -> int:
         schedule = build_schedule(stimulus, net.t_max)
         exact = infer_network(net, stimulus)
         for neuron, closed in zip(net.neurons, exact):
-            ode = integrate_schedule(neuron, schedule, net.supply_voltage, ode_cfg)
+            ode = integrate_schedule(neuron, schedule, net.supply_voltage, cfg["step_divisor"])
             err = abs(closed - ode) / max(abs(closed), abs(ode), 1e-12)
             worst = max(worst, err)
     print(f"trials {cfg['trials']}")
@@ -292,7 +289,6 @@ _COMMANDS = {
         _MODEL,
         ("out", str, "pruned.json", "output model JSON"),
         ("r_max", float, _TRAIN.r_max, "resistance ceiling, ohms: the model's train --r-max"),
-        ("threshold_fraction", float, 0.999, "prune at this fraction of r-max"),
     )),
     "quantize": ("snap resistances to a parts catalog", _cmd_quantize, (
         _MODEL,
@@ -317,7 +313,7 @@ _COMMANDS = {
         ("trials", int, 100, "random stimuli to test"),
         _SEED,
         ("tolerance", float, 1e-6, "max relative error"),
-        ("step_divisor", float, IntegratorConfig().step_divisor, "oracle step = tau_min / divisor"),
+        ("step_divisor", float, STEP_DIVISOR, "oracle step = tau_min / divisor"),
     )),
 }
 

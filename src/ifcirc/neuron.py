@@ -39,7 +39,6 @@ __all__ = [
     "infer_batch",
     "infer_network",
     "classify",
-    "spike",
     "network_to_dict",
     "network_from_dict",
     "save_network",
@@ -219,13 +218,6 @@ def classify(potentials: Sequence[float]) -> int:
         if not math.isfinite(p):
             raise ValueError(f"potentials must be finite, got {p}")
     return max(range(len(potentials)), key=lambda i: potentials[i])
-
-
-def spike(potential: float, threshold: float) -> bool:
-    """True iff the membrane potential reaches the firing threshold (>=)."""
-    if not (math.isfinite(potential) and math.isfinite(threshold)):
-        raise ValueError("potential and threshold must be finite")
-    return potential >= threshold
 
 
 # --------------------------- persistence ----------------------------------

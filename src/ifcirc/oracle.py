@@ -15,25 +15,13 @@ the neuron's synapses.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain, repeat
 
 from .neuron import IFNeuron, Polarity, StimulationSchedule
 
-__all__ = ["IntegratorConfig", "integrate_schedule"]
+__all__ = ["integrate_schedule"]
 
-@dataclass(frozen=True)
-class IntegratorConfig:
-    """Fixed-step integrator settings: the step is tau_min / step_divisor."""
-
-    step_divisor: float = 1000.0
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.step_divisor) and self.step_divisor > 0):
-            raise ValueError(f"step divisor must be a finite number > 0, got {self.step_divisor}")
-
-
-DEFAULT_CONFIG = IntegratorConfig()
+STEP_DIVISOR = 1000.0
 
 # One march takes at most this many steps (a few seconds of RK4); a finer
 # step or a longer slot is refused instead of running for hours.
@@ -63,22 +51,24 @@ def integrate_schedule(
     neuron: IFNeuron,
     schedule: StimulationSchedule,
     v_in: float,
-    cfg: IntegratorConfig = DEFAULT_CONFIG,
+    step_divisor: float = STEP_DIVISOR,
 ) -> float:
     """Slot-by-slot numerical integration from rest; reference for ``infer_network``.
 
     The step is the smallest time constant among the neuron's synapses
-    over ``cfg.step_divisor``, so every transient is finely resolved.
+    over ``step_divisor``, so every transient is finely resolved.
     """
+    if not (math.isfinite(step_divisor) and step_divisor > 0):
+        raise ValueError(f"step divisor must be a finite number > 0, got {step_divisor}")
     synapses = neuron.synapse_map()
     if synapses:
         tau_min = min(s.resistance for s in neuron.synapses) * neuron.capacitance
     else:
         tau_min = 1.0  # no synapses -> nothing integrates; any step works
-    step = tau_min / cfg.step_divisor
+    step = tau_min / step_divisor
     if not step > 0.0:
         raise ValueError(
-            f"time constant {tau_min!r} s over step divisor {cfg.step_divisor!r} "
+            f"time constant {tau_min!r} s over step divisor {step_divisor!r} "
             f"leaves an integrator step of {step!r} s; it must be > 0"
         )
     voltage = 0.0

@@ -22,7 +22,6 @@ from ifcirc import (
     CLASS_MEANS,
     DatasetConfig,
     IFNeuron,
-    IntegratorConfig,
     Network,
     Polarity,
     Synapse,
@@ -84,7 +83,7 @@ def test_criterion_1_oracle_equivalence():
         stimulus = tuple(float(x) for x in rng.uniform(0.0, 1.0, n_inputs))
         schedule = build_schedule(stimulus, t_max=0.05)
         (exact,) = infer_network(Network(neurons=(neuron,), n_inputs=n_inputs), stimulus)
-        ode = integrate_schedule(neuron, schedule, 1.0, IntegratorConfig(step_divisor=300.0))
+        ode = integrate_schedule(neuron, schedule, 1.0, step_divisor=300.0)
         worst = max(worst, _rel_err(exact, ode))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-6 and elapsed < 30.0

@@ -133,7 +133,7 @@ FROZEN_SETTINGS = {
               "r_min": 1e3, "r_max": 1e6, "t_max": 0.05, "capacitance": 1e-6,
               "supply_voltage": 1.0, "energy_weight": 0.1, "target_high": None},
     "eval": {"model": None, "data": None, "noise_sigma": 0.0, "seed": 0},
-    "prune": {"model": None, "out": "pruned.json", "r_max": 1e6, "threshold_fraction": 0.999},
+    "prune": {"model": None, "out": "pruned.json", "r_max": 1e6},
     "quantize": {"model": None, "out": "quantized.json", "catalog": "one_significant_digit",
                  "catalog_values": None},
     "infer": {"model": None, "pitch": None, "roll": None, "noise_sigma": 0.0, "seed": 0},
@@ -361,6 +361,9 @@ def test_train_defaults_come_from_trainconfig(tmp_path, tiny_csv, capsys):
     (("--energy-weight", "inf"), {}, "energy_weight must be a finite number >= 0, got inf"),
     ((), {"target_high": 0}, "target_high must be > 0, got 0.0"),
     ((), {"energy_weight": -1}, "energy_weight must be a finite number >= 0, got -1.0"),
+    # 0.5 * 1e308 * 1e2 * 1e2 overflowed into a nan gradient: invalid value in matmul
+    (("--energy-weight", "1e308", "--supply-voltage", "1e2"), {},
+     "energy_weight 1e+308 is too large: 0.5*energy_weight*supply_voltage**2 overflows"),
 ])
 def test_train_refuses_targets_it_cannot_meet(tmp_path, tiny_csv, capsys, argv, file_cfg, message):
     cfg_path, model = tmp_path / "cfg.json", tmp_path / "m.json"
@@ -394,10 +397,10 @@ def test_train_has_no_rescale_flag(tmp_path, tiny_csv, capsys):
         assert f"unknown config keys: {key}" in err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_diverging_training_is_user_error(tmp_path, tiny_csv, capsys):
+    # a supply just below the largest TrainConfig accepts overflows the summed squared residuals
     model = tmp_path / "m.json"
-    argv = ("--supply-voltage", "inf", "--out", model)
+    argv = ("--supply-voltage", "1.3e154", "--out", model)
     code, _, err = run_cli(capsys, "train", "--data", tiny_csv, *argv)
     assert code == 1
     assert err == "error: training loss became non-finite at epoch 0\n"
@@ -417,10 +420,13 @@ def test_train_refuses_a_circuit_without_time_constants(tmp_path, tiny_csv, caps
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("key, value", [("capacitance", "1e-320"), ("t_max", "1e308")])
+@pytest.mark.parametrize("key, value", [
+    ("capacitance", "1e-320"), ("t_max", "1e308"),
+    ("supply_voltage", "inf"), ("supply_voltage", "1e300"),
+])
 def test_train_refuses_a_time_constant_that_overflows(tmp_path, tiny_csv, capsys, key, value):
     # 1e-320 F ran into numpy warnings and a non-finite loss; t_max 1e308 overflowed D * G
-    # and wrote a saturated model
+    # and wrote a saturated model; a supply whose square overflows warned before its error
     model = tmp_path / "m.json"
     argv = ("--" + key.replace("_", "-"), value, "--out", model)
     code, _, err = run_cli(capsys, "train", "--data", tiny_csv, *argv)
@@ -553,6 +559,20 @@ def test_prune_bundled(tmp_path, capsys):
     assert sum(len(n.synapses) for n in load_network(out).neurons) == 9
 
 
+def test_prune_has_no_threshold_fraction(tmp_path, capsys):
+    # --threshold-fraction -5 wrote a model with no synapses and exited 0
+    out = tmp_path / "p.json"
+    code, _, _ = run_cli(capsys, "prune", "--model", "bundled", "--threshold-fraction", 0.5,
+                         "--out", out)
+    assert code == 1
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": "bundled", "threshold_fraction": 0.5}))
+    code, _, err = run_cli(capsys, "prune", "--config", cfg, "--out", out)
+    assert code == 1
+    assert err == "error: unknown config keys: threshold_fraction\n"
+    assert not out.exists()
+
+
 def test_quantize_bundled(tmp_path, capsys):
     out = tmp_path / "quantized.json"
     code, stdout, _ = run_cli(capsys, "quantize", "--model", "bundled", "--out", out)
@@ -584,6 +604,18 @@ def test_quantize_custom_needs_values(tmp_path, capsys):
     )
     assert code == 1
     assert "catalog-values" in err
+
+
+def test_quantize_series_refuses_explicit_values(tmp_path, capsys):
+    # e24 once snapped to its series, ignored the values and exited 0
+    out = tmp_path / "q.json"
+    code, _, err = run_cli(
+        capsys, "quantize", "--model", "bundled", "--out", out,
+        "--catalog", "e24", "--catalog-values", "1000,2000",
+    )
+    assert code == 1
+    assert err == "error: mode 'e24' does not take explicit values\n"
+    assert not out.exists()
 
 
 def test_quantize_unknown_catalog_is_user_error(tmp_path, capsys):

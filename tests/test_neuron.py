@@ -27,7 +27,6 @@ from ifcirc import (
     network_from_dict,
     network_to_dict,
     save_network,
-    spike,
 )
 from conftest import neurons, networks, stimulus_values, voltages
 
@@ -212,7 +211,7 @@ def test_infer_network_checks_arity(bundled_model):
         infer_network(bundled_model, (0.0, 0.0, 0.0))
 
 
-# --------------------------- classify and spike ----------------------------
+# -------------------------------- classify ---------------------------------
 
 
 def test_classify_returns_argmax():
@@ -229,12 +228,6 @@ def test_classify_rejects_bad_input():
         classify([])
     with pytest.raises(ValueError):
         classify([0.1, float("nan")])
-
-
-def test_spike_threshold_is_inclusive():
-    assert spike(0.5, 0.5)
-    assert spike(0.7, 0.5)
-    assert not spike(0.49999, 0.5)
 
 
 # ----------------------------- serialization -------------------------------

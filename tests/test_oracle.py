@@ -13,7 +13,6 @@ import pytest
 
 from ifcirc import (
     IFNeuron,
-    IntegratorConfig,
     Network,
     Polarity,
     Slot,
@@ -23,7 +22,7 @@ from ifcirc import (
     infer_network,
     integrate_schedule,
 )
-from ifcirc.oracle import MAX_STEPS
+from ifcirc.oracle import MAX_STEPS, STEP_DIVISOR
 
 R, C = 10e3, 1e-6
 TAU = R * C  # 10 ms
@@ -31,12 +30,12 @@ EXACT_ONE_TAU = 1.0 - math.exp(-1.0)
 CHARGE, DISCHARGE = Polarity.EXCITATORY, Polarity.INHIBITORY
 
 
-def line(*slots, cfg=IntegratorConfig()):
+def line(*slots, step_divisor=STEP_DIVISOR):
     """Oracle voltage after (polarity, seconds) slots on input 0, wired through R per polarity."""
     polarities = dict.fromkeys(polarity for polarity, _ in slots)
     neuron = IFNeuron("u", C, tuple(Synapse(0, polarity, R) for polarity in polarities))
     schedule = StimulationSchedule(tuple(Slot(0, polarity, t) for polarity, t in slots))
-    return integrate_schedule(neuron, schedule, 1.0, cfg)
+    return integrate_schedule(neuron, schedule, 1.0, step_divisor)
 
 
 def precharge(v0):
@@ -50,23 +49,21 @@ def test_default_step_is_tau_over_1000():
     schedule = StimulationSchedule((Slot(1, CHARGE, 1e300),))
     with pytest.raises(ValueError, match=re.escape(f"at step {TAU / 1000.0!r} s")):
         integrate_schedule(neuron, schedule, 1.0)
-    cfg = IntegratorConfig(step_divisor=250.0)
     with pytest.raises(ValueError, match=re.escape(f"at step {TAU / 250.0!r} s")):
-        integrate_schedule(neuron, schedule, 1.0, cfg)
+        integrate_schedule(neuron, schedule, 1.0, step_divisor=250.0)
 
 
 def test_config_rejects_bad_arguments():
     for divisor in (0.0, -1000.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="step divisor must be a finite number > 0"):
-            IntegratorConfig(step_divisor=divisor)
+            line((CHARGE, 0.01), step_divisor=divisor)
 
 
 def test_step_that_is_not_positive_is_refused():
     # R·C = 1e-300 s is a valid neuron, but tau_min / 1e30 underflows to a zero step
     neuron = IFNeuron("u", 1e-297, (Synapse(0, CHARGE, 1e-3),))
-    cfg = IntegratorConfig(step_divisor=1e30)
     with pytest.raises(ValueError, match="integrator step of 0.0 s; it must be > 0"):
-        integrate_schedule(neuron, build_schedule((0.5,), 0.05), 1.0, cfg)
+        integrate_schedule(neuron, build_schedule((0.5,), 0.05), 1.0, step_divisor=1e30)
     # R·C that underflows to 0 (or leaves 1/(R·C) infinite) is refused with the neuron
     for capacitance in (1e-30, 1e-23):
         with pytest.raises(ValueError, match="too small for a finite conductance"):
@@ -74,11 +71,10 @@ def test_step_that_is_not_positive_is_refused():
 
 
 def test_march_refuses_more_than_max_steps():
-    cfg = IntegratorConfig(step_divisor=1e7)
     with pytest.raises(ValueError, match=f"takes over {MAX_STEPS} steps"):
-        line((CHARGE, TAU / 1e7 * (MAX_STEPS + 1)), cfg=cfg)
+        line((CHARGE, TAU / 1e7 * (MAX_STEPS + 1)), step_divisor=1e7)
     with pytest.raises(ValueError, match=f"takes over {MAX_STEPS} steps"):
-        line((DISCHARGE, 1e300), cfg=cfg)
+        line((DISCHARGE, 1e300), step_divisor=1e7)
 
 
 def test_rk4_matches_analytic_charge():
@@ -92,10 +88,8 @@ def test_rk4_matches_analytic_discharge():
 
 
 def test_rk4_fourth_order_convergence():
-    coarse = IntegratorConfig(step_divisor=10)
-    fine = IntegratorConfig(step_divisor=20)
-    err_coarse = abs(line((CHARGE, 0.01), cfg=coarse) - EXACT_ONE_TAU)
-    err_fine = abs(line((CHARGE, 0.01), cfg=fine) - EXACT_ONE_TAU)
+    err_coarse = abs(line((CHARGE, 0.01), step_divisor=10) - EXACT_ONE_TAU)
+    err_fine = abs(line((CHARGE, 0.01), step_divisor=20) - EXACT_ONE_TAU)
     assert err_coarse / err_fine >= 8.0  # O(h^4): halving the step gains ~16x
 
 
@@ -103,7 +97,7 @@ def test_partial_final_step_covers_exact_duration():
     # dt = 2.5 steps at a deliberately coarse h = 0.4*tau: truncating the
     # remainder would land on 1-exp(-0.8) = 0.55, far outside even this
     # loose tolerance, while RK4's O(h^4) truncation error stays ~1e-4
-    v = line((CHARGE, 0.01), cfg=IntegratorConfig(step_divisor=2.5))
+    v = line((CHARGE, 0.01), step_divisor=2.5)
     assert v == pytest.approx(EXACT_ONE_TAU, rel=1e-3)
 
 

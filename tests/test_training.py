@@ -388,14 +388,6 @@ def test_prune_is_idempotent(bundled_model):
     assert prune(once) == once
 
 
-def test_prune_respects_threshold_fraction(bundled_model):
-    # a cutoff above every resistance removes nothing
-    assert prune(bundled_model, r_max=1e6, threshold_fraction=1.1) == bundled_model
-    # a cutoff below everything removes all synapses
-    stripped = prune(bundled_model, r_max=1e6, threshold_fraction=0.0)
-    assert sum(len(n.synapses) for n in stripped.neurons) == 0
-
-
 @pytest.mark.parametrize(
     "kwargs, message",
     [
@@ -403,8 +395,6 @@ def test_prune_respects_threshold_fraction(bundled_model):
         ({"r_max": math.inf}, "r_max must be a finite resistance > 0"),
         ({"r_max": 0.0}, "r_max must be a finite resistance > 0"),
         ({"r_max": -1e6}, "r_max must be a finite resistance > 0"),
-        ({"threshold_fraction": math.nan}, "threshold_fraction must be finite"),
-        ({"threshold_fraction": -math.inf}, "threshold_fraction must be finite"),
     ],
 )
 def test_prune_rejects_bad_ceiling(bundled_model, kwargs, message):
@@ -459,10 +449,9 @@ def test_training_early_stop_on_plateau():
     assert evaluate_accuracy(result.network, samples) == 1.0
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_training_diverged_error_reports_epoch():
-    samples = [PostureSample(0.0, 0.0, "stand")]
-    cfg = TrainConfig(supply_voltage=math.inf, epochs=10, seed=0)
+    samples = _quick_dataset(3, seed=2)
+    cfg = TrainConfig(supply_voltage=1.3e154, epochs=10, seed=0)
     with pytest.raises(TrainingDivergedError) as exc_info:
         train(samples, cfg)
     assert exc_info.value.epoch == 0
@@ -561,6 +550,15 @@ def test_mse_objective_reproduces_its_model_byte_for_byte(mse_result, tmp_path):
     path = tmp_path / "model.json"
     save_network(mse_result.network, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == MSE_MODEL_SHA256
+
+
+def test_prune_cuts_a_synapse_just_below_the_ceiling(mse_result):
+    # training stops with one synapse still walking to the ceiling, unpinned at
+    # 999,999.998 ohms: the 0.999 cutoff prunes it, exact equality with r_max would not
+    r_max = TrainConfig.r_max
+    rs = [s.resistance for n in mse_result.network.neurons for s in n.synapses]
+    assert any(0.999 * r_max <= r < r_max for r in rs), rs
+    assert sum(len(n.synapses) for n in prune(mse_result.network).neurons) == 8
 
 
 def test_default_objective_reproduces_its_model_byte_for_byte(seed_sweep, tmp_path):
@@ -727,7 +725,7 @@ def test_write_loss_csv(tmp_path):
 
 def test_baseline_single_class_is_perfect():
     samples = [PostureSample(0.0, 0.0, "stand") for _ in range(10)]
-    model = train_logistic_baseline(samples)
+    model = train_logistic_baseline(samples, samples)
     assert model.accuracy == 1.0
 
 
@@ -740,7 +738,7 @@ def test_baseline_separates_quick_dataset():
 
 def test_baseline_is_deterministic():
     samples = _quick_dataset(10, seed=4)
-    a = train_logistic_baseline(samples)
-    b = train_logistic_baseline(samples)
+    a = train_logistic_baseline(samples, samples)
+    b = train_logistic_baseline(samples, samples)
     assert a.accuracy == b.accuracy
     assert np.array_equal(a.weights, b.weights)

@@ -10,8 +10,8 @@ config file (--config), overlaid by explicit command-line flags.  The
 effective merged config is echoed on the first output line so any run can
 be reproduced from its log.
 
-Exit codes: 0 success, 1 user error (bad flags, bad files, bad values,
-settings under which training diverges), 2 internal/validation failure (e.g. the oracle check exceeding tolerance).
+Exit codes: 0 success, 1 user error (bad flags, bad files, bad values), 2
+internal/validation failure (e.g. the oracle check exceeding tolerance).
 """
 from __future__ import annotations
 
@@ -47,7 +47,6 @@ from .neuron import (
 from .oracle import STEP_DIVISOR, integrate_schedule
 from .training import (
     TrainConfig,
-    TrainingDivergedError,
     evaluate_accuracy,
     prune,
     train,
@@ -278,9 +277,9 @@ _COMMANDS = {
         ("capacitance", float, _TRAIN.capacitance, "membrane capacitance, farads"),
         ("supply_voltage", float, _TRAIN.supply_voltage, "supply voltage, volts"),
         ("energy_weight", float, _TRAIN.energy_weight,
-         "weight of the supply-energy term v_in * mean(V_e) in the loss; 0: MSE alone"),
+         "weight of the supply-energy term mean(V_e) / v_in in the loss; 0: MSE alone"),
         ("target_high", float, _TRAIN.target_high,
-         "true-class target potential, volts; unset: 0.6 x supply voltage"),
+         "true-class target potential, volts, <= supply voltage; unset: 0.6 x supply voltage"),
     )),
     "eval": ("classification accuracy of a model on a CSV", _cmd_eval, (
         _MODEL, ("data", str, None, "evaluation CSV"), _NOISE, _SEED,
@@ -349,7 +348,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         cfg = _merge_config(args, settings)
         print("config", json.dumps(cfg, sort_keys=True))
         return handler(cfg)
-    except (ValueError, OSError, TrainingDivergedError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

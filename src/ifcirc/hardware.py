@@ -253,12 +253,16 @@ def energy_per_inference(net: Network, stimulus: Sequence[float]) -> EnergyRepor
     """Energy drawn, stored, and dissipated over one full stimulation.
 
     Closed form from the module docstring, so the balance holds to roundoff.
+    A model whose C * v_in², summed over its neurons, overflows is refused.
     """
     if len(stimulus) != net.n_inputs:
         raise ValueError(f"expected {net.n_inputs} inputs, got {len(stimulus)}")
     v_in = net.supply_voltage
-    fwd = forward(duration_matrix([stimulus], net.t_max), net.conductances, v_in)
     capacitance = [neuron.capacitance for neuron in net.neurons]
+    if not math.isfinite(sum(capacitance) * (v_in * v_in)):  # bounds every joule below
+        raise ValueError(f"supply_voltage {v_in!r} V and total capacitance {sum(capacitance)!r}"
+                         " F overflow the energy: C*v_in**2 is not finite")
+    fwd = forward(duration_matrix([stimulus], net.t_max), net.conductances, v_in)
     supply, stored, dissipated = (e[:, 0].tolist() for e in energy(fwd, v_in, capacitance))
     per_neuron = tuple(
         NeuronEnergy(label, supply_energy=s, stored_energy=st, dissipated_energy=d)

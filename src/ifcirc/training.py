@@ -1,24 +1,27 @@
 """Training of resistance values by projected Levenberg–Marquardt.
 
-The loss is the MSE between membrane potentials and per-class target
-potentials (by default 0.6 of the supply voltage for the true class; 0 V
-for the other classes), plus an energy term:
+Training works in the only units the closed form depends on: durations
+are fractions of t_max, potentials and targets fractions of v_in, and the
+rates t_max / (R·C) = exp(ln t_max − ln C − ln R).  Ohms, farads and volts
+return when the :class:`Network` is built, so training is invariant under
+v_in (target_high in proportion), (R * k, C / k) and (t_max * k, C * k).
+The loss, in units of v_in², is the MSE between potentials and per-class
+targets (by default 0.6 for the true class, 0 for the others), plus an
+energy term:
 
-    L = MSE(V, targets) + energy_weight * v_in * mean(V_e)
+    L = MSE(V, targets) + energy_weight * mean(V_e)
 
 Each neuron draws C * v_in * V_e from the supply per inference, V_e being
 its potential after the excitatory phase, so the term is the supply
-energy per unit capacitance, in the MSE's units (volts squared).  It
-prices every volt the circuit charges only to bleed it off again.  On the
-posture task, with the true-class target below the supply, the trained
-circuit draws half the energy of the MSE-only one at the same held-out
-accuracy.
+energy per unit C * v_in².  It prices every volt the circuit charges only
+to bleed it off again.  On the posture task, with the true-class target
+below the supply, the trained circuit draws half the energy of the
+MSE-only one at the same held-out accuracy.
 
 Training runs on u = ln R in the box [ln r_min, ln r_max], the parts
 available, from u uniform over its top two decades; a synapse the loss
-wants gone walks to the ceiling, where :func:`prune` removes it.  As the
-init rescales with the box, training is invariant under (R * k, C / k).
-Each step is projected Levenberg–Marquardt on H = (2/size) JᵀJ, the
+wants gone walks to the ceiling, where :func:`prune` removes it.  Each
+step is projected Levenberg–Marquardt on H = (2/size) JᵀJ, the
 Gauss–Newton matrix of the MSE, J = dV/du, one small block per neuron.
 Synapses on a bound pushed outward stay; the others solve
 (H + mu * (diag H + 1e-12)) delta = -dL/du, the energy term entering by
@@ -55,7 +58,7 @@ __all__ = [
 
 
 class TrainingDivergedError(RuntimeError):
-    """Raised when the training loss becomes non-finite."""
+    """Raised when the logistic baseline's loss becomes non-finite."""
 
     def __init__(self, epoch: int):
         super().__init__(f"training loss became non-finite at epoch {epoch}")
@@ -68,10 +71,10 @@ class TrainConfig:
     seed: int = 0  # of the init: ln R log-uniform over the box's top two decades
     r_min: float = 1e3  # ohms; [r_min, r_max] is the range of parts available
     r_max: float = 1e6
-    target_high: float | None = None  # true-class target, volts; None: 0.6 * supply_voltage
-    # weight of the supply-energy term v_in * mean(V_e) in the loss; 0 trains on the MSE alone
+    target_high: float | None = None  # true-class target, volts, <= supply; None: 0.6 * supply
+    # weight of the supply-energy term mean(V_e) / v_in in the loss; 0 trains on the MSE alone
     energy_weight: float = 0.1
-    # electrical configuration of the trained network
+    # electrical configuration of the trained network; training sees R*C/t_max only
     capacitance: float = 1e-6
     t_max: float = 0.05
     supply_voltage: float = 1.0
@@ -81,41 +84,32 @@ class TrainConfig:
             raise ValueError("epochs must be > 0")
         if not 0 < self.r_min < self.r_max < math.inf:
             raise ValueError(f"need 0 < r_min < r_max < inf, got {self.r_min}, {self.r_max}")
-        for name, value in (("capacitance", self.capacitance), ("t_max", self.t_max)):
+        for name in ("capacitance", "t_max", "supply_voltage"):
+            value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be a finite number > 0, got {value}")
-        rc = self.r_min * self.capacitance  # the largest D * G training forms is t_max / rc
-        if not (rc > 0 and math.isfinite(1.0 / rc)):
-            raise ValueError(f"capacitance {self.capacitance} is too small: 1/(r_min*C) overflows")
-        if not math.isfinite(self.t_max / rc):
-            raise ValueError(f"t_max {self.t_max} is too long: t_max/(r_min*C) overflows")
-        # training forms R * C as exp(ln R) * C, at most exp(ln r_max) * C
-        if not math.isfinite(math.exp(math.log(self.r_max)) * self.capacitance):
-            raise ValueError(f"r_max {self.r_max} is too large: r_max*C overflows")
-        if not self.supply_voltage > 0:  # the default true-class target scales with it
-            raise ValueError(f"supply_voltage must be > 0, got {self.supply_voltage}")
-        # training forms v_in * v_in, and 0.5 * energy_weight * v_in * v_in for the energy term
-        if not math.isfinite(self.supply_voltage * self.supply_voltage):
+        # the box in units of t_max, and its reciprocal: training forms the rates
+        # t_max/(R*C), the trained network the conductances 1/(R*C)
+        rc_min = self.r_min * self.capacitance
+        rates = (self.t_max / rc_min, 1.0 / rc_min) if rc_min > 0 else (math.inf,)
+        if not all(map(math.isfinite, (self.r_max * self.capacitance / self.t_max, *rates))):
             raise ValueError(
-                f"supply_voltage {self.supply_voltage} is too large: supply_voltage**2 overflows"
+                f"r_min {self.r_min}, r_max {self.r_max}, capacitance {self.capacitance} and "
+                f"t_max {self.t_max} overflow: r_max*C/t_max, t_max/(r_min*C) and 1/(r_min*C) "
+                "must be finite"
             )
-        if self.target_high is not None and not math.isfinite(self.target_high):
-            raise ValueError(f"target_high must be finite, got {self.target_high}")
-        if not self.effective_target_high > 0:  # the other classes target 0 V
-            raise ValueError(f"target_high must be > 0, got {self.target_high}")
+        if self.target_high is not None:  # the potential never exceeds the supply
+            if not (math.isfinite(self.target_high) and self.target_high <= self.supply_voltage):
+                raise ValueError(
+                    f"target_high must be finite and at most supply_voltage "
+                    f"{self.supply_voltage}, got {self.target_high}"
+                )
+            if not self.target_high > 0:  # the other classes target 0 V
+                raise ValueError(f"target_high must be > 0, got {self.target_high}")
         if not (math.isfinite(self.energy_weight) and self.energy_weight >= 0):
             raise ValueError(
                 f"energy_weight must be a finite number >= 0, got {self.energy_weight}"
             )
-        if not math.isfinite(0.5 * self.energy_weight * self.supply_voltage * self.supply_voltage):
-            raise ValueError(
-                f"energy_weight {self.energy_weight} is too large: "
-                "0.5*energy_weight*supply_voltage**2 overflows"
-            )
-
-    @property
-    def effective_target_high(self) -> float:
-        return 0.6 * self.supply_voltage if self.target_high is None else self.target_high
 
 
 @dataclass(frozen=True)
@@ -182,26 +176,27 @@ def _loss_and_gradient(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Loss, dL/du and J at log-resistances u, (2, classes, lines), over the batch.
 
-    L = MSE(V, targets) + energy_weight * v_in * mean(V_e); J = dV_c/du[:, c], (c, n, 2 * lines).
+    In supply and window units, ``durations`` in t_max and ``targets`` in v_in.
+    L = MSE(V, targets) + energy_weight * mean(V_e); J = dV_c/du[:, c], (c, n, 2 * lines).
     Both contract the one :func:`~ifcirc.kernel.sensitivities` array with the durations:
     dL/dG summed over the batch, J per sample.  A line that never runs (D = 0) gets 0.
     """
-    v_in = cfg.supply_voltage
-    g = 1.0 / (np.exp(log_r) * cfg.capacitance)
-    fwd = forward(durations, g, v_in)
+    g = np.exp(math.log(cfg.t_max) - math.log(cfg.capacitance) - log_r)
+    with np.errstate(over="ignore"):  # a line sum D·G past the largest float: exp(-inf) = 0
+        fwd = forward(durations, g, 1.0)
     residual = fwd.v - targets
     loss = float(np.vdot(residual, residual)) / residual.size
-    loss += cfg.energy_weight * v_in * float(fwd.v_e.mean())
-    sens = sensitivities(fwd, v_in)  # dV/d(D·G)
-    # dL/dV and dL/dV_e share the factor 2 / size applied after the sum over the batch;
-    # dV_e/d(D·G_e) = v_in * exp(-D·G_e), and V_e does not depend on G_i
+    loss += cfg.energy_weight * float(fwd.v_e.mean())
+    sens = sensitivities(fwd, 1.0)  # dV/d(D·G)
+    # dL/dV and dL/dV_e share the factor 2 / size, its 1 / size taken before the batch sum
+    # so the sum cannot overflow; dV_e/d(D·G_e) = exp(-D·G_e), and V_e does not depend on G_i
     weights = residual * sens
-    weights[0] += 0.5 * cfg.energy_weight * v_in * v_in * fwd.factors[0]
+    weights[0] += 0.5 * cfg.energy_weight * fwd.factors[0]
+    weights *= 1.0 / residual.size
     dl_dg = (weights.reshape(-1, residual.shape[1]) @ durations).reshape(g.shape)
-    dl_dg *= 2.0 / residual.size
     jac = sens.transpose(1, 2, 0)[..., None] * durations[:, None, :]
     jac *= -g.transpose(1, 0, 2)[:, None]  # dG/du = -G
-    return loss, -g * dl_dg, jac.reshape(*fwd.v.shape, -1)
+    return loss, -g * dl_dg * 2.0, jac.reshape(*fwd.v.shape, -1)
 
 
 def train(samples: Sequence[PostureSample], cfg: TrainConfig = TrainConfig()) -> TrainResult:
@@ -218,11 +213,12 @@ def train(samples: Sequence[PostureSample], cfg: TrainConfig = TrainConfig()) ->
     n_inputs = features.shape[1]
     n_classes = len(classes)
 
-    durations = duration_matrix(features, cfg.t_max)  # (n, lines)
+    durations = duration_matrix(features, 1.0)  # (n, lines), in units of t_max
+    high = 0.6 if cfg.target_high is None else cfg.target_high / cfg.supply_voltage
     class_index = {label: i for i, label in enumerate(classes)}
-    targets = np.zeros((n_classes, len(samples)))
+    targets = np.zeros((n_classes, len(samples)))  # fractions of the supply
     for col, s in enumerate(samples):
-        targets[class_index[s.label], col] = cfg.effective_target_high
+        targets[class_index[s.label], col] = high
 
     rng = np.random.Generator(np.random.PCG64(cfg.seed))
     log_lo, log_hi = math.log(cfg.r_min), math.log(cfg.r_max)
@@ -231,8 +227,6 @@ def train(samples: Sequence[PostureSample], cfg: TrainConfig = TrainConfig()) ->
                     size=(2, n_classes, n_inputs + 1))
 
     loss, grad, jac = _loss_and_gradient(u, durations, targets, cfg)
-    if not math.isfinite(loss):
-        raise TrainingDivergedError(0)
     history, mu, eye = [loss], 1.0, np.eye(2 * (n_inputs + 1))
     while len(history) <= cfg.epochs and mu <= _MU_MAX:
         # per neuron, (classes, 2 * lines) as in J; pin each synapse on a bound pushed outward
@@ -350,6 +344,8 @@ def train_logistic_baseline(
     """
     if len(train_samples) == 0:
         raise ValueError("cannot train on an empty dataset")
+    if len(test_samples) == 0:
+        raise ValueError("cannot evaluate on an empty dataset")
     classes = tuple(dict.fromkeys(s.label for s in train_samples))
     x = _features(train_samples)
     y = np.zeros((len(train_samples), len(classes)))

@@ -356,14 +356,12 @@ def test_train_defaults_come_from_trainconfig(tmp_path, tiny_csv, capsys):
 
 @pytest.mark.parametrize("argv, file_cfg, message", [
     (("--target-high", -1), {}, "target_high must be > 0, got -1.0"),
-    (("--target-high", "nan"), {}, "target_high must be finite, got nan"),
+    (("--target-high", "nan"), {},
+     "target_high must be finite and at most supply_voltage 1.0, got nan"),
     (("--energy-weight", -0.5), {}, "energy_weight must be a finite number >= 0, got -0.5"),
     (("--energy-weight", "inf"), {}, "energy_weight must be a finite number >= 0, got inf"),
     ((), {"target_high": 0}, "target_high must be > 0, got 0.0"),
     ((), {"energy_weight": -1}, "energy_weight must be a finite number >= 0, got -1.0"),
-    # 0.5 * 1e308 * 1e2 * 1e2 overflowed into a nan gradient: invalid value in matmul
-    (("--energy-weight", "1e308", "--supply-voltage", "1e2"), {},
-     "energy_weight 1e+308 is too large: 0.5*energy_weight*supply_voltage**2 overflows"),
 ])
 def test_train_refuses_targets_it_cannot_meet(tmp_path, tiny_csv, capsys, argv, file_cfg, message):
     cfg_path, model = tmp_path / "cfg.json", tmp_path / "m.json"
@@ -397,14 +395,40 @@ def test_train_has_no_rescale_flag(tmp_path, tiny_csv, capsys):
         assert f"unknown config keys: {key}" in err
 
 
-def test_diverging_training_is_user_error(tmp_path, tiny_csv, capsys):
-    # a supply just below the largest TrainConfig accepts overflows the summed squared residuals
+def _trained_resistances(model):
+    return [syn.resistance for n in load_network(model).neurons for syn in n.synapses]
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("supply", ["1.3e154", "1e300"])
+def test_train_at_a_huge_supply_writes_the_1_volt_resistances(tmp_path, tiny_csv, capsys, supply):
+    # in volts, 1.3e154 overflowed the summed squared residuals and training diverged at
+    # epoch 0, and 1e300 was refused as its square overflowed; training in supply units
+    # never forms either
+    runs = {}
+    for v in ("1", supply):
+        model = tmp_path / f"m{v}.json"
+        code, out, _ = run_cli(capsys, "train", "--data", tiny_csv, "--supply-voltage", v,
+                               "--out", model)
+        assert code == 0
+        runs[v] = out.splitlines()[1:4], model
+    # the same epochs_run, final_loss (in units of the supply squared) and train_accuracy
+    assert runs[supply][0] == runs["1"][0]
+    assert _trained_resistances(runs[supply][1]) == _trained_resistances(runs["1"][1])
+    assert load_network(runs[supply][1]).supply_voltage == float(supply)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_train_takes_an_energy_weight_of_1e308(tmp_path, tiny_csv, capsys):
+    # 0.5 * 1e308 * 1e2 * 1e2 overflowed into a nan gradient (invalid value in matmul),
+    # and the refusal that replaced it is gone: in supply units the term is 1e308 * mean(V_e)
     model = tmp_path / "m.json"
-    argv = ("--supply-voltage", "1.3e154", "--out", model)
-    code, _, err = run_cli(capsys, "train", "--data", tiny_csv, *argv)
-    assert code == 1
-    assert err == "error: training loss became non-finite at epoch 0\n"
-    assert not model.exists()
+    argv = ("--energy-weight", "1e308", "--supply-voltage", "1e2", "--epochs", 20, "--out", model)
+    code, out, _ = run_cli(capsys, "train", "--data", tiny_csv, *argv)
+    assert code == 0
+    final_loss = float(next(l.split()[1] for l in out.splitlines() if l.startswith("final_loss")))
+    assert math.isfinite(final_loss)
+    assert all(1e3 <= r <= 1e6 for r in _trained_resistances(model))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -421,17 +445,17 @@ def test_train_refuses_a_circuit_without_time_constants(tmp_path, tiny_csv, caps
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("key, value", [
-    ("capacitance", "1e-320"), ("t_max", "1e308"),
-    ("supply_voltage", "inf"), ("supply_voltage", "1e300"),
+    ("capacitance", "1e-320"), ("t_max", "1e308"), ("supply_voltage", "inf"),
 ])
 def test_train_refuses_a_time_constant_that_overflows(tmp_path, tiny_csv, capsys, key, value):
     # 1e-320 F ran into numpy warnings and a non-finite loss; t_max 1e308 overflowed D * G
-    # and wrote a saturated model; a supply whose square overflows warned before its error
+    # and wrote a saturated model; both overflow t_max/(r_min*C); an infinite supply warned
+    # before its error
     model = tmp_path / "m.json"
     argv = ("--" + key.replace("_", "-"), value, "--out", model)
     code, _, err = run_cli(capsys, "train", "--data", tiny_csv, *argv)
     assert code == 1
-    assert err.startswith(f"error: {key} {float(value)} is too ")
+    assert err.startswith("error: ") and key in err and f"{float(value)}" in err
     assert not model.exists()
 
 
@@ -442,7 +466,10 @@ def test_train_refuses_a_largest_time_constant_that_overflows(tmp_path, tiny_csv
     argv = ("--r-max", "1e300", "--capacitance", "1e300", "--out", model)
     code, _, err = run_cli(capsys, "train", "--data", tiny_csv, *argv)
     assert code == 1
-    assert err == "error: r_max 1e+300 is too large: r_max*C overflows\n"
+    assert err == (
+        "error: r_min 1000.0, r_max 1e+300, capacitance 1e+300 and t_max 0.05 overflow: "
+        "r_max*C/t_max, t_max/(r_min*C) and 1/(r_min*C) must be finite\n"
+    )
     assert not model.exists()
 
 
@@ -682,6 +709,19 @@ def test_response_map_refuses_oversized_grid(tmp_path, capsys):
     assert err.startswith("error: ") and "capped at" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_energy_refuses_a_supply_whose_energy_overflows(tmp_path, capsys):
+    # C * v_in**2 = 1e594 J printed numpy overflow warnings and inf/nan joules, and exited 0
+    model = _model_with(tmp_path, lambda doc: {**doc, "supply_voltage": 1e300})
+    code, out, err = run_cli(capsys, "energy", "--model", model, "--pitch", 0.3, "--roll", 0.1)
+    assert code == 1
+    assert err == (
+        "error: supply_voltage 1e+300 V and total capacitance 3e-06 F overflow the energy: "
+        "C*v_in**2 is not finite\n"
+    )
+    assert "joules" not in out
 
 
 def test_energy_report(tmp_path, capsys):

@@ -10,11 +10,12 @@ independently of the formulas under test.
 import hashlib
 import math
 import statistics
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ifcirc import (
@@ -26,7 +27,6 @@ from ifcirc import (
     PostureSample,
     Synapse,
     TrainConfig,
-    TrainingDivergedError,
     classify,
     energy_per_inference,
     evaluate_accuracy,
@@ -61,21 +61,29 @@ def _log_r(net):
 
 
 def _train_loss(net, stimulus, targets):
-    """The loss train() computes for a fully wired ``net`` at one input."""
+    """The loss train() computes for a fully wired ``net`` at one input, targets in volts.
+
+    train() works in supply and window units: durations in units of t_max, targets as
+    fractions of the supply, and a loss in units of v_in squared.
+    """
     cfg = TrainConfig(
         capacitance=net.neurons[0].capacitance, t_max=net.t_max, supply_voltage=net.supply_voltage,
-        energy_weight=0.0, target_high=1.0,
+        energy_weight=0.0,
     )
-    durations = duration_matrix([stimulus], net.t_max)
-    return _loss_and_gradient(_log_r(net), durations, np.array(targets)[:, None], cfg)[0]
+    durations = duration_matrix([stimulus], 1.0)
+    targets = np.array(targets)[:, None] / net.supply_voltage
+    return _loss_and_gradient(_log_r(net), durations, targets, cfg)[0]
 
 
 def _potentials_and_loss(offset):
-    """Potentials of a uniform 3-class network, and the MSE against them shifted by ``offset``."""
-    cfg = TrainConfig(energy_weight=0.0, target_high=1.0)
+    """Potentials of a uniform 3-class network, in units of the supply, and the MSE
+    against them shifted by ``offset``."""
+    cfg = TrainConfig(energy_weight=0.0)
     log_r = np.full((2, 3, 3), math.log(1e5))
-    durations = duration_matrix([(0.3, 0.7)], cfg.t_max)
-    v = forward(durations, 1.0 / (np.exp(log_r) * cfg.capacitance), cfg.supply_voltage).v
+    durations = duration_matrix([(0.3, 0.7)], 1.0)
+    # the rates t_max/(R*C) formed as train() forms them, so the targets are met exactly
+    rates = np.exp(math.log(cfg.t_max) - math.log(cfg.capacitance) - log_r)
+    v = forward(durations, rates, 1.0).v
     return _loss_and_gradient(log_r, durations, v + np.asarray(offset)[:, None], cfg)
 
 
@@ -211,7 +219,8 @@ def log_resistance_instances(draw):
 
     Resistances span the default init range in hardware ohms, so exponent
     sums D·G stay within [0, 5]; inputs at or below zero give zero-duration
-    lines.
+    lines.  As train() passes them, durations are in units of t_max and
+    targets are fractions of the supply.
     """
     n_classes = draw(st.integers(1, 3))
     cfg = TrainConfig(
@@ -224,11 +233,16 @@ def log_resistance_instances(draw):
     )))).reshape(2, n_classes, lines)
     inputs = st.one_of(st.floats(0.1, 1.0), st.sampled_from([0.0, -0.3]))
     n = draw(st.integers(1, 4))
-    durations = duration_matrix([(draw(inputs), draw(inputs)) for _ in range(n)], cfg.t_max)
+    durations = duration_matrix([(draw(inputs), draw(inputs)) for _ in range(n)], 1.0)
     targets = np.array(draw(st.lists(
-        st.floats(0.0, cfg.supply_voltage), min_size=n * n_classes, max_size=n * n_classes
+        st.floats(0.0, 1.0), min_size=n * n_classes, max_size=n * n_classes
     ))).reshape(n_classes, n)
     return log_r, durations, targets, cfg
+
+
+def _rates(u, cfg):
+    """t_max/(R*C) at R = e^u: the rates D·G per unit duration in units of t_max."""
+    return cfg.t_max / (np.exp(u) * cfg.capacitance)
 
 
 @given(instance=log_resistance_instances())
@@ -238,12 +252,9 @@ def test_loss_and_gradient_match_finite_differences_in_log_r(instance):
     log_r, durations, targets, cfg = instance
     v_in, size = cfg.supply_voltage, targets.size
 
-    def conductances(u):
-        return 1.0 / (np.exp(u) * cfg.capacitance)
-
     value, grad, _ = _loss_and_gradient(log_r, durations, targets, cfg)
-    # the loss is the MSE of the potentials infer_batch gives for R = e^u, plus
-    # the energy term; V_e is the potential of the excitatory synapses alone
+    # the loss is the MSE of the potentials infer_batch gives for R = e^u, in units of
+    # the supply, plus the energy term; V_e is the potential of the excitatory synapses alone
     def network(polarities):
         neurons = tuple(
             IFNeuron(f"c{k}", cfg.capacitance, tuple(
@@ -256,30 +267,30 @@ def test_loss_and_gradient_match_finite_differences_in_log_r(instance):
         )
         return Network(neurons, n_inputs=2, supply_voltage=v_in, t_max=cfg.t_max)
 
-    stimuli = durations[:, :-1] / cfg.t_max
-    v = infer_batch(network(tuple(Polarity)), stimuli).T
-    v_e = infer_batch(network((Polarity.EXCITATORY,)), stimuli).T
-    expected = float(np.mean((v - targets) ** 2)) + cfg.energy_weight * v_in * float(np.mean(v_e))
+    stimuli = durations[:, :-1]
+    v = infer_batch(network(tuple(Polarity)), stimuli).T / v_in
+    v_e = infer_batch(network((Polarity.EXCITATORY,)), stimuli).T / v_in
+    expected = float(np.mean((v - targets) ** 2)) + cfg.energy_weight * float(np.mean(v_e))
     assert value == pytest.approx(expected, rel=1e-12)
     # the energy term's own gradient, d sum(V_e)/du: V_e is the V of the circuit without
     # its inhibitory synapses, so dV_e/d(D·G_e) is that circuit's sensitivity; G_i has none
-    g = conductances(log_r)
-    excitatory = forward(durations, g * np.array([1.0, 0.0])[:, None, None], v_in)
-    dve_dg = sensitivities(excitatory, v_in)[0] @ durations
+    g = _rates(log_r, cfg)
+    excitatory = forward(durations, g * np.array([1.0, 0.0])[:, None, None], 1.0)
+    dve_dg = sensitivities(excitatory, 1.0)[0] @ durations
     energy_grad = -g * np.stack((dve_dg, np.zeros_like(dve_dg)))
     h = 1e-6
     for index in np.ndindex(log_r.shape):
         up, down = log_r.copy(), log_r.copy()
         up[index] += h
         down[index] -= h
-        f_up = forward(durations, conductances(up), v_in)
-        f_down = forward(durations, conductances(down), v_in)
+        f_up = forward(durations, _rates(up, cfg), 1.0)
+        f_down = forward(durations, _rates(down, cfg), 1.0)
         # L(up) - L(down) per output, so a small change is not lost in the
         # rounding of the whole loss
         mse_delta = float(np.sum((f_up.v - f_down.v) * (f_up.v + f_down.v - 2.0 * targets)))
         energy_delta = float(np.sum(f_up.v_e - f_down.v_e))
         assert energy_grad[index] == pytest.approx(energy_delta / (2 * h), rel=1e-4, abs=1e-12)
-        delta = (mse_delta + cfg.energy_weight * v_in * energy_delta) / size
+        delta = (mse_delta + cfg.energy_weight * energy_delta) / size
         assert grad[index] == pytest.approx(delta / (2 * h), rel=1e-4, abs=1e-12)
         if durations[:, index[2]].max() == 0.0:
             assert grad[index] == 0.0  # a line that never runs has no gradient
@@ -291,10 +302,10 @@ def test_jacobian_matches_finite_differences_in_log_r(instance):
     """J = dV/du, which train() builds its Gauss–Newton matrix from, against central
     differences of the potentials; a neuron's V depends on its own u alone."""
     log_r, durations, targets, cfg = instance
-    v_in, lines = cfg.supply_voltage, log_r.shape[2]
+    lines = log_r.shape[2]
 
     def potentials(u):
-        return forward(durations, 1.0 / (np.exp(u) * cfg.capacitance), v_in).v
+        return forward(durations, _rates(u, cfg), 1.0).v
 
     jac = _loss_and_gradient(log_r, durations, targets, cfg)[2]
     assert jac.shape == (log_r.shape[1], durations.shape[0], 2 * lines)
@@ -359,10 +370,10 @@ def test_rescale_preserves_loss(bundled_model):
 
 
 def test_clamp_examples():
-    # a target ten times the supply pushes every ln R of the one neuron into a
-    # wall (excitatory down, inhibitory up); each lands on its bound exactly
+    # a target at the supply pushes every ln R of the one neuron into a wall
+    # (excitatory down, inhibitory up); each lands on its bound exactly
     stand = [s for s in _quick_dataset(5) if s.label == "stand"]
-    cfg = TrainConfig(r_min=2e3, r_max=5e5, energy_weight=0.0, target_high=10.0)
+    cfg = TrainConfig(r_min=2e3, r_max=5e5, energy_weight=0.0, target_high=1.0)
     result = train(stand, cfg)
     rs = [syn.resistance for neuron in result.network.neurons for syn in neuron.synapses]
     assert set(rs) == {2e3, 5e5}
@@ -410,6 +421,10 @@ def _quick_dataset(n=20, seed=0):
     return generate(DatasetConfig(n_per_class=n, seed=seed))
 
 
+def _resistances(net):
+    return [syn.resistance for neuron in net.neurons for syn in neuron.synapses]
+
+
 def test_single_step_descends():
     samples = [PostureSample(0.0, 0.0, "stand")]
     result = train(samples, TrainConfig(epochs=1, seed=0))
@@ -427,12 +442,13 @@ def test_training_is_deterministic():
 
 
 def test_training_respects_bounds():
-    # a true-class target of twice the supply drives resistances into both walls, never past
-    cfg = TrainConfig(seed=0, energy_weight=0.0, target_high=2.0)
+    # a true-class target at the supply drives resistances into both walls of a box with
+    # a floor of 10 kohm, never past
+    cfg = TrainConfig(seed=0, r_min=1e4, energy_weight=0.0, target_high=1.0)
     result = train(_quick_dataset(5), cfg)
     rs = [syn.resistance for neuron in result.network.neurons for syn in neuron.synapses]
-    assert all(1e3 <= r <= 1e6 for r in rs)
-    assert 1e3 in rs and 1e6 in rs  # pinned synapses carry their bound exactly
+    assert all(1e4 <= r <= 1e6 for r in rs)
+    assert 1e4 in rs and 1e6 in rs  # pinned synapses carry their bound exactly
 
 
 def test_training_early_stop_on_plateau():
@@ -449,12 +465,15 @@ def test_training_early_stop_on_plateau():
     assert evaluate_accuracy(result.network, samples) == 1.0
 
 
-def test_training_diverged_error_reports_epoch():
+def test_a_supply_of_1_3e154_volts_trains_to_the_1_volt_resistances():
+    # the summed squared residuals in volts overflowed here: training diverged at epoch 0
     samples = _quick_dataset(3, seed=2)
-    cfg = TrainConfig(supply_voltage=1.3e154, epochs=10, seed=0)
-    with pytest.raises(TrainingDivergedError) as exc_info:
-        train(samples, cfg)
-    assert exc_info.value.epoch == 0
+    cfg = TrainConfig(epochs=10, seed=0)
+    result = train(samples, replace(cfg, supply_voltage=1.3e154))
+    one_volt = train(samples, cfg)
+    assert _resistances(result.network) == _resistances(one_volt.network)
+    assert result.loss_history == one_volt.loss_history
+    assert result.network.supply_voltage == 1.3e154
 
 
 def test_train_rejects_empty_dataset():
@@ -478,16 +497,23 @@ def test_trainconfig_validation():
     # -1 once trained without complaint, to 0% training accuracy
     ({"target_high": -1.0}, "target_high must be > 0, got -1.0"),
     ({"target_high": 0.0}, "target_high must be > 0, got 0.0"),
-    ({"target_high": -math.inf}, "target_high must be finite, got -inf"),
-    ({"target_high": math.nan}, "target_high must be finite, got nan"),
-    ({"target_high": math.inf}, "target_high must be finite, got inf"),
-    ({"supply_voltage": 0.0}, "supply_voltage must be > 0, got 0.0"),
+    ({"target_high": -math.inf},
+     "target_high must be finite and at most supply_voltage 1.0, got -inf"),
+    ({"target_high": math.nan},
+     "target_high must be finite and at most supply_voltage 1.0, got nan"),
+    ({"target_high": math.inf},
+     "target_high must be finite and at most supply_voltage 1.0, got inf"),
+    ({"supply_voltage": 0.0}, "supply_voltage must be a finite number > 0, got 0.0"),
     ({"energy_weight": -0.1}, "energy_weight must be a finite number >= 0, got -0.1"),
     ({"energy_weight": math.nan}, "energy_weight must be a finite number >= 0, got nan"),
     ({"energy_weight": math.inf}, "energy_weight must be a finite number >= 0, got inf"),
     # -1 was refused only by the trained Network, after every epoch had run; nan diverged
-    ({"supply_voltage": math.nan}, "supply_voltage must be > 0, got nan"),
-    ({"supply_voltage": -1.0}, "supply_voltage must be > 0, got -1.0"),
+    ({"supply_voltage": math.nan}, "supply_voltage must be a finite number > 0, got nan"),
+    ({"supply_voltage": -1.0}, "supply_voltage must be a finite number > 0, got -1.0"),
+    # the potential never exceeds the supply
+    ({"target_high": 2.0, "supply_voltage": 1.5},
+     "target_high must be finite and at most supply_voltage 1.5, got 2.0"),
+    ({"supply_voltage": math.inf}, "supply_voltage must be a finite number > 0, got inf"),
 ])
 def test_trainconfig_refuses_targets_it_cannot_meet(kwargs, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
@@ -527,10 +553,11 @@ def mse_result(split_42):
 
 
 # sha256 of the model JSON mse_result saves, frozen from the Levenberg–Marquardt
-# trainer; this config was the default before the energy term existed
-MSE_MODEL_SHA256 = "f06a44f6bcd93959ee1436150562e231b3d8962678db1d0c595bfdf24485b425"
+# trainer in supply and window units; this config was the default before the energy
+# term existed
+MSE_MODEL_SHA256 = "1733978986873020d20907b5047d9540b3b1987b2b9467768de49de4eafc4f35"
 # sha256 of the model JSON the default config (seed 0, energy term on) saves, 87 iterations
-DEFAULT_MODEL_SHA256 = "b69094168d77b27ff6b81dfd69af27d92fb78b5663188a03cbbbec5e52495048"
+DEFAULT_MODEL_SHA256 = "05585276798e63d499d78a3582e8e64c6b1bd1c6005e90d3ae8c80406a8d07f2"
 
 
 def test_training_converges_from_most_inits(seed_sweep):
@@ -616,20 +643,34 @@ def test_every_init_lands_on_the_same_mse_optimum(split_42):
 
 def test_training_is_invariant_under_rescaling(split_42):
     """Box and capacitance rescaled as (R * k, C / k) train to the same potentials: the
-    init is drawn from the box, so it rescales with it."""
+    init is drawn from the box, so it rescales with it.  So do t_max and capacitance
+    rescaled as (t_max * k, C * k)."""
     train_set, test_set = split_42
     features = np.array([(s.pitch, s.roll) for s in test_set])
 
-    def run(k):
-        cfg = TrainConfig(r_min=1e3 * k, r_max=1e6 * k, capacitance=1e-6 / k)
+    def run(cfg):
         result = train(train_set, cfg)
         return result.epochs_run, infer_batch(result.network, features)
 
-    epochs, potentials = run(1.0)
-    for k in (0.1, 10.0, 1e3):
-        scaled_epochs, scaled = run(k)
-        assert scaled_epochs == epochs, k
-        assert np.abs(scaled - potentials).max() <= 1e-12, k
+    epochs, potentials = run(TrainConfig())
+    scaled_configs = [
+        *(TrainConfig(r_min=1e3 * k, r_max=1e6 * k, capacitance=1e-6 / k) for k in (0.1, 10.0, 1e3)),
+        # the stimulation window and the capacitance together: R*C / t_max is unchanged
+        *(TrainConfig(t_max=0.05 * k, capacitance=1e-6 * k) for k in (1e-3, 1e3)),
+    ]
+    for cfg in scaled_configs:
+        scaled_epochs, scaled = run(cfg)
+        assert scaled_epochs == epochs, cfg
+        assert np.abs(scaled - potentials).max() <= 1e-12, cfg
+
+
+def test_training_is_invariant_under_supply_voltage(split_42, seed_sweep):
+    """At the default target, 0.6 of the supply, the supply never enters training."""
+    one_volt = seed_sweep[1][TrainConfig().seed]
+    for v_in in (1e-300, 1e-20, 1e-3, 1e3, 1e20, 1e300):
+        result = train(split_42[0], TrainConfig(supply_voltage=v_in))
+        assert result.epochs_run == one_volt.epochs_run, v_in
+        assert _resistances(result.network) == _resistances(one_volt.network), v_in
 
 
 def test_returned_point_is_stationary(split_42, seed_sweep):
@@ -637,17 +678,62 @@ def test_returned_point_is_stationary(split_42, seed_sweep):
     gradient left at the returned resistances."""
     train_set, _ = split_42
     cfg = TrainConfig()
-    durations = duration_matrix([(s.pitch, s.roll) for s in train_set], cfg.t_max)
+    durations = duration_matrix([(s.pitch, s.roll) for s in train_set], 1.0)
     lo, hi = math.log(cfg.r_min), math.log(cfg.r_max)
     for result in seed_sweep[1]:
-        targets = np.array([
-            [cfg.effective_target_high if s.label == label else 0.0 for s in train_set]
+        targets = np.array([  # the default true-class target, 0.6 of the supply
+            [0.6 if s.label == label else 0.0 for s in train_set]
             for label in result.network.labels
         ])
         log_r = _log_r(result.network)
         grad = _loss_and_gradient(log_r, durations, targets, cfg)[1]
         pinned = ((log_r <= lo) & (grad > 0)) | ((log_r >= hi) & (grad < 0))
         assert np.abs(grad[~pinned]).max() <= 1e-6
+
+
+def _decade(lo, hi):
+    """Exponents in [lo, hi], the ends drawn often."""
+    return st.one_of(st.sampled_from([lo, hi]), st.floats(lo, hi))
+
+
+@st.composite
+def extreme_configs(draw):
+    """TrainConfigs out to the edges TrainConfig accepts.
+
+    The box in window units spans from a fastest rate t_max/(r_min*C) to a slowest
+    time constant r_max*C/t_max, each up to 10**308.25, just under the largest float;
+    the energy weight reaches the largest float; the target is a fraction t' in (0, 1]
+    of a supply from 1e-300 V to 1e300 V.
+    """
+    t_max, capacitance = (10.0 ** draw(_decade(-6.0, 6.0)) for _ in range(2))
+    log_rate = draw(_decade(-300.0, 308.25))  # log10 t_max/(r_min*C)
+    log_tau = draw(_decade(-log_rate, 308.25).filter(lambda x: x > -log_rate))  # r_max*C/t_max
+    supply = 10.0 ** draw(_decade(-300.0, 300.0))
+    try:
+        return TrainConfig(
+            epochs=100,
+            r_min=t_max / capacitance / 10.0**log_rate,
+            r_max=10.0**log_tau * t_max / capacitance,
+            capacitance=capacitance,
+            t_max=t_max,
+            supply_voltage=supply,
+            target_high=draw(st.floats(0.0, 1.0, exclude_min=True)) * supply,
+            energy_weight=draw(_decade(0.0, sys.float_info.max)),
+        )
+    except ValueError:  # r_min*C or 1/(r_min*C) out of range, or the target underflows
+        assume(False)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=40, deadline=None)
+@given(cfg=extreme_configs(), labels=st.sampled_from([("stand",), ("stand", "sit", "lie")]))
+def test_training_at_the_accepted_extremes_stays_finite(split_42, cfg, labels):
+    """Overflows grow with the batch: this trains on the 720-row seed-42 split."""
+    samples = [s for s in split_42[0] if s.label in labels]
+    result = train(samples, cfg)
+    assert all(math.isfinite(loss) for loss in result.loss_history)
+    assert all(cfg.r_min <= r <= cfg.r_max for r in _resistances(result.network))
+    assert result.network.conductances.max() < math.inf
 
 
 def _failing_solve(monkeypatch, failures):
@@ -727,6 +813,11 @@ def test_baseline_single_class_is_perfect():
     samples = [PostureSample(0.0, 0.0, "stand") for _ in range(10)]
     model = train_logistic_baseline(samples, samples)
     assert model.accuracy == 1.0
+
+
+def test_baseline_refuses_an_empty_held_out_set():
+    with pytest.raises(ValueError, match="^cannot evaluate on an empty dataset$"):
+        train_logistic_baseline(_quick_dataset(2), [])
 
 
 def test_baseline_separates_quick_dataset():

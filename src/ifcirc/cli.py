@@ -312,7 +312,7 @@ _COMMANDS = {
         ("trials", int, 100, "random stimuli to test"),
         _SEED,
         ("tolerance", float, 1e-6, "max relative error"),
-        ("step_divisor", float, STEP_DIVISOR, "oracle step = tau_min / divisor"),
+        ("step_divisor", float, STEP_DIVISOR, "oracle steps per time constant of each slot"),
     )),
 }
 

@@ -57,9 +57,10 @@ def duration_matrix(stimuli: Sequence[Sequence[float]], t_max: float) -> np.ndar
 def forward(durations: np.ndarray, conductances: np.ndarray, v_in: float) -> Forward:
     """Potentials of every neuron for every input row of ``durations``."""
     rates = -conductances
-    exponents = rates[..., :1] * durations[:, 0]  # -D·G, (2, classes, n)
-    for line in range(1, durations.shape[1]):
-        exponents += rates[..., line : line + 1] * durations[:, line]
+    with np.errstate(over="ignore"):  # a line sum D·G past the largest float: exp(-inf) = 0
+        exponents = rates[..., :1] * durations[:, 0]  # -D·G, (2, classes, n)
+        for line in range(1, durations.shape[1]):
+            exponents += rates[..., line : line + 1] * durations[:, line]
     factors = np.exp(exponents)
     # expm1 keeps V_e exact for short stimulations, where 1 - exp(...) cancels
     v_e = np.expm1(exponents[0])

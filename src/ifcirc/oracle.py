@@ -8,9 +8,9 @@ The closed form in :mod:`ifcirc.kernel` is the exact solution of
 folded over a stimulation schedule, with tau = R * C per synapse.  This
 module integrates those differential forms directly, slot by slot with
 RK4, and shares no code with the kernel, so it is an independent
-reference for it: the two must agree to ~1e-6 relative at the default
-step of tau_min / 1000, where tau_min is the smallest time constant among
-the neuron's synapses.
+reference for it: the two must agree to ~1e-6 relative.  Each slot is
+marched in units of its own time constant, dV/ds = target - V with
+s = t / tau, at the default step of 1/1000 of that tau.
 """
 from __future__ import annotations
 
@@ -28,21 +28,25 @@ STEP_DIVISOR = 1000.0
 MAX_STEPS = 10**7
 
 
-def _march(v: float, target: float, tau: float, dt: float, step: float) -> float:
-    """March tau * dV/dt = target - V from v over dt: target v_in charges, 0.0 discharges."""
-    if dt / step > MAX_STEPS:
-        raise ValueError(f"integrating {dt!r} s at step {step!r} s takes over {MAX_STEPS} steps")
+def _march(v: float, target: float, x: float, step_divisor: float) -> float:
+    """March dV/ds = target - V from v over x = dt / tau: target v_in charges, 0.0 discharges."""
+    if x * step_divisor > MAX_STEPS:
+        raise ValueError(
+            f"integrating {x!r} time constants at {step_divisor!r} steps each "
+            f"takes over {MAX_STEPS} steps"
+        )
     # Fixed steps plus one partial final step so the total duration is exact.
-    n_full = int(dt // step)
-    remainder = dt - n_full * step
+    step = 1.0 / step_divisor
+    n_full = int(x // step)
+    remainder = x - n_full * step
     steps = repeat(step, n_full)
     if remainder > 0.0:
         steps = chain(steps, (remainder,))
     for h in steps:
-        k1 = (target - v) / tau
-        k2 = (target - (v + 0.5 * h * k1)) / tau
-        k3 = (target - (v + 0.5 * h * k2)) / tau
-        k4 = (target - (v + h * k3)) / tau
+        k1 = target - v
+        k2 = target - (v + 0.5 * h * k1)
+        k3 = target - (v + 0.5 * h * k2)
+        k4 = target - (v + h * k3)
         v += h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
     return v
 
@@ -55,28 +59,22 @@ def integrate_schedule(
 ) -> float:
     """Slot-by-slot numerical integration from rest; reference for ``infer_network``.
 
-    The step is the smallest time constant among the neuron's synapses
-    over ``step_divisor``, so every transient is finely resolved.
+    Each slot is stepped at its own time constant R * C over ``step_divisor``,
+    so every transient is resolved alike, whatever the neuron's other synapses.
     """
     if not (math.isfinite(step_divisor) and step_divisor > 0):
         raise ValueError(f"step divisor must be a finite number > 0, got {step_divisor}")
-    synapses = neuron.synapse_map()
-    if synapses:
-        tau_min = min(s.resistance for s in neuron.synapses) * neuron.capacitance
-    else:
-        tau_min = 1.0  # no synapses -> nothing integrates; any step works
-    step = tau_min / step_divisor
-    if not step > 0.0:
+    if math.isinf(1.0 / step_divisor):
         raise ValueError(
-            f"time constant {tau_min!r} s over step divisor {step_divisor!r} "
-            f"leaves an integrator step of {step!r} s; it must be > 0"
+            f"step divisor {step_divisor!r} is too small: the step 1/divisor overflows"
         )
+    synapses = neuron.synapse_map()
     voltage = 0.0
     for slot in schedule.slots:
         syn = synapses.get((slot.input_index, slot.polarity))
         if syn is None or slot.duration == 0.0:
             continue
-        tau = syn.resistance * neuron.capacitance
+        x = slot.duration / (syn.resistance * neuron.capacitance)
         target = v_in if slot.polarity is Polarity.EXCITATORY else 0.0
-        voltage = _march(voltage, target, tau, slot.duration, step)
+        voltage = _march(voltage, target, x, step_divisor)
     return voltage

@@ -182,8 +182,7 @@ def _loss_and_gradient(
     dL/dG summed over the batch, J per sample.  A line that never runs (D = 0) gets 0.
     """
     g = np.exp(math.log(cfg.t_max) - math.log(cfg.capacitance) - log_r)
-    with np.errstate(over="ignore"):  # a line sum D·G past the largest float: exp(-inf) = 0
-        fwd = forward(durations, g, 1.0)
+    fwd = forward(durations, g, 1.0)
     residual = fwd.v - targets
     loss = float(np.vdot(residual, residual)) / residual.size
     loss += cfg.energy_weight * float(fwd.v_e.mean())

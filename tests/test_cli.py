@@ -724,6 +724,30 @@ def test_energy_refuses_a_supply_whose_energy_overflows(tmp_path, capsys):
     assert "joules" not in out
 
 
+@pytest.mark.parametrize("t_max", [1, 10], ids=["line-sum-overflows", "line-product-overflows"])
+def test_a_line_sum_past_the_largest_float_reads_0_volts(tmp_path, capsys, t_max):
+    # at C = 1e-311 F and 1e3 ohms each line's D·G is 1e308 * t_max: the three-line sum
+    # (t_max 1) or the first product (t_max 10) overflows, and exp(-inf) = 0 V is right,
+    # so no overflow warning may reach the user
+    def edit(doc):
+        for neuron in doc["neurons"]:
+            for syn in neuron["synapses"]:
+                syn["resistance_ohms"] = 1e3
+        return {**doc, "capacitance": 1e-311, "t_max": t_max}
+
+    model = _model_with(tmp_path, edit)
+    code, out, _ = run_cli(capsys, "infer", "--model", model, "--pitch", 1, "--roll", 1)
+    assert code == 0
+    assert out.splitlines()[1:4] == ["potential stand 0.0", "potential lie 0.0", "potential sit 0.0"]
+    code, out, _ = run_cli(capsys, "energy", "--model", model, "--pitch", 1, "--roll", 1)
+    assert code == 0 and "stored_energy_joules 0.0" in out.splitlines()
+    csv = tmp_path / "map.csv"
+    code, _, _ = run_cli(capsys, "response-map", "--model", model, "--step", 0.5, "--out", csv)
+    assert code == 0
+    rows = csv.read_text().splitlines()[1:]
+    assert len(rows) == 9 and all(row.endswith(",0.0,0.0,0.0") for row in rows)
+
+
 def test_energy_report(tmp_path, capsys):
     report_path = tmp_path / "energy.json"
     code, stdout, _ = run_cli(
@@ -768,6 +792,7 @@ def test_validate_fails_above_tolerance(capsys):
         ("--tolerance", "-0.5", "tolerance must be a finite number >= 0, got -0.5"),
         ("--step-divisor", 0, "step divisor must be a finite number > 0, got 0.0"),
         ("--step-divisor", "inf", "step divisor must be a finite number > 0, got inf"),
+        ("--step-divisor", "1e-320", "step divisor 1e-320 is too small: the step 1/divisor overflows"),
     ],
 )
 def test_validate_refuses_settings_that_check_nothing(capsys, flag, value, message):
@@ -803,11 +828,12 @@ def test_validate_refuses_a_time_constant_without_a_step(tmp_path, capsys):
             code, _, err = run_cli(capsys, *argv, "--model", model)
             assert code == 1 and err.startswith("error: ")
             assert "too small for a finite conductance" in err
-    # R·C = 1e-300 s is a model, but tau_min / 1e30 leaves the oracle a zero step
+    # R·C = 1e-300 s is a model, but a slot of dt / (R·C) time constants at 1e30 steps each
+    # is refused by the step cap
     model = with_tau(1e-3, 1e-297)
     code, _, err = run_cli(capsys, "validate", "--trials", 1, "--model", model,
                            "--step-divisor", "1e30")
-    assert code == 1 and err.startswith("error: ") and "integrator step of 0.0 s" in err
+    assert code == 1 and err.startswith("error: ") and "takes over 10000000 steps" in err
 
 
 def test_non_finite_parameters_are_user_errors(tmp_path, capsys):

@@ -44,13 +44,22 @@ def precharge(v0):
 
 
 def test_default_step_is_tau_over_1000():
-    # the refusal names the step: tau_min / divisor, tau_min from the faster synapse
-    neuron = IFNeuron("u", C, (Synapse(0, CHARGE, R), Synapse(1, CHARGE, 2 * R)))
+    # each slot steps at its own tau / divisor: a fast synapse elsewhere on the neuron
+    # changes no other slot's march, bit for bit
+    slots = StimulationSchedule((Slot(1, CHARGE, 0.03), Slot(1, DISCHARGE, 0.01)))
+    own = (Synapse(1, CHARGE, 2 * R), Synapse(1, DISCHARGE, 3 * R))
+    alone = IFNeuron("u", C, own)
+    beside_fast = IFNeuron("u", C, (Synapse(0, CHARGE, R / 100), *own))
+    for divisor in (STEP_DIVISOR, 250.0):
+        v = integrate_schedule(alone, slots, 1.0, divisor)
+        assert integrate_schedule(beside_fast, slots, 1.0, divisor) == v
+    # the refusal names the slot's time constants, dt / (R·C) of its own synapse, and the divisor
     schedule = StimulationSchedule((Slot(1, CHARGE, 1e300),))
-    with pytest.raises(ValueError, match=re.escape(f"at step {TAU / 1000.0!r} s")):
-        integrate_schedule(neuron, schedule, 1.0)
-    with pytest.raises(ValueError, match=re.escape(f"at step {TAU / 250.0!r} s")):
-        integrate_schedule(neuron, schedule, 1.0, step_divisor=250.0)
+    refusal = f"integrating {1e300 / (2 * R * C)!r} time constants at {{}} steps each"
+    with pytest.raises(ValueError, match=re.escape(refusal.format(1000.0))):
+        integrate_schedule(beside_fast, schedule, 1.0)
+    with pytest.raises(ValueError, match=re.escape(refusal.format(250.0))):
+        integrate_schedule(beside_fast, schedule, 1.0, step_divisor=250.0)
 
 
 def test_config_rejects_bad_arguments():
@@ -59,12 +68,17 @@ def test_config_rejects_bad_arguments():
             line((CHARGE, 0.01), step_divisor=divisor)
 
 
+def test_a_divisor_whose_step_overflows_is_refused():
+    # 1 / 1e-320 is inf: the partial step would be inf * 0 = nan and skip every slot (0 V)
+    with pytest.raises(ValueError, match=re.escape("step divisor 1e-320 is too small")):
+        line((CHARGE, 0.01), step_divisor=1e-320)
+    # a divisor of 1e-308 leaves a finite step: one RK4 step of the whole slot, 1 - 3/8
+    assert line((CHARGE, 0.01), step_divisor=1e-308) == pytest.approx(0.625, rel=1e-12)
+
+
 def test_step_that_is_not_positive_is_refused():
-    # R·C = 1e-300 s is a valid neuron, but tau_min / 1e30 underflows to a zero step
-    neuron = IFNeuron("u", 1e-297, (Synapse(0, CHARGE, 1e-3),))
-    with pytest.raises(ValueError, match="integrator step of 0.0 s; it must be > 0"):
-        integrate_schedule(neuron, build_schedule((0.5,), 0.05), 1.0, step_divisor=1e30)
-    # R·C that underflows to 0 (or leaves 1/(R·C) infinite) is refused with the neuron
+    # a step of 1/divisor cannot underflow to 0, and R·C that underflows to 0
+    # (or leaves 1/(R·C) infinite) is refused with the neuron
     for capacitance in (1e-30, 1e-23):
         with pytest.raises(ValueError, match="too small for a finite conductance"):
             IFNeuron("u", capacitance, (Synapse(0, CHARGE, 1e-300),))

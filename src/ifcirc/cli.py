@@ -110,6 +110,11 @@ def _cmd_gen_data(cfg: dict) -> int:
     if holdout > 0.0:
         _require(cfg, "holdout_out")
         kept, held = split(samples, 1.0 - holdout, seed=cfg["seed"])
+        for rows, name in ((kept, "training"), (held, "held-out")):
+            if not rows:
+                raise ValueError(
+                    f"holdout {holdout!r} with n {cfg['n']} per class leaves the {name} CSV empty"
+                )
         write_csv(kept, cfg["out"])
         write_csv(held, cfg["holdout_out"])
         print(f"wrote {len(kept)} rows to {cfg['out']}")
@@ -347,6 +352,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         cfg = _merge_config(args, settings)
         print("config", json.dumps(cfg, sort_keys=True))
+        if cfg.get("seed", 0) < 0:  # numpy's refusal does not name the setting
+            raise ValueError(f"seed must be >= 0, got {cfg['seed']}")
         return handler(cfg)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -219,15 +219,19 @@ def write_response_map_csv(
     labels: Sequence[str],
     path: str | Path,
 ) -> None:
+    """Write rows as CSV with csv's default dialect; floats use shortest round-trip repr.
+
+    Only the header goes through ``csv.writer``, which quotes a label that
+    needs it; a float's repr never does, so each row is joined directly.
+    """
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["pitch", "roll", *labels])
+        csv.writer(fh).writerow(["pitch", "roll", *labels])
         for pitch, roll, potentials in rows:
             if len(potentials) != len(labels):
                 raise ValueError(
                     f"row has {len(potentials)} potentials for {len(labels)} labels"
                 )
-            writer.writerow([repr(pitch), repr(roll), *(repr(p) for p in potentials)])
+            fh.write(",".join(map(repr, (pitch, roll, *potentials))) + "\r\n")
 
 
 # -------------------------------- energy -----------------------------------

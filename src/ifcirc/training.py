@@ -82,6 +82,8 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.epochs <= 0:
             raise ValueError("epochs must be > 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0 < self.r_min < self.r_max < math.inf:
             raise ValueError(f"need 0 < r_min < r_max < inf, got {self.r_min}, {self.r_max}")
         for name in ("capacitance", "t_max", "supply_voltage"):

@@ -6,6 +6,7 @@ reproducibility of every artifact a seeded run writes.
 """
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -121,6 +122,33 @@ def test_gen_data_rejects_bad_holdout_fraction(tmp_path, capsys):
     )
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize("holdout, name", [(0.9, "training"), (0.2, "held-out")])
+def test_gen_data_refuses_a_holdout_that_empties_a_csv(tmp_path, capsys, holdout, name):
+    out, held = tmp_path / "d.csv", tmp_path / "h.csv"
+    code, _, err = run_cli(
+        capsys, "gen-data", "--n", 1, "--holdout", holdout, "--out", out, "--holdout-out", held,
+    )
+    assert code == 1
+    assert err == f"error: holdout {holdout!r} with n 1 per class leaves the {name} CSV empty\n"
+    assert not out.exists() and not held.exists()
+
+
+@pytest.mark.parametrize("command, argv", [
+    ("gen-data", ()),
+    ("train", ("--data", "tiny.csv")),
+    ("eval", ("--model", "bundled", "--data", "tiny.csv")),
+    ("infer", ("--model", "bundled", "--pitch", 0.1, "--roll", 0.2, "--noise-sigma", 0.01)),
+    ("infer", ("--model", "bundled", "--pitch", 0.1, "--roll", 0.2)),
+    ("validate", ("--trials", 1)),
+])
+def test_negative_seed_is_refused_by_name(tmp_path, tiny_csv, monkeypatch, capsys, command, argv):
+    monkeypatch.chdir(tiny_csv.parent)
+    code, out, err = run_cli(capsys, command, *argv, "--seed", -1)
+    assert code == 1
+    assert err == "error: seed must be >= 0, got -1\n"
+    assert len(out.splitlines()) == 1  # the echoed config only
 
 
 # ------------------------- flags and defaults (frozen) ------------------------
@@ -698,6 +726,15 @@ def test_response_map_csv(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "pitch,roll,stand,lie,sit"
     assert len(lines) == 10
+
+
+def test_response_map_csv_frozen(tmp_path, capsys):
+    """The default grid on the bundled model, byte for byte: 10,201 rows, CRLF line ends."""
+    out = tmp_path / "map.csv"
+    code, _, _ = run_cli(capsys, "response-map", "--model", "bundled", "--step", 0.01, "--out", out)
+    assert code == 0
+    digest = "6940a5a61df68916e10e57452f1e20d37d56505e1a064879d79191758f432f1c"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_response_map_refuses_oversized_grid(tmp_path, capsys):

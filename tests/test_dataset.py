@@ -1,8 +1,13 @@
+import dataclasses
 import hashlib
 import math
 import statistics
+import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ifcirc import (
     CLASS_MEANS,
@@ -37,6 +42,56 @@ def test_generate_is_deterministic():
     assert a != c
 
 
+def _reference_generate(cfg):
+    """The scalar generator: one Box-Muller pair per sample, each built by PostureSample()."""
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    uniforms = rng.random((len(CLASS_MEANS), 2 * cfg.n_per_class))
+    samples = []
+    for row, (label, (mean_pitch, mean_roll)) in zip(uniforms, CLASS_MEANS.items()):
+        pairs = iter(row.tolist())
+        for u1, u2 in zip(pairs, pairs):
+            radius = math.sqrt(-2.0 * math.log(1.0 - u1))
+            z_pitch = radius * math.cos(2.0 * math.pi * u2)
+            z_roll = radius * math.sin(2.0 * math.pi * u2)
+            samples.append(
+                PostureSample(
+                    pitch=mean_pitch + cfg.noise_sigma * z_pitch,
+                    roll=mean_roll + cfg.noise_sigma * z_roll,
+                    label=label,
+                )
+            )
+    return samples
+
+
+@settings(max_examples=60)
+@given(
+    n=st.integers(1, 400),
+    sigma=st.one_of(
+        st.sampled_from([0.0, 5e-324, 1e-300, 0.04, 1.7, 1e300, 1e308, sys.float_info.max]),
+        st.floats(0.0, sys.float_info.max),
+    ),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_generate_is_bitwise_the_scalar_reference(n, sigma, seed):
+    # from sigma ~ 2e307, sigma * z overflows to inf in some samples, silently in both
+    cfg = DatasetConfig(n_per_class=n, noise_sigma=sigma, seed=seed)
+    got, want = generate(cfg), _reference_generate(cfg)
+    assert [s.label for s in got] == [s.label for s in want]
+    assert [(s.pitch.hex(), s.roll.hex()) for s in got] == [
+        (s.pitch.hex(), s.roll.hex()) for s in want
+    ]
+
+
+def test_generated_sample_is_a_constructed_sample():
+    for s in generate(DatasetConfig(n_per_class=2, seed=3)):
+        built = PostureSample(s.pitch, s.roll, s.label)
+        assert type(s) is PostureSample
+        assert s == built and hash(s) == hash(built) and repr(s) == repr(built)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.pitch = 0.5
+        assert not hasattr(s, "__dict__")
+
+
 def test_first_sample_frozen_for_seed_42():
     # regression anchor: PCG64 + Box-Muller is platform-stable
     first = generate(DatasetConfig(n_per_class=5, seed=42))[0]
@@ -58,6 +113,16 @@ def test_gen_data_csv_frozen(tmp_path, seed, digest):
 
     path = tmp_path / "data.csv"
     assert main(["gen-data", "--seed", str(seed), "--out", str(path)]) == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+def test_large_gen_data_csv_frozen(tmp_path):
+    """30,000 rows: enough that numpy's log, cos or sin would change some last ulp."""
+    from ifcirc.cli import main
+
+    path = tmp_path / "data.csv"
+    assert main(["gen-data", "--n", "10000", "--seed", "1", "--out", str(path)]) == 0
+    digest = "232ed092d0cebe11590f703b80665a4172c396a5da8ba0ada65cadaa461b51b2"
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
@@ -87,6 +152,12 @@ def test_config_validation():
     for sigma in (math.nan, math.inf):
         with pytest.raises(ValueError, match="noise_sigma must be a finite number"):
             DatasetConfig(n_per_class=10, noise_sigma=sigma)
+    for n in (1.5, 2.0, True, False, "3"):
+        with pytest.raises(ValueError, match=f"n_per_class must be an integer > 0, got {n!r}"):
+            DatasetConfig(n_per_class=n)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        DatasetConfig(n_per_class=10, seed=-1)
+    assert len(generate(DatasetConfig(n_per_class=np.int64(2)))) == 6
 
 
 def test_csv_round_trip_is_exact(tmp_path):

@@ -255,6 +255,12 @@ def test_response_map_csv(tmp_path, bundled_model):
     assert float(first[2]) == infer_network(bundled_model, (0.0, 0.0))[0]
 
 
+def test_response_map_csv_quotes_labels_like_csv_writer(tmp_path):
+    path = tmp_path / "x.csv"
+    write_response_map_csv([(0.0, 0.5, [0.1, 1e-300, 2.0])], ["a,b", 'say "hi"', "c"], path)
+    assert path.read_bytes() == b'pitch,roll,"a,b","say ""hi""",c\r\n0.0,0.5,0.1,1e-300,2.0\r\n'
+
+
 def test_response_map_csv_rejects_ragged_rows(tmp_path):
     with pytest.raises(ValueError):
         write_response_map_csv([(0.0, 0.0, [0.1, 0.2])], ["a", "b", "c"], tmp_path / "x.csv")

@@ -486,6 +486,9 @@ def test_trainconfig_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):
         TrainConfig(r_min=1e6, r_max=1e3)
+    # numpy's PCG64 refused it only inside train(), without naming the seed
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+        TrainConfig(seed=-1)
     # capacitance 0 made every G infinite and the loss non-finite; t_max 0 trained on nothing
     for name in ("capacitance", "t_max"):
         for value in (0.0, -1.0, math.nan, math.inf):

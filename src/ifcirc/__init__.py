@@ -43,7 +43,6 @@ from .training import (
     TrainingDivergedError,
     evaluate_accuracy,
     prune,
-    rescale_network,
     train,
     train_logistic_baseline,
 )

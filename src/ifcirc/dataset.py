@@ -50,6 +50,8 @@ CLASS_MEANS: dict[str, tuple[float, float]] = {
 }
 
 _CSV_HEADER = ["pitch", "roll", "label"]
+# 1 - u1 >= 2**-53, so no Box-Muller draw has |z| > sqrt(-2 ln 2**-53) = 8.5717
+_MAX_ABS_Z = 8.58
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,6 +77,9 @@ class DatasetConfig:
             raise ValueError(f"n_per_class must be an integer > 0, got {n!r}")
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
             raise ValueError(f"noise_sigma must be a finite number >= 0, got {self.noise_sigma}")
+        if not math.isfinite(self.noise_sigma * _MAX_ABS_Z):  # then every sample is finite
+            raise ValueError(f"noise_sigma {self.noise_sigma!r} is too large: "
+                             f"noise_sigma*{_MAX_ABS_Z} overflows")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -101,9 +106,8 @@ def generate(cfg: DatasetConfig) -> list[PostureSample]:
         angle = ((2.0 * math.pi) * u2).tolist()
         z_pitch = radius * np.fromiter(map(math.cos, angle), float, n)
         z_roll = radius * np.fromiter(map(math.sin, angle), float, n)
-        with np.errstate(over="ignore"):  # a huge sigma gives inf, as Python floats do
-            pitch = mean_pitch + cfg.noise_sigma * z_pitch
-            roll = mean_roll + cfg.noise_sigma * z_roll
+        pitch = mean_pitch + cfg.noise_sigma * z_pitch
+        roll = mean_roll + cfg.noise_sigma * z_roll
         block = list(map(object.__new__, repeat(PostureSample, n)))
         # one slot across the block per pass; a zero-length deque runs the map
         for set_slot, values in zip(_SLOT_SETTERS, (pitch.tolist(), roll.tolist(), repeat(label))):

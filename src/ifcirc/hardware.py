@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import math
 import operator
+import sys
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -95,6 +96,9 @@ class ResistorCatalog:
         # floor(log10) can land one decade off at representation boundaries
         while resistance < decade:
             decade /= 10.0
+        if decade < sys.float_info.min:  # subnormal decades scale inexactly; 0 never grows
+            raise ValueError(f"resistance {resistance!r} ohms is below 1e-307, the lowest "
+                             f"decade of the {self.mode} series")
         while resistance >= decade * 10.0:
             decade *= 10.0
         return tuple(m * decade for m in mantissas) + (mantissas[0] * decade * 10.0,)
@@ -128,18 +132,16 @@ def quantize_network(net: Network, catalog: ResistorCatalog = DEFAULT_CATALOG) -
 def perturb_readout(
     potential: float | np.ndarray,
     sigma: float,
-    rng: int | np.random.Generator | None = None,
+    rng: np.random.Generator,
     *,
     supply_voltage: float = 1.0,
 ) -> float | np.ndarray:
-    """Add Gaussian readout noise and clamp to the physical voltage range.
+    """Add Gaussian readout noise drawn from ``rng`` and clamp to the physical voltage range.
 
     An array of potentials draws its noise in C order, as one call per element would.
     """
     if not (math.isfinite(sigma) and sigma >= 0):
         raise ValueError(f"sigma must be a finite number >= 0, got {sigma}")
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.Generator(np.random.PCG64(rng))
     if isinstance(potential, np.ndarray):  # one draw call; a float stays on the cheaper scalar path
         return np.clip(potential + rng.normal(0.0, sigma, potential.shape), 0.0, supply_voltage)
     return min(max(potential + float(rng.normal(0.0, sigma)), 0.0), supply_voltage)

@@ -111,7 +111,6 @@ class Network:
     n_inputs: int
     supply_voltage: float = 1.0
     t_max: float = 0.05  # max stimulation time per input, seconds
-    threshold: float | None = None  # defaults to half the supply
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "neurons", tuple(self.neurons))
@@ -121,10 +120,6 @@ class Network:
             raise ValueError(f"supply_voltage must be > 0, got {self.supply_voltage}")
         if not (math.isfinite(self.t_max) and self.t_max > 0):
             raise ValueError(f"t_max must be > 0, got {self.t_max}")
-        if self.threshold is None:
-            object.__setattr__(self, "threshold", 0.5 * self.supply_voltage)
-        if self.threshold < 0:
-            raise ValueError(f"threshold must be >= 0, got {self.threshold}")
         for neuron in self.neurons:
             for syn in neuron.synapses:
                 if syn.input_index > self.n_inputs:
@@ -232,7 +227,7 @@ def network_to_dict(net: Network) -> dict:
         "schema_version": MODEL_SCHEMA_VERSION,
         "supply_voltage": net.supply_voltage,
         "t_max": net.t_max,
-        "threshold": net.threshold,
+        "threshold": 0.5 * net.supply_voltage,  # schema 1 carries it; nothing reads it
         "capacitance": capacitance,
         "n_inputs": net.n_inputs,
         "neurons": [
@@ -311,13 +306,11 @@ def network_from_dict(doc: object) -> Network:
             neurons.append(IFNeuron(label, capacitance, tuple(synapses)))
         except ValueError as exc:
             raise ValueError(f"model field {where}: {exc}") from None
-    return Network(
-        neurons=tuple(neurons),
-        n_inputs=_field(doc, "n_inputs", int),
-        supply_voltage=_field(doc, "supply_voltage", float),
-        t_max=_field(doc, "t_max", float),
-        threshold=_field(doc, "threshold", float),
-    )
+    n_inputs = _field(doc, "n_inputs", int)
+    supply_voltage = _field(doc, "supply_voltage", float)
+    t_max = _field(doc, "t_max", float)
+    _field(doc, "threshold", float)  # schema 1 requires it; nothing reads it
+    return Network(tuple(neurons), n_inputs, supply_voltage, t_max)
 
 
 def save_network(net: Network, path: str | Path) -> None:

@@ -47,7 +47,6 @@ __all__ = [
     "TrainConfig",
     "TrainResult",
     "TrainingDivergedError",
-    "rescale_network",
     "prune",
     "train",
     "LogisticBaseline",
@@ -59,11 +58,6 @@ __all__ = [
 
 class TrainingDivergedError(RuntimeError):
     """Raised when the logistic baseline's loss becomes non-finite."""
-
-    def __init__(self, epoch: int):
-        super().__init__(f"training loss became non-finite at epoch {epoch}")
-        self.epoch = epoch
-
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -119,24 +113,6 @@ class TrainResult:
     network: Network
     loss_history: list[float]  # initial loss, then the loss after each accepted iteration
     epochs_run: int  # accepted iterations
-
-
-def rescale_network(net: Network, k: float) -> Network:
-    """Multiply every resistance by k and divide every capacitance by k.
-
-    Time constants are invariant, so every potential is too.
-    """
-    if not (math.isfinite(k) and k > 0):
-        raise ValueError(f"scale factor must be > 0, got {k}")
-    neurons = tuple(
-        replace(
-            neuron,
-            capacitance=neuron.capacitance / k,
-            synapses=tuple(replace(s, resistance=s.resistance * k) for s in neuron.synapses),
-        )
-        for neuron in net.neurons
-    )
-    return replace(net, neurons=neurons)
 
 
 _PRUNE_FRACTION = 0.999
@@ -283,8 +259,10 @@ def evaluate_accuracy(
     Ties go to the lowest neuron index, as in :func:`ifcirc.classify`.  A
     nonzero ``noise_sigma`` first passes every potential through
     :func:`ifcirc.perturb_readout`, drawing from ``rng`` sample by sample,
-    neuron by neuron.
+    neuron by neuron; it needs an ``rng``.
     """
+    if noise_sigma != 0.0 and rng is None:
+        raise ValueError("a nonzero noise_sigma needs rng, a numpy Generator to draw from")
     if len(samples) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     labels = net.labels
@@ -297,8 +275,6 @@ def evaluate_accuracy(
         label = exc.args[0]
         raise ValueError(f"sample label {label!r} not among network classes {labels}") from None
     potentials = infer_batch(net, _features(samples))
-    if not np.isfinite(potentials).all():
-        raise ValueError("potentials must be finite")
     if noise_sigma != 0.0:
         potentials = perturb_readout(potentials, noise_sigma, rng, supply_voltage=net.supply_voltage)
     predicted = np.array([index[label] for label in labels])[potentials.argmax(axis=1)]
@@ -324,11 +300,6 @@ class LogisticBaseline:
     weights: np.ndarray  # (2, n_classes)
     bias: np.ndarray  # (n_classes,)
     accuracy: float  # on the held-out set
-
-    def predict(self, features: Sequence[float]) -> str:
-        logits = np.asarray(features, dtype=np.float64) @ self.weights + self.bias
-        return self.classes[int(np.argmax(logits))]
-
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=1, keepdims=True)
@@ -361,11 +332,11 @@ def train_logistic_baseline(
     for epoch in range(_BASELINE_EPOCHS):
         probs = _softmax(x @ weights + bias)
         if not np.all(np.isfinite(probs)):
-            raise TrainingDivergedError(epoch)
+            raise TrainingDivergedError(f"training loss became non-finite at epoch {epoch}")
         grad = probs - y
         weights -= _BASELINE_LEARNING_RATE * (x.T @ grad) / n
         bias -= _BASELINE_LEARNING_RATE * grad.sum(axis=0) / n
 
-    model = LogisticBaseline(classes=classes, weights=weights, bias=bias, accuracy=0.0)
-    hits = sum(1 for s in test_samples if model.predict((s.pitch, s.roll)) == s.label)
-    return replace(model, accuracy=hits / len(test_samples))
+    predicted = (_features(test_samples) @ weights + bias).argmax(axis=1).tolist()
+    hits = sum(classes[k] == s.label for k, s in zip(predicted, test_samples))
+    return LogisticBaseline(classes, weights, bias, accuracy=hits / len(test_samples))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
@@ -51,6 +53,19 @@ def networks(draw, n_classes=3):
         neurons_.append(IFNeuron(label=f"c{ci}", capacitance=cap, synapses=tuple(synapses)))
     v_in = draw(voltages)
     return Network(neurons=tuple(neurons_), n_inputs=n_inputs, supply_voltage=v_in)
+
+
+def rescaled(net, k):
+    """``net`` with every resistance times k and every capacitance over k: same R·C."""
+    neurons = tuple(
+        replace(
+            neuron,
+            capacitance=neuron.capacitance / k,
+            synapses=tuple(replace(s, resistance=s.resistance * k) for s in neuron.synapses),
+        )
+        for neuron in net.neurons
+    )
+    return replace(net, neurons=neurons)
 
 
 @pytest.fixture(scope="session")

@@ -38,7 +38,6 @@ from ifcirc import (
     load_network,
     prune,
     quantize_network,
-    rescale_network,
     response_map,
     round_resistance,
     split,
@@ -47,6 +46,7 @@ from ifcirc import (
 )
 from ifcirc.cli import main as cli_main
 from ifcirc.kernel import duration_matrix, forward, sensitivities
+from conftest import rescaled
 
 
 def _verdict(number: int, description: str, ok: bool, detail: str) -> None:
@@ -212,7 +212,7 @@ def test_criterion_5_rescaling_invariance():
     class_ok = True
     for net in (base, prune(base)):
         for k in (1e-6, 1e-3, 1e3):
-            scaled = rescale_network(net, k)
+            scaled = rescaled(net, k)
             for stimulus in grid:
                 orig = infer_network(net, stimulus)
                 new = infer_network(scaled, stimulus)

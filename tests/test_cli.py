@@ -713,6 +713,30 @@ def test_malformed_model_is_user_error(tmp_path, capsys, edit, message):
     assert "potential" not in out
 
 
+def _tiny_resistance(doc):
+    doc["capacitance"] = 1e300  # keeps G = 1/(R·C) finite, so the model loads
+    doc["neurons"][0]["synapses"][0]["resistance_ohms"] = 5e-324
+    return doc
+
+
+def test_quantize_refuses_a_resistance_below_every_decade(tmp_path):
+    # 10.0 ** floor(log10(5e-324)) is 0.0, and the decade search multiplied 0 by 10 forever
+    model = _model_with(tmp_path, _tiny_resistance)
+    src = str(Path(ifcirc.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ifcirc", "quantize", "--model", str(model),
+         "--out", str(tmp_path / "q.json")],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        "error: resistance 5e-324 ohms is below 1e-307, the lowest decade of the "
+        "one_significant_digit series\n"
+    )
+    assert not (tmp_path / "q.json").exists()
+
+
 # --------------------------- response-map / energy ---------------------------
 
 

@@ -128,20 +128,21 @@ def test_quantize_is_idempotent(bundled_model):
 
 
 def test_perturb_zero_sigma_is_identity():
-    assert perturb_readout(0.4, 0.0, rng=0) == 0.4
+    assert perturb_readout(0.4, 0.0, np.random.default_rng(0)) == 0.4
 
 
 def test_perturb_clamps_to_voltage_range():
-    assert perturb_readout(2.0, 0.0, rng=0) == 1.0
-    assert perturb_readout(-1.0, 0.0, rng=0) == 0.0
-    assert perturb_readout(2.0, 0.0, rng=0, supply_voltage=5.0) == 2.0
+    rng = np.random.default_rng(0)
+    assert perturb_readout(2.0, 0.0, rng) == 1.0
+    assert perturb_readout(-1.0, 0.0, rng) == 0.0
+    assert perturb_readout(2.0, 0.0, rng, supply_voltage=5.0) == 2.0
 
 
 def test_perturb_deterministic_by_seed():
-    a = perturb_readout(0.5, 0.1, rng=7)
-    b = perturb_readout(0.5, 0.1, rng=7)
+    a = perturb_readout(0.5, 0.1, np.random.default_rng(7))
+    b = perturb_readout(0.5, 0.1, np.random.default_rng(7))
     assert a == b
-    assert perturb_readout(0.5, 0.1, rng=8) != a
+    assert perturb_readout(0.5, 0.1, np.random.default_rng(8)) != a
 
 
 def test_perturb_array_draws_what_per_element_calls_draw():
@@ -152,7 +153,7 @@ def test_perturb_array_draws_what_per_element_calls_draw():
     assert noisy.shape == potentials.shape
     assert noisy.tolist() == looped  # bitwise, clamps included
     assert array_rng.random() == looped_rng.random()  # the stream continues in step
-    assert type(perturb_readout(0.5, 0.1, rng=7)) is float
+    assert type(perturb_readout(0.5, 0.1, np.random.default_rng(7))) is float
 
 
 def test_perturb_noise_statistics():
@@ -165,7 +166,7 @@ def test_perturb_noise_statistics():
 
 def test_perturb_rejects_negative_sigma():
     with pytest.raises(ValueError):
-        perturb_readout(0.5, -0.1)
+        perturb_readout(0.5, -0.1, np.random.default_rng(0))
 
 
 # ----------------------------- response maps --------------------------------

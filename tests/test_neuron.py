@@ -6,6 +6,7 @@ forms implemented here.
 """
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -251,6 +252,17 @@ def test_network_dict_schema(bundled_model):
     assert [n["label"] for n in doc["neurons"]] == ["stand", "lie", "sit"]
     first = doc["neurons"][0]["synapses"][0]
     assert set(first) == {"input_index", "polarity", "resistance_ohms"}
+
+
+def test_threshold_is_written_as_half_the_supply_and_read_by_nothing(bundled_model, tmp_path):
+    doc = network_to_dict(bundled_model)
+    doc["threshold"] = 0.3
+    loaded = network_from_dict(doc)
+    assert loaded == bundled_model
+    assert infer_network(loaded, (0.1, 0.2)) == infer_network(bundled_model, (0.1, 0.2))
+    path = tmp_path / "model.json"
+    save_network(replace(bundled_model, supply_voltage=3.0), path)
+    assert json.loads(path.read_text())["threshold"] == 1.5
 
 
 @given(net=networks())

@@ -148,25 +148,26 @@ def perturb_readout(
 
 
 # a 1/1000 grid step fits (1001 x 1001 points); finer grids are refused
-# before anything is allocated, whatever the step a caller asks for
+# before anything is allocated, whatever the step a caller asks for.  A
+# pitch row then has at most 1025 points, which bounds every kernel temporary.
 MAX_GRID_POINTS = 1025**2
-_MAP_BLOCK = 4096  # grid points per kernel call, which bounds every temporary
 
 
 class ResponseMap(Sequence):
     """Read-only (pitch, roll, potentials) rows over a square input grid.
 
     Rows run in row-major order, pitch as the outer loop; ``potentials`` is
-    a fresh list of floats per row.  The potentials live in one
-    (points, classes) array, so a row exists only while a caller holds it.
+    a fresh list of floats per row.  Only the network and the axis are
+    held: iteration runs one kernel call per pitch row and indexing
+    evaluates its one point, so memory stays O(row) whatever the grid.
     """
 
-    def __init__(self, axis: list[float], potentials: np.ndarray) -> None:
+    def __init__(self, net: Network, axis: list[float]) -> None:
+        self._net = net
         self._axis = axis
-        self._potentials = potentials
 
     def __len__(self) -> int:
-        return len(self._potentials)
+        return len(self._axis) ** 2
 
     def __getitem__(self, index: int) -> tuple[float, float, list[float]]:
         i = operator.index(index)
@@ -174,22 +175,23 @@ class ResponseMap(Sequence):
             i += len(self)
         if not 0 <= i < len(self):
             raise IndexError("response map row index out of range")
-        pitch, roll = divmod(i, len(self._axis))
-        return self._axis[pitch], self._axis[roll], self._potentials[i].tolist()
+        p, r = divmod(i, len(self._axis))
+        pitch, roll = self._axis[p], self._axis[r]
+        return pitch, roll, infer_batch(self._net, [(pitch, roll)])[0].tolist()
 
     def __iter__(self) -> Iterator[tuple[float, float, list[float]]]:
-        m = len(self._axis)
-        for p, pitch in enumerate(self._axis):
-            block = self._potentials[p * m : (p + 1) * m].tolist()
-            for roll, potentials in zip(self._axis, block):
+        rolls = np.array(self._axis)
+        for pitch in self._axis:
+            stimuli = np.column_stack([np.full(len(rolls), pitch), rolls])
+            for roll, potentials in zip(self._axis, infer_batch(self._net, stimuli).tolist()):
                 yield pitch, roll, potentials
 
 
 def response_map(net: Network, grid_step: float) -> ResponseMap:
     """Membrane potentials over the full [0,1]^2 input grid, at most MAX_GRID_POINTS.
 
-    Both axes include the endpoints 0 and 1.  One kernel call per block of
-    points keeps temporaries small; each row is bitwise equal to
+    Both axes include the endpoints 0 and 1.  Validates and builds the axis
+    only; the rows are computed as they are read, each bitwise equal to
     :func:`ifcirc.infer_network` at its point.
     """
     if net.n_inputs != 2:
@@ -206,14 +208,7 @@ def response_map(net: Network, grid_step: float) -> ResponseMap:
     axis = [min(i * grid_step, 1.0) for i in range(n_steps + 1)]
     if axis[-1] < 1.0:
         axis.append(1.0)
-    m = len(axis)
-    grid = np.array(axis)
-    potentials = np.empty((m * m, len(net.neurons)))
-    for start in range(0, m * m, _MAP_BLOCK):
-        point = np.arange(start, min(start + _MAP_BLOCK, m * m))
-        stimuli = np.column_stack([grid[point // m], grid[point % m]])
-        potentials[start : start + len(point)] = infer_batch(net, stimuli)
-    return ResponseMap(axis, potentials)
+    return ResponseMap(net, axis)
 
 
 def write_response_map_csv(

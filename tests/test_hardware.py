@@ -6,6 +6,7 @@ charge from rest, derived independently of the per-step balance the
 implementation uses.
 """
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -208,28 +209,39 @@ def test_response_map_is_a_read_only_sequence(bundled_model):
 
 
 @pytest.mark.parametrize("step", [0.25, 0.3, 0.07])
-def test_response_map_blocks_not_dividing_the_grid(bundled_model, monkeypatch, step):
-    whole = list(response_map(bundled_model, step))
-    monkeypatch.setattr(hardware, "_MAP_BLOCK", 7)
+def test_response_map_iterated_rows_equal_indexed_and_point_rows(bundled_model, step):
     rows = response_map(bundled_model, step)
-    assert len(rows) % 7 != 0
-    assert list(rows) == whole
-    for pitch, roll, potentials in rows:
+    listed = list(rows)
+    assert len(listed) == len(rows)
+    for i, (pitch, roll, potentials) in enumerate(listed):
+        assert rows[i] == (pitch, roll, potentials)
         assert potentials == infer_network(bundled_model, (pitch, roll))
 
 
 def test_response_map_caps_the_grid(bundled_model, monkeypatch):
     def no_kernel(*_args):
-        raise AssertionError("a refused grid must not reach the kernel")
+        raise AssertionError("building a map, refused or not, must not reach the kernel")
 
     monkeypatch.setattr(hardware, "infer_batch", no_kernel)
     for step in (1e-6, 5e-324, 0.0009):
         with pytest.raises(ValueError, match="capped at"):
             response_map(bundled_model, step)
-    monkeypatch.undo()
     # the benchmark's and CLI's steps stay well inside the cap
     assert 201**2 < MAX_GRID_POINTS / 10
+    # rows are computed only as they are read
     assert len(response_map(bundled_model, 0.001)) == 1001**2 <= MAX_GRID_POINTS
+
+
+def test_response_map_memory_is_one_row_not_the_grid(bundled_model, tmp_path):
+    # 201**2 points x 3 classes x 8 B = 970 KB if the grid's potentials were held at once
+    tracemalloc.start()
+    try:
+        write_response_map_csv(response_map(bundled_model, 0.005), bundled_model.labels,
+                               tmp_path / "map.csv")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
 
 
 def test_response_map_validation(bundled_model):

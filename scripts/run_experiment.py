@@ -2,7 +2,8 @@
 """Full pipeline on the synthetic posture task, end to end.
 
 Generates a seeded dataset, trains the resistances, compares against the
-logistic baseline, prunes and quantizes the result, and writes every
+nearest-centroid rule (the plug-in Bayes rule for this generator's equal,
+isotropic classes), prunes and quantizes the result, and writes every
 artifact (datasets, models, loss curve, response map, energy report) into
 one output directory.  Rerunning with the same seeds reproduces every file
 byte for byte.
@@ -24,13 +25,13 @@ from ifcirc import (
     evaluate_accuracy,
     generate,
     max_inference_time,
+    nearest_centroid_accuracy,
     prune,
     quantize_network,
     response_map,
     save_network,
     split,
     train,
-    train_logistic_baseline,
     write_csv,
     write_response_map_csv,
 )
@@ -73,8 +74,8 @@ def main():
         f"final loss {result.loss_history[-1]:.6f}, held-out accuracy {accuracy:.4f}"
     )
 
-    baseline = train_logistic_baseline(train_set, test_set)
-    print(f"logistic baseline: held-out accuracy {baseline.accuracy:.4f}")
+    baseline = nearest_centroid_accuracy(train_set, test_set)
+    print(f"nearest-centroid baseline: held-out accuracy {baseline:.4f}")
 
     pruned = prune(result.network)
     save_network(pruned, out / "pruned.json")

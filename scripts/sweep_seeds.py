@@ -7,12 +7,16 @@ quantized circuit: held-out accuracy clean and under readout noise of
 0.05 V (what ``ifcirc eval --noise-sigma 0.05`` reports), the synapses
 :func:`prune` keeps, the mean supply energy per inference at the class
 means in nJ, and the 1st and 50th percentiles of the held-out top-1 −
-top-2 margin in volts.  ``--energy-weight`` and ``--target-high`` set the
-training objective, so runs over a few values trace the energy/accuracy
-frontier.  Projected Levenberg–Marquardt on the log-resistances makes the
-outcome independent of where the log-uniform initialization lands: on the
-default seed-42 split every one of init seeds 0-11 ends at the same loss,
-reaches 1.0 held-out accuracy and prunes to 7 of 18 synapses.
+top-2 margin in volts.  ``bayes_gap`` is the trained model's held-out
+accuracy minus that of the nearest true class mean (``CLASS_MEANS``) on
+the same held-out set; for the generator's equal-size, one-sigma
+isotropic classes that rule is the Bayes classifier.  ``--energy-weight``
+and ``--target-high`` set the training objective, so runs over a few
+values trace the energy/accuracy frontier.  Projected Levenberg–Marquardt
+on the log-resistances makes the outcome independent of where the
+log-uniform initialization lands: on the default seed-42 split every one
+of init seeds 0-11 ends at the same loss, reaches 1.0 held-out accuracy
+and prunes to 7 of 18 synapses.
 
     python3 scripts/sweep_seeds.py --seeds 12
     python3 scripts/sweep_seeds.py --seeds 1 --energy-weight 0 --target-high 1.0
@@ -60,14 +64,23 @@ def margins(net, samples):
     return potentials[:, -1] - potentials[:, -2]
 
 
+def true_mean_accuracy(samples):
+    """Accuracy of the nearest true class mean; ties go to the first class of CLASS_MEANS."""
+    labels, means = list(CLASS_MEANS), np.array(list(CLASS_MEANS.values()))
+    points = np.array([(s.pitch, s.roll) for s in samples])
+    nearest = ((points[:, None] - means) ** 2).sum(axis=2).argmin(axis=1)
+    return statistics.fmean(labels[k] == s.label for k, s in zip(nearest.tolist(), samples))
+
+
 def main():
     args = parse_args()
     samples = generate(DatasetConfig(args.n, args.sigma, args.data_seed))
     train_set, test_set = split(samples, 0.8, seed=args.data_seed)
+    bayes = true_mean_accuracy(test_set)
 
     print(
         f"{'seed':>4}  {'epochs':>6}  {'final loss':>10}  {'accuracy':>8}  {'quantized':>9}  "
-        f"{'noisy':>6}  {'kept':>4}  {'nJ':>7}  {'margin_p1':>9}  {'margin_p50':>10}"
+        f"{'noisy':>6}  {'kept':>4}  {'nJ':>7}  {'margin_p1':>9}  {'margin_p50':>10}  {'bayes_gap':>9}"
     )
     reached = []
     for seed in range(args.seeds):
@@ -93,7 +106,7 @@ def main():
         print(
             f"{seed:>4}  {result.epochs_run:>6}  {result.loss_history[-1]:>10.6f}  "
             f"{accuracy:>8.4f}  {q_accuracy:>9.4f}  {noisy:>6.4f}  {kept:>4}  "
-            f"{supply * 1e9:>7.1f}  {p1:>9.3f}  {p50:>10.3f}{marker}"
+            f"{supply * 1e9:>7.1f}  {p1:>9.3f}  {p50:>10.3f}  {accuracy - bayes:>+9.4f}{marker}"
         )
     print(
         f"{len(reached)}/{args.seeds} seeds reach {args.target} "

@@ -37,14 +37,12 @@ from .dataset import (
     write_csv,
 )
 from .training import (
-    LogisticBaseline,
     TrainConfig,
     TrainResult,
-    TrainingDivergedError,
     evaluate_accuracy,
+    nearest_centroid_accuracy,
     prune,
     train,
-    train_logistic_baseline,
 )
 from .hardware import (
     DEFAULT_CATALOG,

@@ -126,24 +126,25 @@ def write_csv(samples: Iterable[PostureSample], path: str | Path) -> None:
 
 
 def read_csv(path: str | Path) -> list[PostureSample]:
-    samples = []
+    samples, line_no = [], 1
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _CSV_HEADER:
-            raise ValueError(f"{path}: line 1: expected header {','.join(_CSV_HEADER)!r}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ValueError(f"{path}: line {line_no}: expected 3 fields, got {len(row)}")
-            try:
+        try:
+            reader = csv.reader(fh)
+            if next(reader, None) != _CSV_HEADER:
+                raise ValueError(f"expected header {','.join(_CSV_HEADER)!r}")
+            for line_no, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                if len(row) != 3:
+                    raise ValueError(f"expected 3 fields, got {len(row)}")
                 pitch, roll = float(row[0]), float(row[1])
                 if not (math.isfinite(pitch) and math.isfinite(roll)):
                     raise ValueError(f"non-finite value in {row[0]!r},{row[1]!r}")
                 samples.append(PostureSample(pitch, roll, row[2]))
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {line_no}: {exc}") from exc
+        except UnicodeDecodeError as exc:  # raised while reading, at no line of its own
+            raise ValueError(f"{path}: {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {line_no}: {exc}") from exc
     return samples
 
 

@@ -46,18 +46,13 @@ from .neuron import IFNeuron, Network, Polarity, Synapse, infer_batch
 __all__ = [
     "TrainConfig",
     "TrainResult",
-    "TrainingDivergedError",
     "prune",
     "train",
-    "LogisticBaseline",
-    "train_logistic_baseline",
     "evaluate_accuracy",
+    "nearest_centroid_accuracy",
     "write_loss_csv",
 ]
 
-
-class TrainingDivergedError(RuntimeError):
-    """Raised when the logistic baseline's loss becomes non-finite."""
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -289,54 +284,21 @@ def write_loss_csv(history: Sequence[float], path: str | Path) -> None:
             writer.writerow([epoch, repr(loss)])
 
 
-# --------------------------- logistic baseline -----------------------------
-
-_BASELINE_LEARNING_RATE, _BASELINE_EPOCHS, _BASELINE_SEED = 0.5, 2000, 0  # gradient descent
-
-
-@dataclass(frozen=True)
-class LogisticBaseline:
-    classes: tuple[str, ...]
-    weights: np.ndarray  # (2, n_classes)
-    bias: np.ndarray  # (n_classes,)
-    accuracy: float  # on the held-out set
-
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / exp.sum(axis=1, keepdims=True)
-
-
-def train_logistic_baseline(
+def nearest_centroid_accuracy(
     train_samples: Sequence[PostureSample], test_samples: Sequence[PostureSample]
-) -> LogisticBaseline:
-    """Multinomial logistic regression by full-batch gradient descent.
+) -> float:
+    """Accuracy on ``test_samples`` of the nearest class centroid of ``train_samples``.
 
-    Accuracy is measured on the held-out ``test_samples``.
+    The generator's plug-in Bayes rule.  Ties go to the lowest index in first-appearance
+    class order, as in :func:`train`; a held-out label training lacks is a miss.
     """
     if len(train_samples) == 0:
         raise ValueError("cannot train on an empty dataset")
     if len(test_samples) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
-    classes = tuple(dict.fromkeys(s.label for s in train_samples))
-    x = _features(train_samples)
-    y = np.zeros((len(train_samples), len(classes)))
-    index = {label: i for i, label in enumerate(classes)}
-    for row, s in enumerate(train_samples):
-        y[row, index[s.label]] = 1.0
-
-    rng = np.random.Generator(np.random.PCG64(_BASELINE_SEED))
-    weights = rng.normal(0.0, 0.01, size=(x.shape[1], len(classes)))
-    bias = np.zeros(len(classes))
-    n = len(train_samples)
-    for epoch in range(_BASELINE_EPOCHS):
-        probs = _softmax(x @ weights + bias)
-        if not np.all(np.isfinite(probs)):
-            raise TrainingDivergedError(f"training loss became non-finite at epoch {epoch}")
-        grad = probs - y
-        weights -= _BASELINE_LEARNING_RATE * (x.T @ grad) / n
-        bias -= _BASELINE_LEARNING_RATE * grad.sum(axis=0) / n
-
-    predicted = (_features(test_samples) @ weights + bias).argmax(axis=1).tolist()
-    hits = sum(classes[k] == s.label for k, s in zip(predicted, test_samples))
-    return LogisticBaseline(classes, weights, bias, accuracy=hits / len(test_samples))
+    index = {label: i for i, label in enumerate(dict.fromkeys(s.label for s in train_samples))}
+    x, y = _features(train_samples), np.array([index[s.label] for s in train_samples])
+    centroids = np.array([x[y == k].mean(axis=0) for k in range(len(index))])
+    nearest = ((_features(test_samples)[:, None] - centroids) ** 2).sum(axis=2).argmin(axis=1)
+    hits = sum(index.get(s.label) == k for k, s in zip(nearest.tolist(), test_samples))
+    return hits / len(test_samples)

@@ -262,6 +262,15 @@ def test_malformed_config_is_user_error(tmp_path, capsys):
     assert "cfg.json" in err
 
 
+def test_non_utf8_config_names_the_file(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_bytes(b'{"n": 4, "sigma": 0.04, "x": "\xff"}')
+    code, out, err = run_cli(capsys, "gen-data", "--config", cfg_path)
+    assert code == 1
+    assert err.startswith(f"error: config file {cfg_path}: 'utf-8' codec can't decode byte 0xff")
+    assert out == ""
+
+
 def test_missing_config_file_is_user_error(tmp_path, capsys):
     assert run_cli(capsys, "gen-data", "--config", tmp_path / "absent.json")[0] == 1
 
@@ -592,6 +601,15 @@ def test_train_rejects_infinite_csv_field(tmp_path, capsys):
     assert code == 1
     assert err.startswith(f"error: {data}: line 3: non-finite")
     assert not model.exists()
+
+
+def test_non_utf8_csv_names_the_file(tmp_path, capsys):
+    data = tmp_path / "bad.csv"
+    data.write_bytes(b"pitch,roll,label\n0.1,0.2,stand\n\xff,0.0,lie\n")
+    code, out, err = run_cli(capsys, "eval", "--model", "bundled", "--data", data)
+    assert code == 1
+    assert err.startswith(f"error: {data}: 'utf-8' codec can't decode byte 0xff in position 31")
+    assert "accuracy" not in out
 
 
 def test_nan_csv_field_reports_its_line(tmp_path, capsys):

@@ -35,6 +35,8 @@ def test_run_experiment_writes_every_artifact(tmp_path):
     )
     assert lines[0] == "dataset: 72 train / 18 test, sigma=0.04"
     assert lines[1].startswith("trained: 50 epochs in ")
+    baseline = re.fullmatch(r"nearest-centroid baseline: held-out accuracy (\d\.\d{4})", lines[2])
+    assert baseline and 0 <= float(baseline[1]) <= 1
     assert "response map: 25 grid points at step 0.25" in lines
     assert lines[-1] == f"artifacts in {tmp_path}/"
     for name in ("model.json", "pruned.json", "quantized.json"):
@@ -46,13 +48,16 @@ def test_run_experiment_writes_every_artifact(tmp_path):
 
 
 HEADER = ["seed", "epochs", "final", "loss", "accuracy", "quantized", "noisy", "kept", "nJ",
-          "margin_p1", "margin_p50"]
+          "margin_p1", "margin_p50", "bayes_gap"]
 
 
 def test_sweep_seeds_reports_every_seed():
     lines = run_script("sweep_seeds.py", "--seeds", 2, "--epochs", 50)
     assert lines[0].split() == HEADER
     assert [line.split()[:2] for line in lines[1:3]] == [["0", "50"], ["1", "50"]]
+    for line in lines[1:3]:  # on the default seed-42 split the true class means score 1.0
+        row = dict(zip(HEADER[:3] + HEADER[4:], line.split()))
+        assert abs(float(row["bayes_gap"]) - (float(row["accuracy"]) - 1.0)) < 1e-9
     assert re.fullmatch(r"[0-2]/2 seeds reach 0\.95 within 50 epochs: \[[0-9, ]*\]", lines[-1])
     assert len(lines) == 4
 

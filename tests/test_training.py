@@ -32,13 +32,13 @@ from ifcirc import (
     evaluate_accuracy,
     generate,
     infer_network,
+    nearest_centroid_accuracy,
     perturb_readout,
     prune,
     quantize_network,
     save_network,
     split,
     train,
-    train_logistic_baseline,
 )
 from ifcirc.kernel import duration_matrix, forward, sensitivities
 from ifcirc.neuron import infer_batch
@@ -793,25 +793,35 @@ def test_write_loss_csv(tmp_path):
 
 def test_baseline_single_class_is_perfect():
     samples = [PostureSample(0.0, 0.0, "stand") for _ in range(10)]
-    model = train_logistic_baseline(samples, samples)
-    assert model.accuracy == 1.0
+    assert nearest_centroid_accuracy(samples, samples) == 1.0
 
 
 def test_baseline_refuses_an_empty_held_out_set():
     with pytest.raises(ValueError, match="^cannot evaluate on an empty dataset$"):
-        train_logistic_baseline(_quick_dataset(2), [])
+        nearest_centroid_accuracy(_quick_dataset(2), [])
+
+
+def test_baseline_refuses_an_empty_training_set():
+    with pytest.raises(ValueError, match="^cannot train on an empty dataset$"):
+        nearest_centroid_accuracy([], _quick_dataset(2))
 
 
 def test_baseline_separates_quick_dataset():
     train_set = _quick_dataset(40, seed=1)
     test_set = _quick_dataset(10, seed=2)
-    model = train_logistic_baseline(train_set, test_set)
-    assert model.accuracy >= 0.95
+    assert nearest_centroid_accuracy(train_set, test_set) >= 0.95
 
 
 def test_baseline_is_deterministic():
     samples = _quick_dataset(10, seed=4)
-    a = train_logistic_baseline(samples, samples)
-    b = train_logistic_baseline(samples, samples)
-    assert a.accuracy == b.accuracy
-    assert np.array_equal(a.weights, b.weights)
+    train_set, test_set = split(samples, 0.5, seed=4)
+    assert nearest_centroid_accuracy(train_set, test_set) == nearest_centroid_accuracy(
+        train_set, test_set
+    )
+
+
+def test_baseline_ties_go_to_the_first_class_and_unseen_labels_miss():
+    train_set = [PostureSample(0.0, 0.0, "sit"), PostureSample(0.5, 0.0, "stand")]
+    midway = [PostureSample(0.25, 0.0, "sit"), PostureSample(0.25, 0.0, "stand")]
+    assert nearest_centroid_accuracy(train_set, midway) == 0.5  # "sit" appeared first
+    assert nearest_centroid_accuracy(train_set, [PostureSample(0.5, 0.0, "lie")]) == 0.0

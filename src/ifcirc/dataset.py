@@ -128,8 +128,8 @@ def write_csv(samples: Iterable[PostureSample], path: str | Path) -> None:
 def read_csv(path: str | Path) -> list[PostureSample]:
     samples, line_no = [], 1
     with open(path, newline="") as fh:
+        reader = csv.reader(fh)
         try:
-            reader = csv.reader(fh)
             if next(reader, None) != _CSV_HEADER:
                 raise ValueError(f"expected header {','.join(_CSV_HEADER)!r}")
             for line_no, row in enumerate(reader, start=2):
@@ -145,6 +145,8 @@ def read_csv(path: str | Path) -> list[PostureSample]:
             raise ValueError(f"{path}: {exc}") from None
         except ValueError as exc:
             raise ValueError(f"{path}: line {line_no}: {exc}") from exc
+        except csv.Error as exc:  # e.g. a field past csv.field_size_limit(), before its row
+            raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     return samples
 
 

@@ -106,8 +106,8 @@ class TrainConfig:
 @dataclass(frozen=True)
 class TrainResult:
     network: Network
-    loss_history: list[float]  # initial loss, then the loss after each accepted iteration
-    epochs_run: int  # accepted iterations
+    loss_history: list[float]  # each kept fit in turn: its starting loss, one per accepted iteration
+    epochs_run: int  # accepted iterations of every fit, the discarded last refit included
 
 
 _PRUNE_FRACTION = 0.999
@@ -171,38 +171,17 @@ def _loss_and_gradient(
     return loss, -g * dl_dg * 2.0, jac.reshape(*fwd.v.shape, -1)
 
 
-def train(samples: Sequence[PostureSample], cfg: TrainConfig = TrainConfig()) -> TrainResult:
-    """Projected Levenberg–Marquardt on all log-resistances, full batch.
-
-    Every class gets one neuron wired to every input (bias included) with
-    both polarities; dead synapses are removed later by :func:`prune`.
-    Deterministic for a given config.
-    """
-    if len(samples) == 0:
-        raise ValueError("cannot train on an empty dataset")
-    classes = list(dict.fromkeys(s.label for s in samples))
-    features = _features(samples)
-    n_inputs = features.shape[1]
-    n_classes = len(classes)
-
-    durations = duration_matrix(features, 1.0)  # (n, lines), in units of t_max
-    high = 0.6 if cfg.target_high is None else cfg.target_high / cfg.supply_voltage
-    class_index = {label: i for i, label in enumerate(classes)}
-    targets = np.zeros((n_classes, len(samples)))  # fractions of the supply
-    for col, s in enumerate(samples):
-        targets[class_index[s.label], col] = high
-
-    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+def _fit(u: np.ndarray, held: np.ndarray, budget: int, durations: np.ndarray,
+         targets: np.ndarray, cfg: TrainConfig) -> tuple[np.ndarray, list[float]]:
+    """Projected LM from ``u`` for at most ``budget`` accepted iterations, each synapse in
+    ``held`` pinned at ln r_max like a bound; the end point and the loss at each point."""
     log_lo, log_hi = math.log(cfg.r_min), math.log(cfg.r_max)
-    # (polarity, class, line): excitatory in [0], inhibitory in [1]; log-uniform init
-    u = rng.uniform(max(log_lo, math.log(cfg.r_max / _INIT_SPAN)), log_hi,
-                    size=(2, n_classes, n_inputs + 1))
-
+    u, n_classes = np.where(held, log_hi, u), u.shape[1]
     loss, grad, jac = _loss_and_gradient(u, durations, targets, cfg)
-    history, mu, eye = [loss], 1.0, np.eye(2 * (n_inputs + 1))
-    while len(history) <= cfg.epochs and mu <= _MU_MAX:
+    history, mu, eye = [loss], 1.0, np.eye(u.shape[0] * u.shape[2])
+    while len(history) <= budget and mu <= _MU_MAX:
         # per neuron, (classes, 2 * lines) as in J; pin each synapse on a bound pushed outward
-        free = ~(((u <= log_lo) & (grad > 0)) | ((u >= log_hi) & (grad < 0)))
+        free = ~(held | ((u <= log_lo) & (grad > 0)) | ((u >= log_hi) & (grad < 0)))
         free, rhs = (x.transpose(1, 0, 2).reshape(n_classes, -1) for x in (free, -grad))
         hess = jac.transpose(0, 2, 1) @ jac * (2.0 / targets.size)
         a = hess + mu * (np.einsum("cii->ci", hess) + 1e-12)[:, None] * eye
@@ -223,6 +202,55 @@ def train(samples: Sequence[PostureSample], cfg: TrainConfig = TrainConfig()) ->
         mu = max(mu / _MU_DOWN, _MU_MIN)
         if history[-2] - loss <= _REL_TOL * history[-2]:
             break
+    return u, history
+
+
+def train(samples: Sequence[PostureSample], cfg: TrainConfig = TrainConfig()) -> TrainResult:
+    """Projected Levenberg–Marquardt on all log-resistances, full batch, then the
+    fewest synapses that keep the training accuracy of that first fit.
+
+    Every class gets one neuron wired to every input (bias included) with both
+    polarities.  Backward elimination holds at r_max the live synapse whose hold raises
+    the loss least (ties to the lowest flat index) and refits warm, until a refit falls
+    below the first fit's training accuracy and is discarded.  Dropped synapses sit at
+    r_max exactly, for :func:`prune`.  ``cfg.epochs`` caps the accepted iterations of
+    all fits together.  Deterministic for a given config.
+    """
+    if len(samples) == 0:
+        raise ValueError("cannot train on an empty dataset")
+    classes = list(dict.fromkeys(s.label for s in samples))
+    features = _features(samples)
+    n_inputs = features.shape[1]
+
+    durations = duration_matrix(features, 1.0)  # (n, lines), in units of t_max
+    high = 0.6 if cfg.target_high is None else cfg.target_high / cfg.supply_voltage
+    class_index = {label: i for i, label in enumerate(classes)}
+    truth = np.array([class_index[s.label] for s in samples])
+    targets = np.zeros((len(classes), len(samples)))  # fractions of the supply
+    targets[truth, np.arange(len(samples))] = high
+
+    rng = np.random.Generator(np.random.PCG64(cfg.seed))
+    log_lo, log_hi = math.log(cfg.r_min), math.log(cfg.r_max)
+    # (polarity, class, line): excitatory in [0], inhibitory in [1]; log-uniform init
+    u = rng.uniform(max(log_lo, math.log(cfg.r_max / _INIT_SPAN)), log_hi,
+                    size=(2, len(classes), n_inputs + 1))
+
+    def hits(u: np.ndarray) -> int:  # training samples whose argmax neuron is their class
+        g = np.exp(math.log(cfg.t_max) - math.log(cfg.capacitance) - u)
+        return int(np.count_nonzero(forward(durations, g, 1.0).v.argmax(axis=0) == truth))
+
+    held, flat = np.zeros(u.shape, dtype=bool), np.arange(u.size).reshape(u.shape)
+    u, history = _fit(u, held, cfg.epochs, durations, targets, cfg)
+    floor, spent = hits(u), len(history) - 1
+    while spent < cfg.epochs and (u < log_hi).any():
+        costs = [(_loss_and_gradient(np.where(flat == i, log_hi, u), durations, targets, cfg)[0], i)
+                 for i in np.flatnonzero(u < log_hi)]
+        trial_held = held | (flat == min(costs)[1])
+        trial, trial_history = _fit(u, trial_held, cfg.epochs - spent, durations, targets, cfg)
+        spent += len(trial_history) - 1
+        if hits(trial) < floor:
+            break
+        u, held, history = trial, trial_held, history + trial_history
     # a pinned synapse gets its bound exactly: exp(ln r_max) may be an ulp off r_max
     r = np.select([u <= log_lo, u >= log_hi], [cfg.r_min, cfg.r_max], np.exp(u))
     neurons = []
@@ -239,7 +267,7 @@ def train(samples: Sequence[PostureSample], cfg: TrainConfig = TrainConfig()) ->
         supply_voltage=cfg.supply_voltage,
         t_max=cfg.t_max,
     )
-    return TrainResult(network=network, loss_history=history, epochs_run=len(history) - 1)
+    return TrainResult(network=network, loss_history=history, epochs_run=spent)
 
 
 def evaluate_accuracy(

@@ -370,6 +370,9 @@ def test_train_and_eval_round_trip(tmp_path, tiny_csv, capsys):
     net = load_network(model)
     assert net.labels == ("stand", "sit", "lie")
     assert loss.read_text().startswith("epoch,loss")
+    # the history follows the model written, dropped synapses and all
+    final_loss = next(l.split()[1] for l in lines if l.startswith("final_loss"))
+    assert loss.read_text().splitlines()[-1].split(",")[1] == final_loss
 
     code, stdout, _ = run_cli(capsys, "eval", "--model", model, "--data", tiny_csv)
     assert code == 0
@@ -510,6 +513,25 @@ def test_train_refuses_a_largest_time_constant_that_overflows(tmp_path, tiny_csv
     assert not model.exists()
 
 
+@pytest.mark.parametrize("argv, accuracy", [
+    # every line's D·G is below 1e-300: nothing charges, every potential reads 0 V
+    (("--capacitance", "1e300"), "train_accuracy 0.3333333333333333"),
+    # 1e-300 of the supply for the true class is no target: the first fit is at 2/30, and
+    # elimination may then strip every synapse, ties going to the first class
+    (("--target-high", "1e-300"), "train_accuracy 0.3333333333333333"),
+])
+def test_train_writes_a_model_from_a_useless_fit(tmp_path, tiny_csv, capsys, argv, accuracy):
+    # refusing these runs is a policy question; until it is settled they exit 0, and the
+    # model they write works with every command that reads one
+    model = tmp_path / "m.json"
+    code, out, _ = run_cli(capsys, "train", "--data", tiny_csv, *argv, "--out", model)
+    assert code == 0 and accuracy in out.splitlines()
+    assert len(load_network(model).neurons) == 3
+    for command in (("eval", "--data", tiny_csv), ("validate", "--trials", 2),
+                    ("response-map", "--step", 0.5, "--out", tmp_path / "map.csv")):
+        assert run_cli(capsys, command[0], "--model", model, *command[1:])[0] == 0, command
+
+
 def test_train_and_prune_share_a_narrower_box(tmp_path, capsys):
     # train --r-max 5e5 used to fail: its hidden initialization range reached 1e6
     data, held = tmp_path / "train.csv", tmp_path / "test.csv"
@@ -601,6 +623,15 @@ def test_train_rejects_infinite_csv_field(tmp_path, capsys):
     assert code == 1
     assert err.startswith(f"error: {data}: line 3: non-finite")
     assert not model.exists()
+
+
+def test_csv_field_past_the_reader_limit_reports_its_line(tmp_path, capsys):
+    # csv.Error is not a ValueError: a 200,000-character field ended in a traceback
+    data = _csv_with(tmp_path, "x" * 200_000 + ",0.0,lie")
+    code, out, err = run_cli(capsys, "eval", "--model", "bundled", "--data", data)
+    assert code == 1
+    assert err == f"error: {data}: line 3: field larger than field limit (131072)\n"
+    assert "accuracy" not in out
 
 
 def test_non_utf8_csv_names_the_file(tmp_path, capsys):

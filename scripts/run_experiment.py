@@ -33,9 +33,9 @@ from ifcirc import (
     split,
     train,
     write_csv,
+    write_loss_csv,
     write_response_map_csv,
 )
-from ifcirc.training import write_loss_csv
 
 
 def parse_args():

@@ -9,56 +9,12 @@ dead synapses, snap values to a resistor catalog, and account for energy.
 """
 from pathlib import Path
 
-from .neuron import (
-    IFNeuron,
-    Network,
-    Polarity,
-    Slot,
-    StimulationSchedule,
-    Synapse,
-    build_schedule,
-    classify,
-    infer_batch,
-    infer_network,
-    load_network,
-    network_from_dict,
-    network_to_dict,
-    save_network,
-)
-from .oracle import integrate_schedule
-from .dataset import (
-    CLASS_MEANS,
-    CLASSES,
-    DatasetConfig,
-    PostureSample,
-    generate,
-    read_csv,
-    split,
-    write_csv,
-)
-from .training import (
-    TrainConfig,
-    TrainResult,
-    evaluate_accuracy,
-    nearest_centroid_accuracy,
-    prune,
-    train,
-)
-from .hardware import (
-    DEFAULT_CATALOG,
-    EnergyReport,
-    MAX_GRID_POINTS,
-    ResistorCatalog,
-    ResponseMap,
-    energy_per_inference,
-    energy_report_to_dict,
-    max_inference_time,
-    perturb_readout,
-    quantize_network,
-    response_map,
-    round_resistance,
-    write_response_map_csv,
-)
+# each module's __all__ is what the package publishes; ifcirc.kernel stays a submodule
+from .neuron import *
+from .oracle import *
+from .dataset import *
+from .training import *
+from .hardware import *
 
 __version__ = "0.1.0"
 

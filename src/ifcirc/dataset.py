@@ -27,7 +27,7 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -42,12 +42,12 @@ __all__ = [
     "split",
 ]
 
-CLASSES = ("stand", "sit", "lie")
 CLASS_MEANS: dict[str, tuple[float, float]] = {
     "stand": (0.0, 0.0),
     "sit": (0.0, 0.25),
     "lie": (0.5, 0.0),
 }
+CLASSES = tuple(CLASS_MEANS)
 
 _CSV_HEADER = ["pitch", "roll", "label"]
 # 1 - u1 >= 2**-53, so no Box-Muller draw has |z| > sqrt(-2 ln 2**-53) = 8.5717
@@ -116,13 +116,21 @@ def generate(cfg: DatasetConfig) -> list[PostureSample]:
     return samples
 
 
+def _write_rows(path: str | Path, header: Sequence[str], rows: Iterable[Iterable[str]]) -> None:
+    """Write ``header`` and ``rows`` as CSV in csv's default dialect, CRLF line ends.
+
+    Every CSV the package writes goes through here.  Only the header goes
+    through ``csv.writer``, which quotes a label that needs it; a row holds
+    float reprs, ints and class names, which never do, so it is joined directly.
+    """
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerow(header)
+        fh.writelines(",".join(fields) + "\r\n" for fields in rows)
+
+
 def write_csv(samples: Iterable[PostureSample], path: str | Path) -> None:
     """Write samples as CSV; float fields use shortest round-trip repr."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CSV_HEADER)
-        for s in samples:
-            writer.writerow([repr(s.pitch), repr(s.roll), s.label])
+    _write_rows(path, _CSV_HEADER, ((repr(s.pitch), repr(s.roll), s.label) for s in samples))
 
 
 def read_csv(path: str | Path) -> list[PostureSample]:

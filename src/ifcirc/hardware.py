@@ -16,7 +16,6 @@ and dissipated = supply - stored, all from the closed-form kernel.
 """
 from __future__ import annotations
 
-import csv
 import math
 import operator
 import sys
@@ -26,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .dataset import _write_rows
 from .kernel import duration_matrix, energy, forward
 from .neuron import Network, infer_batch
 
@@ -216,19 +216,15 @@ def write_response_map_csv(
     labels: Sequence[str],
     path: str | Path,
 ) -> None:
-    """Write rows as CSV with csv's default dialect; floats use shortest round-trip repr.
+    """Write rows as CSV; floats use shortest round-trip repr."""
 
-    Only the header goes through ``csv.writer``, which quotes a label that
-    needs it; a float's repr never does, so each row is joined directly.
-    """
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerow(["pitch", "roll", *labels])
+    def fields() -> Iterator[Iterator[str]]:
         for pitch, roll, potentials in rows:
             if len(potentials) != len(labels):
-                raise ValueError(
-                    f"row has {len(potentials)} potentials for {len(labels)} labels"
-                )
-            fh.write(",".join(map(repr, (pitch, roll, *potentials))) + "\r\n")
+                raise ValueError(f"row has {len(potentials)} potentials for {len(labels)} labels")
+            yield map(repr, (pitch, roll, *potentials))
+
+    _write_rows(path, ("pitch", "roll", *labels), fields())
 
 
 # -------------------------------- energy -----------------------------------

@@ -30,7 +30,6 @@ can pin synapses at a stationary point of three times the optimal loss.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -38,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import PostureSample
+from .dataset import PostureSample, _write_rows
 from .hardware import perturb_readout
 from .kernel import duration_matrix, forward, sensitivities
 from .neuron import IFNeuron, Network, Polarity, Synapse, infer_batch
@@ -305,11 +304,7 @@ def evaluate_accuracy(
 
 
 def write_loss_csv(history: Sequence[float], path: str | Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "loss"])
-        for epoch, loss in enumerate(history):
-            writer.writerow([epoch, repr(loss)])
+    _write_rows(path, ("epoch", "loss"), ((str(i), repr(loss)) for i, loss in enumerate(history)))
 
 
 def nearest_centroid_accuracy(

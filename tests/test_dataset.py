@@ -180,6 +180,12 @@ def test_csv_header(tmp_path):
     assert path.read_text().splitlines()[0] == "pitch,roll,label"
 
 
+def test_csv_bytes(tmp_path):
+    path = tmp_path / "data.csv"
+    write_csv([PostureSample(0.1, -0.25, "sit"), PostureSample(1e-300, 0.5, "lie")], path)
+    assert path.read_bytes() == b"pitch,roll,label\r\n0.1,-0.25,sit\r\n1e-300,0.5,lie\r\n"
+
+
 def test_read_csv_rejects_wrong_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("roll,pitch,label\n0.1,0.2,stand\n")

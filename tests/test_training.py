@@ -839,10 +839,7 @@ def test_evaluate_accuracy_rejects_unknown_labels(bundled_model):
 def test_write_loss_csv(tmp_path):
     path = tmp_path / "loss.csv"
     write_loss_csv([0.5, 0.25, 0.125], path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "epoch,loss"
-    assert lines[1] == "0,0.5"
-    assert len(lines) == 4
+    assert path.read_bytes() == b"epoch,loss\r\n0,0.5\r\n1,0.25\r\n2,0.125\r\n"
 
 
 # ------------------------------ baseline ------------------------------------

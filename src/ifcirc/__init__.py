@@ -20,5 +20,5 @@ __version__ = "0.1.0"
 
 
 def example_model_path() -> Path:
-    """Path to the bundled dog-posture model (trained, pruned, quantized)."""
+    """Path to the bundled dog-posture model: hand-derived, neither pruned nor quantized."""
     return Path(__file__).parent / "models" / "dog_posture.json"

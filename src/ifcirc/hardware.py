@@ -12,7 +12,8 @@ the supply delivers C * v_in * V_e; the capacitor stores C * V_e^2 / 2 of
 that and the series resistors dissipate the rest.  The inhibitory phase
 draws nothing and turns C * (V_e^2 - V^2) / 2 of the stored energy into
 heat.  Summed over both phases: supply = C * v_in * V_e, stored = C * V^2 / 2
-and dissipated = supply - stored, all from the closed-form kernel.
+and dissipated = supply - stored.  :func:`energy_per_inference` computes
+them here from V_e and V, taken through the same kernel entry as inference.
 """
 from __future__ import annotations
 
@@ -26,8 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import _write_rows
-from .kernel import duration_matrix, energy, forward
-from .neuron import Network, infer_batch
+from .neuron import Network, _forward, infer_batch
 
 __all__ = [
     "E12_MANTISSAS",
@@ -252,41 +252,31 @@ def energy_per_inference(net: Network, stimulus: Sequence[float]) -> EnergyRepor
     Closed form from the module docstring, so the balance holds to roundoff.
     A model whose C * v_in², summed over its neurons, overflows is refused.
     """
-    if len(stimulus) != net.n_inputs:
-        raise ValueError(f"expected {net.n_inputs} inputs, got {len(stimulus)}")
+    fwd = _forward(net, [stimulus])
     v_in = net.supply_voltage
     capacitance = [neuron.capacitance for neuron in net.neurons]
     if not math.isfinite(sum(capacitance) * (v_in * v_in)):  # bounds every joule below
         raise ValueError(f"supply_voltage {v_in!r} V and total capacitance {sum(capacitance)!r}"
                          " F overflow the energy: C*v_in**2 is not finite")
-    fwd = forward(duration_matrix([stimulus], net.t_max), net.conductances, v_in)
-    supply, stored, dissipated = (e[:, 0].tolist() for e in energy(fwd, v_in, capacitance))
-    per_neuron = tuple(
-        NeuronEnergy(label, supply_energy=s, stored_energy=st, dissipated_energy=d)
-        for label, s, st, d in zip(net.labels, supply, stored, dissipated)
-    )
-    return EnergyReport(
-        supply_energy=sum(e.supply_energy for e in per_neuron),
-        stored_energy=sum(e.stored_energy for e in per_neuron),
-        dissipated_energy=sum(e.dissipated_energy for e in per_neuron),
-        per_neuron=per_neuron,
-    )
+    c = np.array(capacitance)
+    supply = c * v_in * fwd.v_e[:, 0]
+    stored = 0.5 * c * fwd.v[:, 0] ** 2
+    joules = [e.tolist() for e in (supply, stored, supply - stored)]
+    return EnergyReport(*map(sum, joules), tuple(map(NeuronEnergy, net.labels, *joules)))
+
+
+def _joules(e: NeuronEnergy | EnergyReport) -> dict:
+    return {
+        "supply_energy_joules": e.supply_energy,
+        "stored_energy_joules": e.stored_energy,
+        "dissipated_energy_joules": e.dissipated_energy,
+    }
 
 
 def energy_report_to_dict(report: EnergyReport) -> dict:
     return {
-        "supply_energy_joules": report.supply_energy,
-        "stored_energy_joules": report.stored_energy,
-        "dissipated_energy_joules": report.dissipated_energy,
-        "per_neuron": [
-            {
-                "label": e.label,
-                "supply_energy_joules": e.supply_energy,
-                "stored_energy_joules": e.stored_energy,
-                "dissipated_energy_joules": e.dissipated_energy,
-            }
-            for e in report.per_neuron
-        ],
+        **_joules(report),
+        "per_neuron": [{"label": e.label, **_joules(e)} for e in report.per_neuron],
     }
 
 

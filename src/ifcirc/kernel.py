@@ -10,8 +10,8 @@ RC transients, so a whole stimulation collapses to
 D holds the stimulation time of every line, bias last, as ``durations``
 of shape (n, lines).  G = 1/(R·C) per synapse, 0 where a line is unwired,
 as ``conductances`` of shape (2, classes, lines), excitatory in [0].
-Results are (classes, n).  Inference, training and energy accounting all
-run this one kernel; training differentiates V through :func:`sensitivities`.
+Results are (classes, n).  Inference and energy accounting read V and V_e;
+training differentiates V through :func:`sensitivities`.
 Each line sum is an explicit loop over the few lines, never a BLAS
 product, and the rest is elementwise, so a sample's potentials come from
 the same float operations whatever the batch shape: a batch row is
@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-__all__ = ["Forward", "duration_matrix", "forward", "sensitivities", "energy"]
+__all__ = ["Forward", "duration_matrix", "forward", "sensitivities"]
 
 
 class Forward(NamedTuple):
@@ -71,14 +71,3 @@ def forward(durations: np.ndarray, conductances: np.ndarray, v_in: float) -> For
 def sensitivities(fwd: Forward, v_in: float) -> np.ndarray:
     """dV/d(D·G) per sample, (2, classes, n): v_in * exp(-D·G_e) * exp(-D·G_i) and -V."""
     return np.stack((v_in * fwd.factors[0] * fwd.factors[1], -fwd.v))
-
-
-def energy(fwd: Forward, v_in: float, capacitance: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Supplied (C * v_in * V_e), stored (C * V^2 / 2) and dissipated joules.
-
-    Each is (classes, n); :mod:`ifcirc.hardware` derives the balance.
-    """
-    c = np.asarray(capacitance, dtype=np.float64)[:, None]
-    supply = c * v_in * fwd.v_e
-    stored = 0.5 * c * fwd.v**2
-    return supply, stored, supply - stored

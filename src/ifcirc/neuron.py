@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .kernel import duration_matrix, forward
+from .kernel import Forward, duration_matrix, forward
 
 __all__ = [
     "Polarity",
@@ -186,15 +186,20 @@ def build_schedule(stimulus: Sequence[float], t_max: float) -> StimulationSchedu
     return StimulationSchedule(tuple(slots))
 
 
+def _forward(net: Network, stimuli: Sequence[Sequence[float]]) -> Forward:
+    """``kernel.forward`` over n input vectors of ``net``; every network evaluation runs here."""
+    durations = duration_matrix(stimuli, net.t_max)
+    if durations.shape[1] != net.n_inputs + 1:
+        raise ValueError(f"expected {net.n_inputs} inputs, got {durations.shape[1] - 1}")
+    return forward(durations, net.conductances, net.supply_voltage)
+
+
 def infer_batch(net: Network, stimuli: Sequence[Sequence[float]]) -> np.ndarray:
     """Membrane potentials, (n, classes), for n input vectors in one kernel call.
 
     Row i is bitwise equal to ``infer_network(net, stimuli[i])``.
     """
-    durations = duration_matrix(stimuli, net.t_max)
-    if durations.shape[1] != net.n_inputs + 1:
-        raise ValueError(f"expected {net.n_inputs} inputs, got {durations.shape[1] - 1}")
-    return forward(durations, net.conductances, net.supply_voltage).v.T
+    return _forward(net, stimuli).v.T
 
 
 def infer_network(net: Network, stimulus: Sequence[float]) -> list[float]:

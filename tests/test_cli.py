@@ -872,6 +872,9 @@ def test_energy_report(tmp_path, capsys):
         report["stored_energy_joules"] + report["dissipated_energy_joules"], rel=1e-9
     )
     assert len(report["per_neuron"]) == 3
+    # byte for byte, so the report's key order and float reprs cannot drift
+    digest = "ed415dc9b3c35bcb43af3013ad11ab168d094c638324fe5cdd979cc28468bd22"
+    assert hashlib.sha256(report_path.read_bytes()).hexdigest() == digest
 
 
 # -------------------------------- validate -----------------------------------

@@ -374,6 +374,14 @@ def test_energy_report_dict_keys(bundled_model):
 def test_energy_rejects_wrong_arity(bundled_model):
     with pytest.raises(ValueError):
         energy_per_inference(bundled_model, (0.5,))
+    with pytest.raises(ValueError, match="expected 2 inputs, got 3"):
+        energy_per_inference(bundled_model, (0.1, 0.2, 0.3))
+    # the width is checked ahead of the C*v_in**2 refusal
+    overflowing = Network(bundled_model.neurons, 2, supply_voltage=1e300)
+    with pytest.raises(ValueError, match="expected 2 inputs, got 3"):
+        energy_per_inference(overflowing, (0.1, 0.2, 0.3))
+    with pytest.raises(ValueError, match="overflow the energy"):
+        energy_per_inference(overflowing, (0.1, 0.2))
 
 
 # ----------------------------- inference time -------------------------------

@@ -107,21 +107,20 @@ def _cmd_gen_data(cfg: dict) -> int:
     holdout = cfg["holdout"]
     if not 0.0 <= holdout < 1.0:
         raise ValueError(f"holdout fraction must be in [0, 1), got {holdout}")
+    outputs = [(samples, cfg["out"])]
     if holdout > 0.0:
         _require(cfg, "holdout_out")
         kept, held = split(samples, 1.0 - holdout, seed=cfg["seed"])
+        outputs = [(kept, cfg["out"]), (held, cfg["holdout_out"])]
         for rows, name in ((kept, "training"), (held, "held-out")):
             if not rows:
                 raise ValueError(
                     f"holdout {holdout!r} with n {cfg['n']} per class leaves the {name} CSV empty"
                 )
-        write_csv(kept, cfg["out"])
-        write_csv(held, cfg["holdout_out"])
-        print(f"wrote {len(kept)} rows to {cfg['out']}")
-        print(f"wrote {len(held)} rows to {cfg['holdout_out']}")
-    else:
-        write_csv(samples, cfg["out"])
-        print(f"wrote {len(samples)} rows to {cfg['out']}")
+    for rows, path in outputs:
+        write_csv(rows, path)
+    for rows, path in outputs:
+        print(f"wrote {len(rows)} rows to {path}")
     return 0
 
 
@@ -212,13 +211,13 @@ def _cmd_energy(cfg: dict) -> int:
     net = _load_model(cfg)
     _require(cfg, "pitch")
     _require(cfg, "roll")
-    report = energy_per_inference(net, (cfg["pitch"], cfg["roll"]))
-    print(f"supply_energy_joules {report.supply_energy!r}")
-    print(f"stored_energy_joules {report.stored_energy!r}")
-    print(f"dissipated_energy_joules {report.dissipated_energy!r}")
+    report = energy_report_to_dict(energy_per_inference(net, (cfg["pitch"], cfg["roll"])))
+    for key, joules in report.items():
+        if key != "per_neuron":
+            print(f"{key} {joules!r}")
     print(f"max_inference_time_s {max_inference_time(net)!r}")
     if cfg["out"] is not None:
-        payload = {"schema_version": 1, **energy_report_to_dict(report)}
+        payload = {"schema_version": 1, **report}
         with open(cfg["out"], "w") as fh:
             fh.write(json.dumps(payload, indent=2) + "\n")
         print(f"wrote report to {cfg['out']}")
@@ -355,7 +354,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if cfg.get("seed", 0) < 0:  # numpy's refusal does not name the setting
             raise ValueError(f"seed must be >= 0, got {cfg['seed']}")
         return handler(cfg)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:  # MemoryError: an input size no array holds
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import _write_rows
-from .neuron import Network, _forward, infer_batch
+from .neuron import Network, _forward, _map_synapses, infer_batch
 
 __all__ = [
     "E12_MANTISSAS",
@@ -116,17 +116,7 @@ def round_resistance(resistance: float, catalog: ResistorCatalog = DEFAULT_CATAL
 
 def quantize_network(net: Network, catalog: ResistorCatalog = DEFAULT_CATALOG) -> Network:
     """Round every synapse resistance to the catalog."""
-    neurons = tuple(
-        replace(
-            neuron,
-            synapses=tuple(
-                replace(s, resistance=round_resistance(s.resistance, catalog))
-                for s in neuron.synapses
-            ),
-        )
-        for neuron in net.neurons
-    )
-    return replace(net, neurons=neurons)
+    return _map_synapses(net, lambda s: replace(s, resistance=round_resistance(s.resistance, catalog)))
 
 
 def perturb_readout(

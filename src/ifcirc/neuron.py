@@ -19,10 +19,10 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -192,6 +192,14 @@ def _forward(net: Network, stimuli: Sequence[Sequence[float]]) -> Forward:
     if durations.shape[1] != net.n_inputs + 1:
         raise ValueError(f"expected {net.n_inputs} inputs, got {durations.shape[1] - 1}")
     return forward(durations, net.conductances, net.supply_voltage)
+
+
+def _map_synapses(net: Network, fn: Callable[[Synapse], Synapse | None]) -> Network:
+    """``net`` with each synapse replaced by ``fn(synapse)``; a synapse mapped to None is dropped."""
+    return replace(net, neurons=tuple(
+        replace(neuron, synapses=tuple(s for s in map(fn, neuron.synapses) if s is not None))
+        for neuron in net.neurons
+    ))
 
 
 def infer_batch(net: Network, stimuli: Sequence[Sequence[float]]) -> np.ndarray:

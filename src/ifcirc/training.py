@@ -31,7 +31,7 @@ can pin synapses at a stationary point of three times the optimal loss.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -40,7 +40,7 @@ import numpy as np
 from .dataset import PostureSample, _write_rows
 from .hardware import perturb_readout
 from .kernel import duration_matrix, forward, sensitivities
-from .neuron import IFNeuron, Network, Polarity, Synapse, infer_batch
+from .neuron import IFNeuron, Network, Polarity, Synapse, _map_synapses, infer_batch
 
 __all__ = [
     "TrainConfig",
@@ -125,11 +125,7 @@ def prune(net: Network, *, r_max: float = TrainConfig.r_max) -> Network:
     if not (math.isfinite(r_max) and r_max > 0):
         raise ValueError(f"r_max must be a finite resistance > 0, got {r_max}")
     cutoff = _PRUNE_FRACTION * r_max
-    neurons = tuple(
-        replace(neuron, synapses=tuple(s for s in neuron.synapses if s.resistance < cutoff))
-        for neuron in net.neurons
-    )
-    return replace(net, neurons=neurons)
+    return _map_synapses(net, lambda s: s if s.resistance < cutoff else None)
 
 
 def _features(samples: Sequence[PostureSample]) -> np.ndarray:
@@ -145,8 +141,9 @@ _MAX_STEP, _MU_DOWN, _MU_UP, _MU_MIN, _MU_MAX, _REL_TOL = 0.5, 3.0, 10.0, 1e-10,
 
 def _loss_and_gradient(
     log_r: np.ndarray, durations: np.ndarray, targets: np.ndarray, cfg: TrainConfig
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Loss, dL/du and J at log-resistances u, (2, classes, lines), over the batch.
+) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """Loss, dL/du, J and the potentials V, (classes, n), at log-resistances u,
+    (2, classes, lines), over the batch.
 
     In supply and window units, ``durations`` in t_max and ``targets`` in v_in.
     L = MSE(V, targets) + energy_weight * mean(V_e); J = dV_c/du[:, c], (c, n, 2 * lines).
@@ -167,16 +164,17 @@ def _loss_and_gradient(
     dl_dg = (weights.reshape(-1, residual.shape[1]) @ durations).reshape(g.shape)
     jac = sens.transpose(1, 2, 0)[..., None] * durations[:, None, :]
     jac *= -g.transpose(1, 0, 2)[:, None]  # dG/du = -G
-    return loss, -g * dl_dg * 2.0, jac.reshape(*fwd.v.shape, -1)
+    return loss, -g * dl_dg * 2.0, jac.reshape(*fwd.v.shape, -1), fwd.v
 
 
 def _fit(u: np.ndarray, held: np.ndarray, budget: int, durations: np.ndarray,
-         targets: np.ndarray, cfg: TrainConfig) -> tuple[np.ndarray, list[float]]:
+         targets: np.ndarray, cfg: TrainConfig) -> tuple[np.ndarray, list[float], np.ndarray]:
     """Projected LM from ``u`` for at most ``budget`` accepted iterations, each synapse in
-    ``held`` pinned at ln r_max like a bound; the end point and the loss at each point."""
+    ``held`` pinned at ln r_max like a bound; the end point, the loss at each point and
+    the potentials V, (classes, n), at the end point."""
     log_lo, log_hi = math.log(cfg.r_min), math.log(cfg.r_max)
     u, n_classes = np.where(held, log_hi, u), u.shape[1]
-    loss, grad, jac = _loss_and_gradient(u, durations, targets, cfg)
+    loss, grad, jac, v = _loss_and_gradient(u, durations, targets, cfg)
     history, mu, eye = [loss], 1.0, np.eye(u.shape[0] * u.shape[2])
     while len(history) <= budget and mu <= _MU_MAX:
         # per neuron, (classes, 2 * lines) as in J; pin each synapse on a bound pushed outward
@@ -192,16 +190,16 @@ def _fit(u: np.ndarray, held: np.ndarray, budget: int, durations: np.ndarray,
             continue
         step = step.reshape(n_classes, 2, -1).transpose(1, 0, 2)
         trial = np.clip(u + np.clip(step, -_MAX_STEP, _MAX_STEP), log_lo, log_hi)
-        trial_loss, trial_grad, trial_jac = _loss_and_gradient(trial, durations, targets, cfg)
+        trial_loss, trial_grad, trial_jac, trial_v = _loss_and_gradient(trial, durations, targets, cfg)
         if not trial_loss <= loss:  # rejected: damp harder; a rejected trial costs no budget
             mu *= _MU_UP
             continue
         history.append(trial_loss)
-        u, loss, grad, jac = trial, trial_loss, trial_grad, trial_jac
+        u, loss, grad, jac, v = trial, trial_loss, trial_grad, trial_jac, trial_v
         mu = max(mu / _MU_DOWN, _MU_MIN)
         if history[-2] - loss <= _REL_TOL * history[-2]:
             break
-    return u, history
+    return u, history, v
 
 
 def train(samples: Sequence[PostureSample], cfg: TrainConfig = TrainConfig()) -> TrainResult:
@@ -234,20 +232,19 @@ def train(samples: Sequence[PostureSample], cfg: TrainConfig = TrainConfig()) ->
     u = rng.uniform(max(log_lo, math.log(cfg.r_max / _INIT_SPAN)), log_hi,
                     size=(2, len(classes), n_inputs + 1))
 
-    def hits(u: np.ndarray) -> int:  # training samples whose argmax neuron is their class
-        g = np.exp(math.log(cfg.t_max) - math.log(cfg.capacitance) - u)
-        return int(np.count_nonzero(forward(durations, g, 1.0).v.argmax(axis=0) == truth))
+    def hits(v: np.ndarray) -> int:  # training samples whose argmax neuron is their class
+        return int(np.count_nonzero(v.argmax(axis=0) == truth))
 
     held, flat = np.zeros(u.shape, dtype=bool), np.arange(u.size).reshape(u.shape)
-    u, history = _fit(u, held, cfg.epochs, durations, targets, cfg)
-    floor, spent = hits(u), len(history) - 1
+    u, history, v = _fit(u, held, cfg.epochs, durations, targets, cfg)
+    floor, spent = hits(v), len(history) - 1
     while spent < cfg.epochs and (u < log_hi).any():
         costs = [(_loss_and_gradient(np.where(flat == i, log_hi, u), durations, targets, cfg)[0], i)
                  for i in np.flatnonzero(u < log_hi)]
         trial_held = held | (flat == min(costs)[1])
-        trial, trial_history = _fit(u, trial_held, cfg.epochs - spent, durations, targets, cfg)
+        trial, trial_history, trial_v = _fit(u, trial_held, cfg.epochs - spent, durations, targets, cfg)
         spent += len(trial_history) - 1
-        if hits(trial) < floor:
+        if hits(trial_v) < floor:
             break
         u, held, history = trial, trial_held, history + trial_history
     # a pinned synapse gets its bound exactly: exp(ln r_max) may be an ulp off r_max

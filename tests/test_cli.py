@@ -661,6 +661,8 @@ def test_prune_bundled(tmp_path, capsys):
     assert "synapses_after 9" in stdout
     assert "max_inference_time_s 0.25" in stdout
     assert sum(len(n.synapses) for n in load_network(out).neurons) == 9
+    digest = "c20f976e35b7c9a93b3f9d8865396d8932ae2f65107e3935f6a24a68eddaf4e7"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_prune_has_no_threshold_fraction(tmp_path, capsys):
@@ -688,6 +690,8 @@ def test_quantize_bundled(tmp_path, capsys):
         for n in net.neurons for s in n.synapses
     }
     assert mantissas <= {float(d) for d in range(1, 10)}
+    digest = "03079e9d974b83231b2ef34a4b6aafd3a342e8a1d2514b93d14f252518bc8044"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_quantize_custom_catalog(tmp_path, capsys):
@@ -922,6 +926,15 @@ def test_validate_refuses_an_endless_march(tmp_path, capsys):
     model = _model_with(tmp_path, lambda doc: {**doc, "t_max": 1e300})
     code, _, err = run_cli(capsys, "validate", "--trials", 1, "--model", model)
     assert code == 1 and "steps" in err and err.startswith("error: integrating")
+
+
+def test_validate_refuses_inputs_no_array_holds(tmp_path, capsys):
+    # 10**15 random inputs need 8 PB: numpy's MemoryError ended in a traceback
+    model = _model_with(tmp_path, lambda doc: {**doc, "n_inputs": 10**15})
+    code, out, err = run_cli(capsys, "validate", "--trials", 1, "--model", model)
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err and "validation" not in out
 
 
 def test_validate_refuses_a_time_constant_without_a_step(tmp_path, capsys):

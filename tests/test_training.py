@@ -88,13 +88,13 @@ def _potentials_and_loss(offset):
 
 
 def test_loss_zero_at_target():
-    loss, grad, _ = _potentials_and_loss((0.0, 0.0, 0.0))
+    loss, grad, _, _ = _potentials_and_loss((0.0, 0.0, 0.0))
     assert loss == 0.0
     assert not grad.any()
 
 
 def test_loss_simple_value():
-    loss, _, _ = _potentials_and_loss((0.5, 0.0, 0.0))
+    loss, _, _, _ = _potentials_and_loss((0.5, 0.0, 0.0))
     assert loss == pytest.approx(0.25 / 3)
 
 
@@ -252,7 +252,7 @@ def test_loss_and_gradient_match_finite_differences_in_log_r(instance):
     log_r, durations, targets, cfg = instance
     v_in, size = cfg.supply_voltage, targets.size
 
-    value, grad, _ = _loss_and_gradient(log_r, durations, targets, cfg)
+    value, grad, _, _ = _loss_and_gradient(log_r, durations, targets, cfg)
     # the loss is the MSE of the potentials infer_batch gives for R = e^u, in units of
     # the supply, plus the energy term; V_e is the potential of the excitatory synapses alone
     def network(polarities):

@@ -8,9 +8,10 @@ quantized circuit: held-out accuracy clean and under readout noise of
 :func:`prune` keeps, the mean supply energy per inference at the class
 means in nJ, and the 1st and 50th percentiles of the held-out top-1 −
 top-2 margin in volts.  ``bayes_gap`` is the trained model's held-out
-accuracy minus that of the nearest true class mean (``CLASS_MEANS``) on
-the same held-out set; for the generator's equal-size, one-sigma
-isotropic classes that rule is the Bayes classifier.  ``--energy-weight``
+accuracy minus that of the nearest true class mean on the same held-out
+set: :func:`nearest_centroid_accuracy` trained on one sample per class,
+placed at its ``CLASS_MEANS`` entry.  For the generator's equal-size,
+one-sigma isotropic classes that rule is the Bayes classifier.  ``--energy-weight``
 and ``--target-high`` set the training objective, so runs over a few
 values trace the energy/accuracy frontier.  Projected Levenberg–Marquardt
 on the log-resistances makes the outcome independent of where the
@@ -31,11 +32,13 @@ import numpy as np
 from ifcirc import (
     CLASS_MEANS,
     DatasetConfig,
+    PostureSample,
     TrainConfig,
     energy_per_inference,
     evaluate_accuracy,
     generate,
     infer_batch,
+    nearest_centroid_accuracy,
     prune,
     quantize_network,
     split,
@@ -66,19 +69,13 @@ def margins(net, samples):
     return potentials[:, -1] - potentials[:, -2]
 
 
-def true_mean_accuracy(samples):
-    """Accuracy of the nearest true class mean; ties go to the first class of CLASS_MEANS."""
-    labels, means = list(CLASS_MEANS), np.array(list(CLASS_MEANS.values()))
-    points = np.array([(s.pitch, s.roll) for s in samples])
-    nearest = ((points[:, None] - means) ** 2).sum(axis=2).argmin(axis=1)
-    return statistics.fmean(labels[k] == s.label for k, s in zip(nearest.tolist(), samples))
-
-
 def main():
     args = parse_args()
     samples = generate(DatasetConfig(args.n, args.sigma, args.data_seed))
     train_set, test_set = split(samples, 0.8, seed=args.data_seed)
-    bayes = true_mean_accuracy(test_set)
+    # the nearest true class mean: each class's one training sample is its mean
+    means = [PostureSample(*mean, label) for label, mean in CLASS_MEANS.items()]
+    bayes = nearest_centroid_accuracy(means, test_set)
 
     print(
         f"{'seed':>4}  {'epochs':>6}  {'final loss':>10}  {'accuracy':>8}  {'quantized':>9}  "

@@ -67,7 +67,7 @@ def _merge_config(args: argparse.Namespace, settings: Sequence[tuple]) -> dict:
         with open(args.config) as fh:
             try:
                 file_cfg = json.load(fh)
-            except ValueError as exc:  # not JSON, or not UTF-8
+            except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
                 raise ValueError(f"config file {args.config}: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise ValueError(f"config file {args.config} must hold a JSON object")

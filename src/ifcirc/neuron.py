@@ -334,7 +334,7 @@ def save_network(net: Network, path: str | Path) -> None:
 def load_network(path: str | Path) -> Network:
     try:
         return network_from_dict(json.loads(Path(path).read_text()))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ValueError(f"{path}: not a valid model file: {exc}") from exc
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -39,7 +39,7 @@ import numpy as np
 
 from .dataset import PostureSample, _write_rows
 from .hardware import perturb_readout
-from .kernel import duration_matrix, forward, sensitivities
+from .kernel import Forward, duration_matrix, forward, sensitivities
 from .neuron import IFNeuron, Network, Polarity, Synapse, _map_synapses, infer_batch
 
 __all__ = [
@@ -139,22 +139,24 @@ _INIT_SPAN = 100.0
 _MAX_STEP, _MU_DOWN, _MU_UP, _MU_MIN, _MU_MAX, _REL_TOL = 0.5, 3.0, 10.0, 1e-10, 1e10, 1e-13
 
 
-def _loss_and_gradient(
-    log_r: np.ndarray, durations: np.ndarray, targets: np.ndarray, cfg: TrainConfig
-) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """Loss, dL/du, J and the potentials V, (classes, n), at log-resistances u,
-    (2, classes, lines), over the batch.
-
-    In supply and window units, ``durations`` in t_max and ``targets`` in v_in.
-    L = MSE(V, targets) + energy_weight * mean(V_e); J = dV_c/du[:, c], (c, n, 2 * lines).
-    Both contract the one :func:`~ifcirc.kernel.sensitivities` array with the durations:
-    dL/dG summed over the batch, J per sample.  A line that never runs (D = 0) gets 0.
-    """
+def _loss(log_r: np.ndarray, durations: np.ndarray, targets: np.ndarray,
+          cfg: TrainConfig) -> tuple[float, np.ndarray, Forward, np.ndarray]:
+    """L = MSE(V, targets) + energy_weight * mean(V_e) at log-resistances u, (2, classes,
+    lines), over the batch, with the rates G, the kernel's :class:`~ifcirc.kernel.Forward`
+    and the residual V - targets; ``durations`` in t_max, ``targets`` and V in v_in."""
     g = np.exp(math.log(cfg.t_max) - math.log(cfg.capacitance) - log_r)
     fwd = forward(durations, g, 1.0)
     residual = fwd.v - targets
     loss = float(np.vdot(residual, residual)) / residual.size
     loss += cfg.energy_weight * float(fwd.v_e.mean())
+    return loss, g, fwd, residual
+
+
+def _gradient(point: tuple, durations: np.ndarray, cfg: TrainConfig) -> tuple[np.ndarray, ...]:
+    """dL/du and J = dV_c/du[:, c], (c, n, 2 * lines), at a point :func:`_loss` returned.
+    Both contract the one :func:`~ifcirc.kernel.sensitivities` array with the durations:
+    dL/dG summed over the batch, J per sample.  A line that never runs (D = 0) gets 0."""
+    _, g, fwd, residual = point
     sens = sensitivities(fwd, 1.0)  # dV/d(D·G)
     # dL/dV and dL/dV_e share the factor 2 / size, its 1 / size taken before the batch sum
     # so the sum cannot overflow; dV_e/d(D·G_e) = exp(-D·G_e), and V_e does not depend on G_i
@@ -164,18 +166,18 @@ def _loss_and_gradient(
     dl_dg = (weights.reshape(-1, residual.shape[1]) @ durations).reshape(g.shape)
     jac = sens.transpose(1, 2, 0)[..., None] * durations[:, None, :]
     jac *= -g.transpose(1, 0, 2)[:, None]  # dG/du = -G
-    return loss, -g * dl_dg * 2.0, jac.reshape(*fwd.v.shape, -1), fwd.v
+    return -g * dl_dg * 2.0, jac.reshape(*fwd.v.shape, -1)
 
 
 def _fit(u: np.ndarray, held: np.ndarray, budget: int, durations: np.ndarray,
          targets: np.ndarray, cfg: TrainConfig) -> tuple[np.ndarray, list[float], np.ndarray]:
     """Projected LM from ``u`` for at most ``budget`` accepted iterations, each synapse in
-    ``held`` pinned at ln r_max like a bound; the end point, the loss at each point and
-    the potentials V, (classes, n), at the end point."""
+    ``held`` pinned at ln r_max like a bound, differentiating the start and accepted points
+    only; the end point, the loss at each point and the potentials V, (classes, n), at the end."""
     log_lo, log_hi = math.log(cfg.r_min), math.log(cfg.r_max)
-    u, n_classes = np.where(held, log_hi, u), u.shape[1]
-    loss, grad, jac, v = _loss_and_gradient(u, durations, targets, cfg)
-    history, mu, eye = [loss], 1.0, np.eye(u.shape[0] * u.shape[2])
+    u, n_classes, eye = np.where(held, log_hi, u), u.shape[1], np.eye(u.shape[0] * u.shape[2])
+    point = _loss(u, durations, targets, cfg)
+    (grad, jac), history, mu = _gradient(point, durations, cfg), [point[0]], 1.0
     while len(history) <= budget and mu <= _MU_MAX:
         # per neuron, (classes, 2 * lines) as in J; pin each synapse on a bound pushed outward
         free = ~(held | ((u <= log_lo) & (grad > 0)) | ((u >= log_hi) & (grad < 0)))
@@ -190,16 +192,16 @@ def _fit(u: np.ndarray, held: np.ndarray, budget: int, durations: np.ndarray,
             continue
         step = step.reshape(n_classes, 2, -1).transpose(1, 0, 2)
         trial = np.clip(u + np.clip(step, -_MAX_STEP, _MAX_STEP), log_lo, log_hi)
-        trial_loss, trial_grad, trial_jac, trial_v = _loss_and_gradient(trial, durations, targets, cfg)
-        if not trial_loss <= loss:  # rejected: damp harder; a rejected trial costs no budget
+        trial_point = _loss(trial, durations, targets, cfg)
+        if not trial_point[0] <= history[-1]:  # rejected: damp harder; it costs no budget
             mu *= _MU_UP
             continue
-        history.append(trial_loss)
-        u, loss, grad, jac, v = trial, trial_loss, trial_grad, trial_jac, trial_v
+        history.append(trial_point[0])
+        u, point, (grad, jac) = trial, trial_point, _gradient(trial_point, durations, cfg)
         mu = max(mu / _MU_DOWN, _MU_MIN)
-        if history[-2] - loss <= _REL_TOL * history[-2]:
+        if history[-2] - history[-1] <= _REL_TOL * history[-2]:
             break
-    return u, history, v
+    return u, history, point[2].v
 
 
 def train(samples: Sequence[PostureSample], cfg: TrainConfig = TrainConfig()) -> TrainResult:
@@ -239,7 +241,7 @@ def train(samples: Sequence[PostureSample], cfg: TrainConfig = TrainConfig()) ->
     u, history, v = _fit(u, held, cfg.epochs, durations, targets, cfg)
     floor, spent = hits(v), len(history) - 1
     while spent < cfg.epochs and (u < log_hi).any():
-        costs = [(_loss_and_gradient(np.where(flat == i, log_hi, u), durations, targets, cfg)[0], i)
+        costs = [(_loss(np.where(flat == i, log_hi, u), durations, targets, cfg)[0], i)
                  for i in np.flatnonzero(u < log_hi)]
         trial_held = held | (flat == min(costs)[1])
         trial, trial_history, trial_v = _fit(u, trial_held, cfg.epochs - spent, durations, targets, cfg)

@@ -1131,3 +1131,15 @@ def test_fuzzed_model_is_never_a_crash(fuzz_dir, data):
     (fuzz_dir / "model.json").write_text(json.dumps(doc))
     for command, *rest in _MODEL_COMMANDS:
         _assert_clean_exit(fuzz_dir, [command, "--model", "model.json", *rest])
+
+
+@pytest.mark.parametrize("option, opening", [("--model", "["), ("--config", '{"a":')],
+                         ids=["model", "config"])
+def test_deeply_nested_json_is_one_error_line(fuzz_dir, option, opening):
+    """A model or config file nested past the decoder's recursion limit is refused."""
+    (fuzz_dir / "deep.json").write_text(opening * 100_000)
+    argv = ["infer", "--model", "bundled", "--pitch", 0.3, "--roll", 0.1, option, "deep.json"]
+    code, _, err = _run_in(fuzz_dir, argv)
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "deep.json" in err and "recursion" in err

@@ -42,7 +42,7 @@ from ifcirc import (
 )
 from ifcirc.kernel import duration_matrix, forward, sensitivities
 from ifcirc.neuron import infer_batch
-from ifcirc.training import _loss_and_gradient, write_loss_csv
+from ifcirc.training import _gradient, _loss, write_loss_csv
 from conftest import rescaled
 
 
@@ -72,29 +72,30 @@ def _train_loss(net, stimulus, targets):
     )
     durations = duration_matrix([stimulus], 1.0)
     targets = np.array(targets)[:, None] / net.supply_voltage
-    return _loss_and_gradient(_log_r(net), durations, targets, cfg)[0]
+    return _loss(_log_r(net), durations, targets, cfg)[0]
 
 
 def _potentials_and_loss(offset):
-    """Potentials of a uniform 3-class network, in units of the supply, and the MSE
-    against them shifted by ``offset``."""
+    """The MSE, and its dL/du, against the potentials of a uniform 3-class network, in
+    units of the supply, shifted by ``offset``."""
     cfg = TrainConfig(energy_weight=0.0)
     log_r = np.full((2, 3, 3), math.log(1e5))
     durations = duration_matrix([(0.3, 0.7)], 1.0)
     # the rates t_max/(R*C) formed as train() forms them, so the targets are met exactly
     rates = np.exp(math.log(cfg.t_max) - math.log(cfg.capacitance) - log_r)
     v = forward(durations, rates, 1.0).v
-    return _loss_and_gradient(log_r, durations, v + np.asarray(offset)[:, None], cfg)
+    point = _loss(log_r, durations, v + np.asarray(offset)[:, None], cfg)
+    return point[0], _gradient(point, durations, cfg)[0]
 
 
 def test_loss_zero_at_target():
-    loss, grad, _, _ = _potentials_and_loss((0.0, 0.0, 0.0))
+    loss, grad = _potentials_and_loss((0.0, 0.0, 0.0))
     assert loss == 0.0
     assert not grad.any()
 
 
 def test_loss_simple_value():
-    loss, _, _, _ = _potentials_and_loss((0.5, 0.0, 0.0))
+    loss, _ = _potentials_and_loss((0.5, 0.0, 0.0))
     assert loss == pytest.approx(0.25 / 3)
 
 
@@ -252,7 +253,8 @@ def test_loss_and_gradient_match_finite_differences_in_log_r(instance):
     log_r, durations, targets, cfg = instance
     v_in, size = cfg.supply_voltage, targets.size
 
-    value, grad, _, _ = _loss_and_gradient(log_r, durations, targets, cfg)
+    point = _loss(log_r, durations, targets, cfg)
+    value, (grad, _) = point[0], _gradient(point, durations, cfg)
     # the loss is the MSE of the potentials infer_batch gives for R = e^u, in units of
     # the supply, plus the energy term; V_e is the potential of the excitatory synapses alone
     def network(polarities):
@@ -307,7 +309,7 @@ def test_jacobian_matches_finite_differences_in_log_r(instance):
     def potentials(u):
         return forward(durations, _rates(u, cfg), 1.0).v
 
-    jac = _loss_and_gradient(log_r, durations, targets, cfg)[2]
+    jac = _gradient(_loss(log_r, durations, targets, cfg), durations, cfg)[1]
     assert jac.shape == (log_r.shape[1], durations.shape[0], 2 * lines)
     h = 1e-6
     for phase, c, line in np.ndindex(log_r.shape):
@@ -714,7 +716,7 @@ def test_returned_point_is_stationary(split_42, seed_sweep):
             for label in result.network.labels
         ])
         log_r = _log_r(result.network)
-        grad = _loss_and_gradient(log_r, durations, targets, cfg)[1]
+        grad = _gradient(_loss(log_r, durations, targets, cfg), durations, cfg)[0]
         pinned = ((log_r <= lo) & (grad > 0)) | ((log_r >= hi) & (grad < 0))
         held = (log_r >= hi) & (grad > 0)
         assert np.count_nonzero(held) <= 2

@@ -65,6 +65,15 @@ class PostureSample:
             raise ValueError(f"label must be one of {CLASSES}, got {self.label!r}")
 
 
+def _check_integer(name: str, value: object, least: int) -> None:
+    """Refuse, by ``name``, a ``value`` that is not an integer or is below ``least``.
+    A bool is refused; numpy integers pass."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+
+
 @dataclass(frozen=True)
 class DatasetConfig:
     n_per_class: int
@@ -80,8 +89,7 @@ class DatasetConfig:
         if not math.isfinite(self.noise_sigma * _MAX_ABS_Z):  # then every sample is finite
             raise ValueError(f"noise_sigma {self.noise_sigma!r} is too large: "
                              f"noise_sigma*{_MAX_ABS_Z} overflows")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        _check_integer("seed", self.seed, 0)
 
 
 # A generated label comes from CLASS_MEANS, so a generated sample skips
@@ -168,6 +176,7 @@ def split(
     """
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
+    _check_integer("seed", seed, 0)
     rng = np.random.Generator(np.random.PCG64(seed))
     by_label: dict[str, list[PostureSample]] = {}
     for s in samples:

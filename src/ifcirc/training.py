@@ -25,8 +25,11 @@ step is projected Levenberg–Marquardt on H = (2/size) JᵀJ, the
 Gauss–Newton matrix of the MSE, J = dV/du, one small block per neuron.
 Synapses on a bound pushed outward stay; the others solve
 (H + mu * (diag H + 1e-12)) delta = -dL/du, the energy term entering by
-the exact gradient only.  delta is capped at 0.5 in ln R: uncapped steps
-can pin synapses at a stationary point of three times the optimal loss.
+the exact gradient only.  Each point a step is sought from is
+differentiated and its system built once; a damping trial only re-solves
+that system with a larger mu.  delta is capped at 0.5 in ln R: uncapped
+steps can pin synapses at a stationary point of three times the optimal
+loss.
 """
 from __future__ import annotations
 
@@ -37,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import PostureSample, _write_rows
+from .dataset import PostureSample, _check_integer, _write_rows
 from .hardware import perturb_readout
 from .kernel import Forward, duration_matrix, forward, sensitivities
 from .neuron import IFNeuron, Network, Polarity, Synapse, _map_synapses, infer_batch
@@ -68,10 +71,8 @@ class TrainConfig:
     supply_voltage: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.epochs <= 0:
-            raise ValueError("epochs must be > 0")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        _check_integer("epochs", self.epochs, 1)
+        _check_integer("seed", self.seed, 0)
         if not 0 < self.r_min < self.r_max < math.inf:
             raise ValueError(f"need 0 < r_min < r_max < inf, got {self.r_min}, {self.r_max}")
         for name in ("capacitance", "t_max", "supply_voltage"):
@@ -172,33 +173,38 @@ def _gradient(point: tuple, durations: np.ndarray, cfg: TrainConfig) -> tuple[np
 def _fit(u: np.ndarray, held: np.ndarray, budget: int, durations: np.ndarray,
          targets: np.ndarray, cfg: TrainConfig) -> tuple[np.ndarray, list[float], np.ndarray]:
     """Projected LM from ``u`` for at most ``budget`` accepted iterations, each synapse in
-    ``held`` pinned at ln r_max like a bound, differentiating the start and accepted points
-    only; the end point, the loss at each point and the potentials V, (classes, n), at the end."""
+    ``held`` pinned at ln r_max like a bound; the end point, the loss at each point and the
+    potentials V, (classes, n), at the end.  The outer loop differentiates each point once
+    and builds its system; the inner loop runs one damping trial per pass, re-damping and
+    re-solving that system, and its ``else`` is the stop at the damping ceiling."""
     log_lo, log_hi = math.log(cfg.r_min), math.log(cfg.r_max)
     u, n_classes, eye = np.where(held, log_hi, u), u.shape[1], np.eye(u.shape[0] * u.shape[2])
     point = _loss(u, durations, targets, cfg)
-    (grad, jac), history, mu = _gradient(point, durations, cfg), [point[0]], 1.0
-    while len(history) <= budget and mu <= _MU_MAX:
+    history, mu = [point[0]], 1.0
+    while len(history) <= budget:
+        grad, jac = _gradient(point, durations, cfg)
         # per neuron, (classes, 2 * lines) as in J; pin each synapse on a bound pushed outward
         free = ~(held | ((u <= log_lo) & (grad > 0)) | ((u >= log_hi) & (grad < 0)))
         free, rhs = (x.transpose(1, 0, 2).reshape(n_classes, -1) for x in (free, -grad))
         hess = jac.transpose(0, 2, 1) @ jac * (2.0 / targets.size)
-        a = hess + mu * (np.einsum("cii->ci", hess) + 1e-12)[:, None] * eye
-        a = np.where(free[:, :, None] & free[:, None], a, eye)  # a pinned synapse steps 0
-        try:
-            step = np.linalg.solve(a, np.where(free, rhs, 0.0)[..., None])
-        except np.linalg.LinAlgError:  # singular in floating point: damp harder
-            mu *= _MU_UP
-            continue
-        step = step.reshape(n_classes, 2, -1).transpose(1, 0, 2)
-        trial = np.clip(u + np.clip(step, -_MAX_STEP, _MAX_STEP), log_lo, log_hi)
-        trial_point = _loss(trial, durations, targets, cfg)
-        if not trial_point[0] <= history[-1]:  # rejected: damp harder; it costs no budget
-            mu *= _MU_UP
-            continue
+        while mu <= _MU_MAX:
+            a = hess + mu * (np.einsum("cii->ci", hess) + 1e-12)[:, None] * eye
+            a = np.where(free[:, :, None] & free[:, None], a, eye)  # a pinned synapse steps 0
+            try:
+                step = np.linalg.solve(a, np.where(free, rhs, 0.0)[..., None])
+            except np.linalg.LinAlgError:  # singular in floating point
+                pass
+            else:
+                step = step.reshape(n_classes, 2, -1).transpose(1, 0, 2)
+                trial = np.clip(u + np.clip(step, -_MAX_STEP, _MAX_STEP), log_lo, log_hi)
+                trial_point = _loss(trial, durations, targets, cfg)
+                if trial_point[0] <= history[-1]:
+                    break
+            mu *= _MU_UP  # singular or rejected: damp harder; it costs no budget
+        else:  # the damping ceiling: no trial from this point lowers the loss
+            break
         history.append(trial_point[0])
-        u, point, (grad, jac) = trial, trial_point, _gradient(trial_point, durations, cfg)
-        mu = max(mu / _MU_DOWN, _MU_MIN)
+        u, point, mu = trial, trial_point, max(mu / _MU_DOWN, _MU_MIN)
         if history[-2] - history[-1] <= _REL_TOL * history[-2]:
             break
     return u, history, point[2].v

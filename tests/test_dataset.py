@@ -164,7 +164,11 @@ def test_config_validation():
             DatasetConfig(n_per_class=n)
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         DatasetConfig(n_per_class=10, seed=-1)
-    assert len(generate(DatasetConfig(n_per_class=np.int64(2)))) == 6
+    # True once generated data; 1.5 failed only inside generate(), in numpy's SeedSequence
+    for seed in (1.5, 2.0, True, False, "3", None):
+        with pytest.raises(ValueError, match=f"^seed must be an integer, got {seed!r}$"):
+            DatasetConfig(n_per_class=10, seed=seed)
+    assert len(generate(DatasetConfig(n_per_class=np.int64(2), seed=np.int64(3)))) == 6
 
 
 def test_csv_round_trip_is_exact(tmp_path):
@@ -230,6 +234,18 @@ def test_split_rejects_bad_fraction():
         split(samples, 1.5, seed=0)
     with pytest.raises(ValueError):
         split(samples, -0.1, seed=0)
+
+
+def test_split_refuses_a_seed_by_name():
+    """numpy raised a TypeError for 1.5 and an unnamed 'expected non-negative integer'
+    for -1."""
+    samples = generate(DatasetConfig(n_per_class=5, seed=0))
+    for seed in (1.5, True, "3", None):
+        with pytest.raises(ValueError, match=f"^seed must be an integer, got {seed!r}$"):
+            split(samples, 0.8, seed)
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+        split(samples, 0.8, -1)
+    assert split(samples, 0.8, np.int64(9)) == split(samples, 0.8, 9)
 
 
 def test_posture_sample_is_frozen():

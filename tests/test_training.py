@@ -40,6 +40,7 @@ from ifcirc import (
     split,
     train,
 )
+from ifcirc import training
 from ifcirc.kernel import duration_matrix, forward, sensitivities
 from ifcirc.neuron import infer_batch
 from ifcirc.training import _gradient, _loss, write_loss_csv
@@ -469,6 +470,13 @@ def test_trainconfig_validation():
     # numpy's PCG64 refused it only inside train(), without naming the seed
     with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
         TrainConfig(seed=-1)
+    # 1.5 failed only inside train(), in numpy's SeedSequence; epochs 2.5 trained 2
+    # iterations and True 1
+    for name in ("epochs", "seed"):
+        for value in (1.5, 2.0, True, False, "3", None):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+                TrainConfig(**{name: value})
+    assert TrainConfig(epochs=np.int64(3), seed=np.uint8(2)).epochs == 3
     # capacitance 0 made every G infinite and the loss non-finite; t_max 0 trained on nothing
     for name in ("capacitance", "t_max"):
         for value in (0.0, -1.0, math.nan, math.inf):
@@ -789,6 +797,50 @@ def test_a_singular_solve_damps_harder_and_training_goes_on(split_42, seed_sweep
     assert len(calls) > 1
     expected = seed_sweep[1][TrainConfig().seed].loss_history[-1]
     assert result.loss_history[-1] == pytest.approx(expected, rel=1e-9)
+
+
+def _counted(monkeypatch, name):
+    """Wrap ``ifcirc.training.<name>`` to record its calls; returns the list of calls made."""
+    fn, calls = getattr(training, name), []
+
+    def counted(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(training, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("failures", [0, 1])
+def test_each_accepted_iteration_is_differentiated_once(split_42, monkeypatch, failures):
+    """A fit differentiates each point it steps from, and no other: a singular solve or
+    a rejected trial adds no call, so the calls are the accepted iterations (205)."""
+    solves = _failing_solve(monkeypatch, failures)
+    gradients = _counted(monkeypatch, "_gradient")
+    result = train(split_42[0], TrainConfig())
+    assert len(solves) > failures
+    assert len(gradients) == result.epochs_run
+
+
+def test_rejected_trials_end_the_fit_at_the_damping_ceiling(monkeypatch):
+    """Every trial raises the loss: the fit tries mu = 1, 10, ..., 1e10, the damping
+    cap, and stops where it began, its start point differentiated once."""
+    losses = []
+
+    def worse(*args):  # the start point as it is, each trial above it
+        point = _loss(*args)
+        losses.append(point[0])
+        return point if len(losses) == 1 else (point[0] + 1.0, *point[1:])
+
+    monkeypatch.setattr(training, "_loss", worse)
+    solves, gradients = _failing_solve(monkeypatch, 0), _counted(monkeypatch, "_gradient")
+    cfg = TrainConfig()
+    durations = duration_matrix(np.array([[0.0, 0.0], [0.5, 0.0]]), 1.0)
+    targets = np.array([[0.6, 0.0], [0.0, 0.6]])
+    u = np.full((2, 2, 3), math.log(cfg.r_max / 10))
+    end, history, _ = training._fit(u, np.zeros(u.shape, dtype=bool), 100, durations, targets, cfg)
+    assert len(solves) == 11 and len(losses) == 12 and len(gradients) == 1
+    assert history == losses[:1] and np.array_equal(end, u)
 
 
 def test_a_solve_that_always_fails_ends_training_without_a_step(monkeypatch):

@@ -15,6 +15,8 @@ import json
 import time
 from pathlib import Path
 
+import numpy as np
+
 from ifcirc import (
     CLASS_MEANS,
     DatasetConfig,
@@ -79,8 +81,7 @@ def main():
 
     pruned = prune(result.network)
     save_network(pruned, out / "pruned.json")
-    kept = sum(len(n.synapses) for n in pruned.neurons)
-    total = sum(len(n.synapses) for n in result.network.neurons)
+    kept, total = (np.count_nonzero(np.isfinite(n.resistances)) for n in (pruned, result.network))
     print(
         f"pruned: {kept}/{total} synapses kept, "
         f"held-out accuracy {evaluate_accuracy(pruned, test_set):.4f}, "

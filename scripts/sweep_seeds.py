@@ -94,7 +94,7 @@ def main():
         q_accuracy = evaluate_accuracy(quantized, test_set)
         rng = np.random.Generator(np.random.PCG64(0))
         noisy = evaluate_accuracy(quantized, test_set, noise_sigma=NOISE_SIGMA, rng=rng)
-        kept = sum(len(n.synapses) for n in pruned.neurons)
+        kept = np.count_nonzero(np.isfinite(pruned.resistances))
         supply = statistics.fmean(
             energy_per_inference(quantized, mean).supply_energy for mean in CLASS_MEANS.values()
         )

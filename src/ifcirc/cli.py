@@ -153,8 +153,7 @@ def _cmd_eval(cfg: dict) -> int:
 def _cmd_prune(cfg: dict) -> int:
     net = _load_model(cfg)
     pruned = prune(net, r_max=cfg["r_max"])
-    before = sum(len(n.synapses) for n in net.neurons)
-    after = sum(len(n.synapses) for n in pruned.neurons)
+    before, after = (np.count_nonzero(np.isfinite(n.resistances)) for n in (net, pruned))
     save_network(pruned, cfg["out"])
     print(f"synapses_before {before}")
     print(f"synapses_after {after}")
@@ -171,13 +170,8 @@ def _cmd_quantize(cfg: dict) -> int:
         raise ValueError("--catalog custom needs --catalog-values")
     catalog = ResistorCatalog(mode=cfg["catalog"], values=values)
     quantized = quantize_network(net, catalog)
+    changed = np.count_nonzero(net.resistances != quantized.resistances)
     save_network(quantized, cfg["out"])
-    changed = sum(
-        1
-        for before, after in zip(net.neurons, quantized.neurons)
-        for s_before, s_after in zip(before.synapses, after.synapses)
-        if s_before.resistance != s_after.resistance
-    )
     print(f"synapses_changed {changed}")
     print(f"wrote model to {cfg['out']}")
     return 0

@@ -74,12 +74,12 @@ class ResistorCatalog:
     values: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "values", tuple(sorted(self.values)))  # an array has no truth value
         if self.mode == "custom":
             if not self.values:
                 raise ValueError("custom catalog needs at least one value")
             if any(not (math.isfinite(v) and v > 0) for v in self.values):
                 raise ValueError("catalog values must be positive and finite")
-            object.__setattr__(self, "values", tuple(sorted(self.values)))
         elif self.mode in _SERIES:
             if self.values:
                 raise ValueError(f"mode {self.mode!r} does not take explicit values")
@@ -243,12 +243,11 @@ def energy_per_inference(net: Network, stimulus: Sequence[float]) -> EnergyRepor
     A model whose C * v_in², summed over its neurons, overflows is refused.
     """
     fwd = _forward(net, [stimulus])
-    v_in = net.supply_voltage
-    capacitance = [neuron.capacitance for neuron in net.neurons]
-    if not math.isfinite(sum(capacitance) * (v_in * v_in)):  # bounds every joule below
-        raise ValueError(f"supply_voltage {v_in!r} V and total capacitance {sum(capacitance)!r}"
+    v_in, c = net.supply_voltage, net.capacitance
+    total = len(net.neurons) * c
+    if not math.isfinite(total * (v_in * v_in)):  # bounds every joule below
+        raise ValueError(f"supply_voltage {v_in!r} V and total capacitance {total!r}"
                          " F overflow the energy: C*v_in**2 is not finite")
-    c = np.array(capacitance)
     supply = c * v_in * fwd.v_e[:, 0]
     stored = 0.5 * c * fwd.v[:, 0] ** 2
     joules = [e.tolist() for e in (supply, stored, supply - stored)]
@@ -274,11 +273,8 @@ def max_inference_time(net: Network) -> float:
     """Worst-case wall time for one inference.
 
     Stimulation slots shared across neurons run once, so the bound is the
-    number of distinct (input line, polarity) pairs that still drive at
-    least one synapse anywhere in the network, times the per-slot maximum.
-    Pruning a synapse everywhere removes its slot from the schedule.
+    number of (polarity, input line) columns of ``net.resistances`` wired in
+    at least one neuron, times the per-slot maximum.  Pruning a synapse
+    everywhere removes its slot from the schedule.
     """
-    live_slots = {
-        (syn.input_index, syn.polarity) for neuron in net.neurons for syn in neuron.synapses
-    }
-    return len(live_slots) * net.t_max
+    return int(np.isfinite(net.resistances).any(axis=1).sum()) * net.t_max

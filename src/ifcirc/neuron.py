@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Callable, Sequence
@@ -104,13 +104,15 @@ class Network:
 
     ``n_inputs`` is the raw input dimensionality; the bias connection sits
     at index ``n_inputs``.  It is stored explicitly because pruning may
-    strip every synapse of some input from some neuron.
+    strip every synapse of some input from some neuron.  Outside this module
+    the wiring is read from ``resistances``, compiled once, and ``capacitance``.
     """
 
     neurons: tuple[IFNeuron, ...]
     n_inputs: int
     supply_voltage: float = 1.0
     t_max: float = 0.05  # max stimulation time per input, seconds
+    capacitance: float = field(init=False)  # farads, one for every neuron; 1e-6 without neurons
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "neurons", tuple(self.neurons))
@@ -127,19 +129,30 @@ class Network:
                         f"synapse input {syn.input_index} out of range for "
                         f"{self.n_inputs} inputs plus bias"
                     )
+        capacitances = sorted({neuron.capacitance for neuron in self.neurons}) or [1e-6]
+        if len(capacitances) > 1:
+            raise ValueError(f"neurons must share one capacitance, got {capacitances} farads")
+        object.__setattr__(self, "capacitance", capacitances[0])
 
     @property
     def labels(self) -> tuple[str, ...]:
         return tuple(n.label for n in self.neurons)
 
     @cached_property
-    def conductances(self) -> np.ndarray:
-        """G = 1/(R·C) per synapse in :mod:`ifcirc.kernel` layout; compiled once, read-only."""
-        g = np.zeros((2, len(self.neurons), self.n_inputs + 1))
+    def resistances(self) -> np.ndarray:
+        """R per synapse in :mod:`ifcirc.kernel` layout, +inf where a line is unwired; read-only."""
+        r = np.full((2, len(self.neurons), self.n_inputs + 1), np.inf)
         for k, neuron in enumerate(self.neurons):
             for syn in neuron.synapses:
-                phase = int(syn.polarity is Polarity.INHIBITORY)
-                g[phase, k, syn.input_index] = 1.0 / (syn.resistance * neuron.capacitance)
+                r[int(syn.polarity is Polarity.INHIBITORY), k, syn.input_index] = syn.resistance
+        r.flags.writeable = False
+        return r
+
+    @cached_property
+    def conductances(self) -> np.ndarray:
+        """G = 1/(R·C) in :mod:`ifcirc.kernel` layout, 0 where a line is unwired; read-only."""
+        with np.errstate(over="ignore"):  # R·C past the largest float: G = 1/inf = 0
+            g = 1.0 / (self.resistances * self.capacitance)
         g.flags.writeable = False
         return g
 
@@ -232,16 +245,12 @@ def classify(potentials: Sequence[float]) -> int:
 
 
 def network_to_dict(net: Network) -> dict:
-    capacitances = {n.capacitance for n in net.neurons}
-    if len(capacitances) > 1:
-        raise ValueError("cannot serialize a network with per-neuron capacitances")
-    capacitance = capacitances.pop() if capacitances else 1e-6
     return {
         "schema_version": MODEL_SCHEMA_VERSION,
         "supply_voltage": net.supply_voltage,
         "t_max": net.t_max,
         "threshold": 0.5 * net.supply_voltage,  # schema 1 carries it; nothing reads it
-        "capacitance": capacitance,
+        "capacitance": net.capacitance,
         "n_inputs": net.n_inputs,
         "neurons": [
             {

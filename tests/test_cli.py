@@ -937,6 +937,17 @@ def test_validate_refuses_inputs_no_array_holds(tmp_path, capsys):
     assert "Traceback" not in err and "validation" not in out
 
 
+@pytest.mark.parametrize("command", ["prune", "quantize"])
+def test_prune_and_quantize_refuse_inputs_no_array_holds(tmp_path, capsys, command):
+    # the wiring table of 10**15 inputs needs 48 PB: both printed counts and exited 0
+    model = _model_with(tmp_path, lambda doc: {**doc, "n_inputs": 10**15})
+    out_path = tmp_path / "out.json"
+    code, out, err = run_cli(capsys, command, "--model", model, "--out", out_path)
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err and "wrote" not in out and not out_path.exists()
+
+
 def test_validate_refuses_a_time_constant_without_a_step(tmp_path, capsys):
     def with_tau(resistance, capacitance):
         def edit(doc):

@@ -35,6 +35,7 @@ from ifcirc import (
     write_response_map_csv,
 )
 from ifcirc import hardware
+from conftest import networks
 
 
 # ------------------------------- catalogs -----------------------------------
@@ -85,6 +86,12 @@ def test_catalog_validation():
         ResistorCatalog("custom", (100.0, -5.0))
     with pytest.raises(ValueError):
         ResistorCatalog("e12", (100.0,))
+    # numpy arrays of values get the catalog's own messages, not numpy's ambiguous truth value
+    with pytest.raises(ValueError, match="custom catalog needs at least one value"):
+        ResistorCatalog("custom", np.array([]))
+    with pytest.raises(ValueError, match="does not take explicit values"):
+        ResistorCatalog("e12", np.array([1.0, 2.0]))
+    assert ResistorCatalog("custom", np.array([2e3, 1e3])).values == (1e3, 2e3)
 
 
 def test_round_rejects_nonpositive():
@@ -395,6 +402,13 @@ def test_max_inference_time_unpruned(bundled_model):
 def test_max_inference_time_pruned(pruned_bundled_model):
     # pruning removes the inhibitory bias slot from every neuron
     assert max_inference_time(pruned_bundled_model) == pytest.approx(0.25)
+
+
+@given(net=networks())
+def test_max_inference_time_counts_each_wired_slot_once(net):
+    slots = {(syn.input_index, syn.polarity) for neuron in net.neurons for syn in neuron.synapses}
+    assert max_inference_time(net) == len(slots) * net.t_max
+    assert type(max_inference_time(net)) is float  # the CLI prints its repr
 
 
 def test_max_inference_time_empty_network():

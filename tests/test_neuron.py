@@ -176,6 +176,30 @@ def test_conductances_compiled_once(bundled_model, pruned_bundled_model):
     assert np.count_nonzero(pruned_bundled_model.conductances) == 9
 
 
+@given(net=networks())
+def test_wiring_table_holds_each_synapse_once(net):
+    """R at each wired (polarity, neuron, line) and +inf elsewhere; G bitwise 1/(R·C) per synapse."""
+    shape = (2, len(net.neurons), net.n_inputs + 1)
+    wired, g = np.zeros(shape, dtype=bool), np.zeros(shape)
+    for k, neuron in enumerate(net.neurons):
+        for syn in neuron.synapses:
+            at = int(syn.polarity is Polarity.INHIBITORY), k, syn.input_index
+            assert net.resistances[at] == syn.resistance
+            wired[at], g[at] = True, 1.0 / (syn.resistance * neuron.capacitance)
+    assert net.resistances.shape == shape
+    assert (np.isfinite(net.resistances) == wired).all()
+    assert net.conductances.tobytes() == g.tobytes()
+    assert not net.resistances.flags.writeable and not net.conductances.flags.writeable
+    assert net.capacitance == net.neurons[0].capacitance
+
+
+def test_conductance_is_zero_where_the_time_constant_overflows():
+    # R·C = 1e310 s is past the largest float: G = 1/(R·C) is 0, and numpy does not warn
+    net = Network((IFNeuron("u", 1e300, (Synapse(0, Polarity.EXCITATORY, 1e10),)),), 1)
+    assert net.resistances[0, 0, 0] == 1e10
+    assert not net.conductances.any()
+
+
 def test_infer_batch_checks_arity(bundled_model):
     with pytest.raises(ValueError, match="expected 2 inputs"):
         infer_batch(bundled_model, [(0.0, 0.0, 0.0)])
@@ -305,11 +329,15 @@ def test_network_from_dict_names_the_bad_synapse(bundled_model, field, value, me
 
 
 def test_heterogeneous_capacitance_is_unserializable():
+    # a network has one capacitance: per-neuron values are refused when it is built
     a = IFNeuron("a", 1e-6, (Synapse(0, Polarity.EXCITATORY, 1e4),))
     b = IFNeuron("b", 2e-6, (Synapse(0, Polarity.EXCITATORY, 1e4),))
-    net = Network(neurons=(a, b), n_inputs=1)
-    with pytest.raises(ValueError):
-        network_to_dict(net)
+    with pytest.raises(ValueError, match=r"one capacitance, got \[1e-06, 2e-06\] farads"):
+        Network(neurons=(a, b), n_inputs=1)
+    net = Network(neurons=(a, replace(b, capacitance=1e-6)), n_inputs=1)
+    assert net.capacitance == 1e-6
+    with pytest.raises(ValueError, match="one capacitance"):
+        replace(net, neurons=(a, b))
 
 
 def test_duplicate_synapse_rejected():

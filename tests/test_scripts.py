@@ -30,21 +30,27 @@ def run_script(name, *argv):
 
 
 def test_run_experiment_writes_every_artifact(tmp_path):
-    lines = run_script(
-        "run_experiment.py", "--n", 30, "--epochs", 50, "--grid-step", 0.25, "--out-dir", tmp_path
-    )
+    first, second = tmp_path / "first", tmp_path / "second"
+    argv = ("--n", 30, "--epochs", 50, "--grid-step", 0.25, "--out-dir")
+    lines = run_script("run_experiment.py", *argv, first)
     assert lines[0] == "dataset: 72 train / 18 test, sigma=0.04"
     assert lines[1].startswith("trained: 50 epochs in ")
     baseline = re.fullmatch(r"nearest-centroid baseline: held-out accuracy (\d\.\d{4})", lines[2])
     assert baseline and 0 <= float(baseline[1]) <= 1
     assert "response map: 25 grid points at step 0.25" in lines
-    assert lines[-1] == f"artifacts in {tmp_path}/"
+    assert lines[-1] == f"artifacts in {first}/"
     for name in ("model.json", "pruned.json", "quantized.json"):
-        assert load_network(tmp_path / name).labels == ("stand", "sit", "lie")
-    assert (tmp_path / "loss.csv").read_text().count("\n") == 1 + 51  # header, 50 epochs + final
-    assert (tmp_path / "response_map.csv").read_text().count("\n") == 1 + 25
-    assert len((tmp_path / "train.csv").read_text().splitlines()) == 1 + 72
-    assert set(json.loads((tmp_path / "energy.json").read_text())) == {"stand", "sit", "lie"}
+        assert load_network(first / name).labels == ("stand", "sit", "lie")
+    assert (first / "loss.csv").read_text().count("\n") == 1 + 51  # header, 50 epochs + final
+    assert (first / "response_map.csv").read_text().count("\n") == 1 + 25
+    assert len((first / "train.csv").read_text().splitlines()) == 1 + 72
+    assert set(json.loads((first / "energy.json").read_text())) == {"stand", "sit", "lie"}
+    # the same seeds reproduce every file byte for byte
+    run_script("run_experiment.py", *argv, second)
+    names = sorted(path.name for path in first.iterdir())
+    assert names == sorted(path.name for path in second.iterdir())
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
 HEADER = ["seed", "epochs", "final", "loss", "accuracy", "quantized", "noisy", "kept", "nJ",

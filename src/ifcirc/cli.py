@@ -206,14 +206,15 @@ def _cmd_energy(cfg: dict) -> int:
     _require(cfg, "pitch")
     _require(cfg, "roll")
     report = energy_report_to_dict(energy_per_inference(net, (cfg["pitch"], cfg["roll"])))
+    if cfg["out"] is not None:  # write first: a failed write prints no result
+        payload = {"schema_version": 1, **report}
+        with open(cfg["out"], "w") as fh:
+            fh.write(json.dumps(payload, indent=2) + "\n")
     for key, joules in report.items():
         if key != "per_neuron":
             print(f"{key} {joules!r}")
     print(f"max_inference_time_s {max_inference_time(net)!r}")
     if cfg["out"] is not None:
-        payload = {"schema_version": 1, **report}
-        with open(cfg["out"], "w") as fh:
-            fh.write(json.dumps(payload, indent=2) + "\n")
         print(f"wrote report to {cfg['out']}")
     return 0
 

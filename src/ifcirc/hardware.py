@@ -21,13 +21,14 @@ import math
 import operator
 import sys
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
 
 from .dataset import _write_rows
-from .neuron import Network, _forward, _map_synapses, infer_batch
+from .neuron import Network, _forward, _network, infer_batch
 
 __all__ = [
     "E12_MANTISSAS",
@@ -116,7 +117,9 @@ def round_resistance(resistance: float, catalog: ResistorCatalog = DEFAULT_CATAL
 
 def quantize_network(net: Network, catalog: ResistorCatalog = DEFAULT_CATALOG) -> Network:
     """Round every synapse resistance to the catalog."""
-    return _map_synapses(net, lambda s: replace(s, resistance=round_resistance(s.resistance, catalog)))
+    r = net.resistances.copy()
+    r[np.isfinite(r)] = [round_resistance(x, catalog) for x in r[np.isfinite(r)].tolist()]
+    return _network(net.labels, r, net.capacitance, net.supply_voltage, net.t_max)
 
 
 def perturb_readout(
@@ -251,7 +254,8 @@ def energy_per_inference(net: Network, stimulus: Sequence[float]) -> EnergyRepor
     supply = c * v_in * fwd.v_e[:, 0]
     stored = 0.5 * c * fwd.v[:, 0] ** 2
     joules = [e.tolist() for e in (supply, stored, supply - stored)]
-    return EnergyReport(*map(sum, joules), tuple(map(NeuronEnergy, net.labels, *joules)))
+    totals = (reduce(operator.add, e, 0) for e in joules)  # from 3.12 builtin sum compensates
+    return EnergyReport(*totals, tuple(map(NeuronEnergy, net.labels, *joules)))
 
 
 def _joules(e: NeuronEnergy | EnergyReport) -> dict:

@@ -19,10 +19,10 @@ from __future__ import annotations
 import enum
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -105,7 +105,7 @@ class Network:
     ``n_inputs`` is the raw input dimensionality; the bias connection sits
     at index ``n_inputs``.  It is stored explicitly because pruning may
     strip every synapse of some input from some neuron.  Outside this module
-    the wiring is read from ``resistances``, compiled once, and ``capacitance``.
+    the wiring is read from ``resistances`` and ``capacitance``, and written by ``_network``.
     """
 
     neurons: tuple[IFNeuron, ...]
@@ -144,7 +144,7 @@ class Network:
         r = np.full((2, len(self.neurons), self.n_inputs + 1), np.inf)
         for k, neuron in enumerate(self.neurons):
             for syn in neuron.synapses:
-                r[int(syn.polarity is Polarity.INHIBITORY), k, syn.input_index] = syn.resistance
+                r[list(Polarity).index(syn.polarity), k, syn.input_index] = syn.resistance
         r.flags.writeable = False
         return r
 
@@ -155,6 +155,24 @@ class Network:
             g = 1.0 / (self.resistances * self.capacitance)
         g.flags.writeable = False
         return g
+
+
+def _network(labels: Sequence[str], resistances: np.ndarray, capacitance: float,
+             supply_voltage: float, t_max: float) -> Network:
+    """The network wired by ``resistances``, laid out as ``Network.resistances``: +inf is unwired.
+
+    Each neuron holds a synapse per finite entry, excitatory first, each phase in ascending
+    line order, as ifcirc writes models; ``tolist`` hands them Python ints and floats, which
+    model JSON takes.  ``n_inputs`` is the table width minus the bias line.
+    """
+    neurons = []
+    for k, label in enumerate(labels):
+        wired = np.isfinite(resistances[:, k])  # (phase, line): its C order is the canonical one
+        phases, lines = np.nonzero(wired)
+        polarities = [list(Polarity)[phase] for phase in phases.tolist()]
+        synapses = map(Synapse, lines.tolist(), polarities, resistances[:, k][wired].tolist())
+        neurons.append(IFNeuron(label, capacitance, tuple(synapses)))
+    return Network(tuple(neurons), resistances.shape[2] - 1, supply_voltage, t_max)
 
 
 @dataclass(frozen=True)
@@ -205,14 +223,6 @@ def _forward(net: Network, stimuli: Sequence[Sequence[float]]) -> Forward:
     if durations.shape[1] != net.n_inputs + 1:
         raise ValueError(f"expected {net.n_inputs} inputs, got {durations.shape[1] - 1}")
     return forward(durations, net.conductances, net.supply_voltage)
-
-
-def _map_synapses(net: Network, fn: Callable[[Synapse], Synapse | None]) -> Network:
-    """``net`` with each synapse replaced by ``fn(synapse)``; a synapse mapped to None is dropped."""
-    return replace(net, neurons=tuple(
-        replace(neuron, synapses=tuple(s for s in map(fn, neuron.synapses) if s is not None))
-        for neuron in net.neurons
-    ))
 
 
 def infer_batch(net: Network, stimuli: Sequence[Sequence[float]]) -> np.ndarray:

@@ -23,7 +23,7 @@ available, from u uniform over its top two decades; a synapse the loss
 wants gone walks to the ceiling, where :func:`prune` removes it.  Each
 step is projected Levenberg–Marquardt on H = (2/size) JᵀJ, the
 Gauss–Newton matrix of the MSE, J = dV/du, one small block per neuron.
-Synapses on a bound pushed outward stay; the others solve
+Each synapse on a bound pushed outward stays; the others solve
 (H + mu * (diag H + 1e-12)) delta = -dL/du, the energy term entering by
 the exact gradient only.  Each point a step is sought from is
 differentiated and its system built once; a damping trial only re-solves
@@ -43,7 +43,7 @@ import numpy as np
 from .dataset import PostureSample, _check_integer, _write_rows
 from .hardware import perturb_readout
 from .kernel import Forward, duration_matrix, forward, sensitivities
-from .neuron import IFNeuron, Network, Polarity, Synapse, _map_synapses, infer_batch
+from .neuron import Network, _network, infer_batch
 
 __all__ = [
     "TrainConfig",
@@ -126,7 +126,8 @@ def prune(net: Network, *, r_max: float = TrainConfig.r_max) -> Network:
     if not (math.isfinite(r_max) and r_max > 0):
         raise ValueError(f"r_max must be a finite resistance > 0, got {r_max}")
     cutoff = _PRUNE_FRACTION * r_max
-    return _map_synapses(net, lambda s: s if s.resistance < cutoff else None)
+    r = np.where(net.resistances < cutoff, net.resistances, np.inf)
+    return _network(net.labels, r, net.capacitance, net.supply_voltage, net.t_max)
 
 
 def _features(samples: Sequence[PostureSample]) -> np.ndarray:
@@ -224,10 +225,7 @@ def train(samples: Sequence[PostureSample], cfg: TrainConfig = TrainConfig()) ->
     if len(samples) == 0:
         raise ValueError("cannot train on an empty dataset")
     classes = list(dict.fromkeys(s.label for s in samples))
-    features = _features(samples)
-    n_inputs = features.shape[1]
-
-    durations = duration_matrix(features, 1.0)  # (n, lines), in units of t_max
+    durations = duration_matrix(_features(samples), 1.0)  # (n, lines), in units of t_max
     high = 0.6 if cfg.target_high is None else cfg.target_high / cfg.supply_voltage
     class_index = {label: i for i, label in enumerate(classes)}
     truth = np.array([class_index[s.label] for s in samples])
@@ -238,7 +236,7 @@ def train(samples: Sequence[PostureSample], cfg: TrainConfig = TrainConfig()) ->
     log_lo, log_hi = math.log(cfg.r_min), math.log(cfg.r_max)
     # (polarity, class, line): excitatory in [0], inhibitory in [1]; log-uniform init
     u = rng.uniform(max(log_lo, math.log(cfg.r_max / _INIT_SPAN)), log_hi,
-                    size=(2, len(classes), n_inputs + 1))
+                    size=(2, len(classes), durations.shape[1]))
 
     def hits(v: np.ndarray) -> int:  # training samples whose argmax neuron is their class
         return int(np.count_nonzero(v.argmax(axis=0) == truth))
@@ -257,20 +255,7 @@ def train(samples: Sequence[PostureSample], cfg: TrainConfig = TrainConfig()) ->
         u, held, history = trial, trial_held, history + trial_history
     # a pinned synapse gets its bound exactly: exp(ln r_max) may be an ulp off r_max
     r = np.select([u <= log_lo, u >= log_hi], [cfg.r_min, cfg.r_max], np.exp(u))
-    neurons = []
-    for ci, label in enumerate(classes):
-        synapses = [
-            Synapse(j, polarity, float(r[phase, ci, j]))
-            for phase, polarity in enumerate(Polarity)
-            for j in range(n_inputs + 1)
-        ]
-        neurons.append(IFNeuron(label=label, capacitance=cfg.capacitance, synapses=tuple(synapses)))
-    network = Network(
-        neurons=tuple(neurons),
-        n_inputs=n_inputs,
-        supply_voltage=cfg.supply_voltage,
-        t_max=cfg.t_max,
-    )
+    network = _network(classes, r, cfg.capacitance, cfg.supply_voltage, cfg.t_max)
     return TrainResult(network=network, loss_history=history, epochs_run=spent)
 
 

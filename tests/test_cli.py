@@ -881,6 +881,18 @@ def test_energy_report(tmp_path, capsys):
     assert hashlib.sha256(report_path.read_bytes()).hexdigest() == digest
 
 
+def test_energy_to_an_unwritable_path_prints_no_report(tmp_path, capsys):
+    # as in every writing subcommand, a failed write leaves stdout at the config line
+    out = tmp_path / "missing" / "energy.json"
+    code, stdout, err = run_cli(
+        capsys, "energy", "--model", "bundled", "--pitch", 0, "--roll", 0, "--out", out
+    )
+    assert code == 1
+    assert len(stdout.splitlines()) == 1 and echoed_config(stdout)["out"] == str(out)
+    assert err.startswith("error: [Errno 2] ") and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 # -------------------------------- validate -----------------------------------
 
 

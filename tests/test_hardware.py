@@ -5,6 +5,7 @@ int i(t)^2 R dt = v_in^2 tau / (2R) * (1 - exp(-2T/tau)) for a single
 charge from rest, derived independently of the per-step balance the
 implementation uses.
 """
+import json
 import math
 import tracemalloc
 
@@ -27,6 +28,7 @@ from ifcirc import (
     energy_report_to_dict,
     infer_network,
     max_inference_time,
+    network_to_dict,
     perturb_readout,
     prune,
     quantize_network,
@@ -130,6 +132,56 @@ def test_quantize_bundled_model_preserves_classification(bundled_model):
 def test_quantize_is_idempotent(bundled_model):
     once = quantize_network(bundled_model)
     assert quantize_network(once) == once
+
+
+# ------------------ prune and quantize rebuild from the table -----------------
+
+
+def _per_synapse(net, fn):
+    """``net`` with each synapse s replaced by ``fn(s)``, None dropping it, sorted canonically."""
+    phases = [Polarity.EXCITATORY, Polarity.INHIBITORY]
+    neurons = []
+    for neuron in net.neurons:
+        kept = [s for s in map(fn, neuron.synapses) if s is not None]
+        kept.sort(key=lambda s: (phases.index(s.polarity), s.input_index))
+        neurons.append(IFNeuron(neuron.label, neuron.capacitance, tuple(kept)))
+    return Network(tuple(neurons), net.n_inputs, net.supply_voltage, net.t_max)
+
+
+def _same_model(got, want):
+    # json.dumps refuses numpy integers, and the model file holds the synapse order
+    assert got == want
+    assert json.dumps(network_to_dict(got)) == json.dumps(network_to_dict(want))
+
+
+@given(net=networks(), r_max=st.floats(1e3, 1e6))
+def test_prune_matches_a_per_synapse_reference(net, r_max):
+    want = _per_synapse(net, lambda s: s if s.resistance < 0.999 * r_max else None)
+    _same_model(prune(net, r_max=r_max), want)
+
+
+@pytest.mark.parametrize("catalog", [DEFAULT_CATALOG, ResistorCatalog("e24")], ids=["default", "e24"])
+@given(net=networks())
+def test_quantize_matches_a_per_synapse_reference(net, catalog):
+    want = _per_synapse(net, lambda s: Synapse(
+        s.input_index, s.polarity, round_resistance(s.resistance, catalog)))
+    _same_model(quantize_network(net, catalog), want)
+
+
+def test_prune_and_quantize_write_canonical_order():
+    reversed_order = (
+        Synapse(2, Polarity.INHIBITORY, 4321.0),
+        Synapse(0, Polarity.INHIBITORY, 5e5),
+        Synapse(1, Polarity.EXCITATORY, 1234.0),
+        Synapse(0, Polarity.EXCITATORY, 2e4),
+    )
+    net = Network((IFNeuron("u", 1e-6, reversed_order),), n_inputs=2)
+    canonical = [(0, Polarity.EXCITATORY), (1, Polarity.EXCITATORY),
+                 (0, Polarity.INHIBITORY), (2, Polarity.INHIBITORY)]
+    for rebuilt in (prune(net), quantize_network(net)):
+        assert [(s.input_index, s.polarity) for s in rebuilt.neurons[0].synapses] == canonical
+    assert [s.resistance for s in quantize_network(net).neurons[0].synapses] == [
+        2e4, 1000.0, 5e5, 4000.0]
 
 
 # ----------------------------- readout noise --------------------------------
@@ -352,11 +404,43 @@ def test_energy_is_conserved(bundled_model, pitch, roll):
     assert report.dissipated_energy >= 0
 
 
+# the class means make a compensated sum differ from a left fold in each of the three totals
+_ENERGY_STIMULI = (*CLASS_MEANS.values(), (0.3, 0.7), (0.5, 0.5))
+_TOTALS = ("supply_energy", "stored_energy", "dissipated_energy")
+
+
+def _left_fold(values):
+    total = 0
+    for value in values:
+        total = total + value
+    return total
+
+
 def test_energy_per_neuron_sums_to_totals(bundled_model):
-    report = energy_per_inference(bundled_model, (0.3, 0.7))
-    assert len(report.per_neuron) == 3
-    assert report.supply_energy == sum(e.supply_energy for e in report.per_neuron)
-    assert [e.label for e in report.per_neuron] == ["stand", "lie", "sit"]
+    for stimulus in _ENERGY_STIMULI:
+        report = energy_per_inference(bundled_model, stimulus)
+        assert len(report.per_neuron) == 3
+        for name in _TOTALS:
+            assert getattr(report, name) == _left_fold(getattr(e, name) for e in report.per_neuron)
+        assert [e.label for e in report.per_neuron] == ["stand", "lie", "sit"]
+
+
+def test_energy_totals_do_not_follow_builtin_sum(bundled_model, monkeypatch):
+    # from Python 3.12 builtin sum of floats is compensated; the totals, and the pinned
+    # energy report, must keep their bytes there, so a compensated sum in place of the
+    # builtin may not move them
+    reports = [energy_per_inference(bundled_model, stimulus) for stimulus in _ENERGY_STIMULI]
+    for name in _TOTALS:  # the case has teeth: fsum and a left fold differ on each total
+        assert any(math.fsum(getattr(e, name) for e in r.per_neuron) != getattr(r, name)
+                   for r in reports)
+    monkeypatch.setattr(hardware, "sum", math.fsum, raising=False)
+    assert [energy_per_inference(bundled_model, stimulus) for stimulus in _ENERGY_STIMULI] == reports
+
+
+def test_energy_of_an_empty_network_totals_integer_zero():
+    report = energy_per_inference(Network(neurons=(), n_inputs=2), (0.5, 0.5))
+    assert report == hardware.EnergyReport(0, 0, 0, ())
+    assert all(type(getattr(report, name)) is int for name in _TOTALS)
 
 
 def test_energy_stored_matches_final_potential(bundled_model):

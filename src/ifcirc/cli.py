@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import fields
 from typing import Sequence
@@ -25,7 +24,15 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__, example_model_path
-from .dataset import DatasetConfig, generate, read_csv, split, write_csv
+from .dataset import (
+    DatasetConfig,
+    _check_integer,
+    _check_real,
+    generate,
+    read_csv,
+    split,
+    write_csv,
+)
 from .hardware import (
     ResistorCatalog,
     energy_per_inference,
@@ -220,10 +227,8 @@ def _cmd_energy(cfg: dict) -> int:
 
 
 def _cmd_validate(cfg: dict) -> int:
-    if cfg["trials"] < 1:
-        raise ValueError(f"trials must be >= 1, got {cfg['trials']}")
-    if not (math.isfinite(cfg["tolerance"]) and cfg["tolerance"] >= 0.0):
-        raise ValueError(f"tolerance must be a finite number >= 0, got {cfg['tolerance']}")
+    _check_integer("trials", cfg["trials"], 1)
+    _check_real("tolerance", cfg["tolerance"], zero=True)
     net = _load_model(cfg)
     rng = _rng(cfg["seed"])
     worst = 0.0
@@ -346,8 +351,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         cfg = _merge_config(args, settings)
         print("config", json.dumps(cfg, sort_keys=True))
-        if cfg.get("seed", 0) < 0:  # numpy's refusal does not name the setting
-            raise ValueError(f"seed must be >= 0, got {cfg['seed']}")
+        if "seed" in cfg:  # numpy's refusal does not name the setting
+            _check_integer("seed", cfg["seed"], 0)
         return handler(cfg)
     except (ValueError, OSError, MemoryError) as exc:  # MemoryError: an input size no array holds
         print(f"error: {exc}", file=sys.stderr)

@@ -74,6 +74,15 @@ def _check_integer(name: str, value: object, least: int) -> None:
         raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
+def _check_real(name: str, value: object, zero: bool = False) -> None:
+    """Refuse, by ``name``, a ``value`` that is not a finite number > 0 (>= 0 if ``zero``).
+    A bool is refused; numpy floats and integers pass."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not (math.isfinite(value) and (value >= 0 if zero else value > 0))):
+        floor = ">= 0" if zero else "> 0"
+        raise ValueError(f"{name} must be a finite number {floor}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DatasetConfig:
     n_per_class: int
@@ -81,11 +90,8 @@ class DatasetConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        n = self.n_per_class
-        if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n <= 0:
-            raise ValueError(f"n_per_class must be an integer > 0, got {n!r}")
-        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
-            raise ValueError(f"noise_sigma must be a finite number >= 0, got {self.noise_sigma}")
+        _check_integer("n_per_class", self.n_per_class, 1)
+        _check_real("noise_sigma", self.noise_sigma, zero=True)
         if not math.isfinite(self.noise_sigma * _MAX_ABS_Z):  # then every sample is finite
             raise ValueError(f"noise_sigma {self.noise_sigma!r} is too large: "
                              f"noise_sigma*{_MAX_ABS_Z} overflows")

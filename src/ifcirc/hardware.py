@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataset import _write_rows
+from .dataset import _check_real, _write_rows
 from .neuron import Network, _forward, _network, infer_batch
 
 __all__ = [
@@ -79,8 +79,8 @@ class ResistorCatalog:
         if self.mode == "custom":
             if not self.values:
                 raise ValueError("custom catalog needs at least one value")
-            if any(not (math.isfinite(v) and v > 0) for v in self.values):
-                raise ValueError("catalog values must be positive and finite")
+            for value in self.values:
+                _check_real("catalog value", value)
         elif self.mode in _SERIES:
             if self.values:
                 raise ValueError(f"mode {self.mode!r} does not take explicit values")
@@ -110,8 +110,7 @@ DEFAULT_CATALOG = ResistorCatalog()
 
 def round_resistance(resistance: float, catalog: ResistorCatalog = DEFAULT_CATALOG) -> float:
     """Snap a resistance to the nearest catalog value (ties go larger)."""
-    if not (math.isfinite(resistance) and resistance > 0):
-        raise ValueError(f"resistance must be positive and finite, got {resistance}")
+    _check_real("resistance", resistance)
     return min(catalog.candidates(resistance), key=lambda c: (abs(c - resistance), -c))
 
 
@@ -133,8 +132,7 @@ def perturb_readout(
 
     An array of potentials draws its noise in C order, as one call per element would.
     """
-    if not (math.isfinite(sigma) and sigma >= 0):
-        raise ValueError(f"sigma must be a finite number >= 0, got {sigma}")
+    _check_real("sigma", sigma, zero=True)
     if isinstance(potential, np.ndarray):  # one draw call; a float stays on the cheaper scalar path
         return np.clip(potential + rng.normal(0.0, sigma, potential.shape), 0.0, supply_voltage)
     return min(max(potential + float(rng.normal(0.0, sigma)), 0.0), supply_voltage)
@@ -254,7 +252,7 @@ def energy_per_inference(net: Network, stimulus: Sequence[float]) -> EnergyRepor
     supply = c * v_in * fwd.v_e[:, 0]
     stored = 0.5 * c * fwd.v[:, 0] ** 2
     joules = [e.tolist() for e in (supply, stored, supply - stored)]
-    totals = (reduce(operator.add, e, 0) for e in joules)  # from 3.12 builtin sum compensates
+    totals = (reduce(operator.add, e) for e in joules)  # from 3.12 builtin sum compensates
     return EnergyReport(*totals, tuple(map(NeuronEnergy, net.labels, *joules)))
 
 

@@ -26,6 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .dataset import _check_integer, _check_real
 from .kernel import Forward, duration_matrix, forward
 
 __all__ = [
@@ -62,10 +63,8 @@ class Synapse:
     resistance: float  # ohms
 
     def __post_init__(self) -> None:
-        if self.input_index < 0:
-            raise ValueError(f"input_index must be >= 0, got {self.input_index}")
-        if not (math.isfinite(self.resistance) and self.resistance > 0):
-            raise ValueError(f"resistance must be a positive real, got {self.resistance}")
+        _check_integer("input_index", self.input_index, 0)
+        _check_real("resistance", self.resistance)
 
 
 @dataclass(frozen=True)
@@ -77,8 +76,7 @@ class IFNeuron:
     synapses: tuple[Synapse, ...]
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.capacitance) and self.capacitance > 0):
-            raise ValueError(f"capacitance must be a positive real, got {self.capacitance}")
+        _check_real("capacitance", self.capacitance)
         object.__setattr__(self, "synapses", tuple(self.synapses))
         seen = set()
         for syn in self.synapses:
@@ -112,16 +110,15 @@ class Network:
     n_inputs: int
     supply_voltage: float = 1.0
     t_max: float = 0.05  # max stimulation time per input, seconds
-    capacitance: float = field(init=False)  # farads, one for every neuron; 1e-6 without neurons
+    capacitance: float = field(init=False)  # farads, one for every neuron
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "neurons", tuple(self.neurons))
-        if self.n_inputs < 0:
-            raise ValueError("n_inputs must be >= 0")
-        if not (math.isfinite(self.supply_voltage) and self.supply_voltage > 0):
-            raise ValueError(f"supply_voltage must be > 0, got {self.supply_voltage}")
-        if not (math.isfinite(self.t_max) and self.t_max > 0):
-            raise ValueError(f"t_max must be > 0, got {self.t_max}")
+        if not self.neurons:
+            raise ValueError("a network needs at least one neuron")
+        _check_integer("n_inputs", self.n_inputs, 0)
+        _check_real("supply_voltage", self.supply_voltage)
+        _check_real("t_max", self.t_max)
         for neuron in self.neurons:
             for syn in neuron.synapses:
                 if syn.input_index > self.n_inputs:
@@ -129,7 +126,7 @@ class Network:
                         f"synapse input {syn.input_index} out of range for "
                         f"{self.n_inputs} inputs plus bias"
                     )
-        capacitances = sorted({neuron.capacitance for neuron in self.neurons}) or [1e-6]
+        capacitances = sorted({neuron.capacitance for neuron in self.neurons})
         if len(capacitances) > 1:
             raise ValueError(f"neurons must share one capacitance, got {capacitances} farads")
         object.__setattr__(self, "capacitance", capacitances[0])
@@ -184,8 +181,7 @@ class Slot:
     duration: float  # seconds
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.duration) and self.duration >= 0.0):
-            raise ValueError(f"slot duration must be >= 0, got {self.duration}")
+        _check_real("slot duration", self.duration, zero=True)
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from itertools import chain, repeat
 
+from .dataset import _check_real
 from .neuron import IFNeuron, Polarity, StimulationSchedule
 
 __all__ = ["integrate_schedule"]
@@ -62,8 +63,7 @@ def integrate_schedule(
     Each slot is stepped at its own time constant R * C over ``step_divisor``,
     so every transient is resolved alike, whatever the neuron's other synapses.
     """
-    if not (math.isfinite(step_divisor) and step_divisor > 0):
-        raise ValueError(f"step divisor must be a finite number > 0, got {step_divisor}")
+    _check_real("step divisor", step_divisor)
     if math.isinf(1.0 / step_divisor):
         raise ValueError(
             f"step divisor {step_divisor!r} is too small: the step 1/divisor overflows"

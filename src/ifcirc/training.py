@@ -40,7 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import PostureSample, _check_integer, _write_rows
+from .dataset import PostureSample, _check_integer, _check_real, _write_rows
 from .hardware import perturb_readout
 from .kernel import Forward, duration_matrix, forward, sensitivities
 from .neuron import Network, _network, infer_batch
@@ -76,9 +76,7 @@ class TrainConfig:
         if not 0 < self.r_min < self.r_max < math.inf:
             raise ValueError(f"need 0 < r_min < r_max < inf, got {self.r_min}, {self.r_max}")
         for name in ("capacitance", "t_max", "supply_voltage"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be a finite number > 0, got {value}")
+            _check_real(name, getattr(self, name))
         # the box in units of t_max, and its reciprocal: training forms the rates
         # t_max/(R*C), the trained network the conductances 1/(R*C)
         rc_min = self.r_min * self.capacitance
@@ -97,10 +95,7 @@ class TrainConfig:
                 )
             if not self.target_high > 0:  # the other classes target 0 V
                 raise ValueError(f"target_high must be > 0, got {self.target_high}")
-        if not (math.isfinite(self.energy_weight) and self.energy_weight >= 0):
-            raise ValueError(
-                f"energy_weight must be a finite number >= 0, got {self.energy_weight}"
-            )
+        _check_real("energy_weight", self.energy_weight, zero=True)
 
 
 @dataclass(frozen=True)
@@ -123,8 +118,7 @@ def prune(net: Network, *, r_max: float = TrainConfig.r_max) -> Network:
     when training stops sits just below it (999,999.998 ohms in the MSE
     model of the seed-42 split, which exact equality would keep).
     """
-    if not (math.isfinite(r_max) and r_max > 0):
-        raise ValueError(f"r_max must be a finite resistance > 0, got {r_max}")
+    _check_real("r_max", r_max)
     cutoff = _PRUNE_FRACTION * r_max
     r = np.where(net.resistances < cutoff, net.resistances, np.inf)
     return _network(net.labels, r, net.capacitance, net.supply_voltage, net.t_max)

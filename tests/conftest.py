@@ -1,5 +1,6 @@
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
@@ -53,6 +54,24 @@ def networks(draw, n_classes=3):
         neurons_.append(IFNeuron(label=f"c{ci}", capacitance=cap, synapses=tuple(synapses)))
     v_in = draw(voltages)
     return Network(neurons=tuple(neurons_), n_inputs=n_inputs, supply_voltage=v_in)
+
+
+def exp_dispatch():
+    """The SIMD targets numpy runs float64 exp and expm1 on, as ``"exp/expm1"``.
+
+    Their last-ulp rounding moves the bytes of a few pins.  On x86-64 numpy 2.4 runs
+    ``X86_V4/X86_V4`` on an AVX-512 CPU and ``X86_V3/baseline(X86_V2)`` under
+    ``NPY_DISABLE_CPU_FEATURES="AVX512_SPR AVX512_ICL X86_V4"``.  aarch64 is unmeasured.
+    """
+    info = np.lib.introspect.opt_func_info(func_name="^(exp|expm1)$", signature="float64")
+    return "/".join(info[name]["dd"]["current"] for name in ("exp", "expm1"))
+
+
+def assert_dispatch_digest(digests, digest):
+    """``digest`` is the pin ``digests`` holds for this process's exp/expm1 dispatch."""
+    target = exp_dispatch()
+    assert target in digests, f"no pin for exp/expm1 dispatch {target}, which gave {digest}"
+    assert digest == digests[target], f"exp/expm1 dispatch {target} gave {digest}"
 
 
 def rescaled(net, k):

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 import ifcirc
 from ifcirc import TrainConfig, example_model_path, load_network, read_csv, train
 from ifcirc.cli import main
+from conftest import assert_dispatch_digest
 
 
 def run_cli(capsys, *argv):
@@ -766,6 +767,23 @@ def test_malformed_model_is_user_error(tmp_path, capsys, edit, message):
     assert "potential" not in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("prune", "--out", "pruned.json"),
+    ("energy", "--pitch", 0.3, "--roll", 0.1),
+    ("validate",),
+], ids=["prune", "energy", "validate"])
+def test_a_model_without_neurons_is_a_user_error(tmp_path, monkeypatch, capsys, argv):
+    # each exited 0: prune wrote capacitance 1e-06 over the file's 2e-06, energy printed
+    # 0 joules, and validate printed "validation ok"
+    monkeypatch.chdir(tmp_path)
+    model = _model_with(tmp_path, lambda doc: {**doc, "neurons": [], "capacitance": 2e-6})
+    code, out, err = run_cli(capsys, argv[0], "--model", model, *argv[1:])
+    assert code == 1
+    assert err == f"error: {model}: a network needs at least one neuron\n"
+    assert len(out.splitlines()) == 1  # the echoed config only
+    assert not (tmp_path / "pruned.json").exists()
+
+
 def _tiny_resistance(doc):
     doc["capacitance"] = 1e300  # keeps G = 1/(R·C) finite, so the model loads
     doc["neurons"][0]["synapses"][0]["resistance_ohms"] = 5e-324
@@ -810,8 +828,11 @@ def test_response_map_csv_frozen(tmp_path, capsys):
     out = tmp_path / "map.csv"
     code, _, _ = run_cli(capsys, "response-map", "--model", "bundled", "--step", 0.01, "--out", out)
     assert code == 0
-    digest = "6940a5a61df68916e10e57452f1e20d37d56505e1a064879d79191758f432f1c"
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    assert_dispatch_digest({
+        "X86_V4/X86_V4": "6940a5a61df68916e10e57452f1e20d37d56505e1a064879d79191758f432f1c",
+        "X86_V3/baseline(X86_V2)":
+            "292bd8c57e52242d371eff69e3d3c52f5d0a9429ba3977beda1559d45bc75cfb",
+    }, hashlib.sha256(out.read_bytes()).hexdigest())
 
 
 def test_response_map_refuses_oversized_grid(tmp_path, capsys):
@@ -989,7 +1010,7 @@ def test_non_finite_parameters_are_user_errors(tmp_path, capsys):
     pruned, data = tmp_path / "pruned.json", tmp_path / "data.csv"
     code, _, err = run_cli(capsys, "prune", "--model", "bundled", "--r-max", "nan", "--out", pruned)
     assert code == 1
-    assert err == "error: r_max must be a finite resistance > 0, got nan\n"
+    assert err == "error: r_max must be a finite number > 0, got nan\n"
     code, _, err = run_cli(capsys, "gen-data", "--n", 2, "--sigma", "nan", "--out", data)
     assert code == 1
     assert err == "error: noise_sigma must be a finite number >= 0, got nan\n"

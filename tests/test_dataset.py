@@ -14,9 +14,19 @@ from ifcirc import (
     CLASS_MEANS,
     CLASSES,
     DatasetConfig,
+    IFNeuron,
+    Network,
+    Polarity,
     PostureSample,
+    Slot,
+    Synapse,
+    build_schedule,
     generate,
+    integrate_schedule,
+    perturb_readout,
+    prune,
     read_csv,
+    round_resistance,
     split,
     write_csv,
 )
@@ -148,19 +158,20 @@ def test_noise_statistics_match_config():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        DatasetConfig(n_per_class=0)
-    with pytest.raises(ValueError):
-        DatasetConfig(n_per_class=10, noise_sigma=-0.1)
-    for sigma in (math.nan, math.inf):
-        with pytest.raises(ValueError, match="noise_sigma must be a finite number"):
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=f"^n_per_class must be >= 1, got {n}$"):
+            DatasetConfig(n_per_class=n)
+    # True was taken as a sigma of 1
+    for sigma in (True, -0.1, -5e-324, math.nan, math.inf, -math.inf):
+        message = f"noise_sigma must be a finite number >= 0, got {sigma!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             DatasetConfig(n_per_class=10, noise_sigma=sigma)
     # sigma * z overflowed to inf in some samples (52 of 300 at 1e308, n=100, seed 0)
     for sigma in (math.nextafter(_LARGEST_SIGMA, math.inf), 1e308, sys.float_info.max):
         with pytest.raises(ValueError, match=re.escape(f"noise_sigma {sigma!r} is too large")):
             DatasetConfig(n_per_class=10, noise_sigma=sigma)
     for n in (1.5, 2.0, True, False, "3"):
-        with pytest.raises(ValueError, match=f"n_per_class must be an integer > 0, got {n!r}"):
+        with pytest.raises(ValueError, match=f"^n_per_class must be an integer, got {n!r}$"):
             DatasetConfig(n_per_class=n)
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         DatasetConfig(n_per_class=10, seed=-1)
@@ -169,6 +180,51 @@ def test_config_validation():
         with pytest.raises(ValueError, match=f"^seed must be an integer, got {seed!r}$"):
             DatasetConfig(n_per_class=10, seed=seed)
     assert len(generate(DatasetConfig(n_per_class=np.int64(2), seed=np.int64(3)))) == 6
+
+
+_NEURON = IFNeuron("u", 1e-6, (Synapse(0, Polarity.EXCITATORY, 1e5),))
+
+# every one-sided numeric setting without a config table of its own: (the call that takes
+# the value, its name, its floor), the floor an int for an integer setting, else "> 0" or
+# ">= 0".  The CLI's trials, tolerance and seed reach the same checks through argparse and
+# json_value, which let no bool through (test_cli.py).
+_SETTINGS = {
+    # numpy reads an index True as a mask: the wiring table wired every line, and at
+    # (0.2, 0.9) the kernel gave 0.650 V where integrate_schedule, reading line 1, gave 0.362 V
+    "Synapse.input_index": (lambda v: Synapse(v, Polarity.EXCITATORY, 1e5), "input_index", 0),
+    "Synapse.resistance": (lambda v: Synapse(0, Polarity.EXCITATORY, v), "resistance", "> 0"),
+    "IFNeuron.capacitance": (lambda v: IFNeuron("u", v, ()), "capacitance", "> 0"),
+    "Network.n_inputs": (lambda v: Network((_NEURON,), v), "n_inputs", 0),
+    "Network.supply_voltage":
+        (lambda v: Network((_NEURON,), 1, supply_voltage=v), "supply_voltage", "> 0"),
+    "Network.t_max": (lambda v: Network((_NEURON,), 1, t_max=v), "t_max", "> 0"),
+    "Slot.duration": (lambda v: Slot(0, Polarity.EXCITATORY, v), "slot duration", ">= 0"),
+    "prune": (lambda v: prune(Network((_NEURON,), 1), r_max=v), "r_max", "> 0"),
+    "round_resistance": (round_resistance, "resistance", "> 0"),
+    "perturb_readout":
+        (lambda v: perturb_readout(0.5, v, np.random.default_rng(0)), "sigma", ">= 0"),
+    "integrate_schedule": (
+        lambda v: integrate_schedule(_NEURON, build_schedule((0.5,), 0.05), 1.0, v),
+        "step divisor", "> 0",
+    ),
+}
+
+
+@pytest.mark.parametrize("site", _SETTINGS)
+def test_a_one_sided_setting_is_refused_by_name(site):
+    call, name, floor = _SETTINGS[site]
+    if isinstance(floor, int):
+        refusals = [(value, f"{name} must be an integer, got {value!r}")
+                    for value in (True, False, 1.0, 2.0, "1", math.nan, math.inf, -math.inf)]
+        refusals.append((floor - 1, f"{name} must be >= {floor}, got {floor - 1}"))
+    else:
+        below = -5e-324 if floor == ">= 0" else 0.0
+        refusals = [(value, f"{name} must be a finite number {floor}, got {value!r}")
+                    for value in (True, False, "1", math.nan, math.inf, -math.inf, below, -1.0)]
+    for value, message in refusals:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(value)
+    call(np.float64(1.0) if isinstance(floor, str) else np.int64(1))  # numpy numbers pass
 
 
 def test_csv_round_trip_is_exact(tmp_path):

@@ -7,6 +7,7 @@ implementation uses.
 """
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -84,8 +85,11 @@ def test_catalog_validation():
         ResistorCatalog("e96")
     with pytest.raises(ValueError):
         ResistorCatalog("custom")
-    with pytest.raises(ValueError):
-        ResistorCatalog("custom", (100.0, -5.0))
+    # True was a 1-ohm part
+    for value in (True, -5.0, 0.0, math.nan, math.inf, -math.inf):
+        message = f"catalog value must be a finite number > 0, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ResistorCatalog("custom", (100.0, value))
     with pytest.raises(ValueError):
         ResistorCatalog("e12", (100.0,))
     # numpy arrays of values get the catalog's own messages, not numpy's ambiguous truth value
@@ -437,10 +441,10 @@ def test_energy_totals_do_not_follow_builtin_sum(bundled_model, monkeypatch):
     assert [energy_per_inference(bundled_model, stimulus) for stimulus in _ENERGY_STIMULI] == reports
 
 
-def test_energy_of_an_empty_network_totals_integer_zero():
-    report = energy_per_inference(Network(neurons=(), n_inputs=2), (0.5, 0.5))
-    assert report == hardware.EnergyReport(0, 0, 0, ())
-    assert all(type(getattr(report, name)) is int for name in _TOTALS)
+def test_a_network_without_neurons_is_refused():
+    # it took C = 1e-6 F whatever its model file said, and its energy totalled integer 0 J
+    with pytest.raises(ValueError, match="^a network needs at least one neuron$"):
+        Network(neurons=(), n_inputs=2)
 
 
 def test_energy_stored_matches_final_potential(bundled_model):

@@ -9,6 +9,7 @@ independently of the formulas under test.
 """
 import hashlib
 import math
+import re
 import statistics
 import sys
 from dataclasses import replace
@@ -44,7 +45,7 @@ from ifcirc import training
 from ifcirc.kernel import duration_matrix, forward, sensitivities
 from ifcirc.neuron import infer_batch
 from ifcirc.training import _gradient, _loss, write_loss_csv
-from conftest import rescaled
+from conftest import assert_dispatch_digest, rescaled
 
 
 # -------------------------------- loss --------------------------------------
@@ -381,15 +382,15 @@ def test_prune_is_idempotent(bundled_model):
 @pytest.mark.parametrize(
     "kwargs, message",
     [
-        ({"r_max": math.nan}, "r_max must be a finite resistance > 0"),
-        ({"r_max": math.inf}, "r_max must be a finite resistance > 0"),
-        ({"r_max": 0.0}, "r_max must be a finite resistance > 0"),
-        ({"r_max": -1e6}, "r_max must be a finite resistance > 0"),
+        ({"r_max": math.nan}, "r_max must be a finite number > 0, got nan"),
+        ({"r_max": math.inf}, "r_max must be a finite number > 0, got inf"),
+        ({"r_max": 0.0}, "r_max must be a finite number > 0, got 0.0"),
+        ({"r_max": -1e6}, "r_max must be a finite number > 0, got -1000000.0"),
     ],
 )
 def test_prune_rejects_bad_ceiling(bundled_model, kwargs, message):
     # a nan ceiling compares false everywhere and would drop every synapse
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
         prune(bundled_model, **kwargs)
 
 
@@ -477,10 +478,13 @@ def test_trainconfig_validation():
             with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
                 TrainConfig(**{name: value})
     assert TrainConfig(epochs=np.int64(3), seed=np.uint8(2)).epochs == 3
-    # capacitance 0 made every G infinite and the loss non-finite; t_max 0 trained on nothing
-    for name in ("capacitance", "t_max"):
-        for value in (0.0, -1.0, math.nan, math.inf):
-            with pytest.raises(ValueError, match=f"^{name} must be a finite number > 0, got "):
+    # capacitance 0 made every G infinite and the loss non-finite; t_max 0 trained on nothing;
+    # True was taken as 1
+    for name, floor, below in (("capacitance", "> 0", 0.0), ("t_max", "> 0", -1.0),
+                               ("supply_voltage", "> 0", 0.0), ("energy_weight", ">= 0", -5e-324)):
+        for value in (True, below, math.nan, math.inf, -math.inf):
+            message = f"{name} must be a finite number {floor}, got {value!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 TrainConfig(**{name: value})
 
 
@@ -560,7 +564,11 @@ DEFAULT_MODEL_SHA256 = "eca1a3a0700ee43a0c7ed4501270add6f26f9a9d0aefe04cb0610e89
 # sha256 of the first fits alone, the models both configs saved before elimination: the
 # MSE config's in 26 iterations, the default's in 87
 MSE_FIRST_FIT_SHA256 = "1733978986873020d20907b5047d9540b3b1987b2b9467768de49de4eafc4f35"
-DEFAULT_FIRST_FIT_SHA256 = "05585276798e63d499d78a3582e8e64c6b1bd1c6005e90d3ae8c80406a8d07f2"
+# the default's first fit moves with numpy's exp/expm1 dispatch (conftest.exp_dispatch)
+DEFAULT_FIRST_FIT_SHA256 = {
+    "X86_V4/X86_V4": "05585276798e63d499d78a3582e8e64c6b1bd1c6005e90d3ae8c80406a8d07f2",
+    "X86_V3/baseline(X86_V2)": "b69094168d77b27ff6b81dfd69af27d92fb78b5663188a03cbbbec5e52495048",
+}
 
 
 def _sha256_of_saved(network, path):
@@ -607,7 +615,8 @@ def test_default_objective_reproduces_its_model_byte_for_byte(seed_sweep, tmp_pa
 def test_first_fit_is_unchanged_by_elimination(first_fit, tmp_path):
     """Elimination starts from the Levenberg–Marquardt fit train() made before it existed."""
     assert first_fit.epochs_run == 87
-    assert _sha256_of_saved(first_fit.network, tmp_path / "model.json") == DEFAULT_FIRST_FIT_SHA256
+    digest = _sha256_of_saved(first_fit.network, tmp_path / "model.json")
+    assert_dispatch_digest(DEFAULT_FIRST_FIT_SHA256, digest)
     assert sum(len(n.synapses) for n in prune(first_fit.network).neurons) == 7
 
 

@@ -75,18 +75,19 @@ class ResistorCatalog:
     values: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(sorted(self.values)))  # an array has no truth value
+        values = tuple(self.values)  # an array has no truth value
         if self.mode == "custom":
-            if not self.values:
+            if not values:
                 raise ValueError("custom catalog needs at least one value")
-            for value in self.values:
+            for value in values:
                 _check_real("catalog value", value)
         elif self.mode in _SERIES:
-            if self.values:
+            if values:
                 raise ValueError(f"mode {self.mode!r} does not take explicit values")
         else:
             choices = ", ".join([*_SERIES, "custom"])
             raise ValueError(f"unknown catalog mode {self.mode!r} (one of: {choices})")
+        object.__setattr__(self, "values", tuple(sorted(values)))  # sorted once each is a number
 
     def candidates(self, resistance: float) -> tuple[float, ...]:
         """Catalog values bracketing ``resistance``."""
@@ -187,7 +188,8 @@ def response_map(net: Network, grid_step: float) -> ResponseMap:
     """
     if net.n_inputs != 2:
         raise ValueError(f"response maps need a 2-input network, got {net.n_inputs}")
-    if not (0.0 < grid_step <= 1.0):
+    _check_real("grid_step", grid_step)
+    if grid_step > 1.0:
         raise ValueError(f"grid_step must be in (0, 1], got {grid_step}")
     span = 1.0 / grid_step + 1e-9
     if span + 2.0 > math.sqrt(MAX_GRID_POINTS):  # the axis has at most floor(span) + 2 points

@@ -16,7 +16,6 @@ The bias occupies the last input index.
 """
 from __future__ import annotations
 
-import enum
 import json
 import math
 from dataclasses import dataclass, field
@@ -30,7 +29,7 @@ from .dataset import _check_integer, _check_real
 from .kernel import Forward, duration_matrix, forward
 
 __all__ = [
-    "Polarity",
+    "POLARITIES",
     "Synapse",
     "IFNeuron",
     "Network",
@@ -49,9 +48,15 @@ __all__ = [
 MODEL_SCHEMA_VERSION = 1
 
 
-class Polarity(str, enum.Enum):
-    EXCITATORY = "excitatory"
-    INHIBITORY = "inhibitory"
+# a polarity as model files spell it; its position is its phase in ``Network.resistances``
+POLARITIES = ("excitatory", "inhibitory")
+
+
+def _check_line(input_index: object, polarity: object) -> None:
+    """Refuse, by name, an index that is not an integer >= 0 or a polarity not in POLARITIES."""
+    _check_integer("input_index", input_index, 0)
+    if not (isinstance(polarity, str) and polarity in POLARITIES):
+        raise ValueError(f"polarity must be 'excitatory' or 'inhibitory', got {polarity!r}")
 
 
 @dataclass(frozen=True)
@@ -59,11 +64,11 @@ class Synapse:
     """One resistive input channel of a neuron."""
 
     input_index: int
-    polarity: Polarity
+    polarity: str  # one of POLARITIES
     resistance: float  # ohms
 
     def __post_init__(self) -> None:
-        _check_integer("input_index", self.input_index, 0)
+        _check_line(self.input_index, self.polarity)
         _check_real("resistance", self.resistance)
 
 
@@ -82,17 +87,17 @@ class IFNeuron:
         for syn in self.synapses:
             key = (syn.input_index, syn.polarity)
             if key in seen:
-                raise ValueError(f"duplicate synapse for input {syn.input_index} ({syn.polarity.value})")
+                raise ValueError(f"duplicate synapse for input {syn.input_index} ({syn.polarity})")
             seen.add(key)
             tau = syn.resistance * self.capacitance
             if tau == 0.0 or math.isinf(1.0 / tau):  # the kernel needs a finite G = 1/(R·C)
                 raise ValueError(
-                    f"time constant R·C of input {syn.input_index} ({syn.polarity.value}) is "
+                    f"time constant R·C of input {syn.input_index} ({syn.polarity}) is "
                     f"{tau!r} s, too small for a finite conductance: "
                     f"{syn.resistance!r} ohms, {self.capacitance!r} farads"
                 )
 
-    def synapse_map(self) -> dict[tuple[int, Polarity], Synapse]:
+    def synapse_map(self) -> dict[tuple[int, str], Synapse]:
         return {(s.input_index, s.polarity): s for s in self.synapses}
 
 
@@ -141,7 +146,7 @@ class Network:
         r = np.full((2, len(self.neurons), self.n_inputs + 1), np.inf)
         for k, neuron in enumerate(self.neurons):
             for syn in neuron.synapses:
-                r[list(Polarity).index(syn.polarity), k, syn.input_index] = syn.resistance
+                r[POLARITIES.index(syn.polarity), k, syn.input_index] = syn.resistance
         r.flags.writeable = False
         return r
 
@@ -166,7 +171,7 @@ def _network(labels: Sequence[str], resistances: np.ndarray, capacitance: float,
     for k, label in enumerate(labels):
         wired = np.isfinite(resistances[:, k])  # (phase, line): its C order is the canonical one
         phases, lines = np.nonzero(wired)
-        polarities = [list(Polarity)[phase] for phase in phases.tolist()]
+        polarities = [POLARITIES[phase] for phase in phases.tolist()]
         synapses = map(Synapse, lines.tolist(), polarities, resistances[:, k][wired].tolist())
         neurons.append(IFNeuron(label, capacitance, tuple(synapses)))
     return Network(tuple(neurons), resistances.shape[2] - 1, supply_voltage, t_max)
@@ -177,10 +182,11 @@ class Slot:
     """One stimulation: which input line, which polarity, for how long."""
 
     input_index: int
-    polarity: Polarity
+    polarity: str  # one of POLARITIES
     duration: float  # seconds
 
     def __post_init__(self) -> None:
+        _check_line(self.input_index, self.polarity)
         _check_real("slot duration", self.duration, zero=True)
 
 
@@ -192,12 +198,9 @@ class StimulationSchedule:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "slots", tuple(self.slots))
-        seen_inhibitory = False
-        for slot in self.slots:
-            if slot.polarity is Polarity.INHIBITORY:
-                seen_inhibitory = True
-            elif seen_inhibitory:
-                raise ValueError("excitatory slot after an inhibitory one; charge must precede discharge")
+        phases = [POLARITIES.index(slot.polarity) for slot in self.slots]
+        if phases != sorted(phases):
+            raise ValueError("excitatory slot after an inhibitory one; charge must precede discharge")
 
 
 def build_schedule(stimulus: Sequence[float], t_max: float) -> StimulationSchedule:
@@ -208,8 +211,8 @@ def build_schedule(stimulus: Sequence[float], t_max: float) -> StimulationSchedu
     Excitatory slots come first, both phases in ascending input order.
     """
     durations = duration_matrix([stimulus], t_max)[0].tolist()
-    slots = [Slot(i, Polarity.EXCITATORY, d) for i, d in enumerate(durations)]
-    slots += [Slot(i, Polarity.INHIBITORY, d) for i, d in enumerate(durations)]
+    slots = [Slot(i, "excitatory", d) for i, d in enumerate(durations)]
+    slots += [Slot(i, "inhibitory", d) for i, d in enumerate(durations)]
     return StimulationSchedule(tuple(slots))
 
 
@@ -264,7 +267,7 @@ def network_to_dict(net: Network) -> dict:
                 "synapses": [
                     {
                         "input_index": syn.input_index,
-                        "polarity": syn.polarity.value,
+                        "polarity": syn.polarity,
                         "resistance_ohms": syn.resistance,
                     }
                     for syn in neuron.synapses
@@ -326,7 +329,7 @@ def network_from_dict(doc: object) -> Network:
             polarity = _field(syn, "polarity", str, at)
             resistance = _field(syn, "resistance_ohms", float, at)
             try:
-                synapses.append(Synapse(index, Polarity(polarity), resistance))
+                synapses.append(Synapse(index, polarity, resistance))
             except ValueError as exc:
                 raise ValueError(f"model field {at}: {exc}") from None
         label = _field(entry, "label", str, where)
@@ -343,7 +346,9 @@ def network_from_dict(doc: object) -> Network:
 
 def save_network(net: Network, path: str | Path) -> None:
     """Write the model as JSON; floats round-trip exactly (shortest repr)."""
-    Path(path).write_text(json.dumps(network_to_dict(net), indent=2) + "\n")
+    # a numpy scalar, which the checks pass, is written as the Python number it holds
+    text = json.dumps(network_to_dict(net), indent=2, default=np.generic.item)
+    Path(path).write_text(text + "\n")
 
 
 def load_network(path: str | Path) -> Network:

@@ -18,7 +18,7 @@ import math
 from itertools import chain, repeat
 
 from .dataset import _check_real
-from .neuron import IFNeuron, Polarity, StimulationSchedule
+from .neuron import IFNeuron, StimulationSchedule
 
 __all__ = ["integrate_schedule"]
 
@@ -75,6 +75,6 @@ def integrate_schedule(
         if syn is None or slot.duration == 0.0:
             continue
         x = slot.duration / (syn.resistance * neuron.capacitance)
-        target = v_in if slot.polarity is Polarity.EXCITATORY else 0.0
+        target = v_in if slot.polarity == "excitatory" else 0.0
         voltage = _march(voltage, target, x, step_divisor)
     return voltage

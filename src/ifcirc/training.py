@@ -73,10 +73,10 @@ class TrainConfig:
     def __post_init__(self) -> None:
         _check_integer("epochs", self.epochs, 1)
         _check_integer("seed", self.seed, 0)
-        if not 0 < self.r_min < self.r_max < math.inf:
-            raise ValueError(f"need 0 < r_min < r_max < inf, got {self.r_min}, {self.r_max}")
-        for name in ("capacitance", "t_max", "supply_voltage"):
+        for name in ("r_min", "r_max", "capacitance", "t_max", "supply_voltage"):
             _check_real(name, getattr(self, name))
+        if not self.r_min < self.r_max:
+            raise ValueError(f"need 0 < r_min < r_max < inf, got {self.r_min}, {self.r_max}")
         # the box in units of t_max, and its reciprocal: training forms the rates
         # t_max/(R*C), the trained network the conductances 1/(R*C)
         rc_min = self.r_min * self.capacitance
@@ -87,14 +87,13 @@ class TrainConfig:
                 f"t_max {self.t_max} overflow: r_max*C/t_max, t_max/(r_min*C) and 1/(r_min*C) "
                 "must be finite"
             )
-        if self.target_high is not None:  # the potential never exceeds the supply
-            if not (math.isfinite(self.target_high) and self.target_high <= self.supply_voltage):
+        if self.target_high is not None:  # above the 0 V the other classes target
+            _check_real("target_high", self.target_high)
+            if self.target_high > self.supply_voltage:  # the potential never exceeds the supply
                 raise ValueError(
                     f"target_high must be finite and at most supply_voltage "
                     f"{self.supply_voltage}, got {self.target_high}"
                 )
-            if not self.target_high > 0:  # the other classes target 0 V
-                raise ValueError(f"target_high must be > 0, got {self.target_high}")
         _check_real("energy_weight", self.energy_weight, zero=True)
 
 

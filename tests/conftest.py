@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
-from ifcirc import IFNeuron, Network, Polarity, Synapse, example_model_path, load_network
+from ifcirc import IFNeuron, Network, Synapse, example_model_path, load_network
 
 settings.register_profile(
     "ifcirc", deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -30,11 +30,11 @@ def neurons(draw, max_inputs=3):
     cap = draw(capacitances)
     synapses = []
     for idx in range(n_inputs + 1):  # +1 so some synapses sit on the bias line
-        for polarity in (Polarity.EXCITATORY, Polarity.INHIBITORY):
+        for polarity in ("excitatory", "inhibitory"):
             if draw(st.booleans()):
                 synapses.append(Synapse(idx, polarity, draw(resistances)))
     if not synapses:
-        synapses.append(Synapse(0, Polarity.EXCITATORY, draw(resistances)))
+        synapses.append(Synapse(0, "excitatory", draw(resistances)))
     return IFNeuron(label="unit", capacitance=cap, synapses=tuple(synapses)), n_inputs
 
 
@@ -46,11 +46,11 @@ def networks(draw, n_classes=3):
     for ci in range(n_classes):
         synapses = []
         for idx in range(n_inputs + 1):
-            for polarity in (Polarity.EXCITATORY, Polarity.INHIBITORY):
+            for polarity in ("excitatory", "inhibitory"):
                 if draw(st.booleans()):
                     synapses.append(Synapse(idx, polarity, draw(resistances)))
         if not synapses:
-            synapses.append(Synapse(0, Polarity.EXCITATORY, draw(resistances)))
+            synapses.append(Synapse(0, "excitatory", draw(resistances)))
         neurons_.append(IFNeuron(label=f"c{ci}", capacitance=cap, synapses=tuple(synapses)))
     v_in = draw(voltages)
     return Network(neurons=tuple(neurons_), n_inputs=n_inputs, supply_voltage=v_in)

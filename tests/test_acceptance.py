@@ -23,7 +23,7 @@ from ifcirc import (
     DatasetConfig,
     IFNeuron,
     Network,
-    Polarity,
+    POLARITIES,
     Synapse,
     TrainConfig,
     build_schedule,
@@ -60,7 +60,7 @@ def _rel_err(a: float, b: float) -> float:
 
 def _random_neuron(rng, n_inputs: int):
     """Fully random wiring: any subset of (line, polarity) pairs, at least one."""
-    pairs = [(i, p) for i in range(n_inputs + 1) for p in Polarity]
+    pairs = [(i, p) for i in range(n_inputs + 1) for p in POLARITIES]
     keep = [pair for pair in pairs if rng.random() < 0.6]
     if not keep:
         keep = [pairs[int(rng.integers(len(pairs)))]]
@@ -101,10 +101,10 @@ def test_criterion_2_gradient_correctness():
     sign_ok = True
     for _ in range(500):
         # rescaled parameterization: R in [0.02, 1] ohm-equivalents, C = 1
-        pairs = [(i, p) for i in range(3) for p in Polarity]
+        pairs = [(i, p) for i in range(3) for p in POLARITIES]
         keep = [pair for pair in pairs if rng.random() < 0.7] or [pairs[0]]
-        if not any(p is Polarity.EXCITATORY for _, p in keep):
-            keep.append((0, Polarity.EXCITATORY))
+        if not any(p == "excitatory" for _, p in keep):
+            keep.append((0, "excitatory"))
         neuron = IFNeuron(
             "u",
             1.0,
@@ -124,11 +124,11 @@ def test_criterion_2_gradient_correctness():
         fwd = forward(durations, net.conductances, v_in)
         dv_dg = sensitivities(fwd, v_in) @ durations
         for k, syn in enumerate(neuron.synapses):
-            phase = int(syn.polarity is Polarity.INHIBITORY)
+            phase = int(syn.polarity == "inhibitory")
             grad = -dv_dg[phase, 0, syn.input_index] / (syn.resistance**2 * neuron.capacitance)
-            if syn.polarity is Polarity.EXCITATORY and grad > 0:
+            if syn.polarity == "excitatory" and grad > 0:
                 sign_ok = False
-            if syn.polarity is Polarity.INHIBITORY and grad < 0:
+            if syn.polarity == "inhibitory" and grad < 0:
                 sign_ok = False
             h = 1e-6 * syn.resistance
             fd_args = []
@@ -275,9 +275,9 @@ def test_criterion_6_physics_properties():
         v0 = float(rng.uniform(0.0, 1.0))
         t0 = -tau * math.log1p(-v0)
         steps = np.concatenate([[0.0], np.cumsum(rng.uniform(1e-4, 0.02, 5))])
-        precharge = Synapse(0, Polarity.EXCITATORY, r)
-        up = IFNeuron("up", 1e-6, (precharge, Synapse(1, Polarity.EXCITATORY, r)))
-        down = IFNeuron("down", 1e-6, (precharge, Synapse(1, Polarity.INHIBITORY, r)))
+        precharge = Synapse(0, "excitatory", r)
+        up = IFNeuron("up", 1e-6, (precharge, Synapse(1, "excitatory", r)))
+        down = IFNeuron("down", 1e-6, (precharge, Synapse(1, "inhibitory", r)))
         t_max = t0 + steps[-1]
         pair = Network(neurons=(up, down), n_inputs=2, t_max=t_max)
         curves = infer_batch(pair, [(t0 / t_max, dt / t_max) for dt in steps])
@@ -295,7 +295,7 @@ def test_criterion_6_physics_properties():
         r0 = float(10.0 ** rng.uniform(3, 6))
         tau0 = r0 * 1e-6
         t0 = -tau0 * math.log1p(-v_start / v_in)
-        lines = (Synapse(0, Polarity.EXCITATORY, r0), Synapse(1, Polarity.EXCITATORY, r))
+        lines = (Synapse(0, "excitatory", r0), Synapse(1, "excitatory", r))
         unit = IFNeuron("u", 1e-6, lines)
         t_max = max(t0, duration)
         charged = Network(neurons=(unit,), n_inputs=2, supply_voltage=v_in, t_max=t_max)

@@ -396,12 +396,11 @@ def test_train_defaults_come_from_trainconfig(tmp_path, tiny_csv, capsys):
 
 
 @pytest.mark.parametrize("argv, file_cfg, message", [
-    (("--target-high", -1), {}, "target_high must be > 0, got -1.0"),
-    (("--target-high", "nan"), {},
-     "target_high must be finite and at most supply_voltage 1.0, got nan"),
+    (("--target-high", -1), {}, "target_high must be a finite number > 0, got -1.0"),
+    (("--target-high", "nan"), {}, "target_high must be a finite number > 0, got nan"),
     (("--energy-weight", -0.5), {}, "energy_weight must be a finite number >= 0, got -0.5"),
     (("--energy-weight", "inf"), {}, "energy_weight must be a finite number >= 0, got inf"),
-    ((), {"target_high": 0}, "target_high must be > 0, got 0.0"),
+    ((), {"target_high": 0}, "target_high must be a finite number > 0, got 0.0"),
     ((), {"energy_weight": -1}, "energy_weight must be a finite number >= 0, got -1.0"),
 ])
 def test_train_refuses_targets_it_cannot_meet(tmp_path, tiny_csv, capsys, argv, file_cfg, message):

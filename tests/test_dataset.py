@@ -16,7 +16,6 @@ from ifcirc import (
     DatasetConfig,
     IFNeuron,
     Network,
-    Polarity,
     PostureSample,
     Slot,
     Synapse,
@@ -182,7 +181,7 @@ def test_config_validation():
     assert len(generate(DatasetConfig(n_per_class=np.int64(2), seed=np.int64(3)))) == 6
 
 
-_NEURON = IFNeuron("u", 1e-6, (Synapse(0, Polarity.EXCITATORY, 1e5),))
+_NEURON = IFNeuron("u", 1e-6, (Synapse(0, "excitatory", 1e5),))
 
 # every one-sided numeric setting without a config table of its own: (the call that takes
 # the value, its name, its floor), the floor an int for an integer setting, else "> 0" or
@@ -191,14 +190,16 @@ _NEURON = IFNeuron("u", 1e-6, (Synapse(0, Polarity.EXCITATORY, 1e5),))
 _SETTINGS = {
     # numpy reads an index True as a mask: the wiring table wired every line, and at
     # (0.2, 0.9) the kernel gave 0.650 V where integrate_schedule, reading line 1, gave 0.362 V
-    "Synapse.input_index": (lambda v: Synapse(v, Polarity.EXCITATORY, 1e5), "input_index", 0),
-    "Synapse.resistance": (lambda v: Synapse(0, Polarity.EXCITATORY, v), "resistance", "> 0"),
+    "Synapse.input_index": (lambda v: Synapse(v, "excitatory", 1e5), "input_index", 0),
+    "Synapse.resistance": (lambda v: Synapse(0, "excitatory", v), "resistance", "> 0"),
     "IFNeuron.capacitance": (lambda v: IFNeuron("u", v, ()), "capacitance", "> 0"),
     "Network.n_inputs": (lambda v: Network((_NEURON,), v), "n_inputs", 0),
     "Network.supply_voltage":
         (lambda v: Network((_NEURON,), 1, supply_voltage=v), "supply_voltage", "> 0"),
     "Network.t_max": (lambda v: Network((_NEURON,), 1, t_max=v), "t_max", "> 0"),
-    "Slot.duration": (lambda v: Slot(0, Polarity.EXCITATORY, v), "slot duration", ">= 0"),
+    # True and 1.0 acted as line 1; -1 and "1" matched no synapse, and the oracle skipped them
+    "Slot.input_index": (lambda v: Slot(v, "excitatory", 0.01), "input_index", 0),
+    "Slot.duration": (lambda v: Slot(0, "excitatory", v), "slot duration", ">= 0"),
     "prune": (lambda v: prune(Network((_NEURON,), 1), r_max=v), "r_max", "> 0"),
     "round_resistance": (round_resistance, "resistance", "> 0"),
     "perturb_readout":

@@ -21,7 +21,6 @@ from ifcirc import (
     MAX_GRID_POINTS,
     IFNeuron,
     Network,
-    Polarity,
     ResistorCatalog,
     Synapse,
     classify,
@@ -85,13 +84,15 @@ def test_catalog_validation():
         ResistorCatalog("e96")
     with pytest.raises(ValueError):
         ResistorCatalog("custom")
-    # True was a 1-ohm part
-    for value in (True, -5.0, 0.0, math.nan, math.inf, -math.inf):
+    # True was a 1-ohm part; a string died in the sort before this check, with TypeError
+    for value in (True, -5.0, 0.0, math.nan, math.inf, -math.inf, "a"):
         message = f"catalog value must be a finite number > 0, got {value!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ResistorCatalog("custom", (100.0, value))
     with pytest.raises(ValueError):
         ResistorCatalog("e12", (100.0,))
+    with pytest.raises(ValueError, match="^mode 'e12' does not take explicit values$"):
+        ResistorCatalog("e12", (1.0, "a"))
     # numpy arrays of values get the catalog's own messages, not numpy's ambiguous truth value
     with pytest.raises(ValueError, match="custom catalog needs at least one value"):
         ResistorCatalog("custom", np.array([]))
@@ -143,7 +144,7 @@ def test_quantize_is_idempotent(bundled_model):
 
 def _per_synapse(net, fn):
     """``net`` with each synapse s replaced by ``fn(s)``, None dropping it, sorted canonically."""
-    phases = [Polarity.EXCITATORY, Polarity.INHIBITORY]
+    phases = ["excitatory", "inhibitory"]
     neurons = []
     for neuron in net.neurons:
         kept = [s for s in map(fn, neuron.synapses) if s is not None]
@@ -174,14 +175,14 @@ def test_quantize_matches_a_per_synapse_reference(net, catalog):
 
 def test_prune_and_quantize_write_canonical_order():
     reversed_order = (
-        Synapse(2, Polarity.INHIBITORY, 4321.0),
-        Synapse(0, Polarity.INHIBITORY, 5e5),
-        Synapse(1, Polarity.EXCITATORY, 1234.0),
-        Synapse(0, Polarity.EXCITATORY, 2e4),
+        Synapse(2, "inhibitory", 4321.0),
+        Synapse(0, "inhibitory", 5e5),
+        Synapse(1, "excitatory", 1234.0),
+        Synapse(0, "excitatory", 2e4),
     )
     net = Network((IFNeuron("u", 1e-6, reversed_order),), n_inputs=2)
-    canonical = [(0, Polarity.EXCITATORY), (1, Polarity.EXCITATORY),
-                 (0, Polarity.INHIBITORY), (2, Polarity.INHIBITORY)]
+    canonical = [(0, "excitatory"), (1, "excitatory"),
+                 (0, "inhibitory"), (2, "inhibitory")]
     for rebuilt in (prune(net), quantize_network(net)):
         assert [(s.input_index, s.polarity) for s in rebuilt.neurons[0].synapses] == canonical
     assert [s.resistance for s in quantize_network(net).neurons[0].synapses] == [
@@ -308,12 +309,15 @@ def test_response_map_memory_is_one_row_not_the_grid(bundled_model, tmp_path):
 
 
 def test_response_map_validation(bundled_model):
-    with pytest.raises(ValueError):
-        response_map(bundled_model, 0.0)
-    with pytest.raises(ValueError):
+    # True was a step of 1: a 4-row map
+    for step in (True, False, "0.5", 0.0, -0.5, math.nan, math.inf, -math.inf):
+        message = f"grid_step must be a finite number > 0, got {step!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            response_map(bundled_model, step)
+    with pytest.raises(ValueError, match=r"^grid_step must be in \(0, 1\], got 1\.5$"):
         response_map(bundled_model, 1.5)
     one_input = Network(
-        neurons=(IFNeuron("u", 1e-6, (Synapse(0, Polarity.EXCITATORY, 1e4),)),),
+        neurons=(IFNeuron("u", 1e-6, (Synapse(0, "excitatory", 1e4),)),),
         n_inputs=1,
     )
     with pytest.raises(ValueError):
@@ -346,7 +350,7 @@ def test_response_map_csv_rejects_ragged_rows(tmp_path):
 
 
 def _single_rc_network(t_max):
-    neuron = IFNeuron("u", 1e-6, (Synapse(0, Polarity.EXCITATORY, 10e3),))
+    neuron = IFNeuron("u", 1e-6, (Synapse(0, "excitatory", 10e3),))
     return Network(neurons=(neuron,), n_inputs=1, t_max=t_max)
 
 
@@ -371,7 +375,7 @@ def test_energy_full_charge_splits_evenly():
 
 
 def test_energy_inhibition_only_draws_nothing():
-    neuron = IFNeuron("u", 1e-6, (Synapse(0, Polarity.INHIBITORY, 10e3),))
+    neuron = IFNeuron("u", 1e-6, (Synapse(0, "inhibitory", 10e3),))
     net = Network(neurons=(neuron,), n_inputs=1)
     report = energy_per_inference(net, (1.0,))
     assert report.supply_energy == 0.0
@@ -383,7 +387,7 @@ def test_energy_discharge_burns_stored_energy():
     neuron = IFNeuron(
         "u",
         1e-6,
-        (Synapse(0, Polarity.EXCITATORY, 10e3), Synapse(0, Polarity.INHIBITORY, 1e3)),
+        (Synapse(0, "excitatory", 10e3), Synapse(0, "inhibitory", 1e3)),
     )
     net = Network(neurons=(neuron,), n_inputs=1, t_max=0.01)
     charged = energy_per_inference(

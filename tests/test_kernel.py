@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ifcirc import IFNeuron, Polarity, Synapse
+from ifcirc import IFNeuron, Synapse
 from ifcirc.kernel import duration_matrix, forward
 from conftest import capacitances, resistances, voltages
 
@@ -74,11 +74,11 @@ def test_zero_duration_is_identity():
 
 def test_invalid_params_rejected():
     with pytest.raises(ValueError):
-        Synapse(0, Polarity.EXCITATORY, -1.0)
+        Synapse(0, "excitatory", -1.0)
     with pytest.raises(ValueError):
-        IFNeuron("u", 0.0, (Synapse(0, Polarity.EXCITATORY, 1e3),))
+        IFNeuron("u", 0.0, (Synapse(0, "excitatory", 1e3),))
     with pytest.raises(ValueError):
-        Synapse(0, Polarity.EXCITATORY, math.inf)
+        Synapse(0, "excitatory", math.inf)
 
 
 def test_invalid_step_arguments_rejected():

@@ -6,6 +6,7 @@ forms implemented here.
 """
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -14,9 +15,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ifcirc import (
+    POLARITIES,
     IFNeuron,
     Network,
-    Polarity,
     Slot,
     StimulationSchedule,
     Synapse,
@@ -38,7 +39,7 @@ from conftest import neurons, networks, stimulus_values, voltages
 def test_schedule_orders_excitatory_then_inhibitory():
     sched = build_schedule((0.5, 0.2), t_max=0.05)
     polarities = [s.polarity for s in sched.slots]
-    assert polarities == [Polarity.EXCITATORY] * 3 + [Polarity.INHIBITORY] * 3
+    assert polarities == ["excitatory"] * 3 + ["inhibitory"] * 3
     indices = [s.input_index for s in sched.slots]
     assert indices == [0, 1, 2, 0, 1, 2]
 
@@ -70,18 +71,32 @@ def test_schedule_rejects_nan():
 
 
 def test_schedule_type_rejects_interleaved_phases():
-    with pytest.raises(ValueError):
+    # phases were told apart by identity with an enum member: these two slots were accepted
+    message = "excitatory slot after an inhibitory one; charge must precede discharge"
+    with pytest.raises(ValueError, match=f"^{message}$"):
         StimulationSchedule(
             slots=(
-                Slot(0, Polarity.INHIBITORY, 0.01),
-                Slot(0, Polarity.EXCITATORY, 0.01),
+                Slot(0, "inhibitory", 0.01),
+                Slot(0, "excitatory", 0.01),
             )
         )
 
 
 def test_slot_rejects_negative_duration():
-    with pytest.raises(ValueError):
-        Slot(0, Polarity.EXCITATORY, -0.01)
+    with pytest.raises(ValueError, match="^slot duration must be a finite number >= 0, got -0.01$"):
+        Slot(0, "excitatory", -0.01)
+
+
+def test_a_polarity_is_spelled_as_in_model_files():
+    assert POLARITIES == ("excitatory", "inhibitory")  # the phases of Network.resistances
+    for build in (lambda p: Synapse(0, p, 1e4), lambda p: Slot(0, p, 0.01)):
+        for polarity in POLARITIES:
+            assert build(polarity).polarity == polarity
+        # each built, and a network failed later with "'sideways' is not in list"
+        for polarity in ("sideways", "Excitatory", "", None, 0, ("excitatory",)):
+            message = f"polarity must be 'excitatory' or 'inhibitory', got {polarity!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                build(polarity)
 
 
 # ------------------------------ inference ----------------------------------
@@ -101,7 +116,7 @@ def _fold(neuron, schedule, v_in):
         if syn is None:
             continue
         rate = -slot.duration / (syn.resistance * neuron.capacitance)
-        if slot.polarity is Polarity.EXCITATORY:
+        if slot.polarity == "excitatory":
             v -= (v_in - v) * math.expm1(rate)
         else:
             v *= math.exp(rate)
@@ -109,19 +124,19 @@ def _fold(neuron, schedule, v_in):
 
 
 def test_single_excitatory_synapse_charges():
-    (v,) = infer_network(_single(Polarity.EXCITATORY, 10e3), (1.0,))
+    (v,) = infer_network(_single("excitatory", 10e3), (1.0,))
     assert v == pytest.approx(0.6321205588285577, rel=1e-10)
 
 
 def test_unmatched_slots_are_skipped():
     # lines 1, 2 and the bias run for the full t_max but reach no synapse
-    net = _single(Polarity.EXCITATORY, 10e3, n_inputs=3)
+    net = _single("excitatory", 10e3, n_inputs=3)
     (v,) = infer_network(net, (1.0, 1.0, 1.0))
     assert v == pytest.approx(0.6321205588285577, rel=1e-10)
 
 
 def test_empty_schedule_leaves_capacitor_discharged():
-    net = _single(Polarity.EXCITATORY, 10e3)
+    net = _single("excitatory", 10e3)
     assert infer_network(net, (0.0,)) == [0.0]
     # a -0.0 input must not print as a -0.0 potential
     assert math.copysign(1.0, infer_network(net, (-0.0,))[0]) == 1.0
@@ -170,7 +185,7 @@ def test_conductances_compiled_once(bundled_model, pruned_bundled_model):
     assert not g.flags.writeable
     stand = bundled_model.neurons[0]
     syn = stand.synapses[0]
-    phase = int(syn.polarity is Polarity.INHIBITORY)
+    phase = int(syn.polarity == "inhibitory")
     assert g[phase, 0, syn.input_index] == 1.0 / (syn.resistance * stand.capacitance)
     # a pruned synapse is an unwired line: conductance 0
     assert np.count_nonzero(pruned_bundled_model.conductances) == 9
@@ -183,7 +198,7 @@ def test_wiring_table_holds_each_synapse_once(net):
     wired, g = np.zeros(shape, dtype=bool), np.zeros(shape)
     for k, neuron in enumerate(net.neurons):
         for syn in neuron.synapses:
-            at = int(syn.polarity is Polarity.INHIBITORY), k, syn.input_index
+            at = int(syn.polarity == "inhibitory"), k, syn.input_index
             assert net.resistances[at] == syn.resistance
             wired[at], g[at] = True, 1.0 / (syn.resistance * neuron.capacitance)
     assert net.resistances.shape == shape
@@ -195,7 +210,7 @@ def test_wiring_table_holds_each_synapse_once(net):
 
 def test_conductance_is_zero_where_the_time_constant_overflows():
     # R·C = 1e310 s is past the largest float: G = 1/(R·C) is 0, and numpy does not warn
-    net = Network((IFNeuron("u", 1e300, (Synapse(0, Polarity.EXCITATORY, 1e10),)),), 1)
+    net = Network((IFNeuron("u", 1e300, (Synapse(0, "excitatory", 1e10),)),), 1)
     assert net.resistances[0, 0, 0] == 1e10
     assert not net.conductances.any()
 
@@ -294,6 +309,31 @@ def test_round_trip_any_network(net, tmp_path_factory):
     assert network_from_dict(network_to_dict(net)) == net
 
 
+_SAVED = {
+    "str": {},
+    "int64 n_inputs": {"n_inputs": np.int64(1)},
+    "float32 t_max": {"t_max": np.float32(0.05)},
+    "float32 capacitance": {"capacitance": np.float32(1e-6)},
+    "float32 resistance": {"resistance": np.float32(4.7e3)},
+}
+
+
+@pytest.mark.parametrize("case", _SAVED)
+def test_save_writes_plain_strings_and_numbers(case, tmp_path):
+    # a polarity spelled "excitatory" raised AttributeError (no .value); a numpy number,
+    # which the checks pass, raised TypeError: not JSON serializable
+    settings = {"n_inputs": 1, "t_max": 0.05, "capacitance": 1e-6, "resistance": 1e4,
+                **_SAVED[case]}
+    neuron = IFNeuron("a", settings["capacitance"],
+                      (Synapse(0, "excitatory", settings["resistance"]),))
+    net = Network((neuron,), settings["n_inputs"], t_max=settings["t_max"])
+    save_network(net, tmp_path / "m.json")
+    loaded = load_network(tmp_path / "m.json")
+    assert loaded == net
+    stimuli = [(0.0,), (0.3,), (1.0,)]
+    assert infer_batch(loaded, stimuli).tobytes() == infer_batch(net, stimuli).tobytes()
+
+
 def test_load_rejects_malformed_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -313,7 +353,10 @@ def test_load_rejects_unknown_schema_version(bundled_model, tmp_path):
 @pytest.mark.parametrize(
     "field, value, message",
     [
-        ("polarity", "sideways", "model field neurons[1].synapses[0]: 'sideways' is not a valid"),
+        ("polarity", "sideways", "model field neurons[1].synapses[0]: polarity must be "
+                                 "'excitatory' or 'inhibitory', got 'sideways'"),
+        ("polarity", "Excitatory", "model field neurons[1].synapses[0]: polarity must be "
+                                   "'excitatory' or 'inhibitory', got 'Excitatory'"),
         ("resistance_ohms", -5.0, "model field neurons[1].synapses[0]: resistance must be"),
         ("input_index", 0.5, "model field neurons[1].synapses[0].input_index must be an integer"),
         ("input_index", True, "model field neurons[1].synapses[0].input_index must be an integer"),
@@ -330,8 +373,8 @@ def test_network_from_dict_names_the_bad_synapse(bundled_model, field, value, me
 
 def test_heterogeneous_capacitance_is_unserializable():
     # a network has one capacitance: per-neuron values are refused when it is built
-    a = IFNeuron("a", 1e-6, (Synapse(0, Polarity.EXCITATORY, 1e4),))
-    b = IFNeuron("b", 2e-6, (Synapse(0, Polarity.EXCITATORY, 1e4),))
+    a = IFNeuron("a", 1e-6, (Synapse(0, "excitatory", 1e4),))
+    b = IFNeuron("b", 2e-6, (Synapse(0, "excitatory", 1e4),))
     with pytest.raises(ValueError, match=r"one capacitance, got \[1e-06, 2e-06\] farads"):
         Network(neurons=(a, b), n_inputs=1)
     net = Network(neurons=(a, replace(b, capacitance=1e-6)), n_inputs=1)
@@ -341,18 +384,26 @@ def test_heterogeneous_capacitance_is_unserializable():
 
 
 def test_duplicate_synapse_rejected():
-    with pytest.raises(ValueError):
+    # the refusals read the enum's .value, and raised AttributeError on a plain string
+    with pytest.raises(ValueError, match=r"^duplicate synapse for input 0 \(excitatory\)$"):
         IFNeuron(
             "u",
             1e-6,
             (
-                Synapse(0, Polarity.EXCITATORY, 1e4),
-                Synapse(0, Polarity.EXCITATORY, 2e4),
+                Synapse(0, "excitatory", 1e4),
+                Synapse(0, "excitatory", 2e4),
             ),
         )
 
 
+def test_a_time_constant_without_a_conductance_is_refused_by_line():
+    message = ("time constant R·C of input 1 (inhibitory) is 0.0 s, too small for a finite "
+               "conductance: 1e-300 ohms, 1e-30 farads")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        IFNeuron("u", 1e-30, (Synapse(1, "inhibitory", 1e-300),))
+
+
 def test_network_rejects_synapse_beyond_bias_line():
-    neuron = IFNeuron("u", 1e-6, (Synapse(5, Polarity.EXCITATORY, 1e4),))
+    neuron = IFNeuron("u", 1e-6, (Synapse(5, "excitatory", 1e4),))
     with pytest.raises(ValueError):
         Network(neurons=(neuron,), n_inputs=2)

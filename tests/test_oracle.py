@@ -14,7 +14,6 @@ import pytest
 from ifcirc import (
     IFNeuron,
     Network,
-    Polarity,
     Slot,
     StimulationSchedule,
     Synapse,
@@ -27,7 +26,7 @@ from ifcirc.oracle import MAX_STEPS, STEP_DIVISOR
 R, C = 10e3, 1e-6
 TAU = R * C  # 10 ms
 EXACT_ONE_TAU = 1.0 - math.exp(-1.0)
-CHARGE, DISCHARGE = Polarity.EXCITATORY, Polarity.INHIBITORY
+CHARGE, DISCHARGE = "excitatory", "inhibitory"
 
 
 def line(*slots, step_divisor=STEP_DIVISOR):
@@ -134,11 +133,11 @@ def test_schedule_integration_matches_closed_form():
         label="u",
         capacitance=1e-6,
         synapses=(
-            Synapse(0, Polarity.EXCITATORY, 20e3),
-            Synapse(1, Polarity.EXCITATORY, 100e3),
-            Synapse(2, Polarity.EXCITATORY, 1.5e3),
-            Synapse(0, Polarity.INHIBITORY, 10e3),
-            Synapse(1, Polarity.INHIBITORY, 6.8e3),
+            Synapse(0, "excitatory", 20e3),
+            Synapse(1, "excitatory", 100e3),
+            Synapse(2, "excitatory", 1.5e3),
+            Synapse(0, "inhibitory", 10e3),
+            Synapse(1, "inhibitory", 6.8e3),
         ),
     )
     schedule = build_schedule((0.3, 0.7), t_max=0.05)
@@ -149,8 +148,16 @@ def test_schedule_integration_matches_closed_form():
 
 def test_schedule_integration_skips_unmatched_slots():
     neuron = IFNeuron(
-        label="u", capacitance=1e-6, synapses=(Synapse(0, Polarity.EXCITATORY, 10e3),)
+        label="u", capacitance=1e-6, synapses=(Synapse(0, "excitatory", 10e3),)
     )
     schedule = build_schedule((1.0, 1.0), t_max=0.01)  # slots for inputs 1, 2 unmatched
     v = integrate_schedule(neuron, schedule, 1.0)
     assert v == pytest.approx(EXACT_ONE_TAU, rel=1e-9)
+
+
+def test_a_slot_spelled_as_in_model_files_charges():
+    # the oracle told charge from discharge by identity with an enum member, so this
+    # slot matched its synapse and was marched as a discharge: 0.0 V
+    neuron = IFNeuron("a", 1e-6, (Synapse(1, "excitatory", 1e4),))
+    schedule = StimulationSchedule((Slot(1, "excitatory", 0.01),))
+    assert integrate_schedule(neuron, schedule, 1.0) == pytest.approx(EXACT_ONE_TAU, rel=1e-9)

@@ -1,11 +1,16 @@
 """The package's public names: each module's ``__all__``, re-exported."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import ifcirc
 from ifcirc import dataset, hardware, kernel, neuron, oracle, training
 
 # Every name the package exported before it re-exported the module lists.
 EXPORTED = {
     neuron: (
-        "IFNeuron", "Network", "Polarity", "Slot", "StimulationSchedule", "Synapse",
+        "IFNeuron", "Network", "POLARITIES", "Slot", "StimulationSchedule", "Synapse",
         "build_schedule", "classify", "infer_batch", "infer_network", "load_network",
         "network_from_dict", "network_to_dict", "save_network",
     ),
@@ -48,3 +53,15 @@ def test_kernel_stays_a_submodule():
     assert ifcirc.kernel is kernel
     for name in kernel.__all__:
         assert not hasattr(ifcirc, name), name
+
+
+def test_the_benchmark_finds_every_name_it_binds():
+    # perfbench imports public names and looks up each traced layer's functions by module; a
+    # name dropped from the package fails here, not only in the benchmark's own run.  The child
+    # runs from the repo root, where perfbench is, on the same ifcirc as this suite.
+    src = Path(ifcirc.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    code = "import perfbench.workloads; from perfbench.tracing import bind; bind(None)"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=Path(__file__).resolve().parents[1],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -24,7 +24,7 @@ from ifcirc import (
     DatasetConfig,
     IFNeuron,
     Network,
-    Polarity,
+    POLARITIES,
     PostureSample,
     Synapse,
     TrainConfig,
@@ -56,7 +56,7 @@ def _log_r(net):
     log_r = np.empty((2, len(net.neurons), net.n_inputs + 1))
     for k, neuron in enumerate(net.neurons):
         for syn in neuron.synapses:
-            log_r[int(syn.polarity is Polarity.INHIBITORY), k, syn.input_index] = math.log(
+            log_r[int(syn.polarity == "inhibitory"), k, syn.input_index] = math.log(
                 syn.resistance
             )
     return log_r
@@ -118,7 +118,7 @@ def _dv_dg(net, stimuli, dl_dv=None):
 
 
 def test_gradient_single_excitatory_frozen_value():
-    neuron = IFNeuron("u", 1e-6, (Synapse(0, Polarity.EXCITATORY, 10e3),))
+    neuron = IFNeuron("u", 1e-6, (Synapse(0, "excitatory", 10e3),))
     net = Network(neurons=(neuron,), n_inputs=1, t_max=0.01)
     grad = _dv_dg(net, [(1.0,)])
     assert grad[0, 0, 0] == pytest.approx(math.exp(-1) * 0.01, rel=1e-12)
@@ -133,7 +133,7 @@ def test_gradient_zero_for_zero_duration():
     neuron = IFNeuron(
         "u",
         1e-6,
-        (Synapse(0, Polarity.EXCITATORY, 10e3), Synapse(1, Polarity.EXCITATORY, 10e3)),
+        (Synapse(0, "excitatory", 10e3), Synapse(1, "excitatory", 10e3)),
     )
     net = Network(neurons=(neuron,), n_inputs=2, t_max=0.01)
     grad = _dv_dg(net, [(0.0, 1.0)])
@@ -143,7 +143,7 @@ def test_gradient_zero_for_zero_duration():
 
 def test_gradients_zero_without_excitation():
     # nothing ever charges, so no inhibitory conductance can influence the potential
-    neuron = IFNeuron("u", 1e-6, (Synapse(0, Polarity.INHIBITORY, 10e3),))
+    neuron = IFNeuron("u", 1e-6, (Synapse(0, "inhibitory", 10e3),))
     net = Network(neurons=(neuron,), n_inputs=1, t_max=0.01)
     assert _dv_dg(net, [(1.0,)])[1].tolist() == [[0.0, 0.0]]
 
@@ -162,7 +162,7 @@ def gradient_instances(draw):
         synapses = [
             Synapse(line, polarity, draw(st.floats(0.02, 1.0)))
             for line in range(3)
-            for polarity in Polarity
+            for polarity in POLARITIES
             if draw(st.booleans())
         ]
         neurons.append(IFNeuron(f"c{k}", 1.0, tuple(synapses)))
@@ -263,7 +263,7 @@ def test_loss_and_gradient_match_finite_differences_in_log_r(instance):
         neurons = tuple(
             IFNeuron(f"c{k}", cfg.capacitance, tuple(
                 Synapse(line, polarity, float(np.exp(log_r[phase, k, line])))
-                for phase, polarity in enumerate(Polarity)
+                for phase, polarity in enumerate(POLARITIES)
                 if polarity in polarities
                 for line in range(log_r.shape[2])
             ))
@@ -272,8 +272,8 @@ def test_loss_and_gradient_match_finite_differences_in_log_r(instance):
         return Network(neurons, n_inputs=2, supply_voltage=v_in, t_max=cfg.t_max)
 
     stimuli = durations[:, :-1]
-    v = infer_batch(network(tuple(Polarity)), stimuli).T / v_in
-    v_e = infer_batch(network((Polarity.EXCITATORY,)), stimuli).T / v_in
+    v = infer_batch(network(POLARITIES), stimuli).T / v_in
+    v_e = infer_batch(network(("excitatory",)), stimuli).T / v_in
     expected = float(np.mean((v - targets) ** 2)) + cfg.energy_weight * float(np.mean(v_e))
     assert value == pytest.approx(expected, rel=1e-12)
     # the energy term's own gradient, d sum(V_e)/du: V_e is the V of the circuit without
@@ -466,7 +466,8 @@ def test_train_rejects_empty_dataset():
 def test_trainconfig_validation():
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
-    with pytest.raises(ValueError):
+    inverted = "need 0 < r_min < r_max < inf, got 1000000.0, 1000.0"
+    with pytest.raises(ValueError, match=f"^{re.escape(inverted)}$"):
         TrainConfig(r_min=1e6, r_max=1e3)
     # numpy's PCG64 refused it only inside train(), without naming the seed
     with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
@@ -486,18 +487,23 @@ def test_trainconfig_validation():
             message = f"{name} must be a finite number {floor}, got {value!r}"
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 TrainConfig(**{name: value})
+    # True was a 1-ohm floor or a 1 V target
+    for name in ("r_min", "r_max", "target_high"):
+        for value in (True, False, "1", 0.0, -1.0, math.nan, math.inf, -math.inf):
+            message = f"{name} must be a finite number > 0, got {value!r}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                TrainConfig(**{name: value})
+    cfg = TrainConfig(r_min=np.float32(2e3), r_max=np.int64(10**6), target_high=np.float64(0.5))
+    assert (cfg.r_min, cfg.r_max, cfg.target_high) == (2e3, 1e6, 0.5)  # numpy numbers pass
 
 
 @pytest.mark.parametrize("kwargs, message", [
     # -1 once trained without complaint, to 0% training accuracy
-    ({"target_high": -1.0}, "target_high must be > 0, got -1.0"),
-    ({"target_high": 0.0}, "target_high must be > 0, got 0.0"),
-    ({"target_high": -math.inf},
-     "target_high must be finite and at most supply_voltage 1.0, got -inf"),
-    ({"target_high": math.nan},
-     "target_high must be finite and at most supply_voltage 1.0, got nan"),
-    ({"target_high": math.inf},
-     "target_high must be finite and at most supply_voltage 1.0, got inf"),
+    ({"target_high": -1.0}, "target_high must be a finite number > 0, got -1.0"),
+    ({"target_high": 0.0}, "target_high must be a finite number > 0, got 0.0"),
+    ({"target_high": -math.inf}, "target_high must be a finite number > 0, got -inf"),
+    ({"target_high": math.nan}, "target_high must be a finite number > 0, got nan"),
+    ({"target_high": math.inf}, "target_high must be a finite number > 0, got inf"),
     ({"supply_voltage": 0.0}, "supply_voltage must be a finite number > 0, got 0.0"),
     ({"energy_weight": -0.1}, "energy_weight must be a finite number >= 0, got -0.1"),
     ({"energy_weight": math.nan}, "energy_weight must be a finite number >= 0, got nan"),
@@ -631,7 +637,7 @@ def test_elimination_keeps_five_synapses_at_the_first_fits_accuracy(split_42, se
              for n in prune(first_fit.network).neurons for s in n.synapses}
     assert len(kept) == 5 and kept < first.keys()
     dropped = first.keys() - kept
-    assert dropped == {("sit", 0, Polarity.INHIBITORY), ("lie", 1, Polarity.INHIBITORY)}
+    assert dropped == {("sit", 0, "inhibitory"), ("lie", 1, "inhibitory")}
     final = {(n.label, s.input_index, s.polarity): s.resistance
              for n in network.neurons for s in n.synapses}
     assert all(final[key] == TrainConfig.r_max for key in dropped)

@@ -223,7 +223,7 @@ def write_response_map_csv(
 # -------------------------------- energy -----------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NeuronEnergy:
     label: str
     supply_energy: float  # joules drawn from the supply
@@ -231,7 +231,7 @@ class NeuronEnergy:
     dissipated_energy: float  # heat in the resistors
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EnergyReport:
     supply_energy: float
     stored_energy: float

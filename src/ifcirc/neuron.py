@@ -81,6 +81,8 @@ class IFNeuron:
     synapses: tuple[Synapse, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.label, str):  # model files hold a label as a JSON string
+            raise ValueError(f"label must be a string, got {self.label!r}")
         _check_real("capacitance", self.capacitance)
         object.__setattr__(self, "synapses", tuple(self.synapses))
         seen = set()

@@ -1,4 +1,6 @@
+import ctypes
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -67,11 +69,32 @@ def exp_dispatch():
     return "/".join(info[name]["dd"]["current"] for name in ("exp", "expm1"))
 
 
-def assert_dispatch_digest(digests, digest):
-    """``digest`` is the pin ``digests`` holds for this process's exp/expm1 dispatch."""
-    target = exp_dispatch()
-    assert target in digests, f"no pin for exp/expm1 dispatch {target}, which gave {digest}"
-    assert digest == digests[target], f"exp/expm1 dispatch {target} gave {digest}"
+def blas_core():
+    """The kernel family numpy's bundled OpenBLAS runs, such as ``"SkylakeX"``.
+
+    OpenBLAS picks it when it loads, from the CPU or from ``OPENBLAS_CORETYPE`` (``Zen``
+    reports ``Haswell``, whose kernels it runs).  Its dot, matmul and solve kernels round
+    differently, which moves trained-model bytes.  ``"unknown"`` where
+    ``numpy.libs`` holds no OpenBLAS.
+    """
+    for lib in sorted(Path(np.__file__).parent.parent.glob("numpy.libs/*openblas*")):
+        corename = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.argtypes, corename.restype = (), ctypes.c_char_p
+            return corename().decode()
+    return "unknown"
+
+
+def exp_and_blas():
+    """The exp/expm1 dispatch and the OpenBLAS core, as ``"X86_V4/X86_V4 SkylakeX"``."""
+    return f"{exp_dispatch()} {blas_core()}"
+
+
+def assert_dispatch_digest(digests, digest, platform=exp_dispatch):
+    """``digest`` is the pin ``digests`` holds for this process's ``platform()`` key."""
+    key = platform()
+    assert key in digests, f"no pin for platform {key}, which gave {digest}"
+    assert digest == digests[key], f"platform {key} gave {digest}"
 
 
 def rescaled(net, k):

@@ -5,6 +5,7 @@ int i(t)^2 R dt = v_in^2 tau / (2R) * (1 - exp(-2T/tau)) for a single
 charge from rest, derived independently of the per-step balance the
 implementation uses.
 """
+import dataclasses
 import json
 import math
 import re
@@ -468,6 +469,14 @@ def test_energy_report_dict_keys(bundled_model):
     }
     assert len(payload["per_neuron"]) == 3
     assert payload["per_neuron"][0]["label"] == "stand"
+
+
+def test_energy_reports_are_slotted(bundled_model):
+    report = energy_per_inference(bundled_model, (0.5, 0.5))
+    for record in (report, *report.per_neuron):
+        assert not hasattr(record, "__dict__")  # slotted: batch work holds many reports
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            record.supply_energy = 0.0
 
 
 def test_energy_rejects_wrong_arity(bundled_model):

@@ -99,6 +99,22 @@ def test_a_polarity_is_spelled_as_in_model_files():
                 build(polarity)
 
 
+def test_a_label_is_a_string_as_in_model_files(tmp_path):
+    # a label of 5 built, inferred and saved, and load_network then refused the file
+    for label in (5, None, b"sit", ("sit",)):
+        message = f"label must be a string, got {label!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            IFNeuron(label, 1e-6, (Synapse(0, "excitatory", 1e4),))
+    net = Network((IFNeuron(np.str_("sit"), 1e-6, (Synapse(0, "excitatory", 1e4),)),), 1)
+    save_network(net, tmp_path / "model.json")
+    assert load_network(tmp_path / "model.json") == net
+    doc = network_to_dict(net)
+    doc["neurons"][0]["label"] = 5  # the loader names the field first, as before
+    message = "model field neurons[0].label must be a string, got 5"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        network_from_dict(doc)
+
+
 # ------------------------------ inference ----------------------------------
 
 

@@ -134,6 +134,7 @@ def perturb_readout(
     An array of potentials draws its noise in C order, as one call per element would.
     """
     _check_real("sigma", sigma, zero=True)
+    _check_real("supply_voltage", supply_voltage)
     if isinstance(potential, np.ndarray):  # one draw call; a float stays on the cheaper scalar path
         return np.clip(potential + rng.normal(0.0, sigma, potential.shape), 0.0, supply_voltage)
     return min(max(potential + float(rng.normal(0.0, sigma)), 0.0), supply_voltage)

@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -109,8 +108,11 @@ class Network:
 
     ``n_inputs`` is the raw input dimensionality; the bias connection sits
     at index ``n_inputs``.  It is stored explicitly because pruning may
-    strip every synapse of some input from some neuron.  Outside this module
-    the wiring is read from ``resistances`` and ``capacitance``, and written by ``_network``.
+    strip every synapse of some input from some neuron.  It is compiled when
+    built into read-only tables in :mod:`ifcirc.kernel` layout: ``resistances``
+    (+inf where a line is unwired) and ``conductances`` G = 1/(R·C) (0 there).
+    Outside this module the wiring is read from ``resistances`` and ``capacitance``,
+    and written by ``_network``.
     """
 
     neurons: tuple[IFNeuron, ...]
@@ -118,6 +120,9 @@ class Network:
     supply_voltage: float = 1.0
     t_max: float = 0.05  # max stimulation time per input, seconds
     capacitance: float = field(init=False)  # farads, one for every neuron
+    labels: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    resistances: np.ndarray = field(init=False, repr=False, compare=False)
+    conductances: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "neurons", tuple(self.neurons))
@@ -126,39 +131,25 @@ class Network:
         _check_integer("n_inputs", self.n_inputs, 0)
         _check_real("supply_voltage", self.supply_voltage)
         _check_real("t_max", self.t_max)
-        for neuron in self.neurons:
+        r = np.full((2, len(self.neurons), self.n_inputs + 1), np.inf)
+        for k, neuron in enumerate(self.neurons):
             for syn in neuron.synapses:
                 if syn.input_index > self.n_inputs:
                     raise ValueError(
                         f"synapse input {syn.input_index} out of range for "
                         f"{self.n_inputs} inputs plus bias"
                     )
+                r[POLARITIES.index(syn.polarity), k, syn.input_index] = syn.resistance
         capacitances = sorted({neuron.capacitance for neuron in self.neurons})
         if len(capacitances) > 1:
             raise ValueError(f"neurons must share one capacitance, got {capacitances} farads")
-        object.__setattr__(self, "capacitance", capacitances[0])
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(n.label for n in self.neurons)
-
-    @cached_property
-    def resistances(self) -> np.ndarray:
-        """R per synapse in :mod:`ifcirc.kernel` layout, +inf where a line is unwired; read-only."""
-        r = np.full((2, len(self.neurons), self.n_inputs + 1), np.inf)
-        for k, neuron in enumerate(self.neurons):
-            for syn in neuron.synapses:
-                r[POLARITIES.index(syn.polarity), k, syn.input_index] = syn.resistance
-        r.flags.writeable = False
-        return r
-
-    @cached_property
-    def conductances(self) -> np.ndarray:
-        """G = 1/(R·C) in :mod:`ifcirc.kernel` layout, 0 where a line is unwired; read-only."""
         with np.errstate(over="ignore"):  # R·C past the largest float: G = 1/inf = 0
-            g = 1.0 / (self.resistances * self.capacitance)
-        g.flags.writeable = False
-        return g
+            g = 1.0 / (r * capacitances[0])
+        r.flags.writeable = g.flags.writeable = False
+        object.__setattr__(self, "capacitance", capacitances[0])
+        object.__setattr__(self, "labels", tuple(n.label for n in self.neurons))
+        object.__setattr__(self, "resistances", r)
+        object.__setattr__(self, "conductances", g)
 
 
 def _network(labels: Sequence[str], resistances: np.ndarray, capacitance: float,

@@ -63,6 +63,7 @@ def integrate_schedule(
     Each slot is stepped at its own time constant R * C over ``step_divisor``,
     so every transient is resolved alike, whatever the neuron's other synapses.
     """
+    _check_real("v_in", v_in)
     _check_real("step divisor", step_divisor)
     if math.isinf(1.0 / step_divisor):
         raise ValueError(

@@ -960,26 +960,6 @@ def test_validate_refuses_an_endless_march(tmp_path, capsys):
     assert code == 1 and "steps" in err and err.startswith("error: integrating")
 
 
-def test_validate_refuses_inputs_no_array_holds(tmp_path, capsys):
-    # 10**15 random inputs need 8 PB: numpy's MemoryError ended in a traceback
-    model = _model_with(tmp_path, lambda doc: {**doc, "n_inputs": 10**15})
-    code, out, err = run_cli(capsys, "validate", "--trials", 1, "--model", model)
-    assert code == 1
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "Traceback" not in err and "validation" not in out
-
-
-@pytest.mark.parametrize("command", ["prune", "quantize"])
-def test_prune_and_quantize_refuse_inputs_no_array_holds(tmp_path, capsys, command):
-    # the wiring table of 10**15 inputs needs 48 PB: both printed counts and exited 0
-    model = _model_with(tmp_path, lambda doc: {**doc, "n_inputs": 10**15})
-    out_path = tmp_path / "out.json"
-    code, out, err = run_cli(capsys, command, "--model", model, "--out", out_path)
-    assert code == 1
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "Traceback" not in err and "wrote" not in out and not out_path.exists()
-
-
 def test_validate_refuses_a_time_constant_without_a_step(tmp_path, capsys):
     def with_tau(resistance, capacitance):
         def edit(doc):
@@ -1146,6 +1126,7 @@ def test_fuzzed_csv_is_never_a_crash(fuzz_dir, header, rows):
     _assert_clean_exit(fuzz_dir, ["train", "--data", "rows.csv", "--epochs", 2, "--out", "m.json"])
 
 
+# every subcommand that reads a model, with the settings it needs
 _MODEL_COMMANDS = (
     ("infer", "--pitch", 0.3, "--roll", 0.1),
     ("energy", "--pitch", 0.3, "--roll", 0.1),
@@ -1174,6 +1155,19 @@ def test_fuzzed_model_is_never_a_crash(fuzz_dir, data):
     (fuzz_dir / "model.json").write_text(json.dumps(doc))
     for command, *rest in _MODEL_COMMANDS:
         _assert_clean_exit(fuzz_dir, [command, "--model", "model.json", *rest])
+
+
+@pytest.mark.parametrize("argv", _MODEL_COMMANDS, ids=[argv[0] for argv in _MODEL_COMMANDS])
+def test_model_commands_refuse_inputs_no_array_holds(tmp_path, argv):
+    # the wiring table of 10**15 inputs needs 48 PB, and a network builds it when it loads, before
+    # any other input is read (prune and quantize used to print counts and exit 0)
+    _model_with(tmp_path, lambda doc: {**doc, "n_inputs": 10**15})
+    assert _run_in(tmp_path, ["gen-data", "--n", 3, "--out", "tiny.csv"])[0] == 0
+    code, out, err = _run_in(tmp_path, [argv[0], "--model", "model.json", *argv[1:]])
+    assert code == 1
+    assert err.startswith("error: Unable to allocate ") and err.count("\n") == 1
+    assert "Traceback" not in err and out.startswith("config ") and out.count("\n") == 1
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["model.json", "tiny.csv"]
 
 
 @pytest.mark.parametrize("option, opening", [("--model", "["), ("--config", '{"a":')],

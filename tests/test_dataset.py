@@ -208,6 +208,15 @@ _SETTINGS = {
         lambda v: integrate_schedule(_NEURON, build_schedule((0.5,), 0.05), 1.0, v),
         "step divisor", "> 0",
     ),
+    # both took any supply: at -1 V a readout was clamped to -1 V and the oracle gave -0.221 V
+    "perturb_readout.supply_voltage": (
+        lambda v: perturb_readout(0.5, 0.1, np.random.default_rng(0), supply_voltage=v),
+        "supply_voltage", "> 0",
+    ),
+    "integrate_schedule.v_in": (
+        lambda v: integrate_schedule(_NEURON, build_schedule((0.5,), 0.05), v),
+        "v_in", "> 0",
+    ),
 }
 
 

@@ -23,6 +23,7 @@ from ifcirc import (
     Synapse,
     build_schedule,
     classify,
+    example_model_path,
     infer_batch,
     infer_network,
     load_network,
@@ -229,6 +230,28 @@ def test_conductance_is_zero_where_the_time_constant_overflows():
     net = Network((IFNeuron("u", 1e300, (Synapse(0, "excitatory", 1e10),)),), 1)
     assert net.resistances[0, 0, 0] == 1e10
     assert not net.conductances.any()
+
+
+def test_equal_networks_compare_and_hash_equal_and_repr_no_table(bundled_model):
+    # the compiled tables are derived from the fields: equality, hashing and repr leave them out
+    twin = network_from_dict(network_to_dict(bundled_model))
+    assert twin.resistances is not bundled_model.resistances
+    assert twin == bundled_model and hash(twin) == hash(bundled_model)
+    assert replace(twin, t_max=0.1) != bundled_model
+    text = repr(twin)
+    assert text.startswith("Network(neurons=(IFNeuron(label='stand', capacitance=1e-06, ")
+    assert text.endswith(", n_inputs=2, supply_voltage=1.0, t_max=0.05, capacitance=1e-06)")
+    for table in ("array", "inf", "labels", "resistances", "conductances"):
+        assert table not in text
+
+
+def test_a_table_no_memory_holds_is_refused_at_load(tmp_path):
+    # 10**15 inputs: the (2, 3, 10**15 + 1) wiring table needs 48 PB, and loading builds it
+    path = tmp_path / "wide.json"
+    doc = json.loads(example_model_path().read_text())
+    path.write_text(json.dumps({**doc, "n_inputs": 10**15}))
+    with pytest.raises(MemoryError, match=r"^Unable to allocate .* \(2, 3, 1000000000000001\)"):
+        load_network(path)
 
 
 def test_infer_batch_checks_arity(bundled_model):

@@ -1,5 +1,6 @@
 """The package's public names: each module's ``__all__``, re-exported."""
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -65,3 +66,17 @@ def test_the_benchmark_finds_every_name_it_binds():
     proc = subprocess.run([sys.executable, "-c", code], cwd=Path(__file__).resolve().parents[1],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_the_readme_library_quick_start_runs(capsys):
+    # the README's examples call public names; run them, so a renamed name cannot leave them stale
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Quick start: library\n", 1)[1].split("\n## ", 1)[0]
+    blocks = re.findall(r"```python\n(.*?)```", section, re.S)
+    assert len(blocks) == 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    accuracy, label = capsys.readouterr().out.splitlines()
+    assert float(accuracy) >= 0.95 and label == "sit"
+    assert namespace["net"] == ifcirc.load_network(ifcirc.example_model_path())

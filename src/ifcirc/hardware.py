@@ -248,7 +248,7 @@ def energy_per_inference(net: Network, stimulus: Sequence[float]) -> EnergyRepor
     """
     fwd = _forward(net, [stimulus])
     v_in, c = net.supply_voltage, net.capacitance
-    total = len(net.neurons) * c
+    total = len(net.labels) * c
     if not math.isfinite(total * (v_in * v_in)):  # bounds every joule below
         raise ValueError(f"supply_voltage {v_in!r} V and total capacitance {total!r}"
                          " F overflow the energy: C*v_in**2 is not finite")

@@ -1,6 +1,6 @@
 """Integrate-and-fire neurons as recurrent sequences of synapse stimulations.
 
-A neuron is a capacitor plus an ordered list of resistive synapses.  An
+A neuron is a capacitor plus a set of resistive synapses.  An
 input vector is turned into a stimulation schedule: one excitatory slot
 per input (duration proportional to the input value), then one inhibitory
 slot per input.  Excitation must complete before inhibition because the
@@ -73,7 +73,7 @@ class Synapse:
 
 @dataclass(frozen=True)
 class IFNeuron:
-    """A capacitor and its ordered synapses, one neuron per output class."""
+    """A capacitor and its synapses, one neuron per output class."""
 
     label: str
     capacitance: float  # farads
@@ -83,7 +83,9 @@ class IFNeuron:
         if not isinstance(self.label, str):  # model files hold a label as a JSON string
             raise ValueError(f"label must be a string, got {self.label!r}")
         _check_real("capacitance", self.capacitance)
-        object.__setattr__(self, "synapses", tuple(self.synapses))
+        # the C order of Network.resistances: equality, hashing and saved bytes follow the wiring
+        order = sorted(self.synapses, key=lambda s: (POLARITIES.index(s.polarity), s.input_index))
+        object.__setattr__(self, "synapses", tuple(order))
         seen = set()
         for syn in self.synapses:
             key = (syn.input_index, syn.polarity)
@@ -136,15 +138,16 @@ class Network:
             for syn in neuron.synapses:
                 if syn.input_index > self.n_inputs:
                     raise ValueError(
-                        f"synapse input {syn.input_index} out of range for "
-                        f"{self.n_inputs} inputs plus bias"
+                        f"neurons[{k}] ({neuron.label!r}): {syn.polarity} synapse on input "
+                        f"{syn.input_index} out of range for {self.n_inputs} inputs plus bias"
                     )
                 r[POLARITIES.index(syn.polarity), k, syn.input_index] = syn.resistance
         capacitances = sorted({neuron.capacitance for neuron in self.neurons})
         if len(capacitances) > 1:
             raise ValueError(f"neurons must share one capacitance, got {capacitances} farads")
         with np.errstate(over="ignore"):  # R·C past the largest float: G = 1/inf = 0
-            g = 1.0 / (r * capacitances[0])
+            g = np.multiply(r, capacitances[0])
+            np.divide(1.0, g, out=g)  # in place: a build holds two tables, not three
         r.flags.writeable = g.flags.writeable = False
         object.__setattr__(self, "capacitance", capacitances[0])
         object.__setattr__(self, "labels", tuple(n.label for n in self.neurons))
@@ -152,21 +155,21 @@ class Network:
         object.__setattr__(self, "conductances", g)
 
 
+def _wiring(table: np.ndarray) -> tuple[list[int], list[str], list[float]]:
+    """Lines, polarities and ohms of the finite entries of a (phase, line) table, in C order."""
+    wired = np.isfinite(table)
+    phases, lines = np.nonzero(wired)
+    return lines.tolist(), [POLARITIES[phase] for phase in phases.tolist()], table[wired].tolist()
+
+
 def _network(labels: Sequence[str], resistances: np.ndarray, capacitance: float,
              supply_voltage: float, t_max: float) -> Network:
     """The network wired by ``resistances``, laid out as ``Network.resistances``: +inf is unwired.
 
-    Each neuron holds a synapse per finite entry, excitatory first, each phase in ascending
-    line order, as ifcirc writes models; ``tolist`` hands them Python ints and floats, which
-    model JSON takes.  ``n_inputs`` is the table width minus the bias line.
+    Each neuron holds a synapse per finite entry; ``n_inputs`` is the width less the bias line.
     """
-    neurons = []
-    for k, label in enumerate(labels):
-        wired = np.isfinite(resistances[:, k])  # (phase, line): its C order is the canonical one
-        phases, lines = np.nonzero(wired)
-        polarities = [POLARITIES[phase] for phase in phases.tolist()]
-        synapses = map(Synapse, lines.tolist(), polarities, resistances[:, k][wired].tolist())
-        neurons.append(IFNeuron(label, capacitance, tuple(synapses)))
+    neurons = (IFNeuron(label, capacitance, map(Synapse, *_wiring(resistances[:, k])))
+               for k, label in enumerate(labels))
     return Network(tuple(neurons), resistances.shape[2] - 1, supply_voltage, t_max)
 
 
@@ -256,17 +259,13 @@ def network_to_dict(net: Network) -> dict:
         "n_inputs": net.n_inputs,
         "neurons": [
             {
-                "label": neuron.label,
+                "label": label,
                 "synapses": [
-                    {
-                        "input_index": syn.input_index,
-                        "polarity": syn.polarity,
-                        "resistance_ohms": syn.resistance,
-                    }
-                    for syn in neuron.synapses
+                    {"input_index": line, "polarity": polarity, "resistance_ohms": ohms}
+                    for line, polarity, ohms in zip(*_wiring(net.resistances[:, k]))
                 ],
             }
-            for neuron in net.neurons
+            for k, label in enumerate(net.labels)
         ],
     }
 

@@ -271,9 +271,7 @@ def evaluate_accuracy(
     if len(samples) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     labels = net.labels
-    index: dict[str, int] = {}
-    for i, label in enumerate(labels):
-        index.setdefault(label, i)
+    index = {label: i for i, label in enumerate(labels)}  # a repeated label: any of its indices
     try:
         truth = np.array([index[s.label] for s in samples])
     except KeyError as exc:

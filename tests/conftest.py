@@ -110,6 +110,12 @@ def rescaled(net, k):
     return replace(net, neurons=neurons)
 
 
+def reversed_twin(net):
+    """``net`` with each neuron's synapses listed in reverse order."""
+    return replace(net, neurons=tuple(
+        replace(neuron, synapses=neuron.synapses[::-1]) for neuron in net.neurons))
+
+
 @pytest.fixture(scope="session")
 def bundled_model():
     return load_network(example_model_path())

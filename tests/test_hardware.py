@@ -38,7 +38,7 @@ from ifcirc import (
     write_response_map_csv,
 )
 from ifcirc import hardware
-from conftest import networks
+from conftest import networks, reversed_twin
 
 
 # ------------------------------- catalogs -----------------------------------
@@ -144,12 +144,10 @@ def test_quantize_is_idempotent(bundled_model):
 
 
 def _per_synapse(net, fn):
-    """``net`` with each synapse s replaced by ``fn(s)``, None dropping it, sorted canonically."""
-    phases = ["excitatory", "inhibitory"]
+    """``net`` with each synapse s replaced by ``fn(s)``, None dropping it."""
     neurons = []
     for neuron in net.neurons:
         kept = [s for s in map(fn, neuron.synapses) if s is not None]
-        kept.sort(key=lambda s: (phases.index(s.polarity), s.input_index))
         neurons.append(IFNeuron(neuron.label, neuron.capacitance, tuple(kept)))
     return Network(tuple(neurons), net.n_inputs, net.supply_voltage, net.t_max)
 
@@ -188,6 +186,13 @@ def test_prune_and_quantize_write_canonical_order():
         assert [(s.input_index, s.polarity) for s in rebuilt.neurons[0].synapses] == canonical
     assert [s.resistance for s in quantize_network(net).neurons[0].synapses] == [
         2e4, 1000.0, 5e5, 4000.0]
+
+
+def test_prune_and_quantize_return_their_input_when_no_resistance_moves(bundled_model):
+    # listed in reverse, a quantized network came back unequal: its synapses in another order
+    quantized = reversed_twin(quantize_network(bundled_model))
+    assert quantize_network(quantized) == quantized
+    assert prune(quantized, r_max=1e12) == quantized
 
 
 # ----------------------------- readout noise --------------------------------

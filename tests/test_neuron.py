@@ -7,6 +7,7 @@ forms implemented here.
 import json
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -31,7 +32,7 @@ from ifcirc import (
     network_to_dict,
     save_network,
 )
-from conftest import neurons, networks, stimulus_values, voltages
+from conftest import neurons, networks, reversed_twin, stimulus_values, voltages
 
 
 # ------------------------------ schedules ----------------------------------
@@ -245,6 +246,46 @@ def test_equal_networks_compare_and_hash_equal_and_repr_no_table(bundled_model):
         assert table not in text
 
 
+def test_a_network_in_another_synapse_order_is_the_same_network(bundled_model, tmp_path):
+    # a neuron holds its synapses in the table's C order, so the order given leaves no trace
+    twin = reversed_twin(bundled_model)
+    assert twin == bundled_model and hash(twin) == hash(bundled_model)
+    assert repr(twin) == repr(bundled_model)
+    save_network(twin, tmp_path / "twin.json")
+    assert (tmp_path / "twin.json").read_bytes() == example_model_path().read_bytes()
+
+
+@given(net=networks(), data=st.data())
+def test_synapses_are_held_and_written_in_the_tables_order(net, data):
+    shuffled = replace(net, neurons=tuple(
+        replace(n, synapses=data.draw(st.permutations(n.synapses))) for n in net.neurons))
+    assert shuffled == net and hash(shuffled) == hash(net)
+    for neuron, entry in zip(shuffled.neurons, network_to_dict(shuffled)["neurons"]):
+        written = [(s["input_index"], s["polarity"], s["resistance_ohms"]) for s in entry["synapses"]]
+        assert written == [(s.input_index, s.polarity, s.resistance) for s in neuron.synapses]
+        assert written == sorted(written, key=lambda w: (POLARITIES.index(w[1]), w[0]))
+
+
+def test_a_resistance_is_written_as_the_float_the_table_holds():
+    net = Network((IFNeuron("u", 1e-6, (Synapse(0, "excitatory", 1000),)),), 1)
+    (written,) = network_to_dict(net)["neurons"][0]["synapses"]
+    assert json.dumps(written["resistance_ohms"]) == "1000.0"
+
+
+def test_a_build_holds_the_table_and_its_conductances_at_its_peak():
+    # G = 1/(R·C) once allocated R·C beside both: three tables where two are kept
+    doc = json.loads(example_model_path().read_text())
+    doc["n_inputs"] = 10**5
+    table = 2 * 3 * (10**5 + 1) * 8
+    tracemalloc.start()
+    try:
+        network_from_dict(doc)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * table
+
+
 def test_a_table_no_memory_holds_is_refused_at_load(tmp_path):
     # 10**15 inputs: the (2, 3, 10**15 + 1) wiring table needs 48 PB, and loading builds it
     path = tmp_path / "wide.json"
@@ -442,7 +483,14 @@ def test_a_time_constant_without_a_conductance_is_refused_by_line():
         IFNeuron("u", 1e-30, (Synapse(1, "inhibitory", 1e-300),))
 
 
-def test_network_rejects_synapse_beyond_bias_line():
+def test_network_rejects_synapse_beyond_bias_line(bundled_model):
+    # named by neuron and line: a neuron holds its synapses in the table's order, not the file's
     neuron = IFNeuron("u", 1e-6, (Synapse(5, "excitatory", 1e4),))
-    with pytest.raises(ValueError):
+    message = "neurons[0] ('u'): excitatory synapse on input 5 out of range for 2 inputs plus bias"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         Network(neurons=(neuron,), n_inputs=2)
+    doc = network_to_dict(bundled_model)
+    doc["neurons"][1]["synapses"][0]["input_index"] = 7
+    message = "neurons[1] ('lie'): excitatory synapse on input 7 out of range for 2 inputs plus bias"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        network_from_dict(doc)

@@ -1,4 +1,5 @@
 """The package's public names: each module's ``__all__``, re-exported."""
+import ast
 import os
 import re
 import subprocess
@@ -80,3 +81,23 @@ def test_the_readme_library_quick_start_runs(capsys):
     accuracy, label = capsys.readouterr().out.splitlines()
     assert float(accuracy) >= 0.95 and label == "sit"
     assert namespace["net"] == ifcirc.load_network(ifcirc.example_model_path())
+
+
+def test_only_the_oracle_path_reads_neuron_objects():
+    # outside neuron.py a network is its wiring table; the RK4 oracle and the validate
+    # command that feeds it still walk neuron objects
+    oracle_path = {("oracle.py", "integrate_schedule"), ("cli.py", "_cmd_validate")}
+    reads, stray = set(), []
+    for path in sorted(Path(ifcirc.__file__).parent.glob("*.py")):
+        if path.name == "neuron.py":
+            continue
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and node.attr in ("neurons", "synapses", "synapse_map"):
+                    where = (path.name, getattr(top, "name", None))
+                    if where in oracle_path:
+                        reads.add(where)
+                    else:
+                        stray.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert stray == []
+    assert reads == oracle_path  # the scan sees the reads it allows

@@ -921,6 +921,22 @@ def test_evaluate_accuracy_with_readout_noise(bundled_model):
     assert noisy_accuracy < evaluate_accuracy(bundled_model, samples)
 
 
+@pytest.mark.parametrize("labels", [("sit", "lie", "sit"), ("stand", "stand", "stand"),
+                                    ("lie", "sit", "lie"), ("stand", "lie", "sit")])
+@pytest.mark.parametrize("sigma", [0.0, 0.3])
+def test_evaluate_accuracy_counts_a_repeated_label_by_label(bundled_model, labels, sigma):
+    # a hit is a label match, whichever of a repeated label's neurons wins
+    net = Network(tuple(replace(n, label=label) for n, label in zip(bundled_model.neurons, labels)), 2)
+    samples = [s for s in _quick_dataset(20, seed=4) if s.label in labels]
+    rng = np.random.Generator(np.random.PCG64(5))
+    hits = 0
+    for s in samples:
+        potentials = [perturb_readout(p, sigma, rng) for p in infer_network(net, (s.pitch, s.roll))]
+        hits += labels[classify(potentials)] == s.label
+    rng = np.random.Generator(np.random.PCG64(5))
+    assert evaluate_accuracy(net, samples, noise_sigma=sigma, rng=rng) == hits / len(samples)
+
+
 def test_evaluate_accuracy_refuses_noise_without_a_generator(bundled_model):
     # without one, each call drew from OS entropy: 0.903, 0.882, 0.890, 0.898 on the same 600
     with pytest.raises(ValueError, match="noise_sigma needs rng"):

@@ -8,7 +8,9 @@ each default, the defaults themselves and the type check of config-file
 values.  Settings come from those defaults, overlaid by an optional JSON
 config file (--config), overlaid by explicit command-line flags.  The
 effective merged config is echoed on the first output line so any run can
-be reproduced from its log.
+be reproduced from its log.  ``main`` then refuses any unset setting named
+in ``_REQUIRED``, reads the command's inputs (the model, then the --data
+CSV) and hands them to the subcommand, which only computes and writes.
 
 Exit codes: 0 success, 1 user error (bad flags, bad files, bad values), 2
 internal/validation failure (e.g. the oracle check exceeding tolerance).
@@ -26,6 +28,7 @@ import numpy as np
 from . import __version__, example_model_path
 from .dataset import (
     DatasetConfig,
+    PostureSample,
     _check_integer,
     _check_real,
     generate,
@@ -44,6 +47,7 @@ from .hardware import (
     write_response_map_csv,
 )
 from .neuron import (
+    Network,
     build_schedule,
     classify,
     infer_network,
@@ -61,6 +65,7 @@ from .training import (
 )
 
 _BUNDLED = "bundled"  # sentinel meaning "use the packaged example model"
+_REQUIRED = ("data", "model", "pitch", "roll")  # settings a command needs that have no default
 
 
 def _merge_config(args: argparse.Namespace, settings: Sequence[tuple]) -> dict:
@@ -96,12 +101,6 @@ def _require(cfg: dict, key: str) -> None:
         raise ValueError(f"missing required setting --{key.replace('_', '-')}")
 
 
-def _load_model(cfg: dict):
-    _require(cfg, "model")
-    path = example_model_path() if cfg["model"] == _BUNDLED else cfg["model"]
-    return load_network(path)
-
-
 def _rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
@@ -131,9 +130,7 @@ def _cmd_gen_data(cfg: dict) -> int:
     return 0
 
 
-def _cmd_train(cfg: dict) -> int:
-    _require(cfg, "data")
-    samples = read_csv(cfg["data"])
+def _cmd_train(cfg: dict, samples: list[PostureSample]) -> int:
     train_cfg = TrainConfig(**{f.name: cfg[f.name] for f in fields(TrainConfig) if f.name in cfg})
     result = train(samples, train_cfg)
     save_network(result.network, cfg["out"])
@@ -146,10 +143,7 @@ def _cmd_train(cfg: dict) -> int:
     return 0
 
 
-def _cmd_eval(cfg: dict) -> int:
-    net = _load_model(cfg)
-    _require(cfg, "data")
-    samples = read_csv(cfg["data"])
+def _cmd_eval(cfg: dict, net: Network, samples: list[PostureSample]) -> int:
     rng = _rng(cfg["seed"])
     accuracy = evaluate_accuracy(net, samples, noise_sigma=cfg["noise_sigma"], rng=rng)
     print(f"samples {len(samples)}")
@@ -157,8 +151,7 @@ def _cmd_eval(cfg: dict) -> int:
     return 0
 
 
-def _cmd_prune(cfg: dict) -> int:
-    net = _load_model(cfg)
+def _cmd_prune(cfg: dict, net: Network) -> int:
     pruned = prune(net, r_max=cfg["r_max"])
     before, after = (np.count_nonzero(np.isfinite(n.resistances)) for n in (net, pruned))
     save_network(pruned, cfg["out"])
@@ -169,8 +162,7 @@ def _cmd_prune(cfg: dict) -> int:
     return 0
 
 
-def _cmd_quantize(cfg: dict) -> int:
-    net = _load_model(cfg)
+def _cmd_quantize(cfg: dict, net: Network) -> int:
     raw = cfg["catalog_values"]
     values = tuple(float(v) for v in raw.split(",")) if raw else ()
     if cfg["catalog"] == "custom" and not values:
@@ -184,10 +176,7 @@ def _cmd_quantize(cfg: dict) -> int:
     return 0
 
 
-def _cmd_infer(cfg: dict) -> int:
-    net = _load_model(cfg)
-    _require(cfg, "pitch")
-    _require(cfg, "roll")
+def _cmd_infer(cfg: dict, net: Network) -> int:
     potentials = infer_network(net, (cfg["pitch"], cfg["roll"]))
     if cfg["noise_sigma"] != 0.0:
         potentials = perturb_readout(
@@ -200,18 +189,14 @@ def _cmd_infer(cfg: dict) -> int:
     return 0
 
 
-def _cmd_response_map(cfg: dict) -> int:
-    net = _load_model(cfg)
+def _cmd_response_map(cfg: dict, net: Network) -> int:
     rows = response_map(net, cfg["step"])
     write_response_map_csv(rows, net.labels, cfg["out"])
     print(f"wrote {len(rows)} rows to {cfg['out']}")
     return 0
 
 
-def _cmd_energy(cfg: dict) -> int:
-    net = _load_model(cfg)
-    _require(cfg, "pitch")
-    _require(cfg, "roll")
+def _cmd_energy(cfg: dict, net: Network) -> int:
     report = energy_report_to_dict(energy_per_inference(net, (cfg["pitch"], cfg["roll"])))
     if cfg["out"] is not None:  # write first: a failed write prints no result
         payload = {"schema_version": 1, **report}
@@ -226,10 +211,9 @@ def _cmd_energy(cfg: dict) -> int:
     return 0
 
 
-def _cmd_validate(cfg: dict) -> int:
+def _cmd_validate(cfg: dict, net: Network) -> int:
     _check_integer("trials", cfg["trials"], 1)
     _check_real("tolerance", cfg["tolerance"], zero=True)
-    net = _load_model(cfg)
     rng = _rng(cfg["seed"])
     worst = 0.0
     for _ in range(cfg["trials"]):
@@ -353,7 +337,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         print("config", json.dumps(cfg, sort_keys=True))
         if "seed" in cfg:  # numpy's refusal does not name the setting
             _check_integer("seed", cfg["seed"], 0)
-        return handler(cfg)
+        for key in cfg:  # in the command's order, and before any file is read
+            if key in _REQUIRED:
+                _require(cfg, key)
+        inputs = []
+        if "model" in cfg:
+            path = example_model_path() if cfg["model"] == _BUNDLED else cfg["model"]
+            inputs.append(load_network(path))
+        if "data" in cfg:
+            inputs.append(read_csv(cfg["data"]))
+        return handler(cfg, *inputs)
     except (ValueError, OSError, MemoryError) as exc:  # MemoryError: an input size no array holds
         print(f"error: {exc}", file=sys.stderr)
         return 1

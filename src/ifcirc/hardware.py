@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .dataset import _check_real, _write_rows
-from .neuron import Network, _forward, _network, infer_batch
+from .neuron import Network, _forward, _network, infer_batch, infer_network
 
 __all__ = [
     "E12_MANTISSAS",
@@ -170,7 +170,7 @@ class ResponseMap(Sequence):
             raise IndexError("response map row index out of range")
         p, r = divmod(i, len(self._axis))
         pitch, roll = self._axis[p], self._axis[r]
-        return pitch, roll, infer_batch(self._net, [(pitch, roll)])[0].tolist()
+        return pitch, roll, infer_network(self._net, (pitch, roll))
 
     def __iter__(self) -> Iterator[tuple[float, float, list[float]]]:
         rolls = np.array(self._axis)

@@ -168,8 +168,12 @@ def _network(labels: Sequence[str], resistances: np.ndarray, capacitance: float,
 
     Each neuron holds a synapse per finite entry; ``n_inputs`` is the width less the bias line.
     """
-    neurons = (IFNeuron(label, capacitance, map(Synapse, *_wiring(resistances[:, k])))
-               for k, label in enumerate(labels))
+    neurons = []
+    for k, label in enumerate(labels):
+        try:
+            neurons.append(IFNeuron(label, capacitance, map(Synapse, *_wiring(resistances[:, k]))))
+        except ValueError as exc:  # named as Network names an out-of-range synapse
+            raise ValueError(f"neurons[{k}] ({label!r}): {exc}") from None
     return Network(tuple(neurons), resistances.shape[2] - 1, supply_voltage, t_max)
 
 

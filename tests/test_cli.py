@@ -554,6 +554,22 @@ def test_train_requires_data(capsys):
     assert "--data" in err
 
 
+@pytest.mark.parametrize("command, argv, key", [
+    ("eval", ("--model", "absent.json"), "data"),
+    ("eval", ("--data", "absent.csv"), "model"),
+    ("infer", ("--model", "absent.json", "--pitch", 0), "roll"),
+    ("energy", ("--model", "absent.json", "--roll", 0), "pitch"),
+    ("train", ("--out", "absent/model.json", "--loss-out", "absent/loss.csv"), "data"),
+])
+def test_a_missing_setting_is_refused_before_any_file_is_read(tmp_path, capsys, command, argv, key):
+    # eval, infer and energy used to report the missing model file first
+    argv = [tmp_path / a if str(a).startswith("absent") else a for a in argv]
+    code, out, err = run_cli(capsys, command, *argv)
+    assert code == 1
+    assert err == f"error: missing required setting --{key}\n"
+    assert len(out.splitlines()) == 1 and out.startswith("config ")
+
+
 def test_eval_bundled_on_clean_means(tmp_path, capsys):
     data = tmp_path / "clean.csv"
     assert run_cli(capsys, "gen-data", "--n", 4, "--sigma", 0, "--out", data)[0] == 0

@@ -140,6 +140,14 @@ def test_quantize_is_idempotent(bundled_model):
     assert quantize_network(once) == once
 
 
+def test_quantize_names_the_neuron_whose_time_constant_underflows(bundled_model):
+    # as a loaded model and an out-of-range synapse do; the message used to name the line alone
+    message = ("neurons[0] ('stand'): time constant R·C of input 0 (excitatory) is 0.0 s, "
+               "too small for a finite conductance: 5e-324 ohms, 1e-06 farads")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        quantize_network(bundled_model, ResistorCatalog("custom", (5e-324,)))
+
+
 # ------------------ prune and quantize rebuild from the table -----------------
 
 

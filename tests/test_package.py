@@ -101,3 +101,16 @@ def test_only_the_oracle_path_reads_neuron_objects():
                         stray.append(f"{path.name}:{node.lineno} .{node.attr}")
     assert stray == []
     assert reads == oracle_path  # the scan sees the reads it allows
+
+
+def test_only_main_reads_the_cli_inputs():
+    # main loads the model and the CSV once and hands them to the subcommand
+    tree = ast.parse((Path(ifcirc.__file__).parent / "cli.py").read_text())
+    calls = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in ("load_network", "read_csv"):
+                    calls.append(f"{getattr(top, 'name', None)}:{node.lineno} {name}")
+    assert [call.split(":")[0] for call in calls] == ["main", "main"], calls

@@ -164,7 +164,10 @@ def _cmd_prune(cfg: dict, net: Network) -> int:
 
 def _cmd_quantize(cfg: dict, net: Network) -> int:
     raw = cfg["catalog_values"]
-    values = tuple(float(v) for v in raw.split(",")) if raw else ()
+    try:
+        values = tuple(float(v) for v in raw.split(",")) if raw else ()
+    except ValueError:  # float() names the piece, not the flag
+        raise ValueError(f"--catalog-values must be numbers separated by commas, got {raw!r}") from None
     if cfg["catalog"] == "custom" and not values:
         raise ValueError("--catalog custom needs --catalog-values")
     catalog = ResistorCatalog(mode=cfg["catalog"], values=values)

@@ -21,14 +21,14 @@ import math
 import operator
 import sys
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from pathlib import Path
 
 import numpy as np
 
 from .dataset import _check_real, _write_rows
-from .neuron import Network, _forward, _network, infer_batch, infer_network
+from .neuron import Network, _forward, infer_batch, infer_network
 
 __all__ = [
     "E12_MANTISSAS",
@@ -119,7 +119,7 @@ def quantize_network(net: Network, catalog: ResistorCatalog = DEFAULT_CATALOG) -
     """Round every synapse resistance to the catalog."""
     r = net.resistances.copy()
     r[np.isfinite(r)] = [round_resistance(x, catalog) for x in r[np.isfinite(r)].tolist()]
-    return _network(net.labels, r, net.capacitance, net.supply_voltage, net.t_max)
+    return replace(net, resistances=r)
 
 
 def perturb_readout(

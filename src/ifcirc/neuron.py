@@ -7,8 +7,11 @@ slot per input.  Excitation must complete before inhibition because the
 capacitor has to hold charge before a discharge path can remove any.
 Starting from a fully discharged capacitor, the voltage left at the end is
 the membrane potential; it has a closed form, evaluated for whole batches
-by :mod:`ifcirc.kernel` from the network's compiled conductances.
+by :mod:`ifcirc.kernel` from the network's conductances.
 Classification picks the neuron with the highest potential.
+
+A network is built from its wiring table, one R per (polarity, neuron, line),
+and one capacitance; its ``neurons`` are a view of that table.
 
 Every input additionally carries an always-on bias connection (input value
 fixed at 1) so a neuron can charge even when the pattern is all zeros.
@@ -83,9 +86,7 @@ class IFNeuron:
         if not isinstance(self.label, str):  # model files hold a label as a JSON string
             raise ValueError(f"label must be a string, got {self.label!r}")
         _check_real("capacitance", self.capacitance)
-        # the C order of Network.resistances: equality, hashing and saved bytes follow the wiring
-        order = sorted(self.synapses, key=lambda s: (POLARITIES.index(s.polarity), s.input_index))
-        object.__setattr__(self, "synapses", tuple(order))
+        object.__setattr__(self, "synapses", tuple(self.synapses))
         seen = set()
         for syn in self.synapses:
             key = (syn.input_index, syn.polarity)
@@ -106,75 +107,58 @@ class IFNeuron:
 
 @dataclass(frozen=True)
 class Network:
-    """Per-class neurons plus the shared electrical configuration.
+    """Per-class neurons wired by one table, plus the shared electrical configuration.
 
-    ``n_inputs`` is the raw input dimensionality; the bias connection sits
-    at index ``n_inputs``.  It is stored explicitly because pruning may
-    strip every synapse of some input from some neuron.  It is compiled when
-    built into read-only tables in :mod:`ifcirc.kernel` layout: ``resistances``
-    (+inf where a line is unwired) and ``conductances`` G = 1/(R·C) (0 there).
-    Outside this module the wiring is read from ``resistances`` and ``capacitance``,
-    and written by ``_network``.
+    ``resistances`` has :mod:`ifcirc.kernel`'s layout (2, classes, n_inputs + 1):
+    one R per (polarity in ``POLARITIES``, neuron, line), +inf where a line is
+    unwired, the bias line last.  It is kept, not copied, and made read-only.
+    A build checks each entry that is not +inf as a ``Synapse`` of ``neurons``,
+    a view in the table's C order, and compiles G = 1/(R·C) (0 where unwired).
+    Equality and hashing follow ``neurons``, ``n_inputs`` and the scalars.
     """
 
-    neurons: tuple[IFNeuron, ...]
-    n_inputs: int
+    labels: tuple[str, ...] = field(repr=False, compare=False)  # the neurons hold them
+    resistances: np.ndarray = field(repr=False, compare=False)
+    capacitance: float  # farads, one for every neuron
     supply_voltage: float = 1.0
     t_max: float = 0.05  # max stimulation time per input, seconds
-    capacitance: float = field(init=False)  # farads, one for every neuron
-    labels: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    resistances: np.ndarray = field(init=False, repr=False, compare=False)
+    neurons: tuple[IFNeuron, ...] = field(init=False)
+    n_inputs: int = field(init=False)  # pruning every synapse of an input keeps the input
     conductances: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "neurons", tuple(self.neurons))
-        if not self.neurons:
+        labels = tuple(self.labels)
+        if not labels:
             raise ValueError("a network needs at least one neuron")
-        _check_integer("n_inputs", self.n_inputs, 0)
+        _check_real("capacitance", self.capacitance)
         _check_real("supply_voltage", self.supply_voltage)
         _check_real("t_max", self.t_max)
-        r = np.full((2, len(self.neurons), self.n_inputs + 1), np.inf)
-        for k, neuron in enumerate(self.neurons):
-            for syn in neuron.synapses:
-                if syn.input_index > self.n_inputs:
-                    raise ValueError(
-                        f"neurons[{k}] ({neuron.label!r}): {syn.polarity} synapse on input "
-                        f"{syn.input_index} out of range for {self.n_inputs} inputs plus bias"
-                    )
-                r[POLARITIES.index(syn.polarity), k, syn.input_index] = syn.resistance
-        capacitances = sorted({neuron.capacitance for neuron in self.neurons})
-        if len(capacitances) > 1:
-            raise ValueError(f"neurons must share one capacitance, got {capacitances} farads")
+        r = np.asarray(self.resistances, dtype=np.float64)
+        neurons = []
+        for k, label in enumerate(labels):
+            try:
+                if r.ndim != 3 or r.shape[:2] != (2, len(labels)) or r.shape[2] < 1:
+                    raise ValueError(f"resistances of shape {r.shape} are not (2, {len(labels)}, lines)")
+                neurons.append(IFNeuron(label, self.capacitance, map(Synapse, *_wiring(r[:, k]))))
+            except ValueError as exc:
+                raise ValueError(f"neurons[{k}] ({label!r}): {exc}") from None
+        # after the neurons: an R·C they refuse would divide by zero
         with np.errstate(over="ignore"):  # R·C past the largest float: G = 1/inf = 0
-            g = np.multiply(r, capacitances[0])
+            g = np.multiply(r, self.capacitance)
             np.divide(1.0, g, out=g)  # in place: a build holds two tables, not three
         r.flags.writeable = g.flags.writeable = False
-        object.__setattr__(self, "capacitance", capacitances[0])
-        object.__setattr__(self, "labels", tuple(n.label for n in self.neurons))
+        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "resistances", r)
+        object.__setattr__(self, "neurons", tuple(neurons))
+        object.__setattr__(self, "n_inputs", r.shape[2] - 1)
         object.__setattr__(self, "conductances", g)
 
 
 def _wiring(table: np.ndarray) -> tuple[list[int], list[str], list[float]]:
-    """Lines, polarities and ohms of the finite entries of a (phase, line) table, in C order."""
-    wired = np.isfinite(table)
+    """Lines, polarities and ohms of a (phase, line) table's entries other than +inf, in C order."""
+    wired = table != np.inf
     phases, lines = np.nonzero(wired)
     return lines.tolist(), [POLARITIES[phase] for phase in phases.tolist()], table[wired].tolist()
-
-
-def _network(labels: Sequence[str], resistances: np.ndarray, capacitance: float,
-             supply_voltage: float, t_max: float) -> Network:
-    """The network wired by ``resistances``, laid out as ``Network.resistances``: +inf is unwired.
-
-    Each neuron holds a synapse per finite entry; ``n_inputs`` is the width less the bias line.
-    """
-    neurons = []
-    for k, label in enumerate(labels):
-        try:
-            neurons.append(IFNeuron(label, capacitance, map(Synapse, *_wiring(resistances[:, k]))))
-        except ValueError as exc:  # named as Network names an out-of-range synapse
-            raise ValueError(f"neurons[{k}] ({label!r}): {exc}") from None
-    return Network(tuple(neurons), resistances.shape[2] - 1, supply_voltage, t_max)
 
 
 @dataclass(frozen=True)
@@ -310,34 +294,42 @@ def _field(obj: object, key: str, kind: type, where: str = ""):
 
 
 def network_from_dict(doc: object) -> Network:
-    """Build a network from a model document; a bad field raises ValueError naming its path."""
+    """Build a network from a model document; a bad field raises ValueError naming its path.
+
+    The wiring table is filled synapse by synapse from the file, in any order.
+    """
     version = _field(doc, "schema_version", int)
     if version != MODEL_SCHEMA_VERSION:
         raise ValueError(f"unsupported model schema_version {version!r}")
     capacitance = _field(doc, "capacitance", float)
-    neurons = []
-    for k, entry in enumerate(_field(doc, "neurons", list)):
+    entries = _field(doc, "neurons", list)
+    n_inputs = _field(doc, "n_inputs", int)
+    _check_integer("n_inputs", n_inputs, 0)  # before the table is sized by it
+    labels, r = [], np.full((2, len(entries), n_inputs + 1), np.inf)
+    for k, entry in enumerate(entries):
         where = f"neurons[{k}]"
-        synapses = []
+        labels.append(_field(entry, "label", str, where))
         for j, syn in enumerate(_field(entry, "synapses", list, where)):
             at = f"{where}.synapses[{j}]"
             index = _field(syn, "input_index", int, at)
             polarity = _field(syn, "polarity", str, at)
             resistance = _field(syn, "resistance_ohms", float, at)
             try:
-                synapses.append(Synapse(index, polarity, resistance))
+                _check_line(index, polarity)
+                _check_real("resistance", resistance)
+                if index > n_inputs:
+                    raise ValueError(f"{polarity} synapse on input {index} out of range "
+                                     f"for {n_inputs} inputs plus bias")
+                line = POLARITIES.index(polarity), k, index
+                if r[line] != np.inf:
+                    raise ValueError(f"duplicate synapse for input {index} ({polarity})")
+                r[line] = resistance
             except ValueError as exc:
                 raise ValueError(f"model field {at}: {exc}") from None
-        label = _field(entry, "label", str, where)
-        try:
-            neurons.append(IFNeuron(label, capacitance, tuple(synapses)))
-        except ValueError as exc:
-            raise ValueError(f"model field {where}: {exc}") from None
-    n_inputs = _field(doc, "n_inputs", int)
     supply_voltage = _field(doc, "supply_voltage", float)
     t_max = _field(doc, "t_max", float)
     _field(doc, "threshold", float)  # schema 1 requires it; nothing reads it
-    return Network(tuple(neurons), n_inputs, supply_voltage, t_max)
+    return Network(labels, r, capacitance, supply_voltage, t_max)
 
 
 def save_network(net: Network, path: str | Path) -> None:

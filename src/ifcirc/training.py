@@ -34,7 +34,7 @@ loss.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -43,7 +43,7 @@ import numpy as np
 from .dataset import PostureSample, _check_integer, _check_real, _write_rows
 from .hardware import perturb_readout
 from .kernel import Forward, duration_matrix, forward, sensitivities
-from .neuron import Network, _network, infer_batch
+from .neuron import Network, infer_batch
 
 __all__ = [
     "TrainConfig",
@@ -120,7 +120,7 @@ def prune(net: Network, *, r_max: float = TrainConfig.r_max) -> Network:
     _check_real("r_max", r_max)
     cutoff = _PRUNE_FRACTION * r_max
     r = np.where(net.resistances < cutoff, net.resistances, np.inf)
-    return _network(net.labels, r, net.capacitance, net.supply_voltage, net.t_max)
+    return replace(net, resistances=r)
 
 
 def _features(samples: Sequence[PostureSample]) -> np.ndarray:
@@ -248,7 +248,7 @@ def train(samples: Sequence[PostureSample], cfg: TrainConfig = TrainConfig()) ->
         u, held, history = trial, trial_held, history + trial_history
     # a pinned synapse gets its bound exactly: exp(ln r_max) may be an ulp off r_max
     r = np.select([u <= log_lo, u >= log_hi], [cfg.r_min, cfg.r_max], np.exp(u))
-    network = _network(classes, r, cfg.capacitance, cfg.supply_voltage, cfg.t_max)
+    network = Network(classes, r, cfg.capacitance, cfg.supply_voltage, cfg.t_max)
     return TrainResult(network=network, loss_history=history, epochs_run=spent)
 
 

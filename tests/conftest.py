@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from ifcirc import IFNeuron, Network, Synapse, example_model_path, load_network
+from ifcirc import POLARITIES, Network, example_model_path, load_network
 
 settings.register_profile(
     "ifcirc", deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -26,36 +27,26 @@ voltages = st.floats(0.1, 10.0)
 stimulus_values = st.floats(-0.5, 1.5)  # scheduler clamps to [0, 1]
 
 
-@st.composite
-def neurons(draw, max_inputs=3):
-    n_inputs = draw(st.integers(1, max_inputs))
-    cap = draw(capacitances)
-    synapses = []
-    for idx in range(n_inputs + 1):  # +1 so some synapses sit on the bias line
-        for polarity in ("excitatory", "inhibitory"):
-            if draw(st.booleans()):
-                synapses.append(Synapse(idx, polarity, draw(resistances)))
-    if not synapses:
-        synapses.append(Synapse(0, "excitatory", draw(resistances)))
-    return IFNeuron(label="unit", capacitance=cap, synapses=tuple(synapses)), n_inputs
+def wiring(n_inputs, *neurons):
+    """A (2, classes, n_inputs + 1) table: per neuron a {(line, polarity): ohms} dict, +inf elsewhere."""
+    r = np.full((2, len(neurons), n_inputs + 1), np.inf)
+    for k, synapses in enumerate(neurons):
+        for (line, polarity), ohms in synapses.items():
+            r[POLARITIES.index(polarity), k, line] = ohms
+    return r
 
 
 @st.composite
 def networks(draw, n_classes=3):
+    """A network drawn as its table: each entry +inf or a resistance, one synapse per neuron at least."""
     n_inputs = draw(st.integers(1, 3))
-    cap = draw(capacitances)
-    neurons_ = []
-    for ci in range(n_classes):
-        synapses = []
-        for idx in range(n_inputs + 1):
-            for polarity in ("excitatory", "inhibitory"):
-                if draw(st.booleans()):
-                    synapses.append(Synapse(idx, polarity, draw(resistances)))
-        if not synapses:
-            synapses.append(Synapse(0, "excitatory", draw(resistances)))
-        neurons_.append(IFNeuron(label=f"c{ci}", capacitance=cap, synapses=tuple(synapses)))
-    v_in = draw(voltages)
-    return Network(neurons=tuple(neurons_), n_inputs=n_inputs, supply_voltage=v_in)
+    shape = (2, n_classes, n_inputs + 1)
+    r = draw(arrays(np.float64, shape, elements=st.one_of(st.just(np.inf), resistances)))
+    for k in range(n_classes):
+        if not np.isfinite(r[:, k]).any():
+            r[0, k, 0] = draw(resistances)
+    labels = [f"c{k}" for k in range(n_classes)]
+    return Network(labels, r, draw(capacitances), supply_voltage=draw(voltages))
 
 
 def exp_dispatch():
@@ -98,22 +89,8 @@ def assert_dispatch_digest(digests, digest, platform=exp_dispatch):
 
 
 def rescaled(net, k):
-    """``net`` with every resistance times k and every capacitance over k: same R·C."""
-    neurons = tuple(
-        replace(
-            neuron,
-            capacitance=neuron.capacitance / k,
-            synapses=tuple(replace(s, resistance=s.resistance * k) for s in neuron.synapses),
-        )
-        for neuron in net.neurons
-    )
-    return replace(net, neurons=neurons)
-
-
-def reversed_twin(net):
-    """``net`` with each neuron's synapses listed in reverse order."""
-    return replace(net, neurons=tuple(
-        replace(neuron, synapses=neuron.synapses[::-1]) for neuron in net.neurons))
+    """``net`` with every resistance times k and its capacitance over k: same R·C."""
+    return replace(net, resistances=net.resistances * k, capacitance=net.capacitance / k)
 
 
 @pytest.fixture(scope="session")

@@ -12,6 +12,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,10 +22,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from ifcirc import (
     CLASS_MEANS,
     DatasetConfig,
-    IFNeuron,
     Network,
     POLARITIES,
-    Synapse,
     TrainConfig,
     build_schedule,
     classify,
@@ -46,7 +45,7 @@ from ifcirc import (
 )
 from ifcirc.cli import main as cli_main
 from ifcirc.kernel import duration_matrix, forward, sensitivities
-from conftest import rescaled
+from conftest import rescaled, wiring
 
 
 def _verdict(number: int, description: str, ok: bool, detail: str) -> None:
@@ -58,16 +57,15 @@ def _rel_err(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-12)
 
 
-def _random_neuron(rng, n_inputs: int):
-    """Fully random wiring: any subset of (line, polarity) pairs, at least one."""
+def _random_unit(rng, n_inputs: int) -> Network:
+    """One neuron, fully random wiring: any subset of (line, polarity) pairs, at least one."""
     pairs = [(i, p) for i in range(n_inputs + 1) for p in POLARITIES]
     keep = [pair for pair in pairs if rng.random() < 0.6]
     if not keep:
         keep = [pairs[int(rng.integers(len(pairs)))]]
-    synapses = tuple(
-        Synapse(i, p, float(10.0 ** rng.uniform(4.0, 6.0))) for i, p in keep
-    )
-    return IFNeuron("u", 1e-6, synapses)
+    return Network(("u",), wiring(n_inputs, {
+        pair: float(10.0 ** rng.uniform(4.0, 6.0)) for pair in keep
+    }), 1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -79,11 +77,11 @@ def test_criterion_1_oracle_equivalence():
     start = time.perf_counter()
     for _ in range(1000):
         n_inputs = int(rng.integers(1, 4))
-        neuron = _random_neuron(rng, n_inputs)
+        unit = _random_unit(rng, n_inputs)
         stimulus = tuple(float(x) for x in rng.uniform(0.0, 1.0, n_inputs))
         schedule = build_schedule(stimulus, t_max=0.05)
-        (exact,) = infer_network(Network(neurons=(neuron,), n_inputs=n_inputs), stimulus)
-        ode = integrate_schedule(neuron, schedule, 1.0, step_divisor=300.0)
+        (exact,) = infer_network(unit, stimulus)
+        ode = integrate_schedule(unit.neurons[0], schedule, 1.0, step_divisor=300.0)
         worst = max(worst, _rel_err(exact, ode))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-6 and elapsed < 30.0
@@ -105,27 +103,23 @@ def test_criterion_2_gradient_correctness():
         keep = [pair for pair in pairs if rng.random() < 0.7] or [pairs[0]]
         if not any(p == "excitatory" for _, p in keep):
             keep.append((0, "excitatory"))
-        neuron = IFNeuron(
-            "u",
-            1.0,
-            tuple(Synapse(i, p, float(rng.uniform(0.02, 1.0))) for i, p in keep),
-        )
+        table = wiring(2, {pair: float(rng.uniform(0.02, 1.0)) for pair in keep})
         stimulus = tuple(float(x) for x in rng.uniform(0.1, 1.0, 2))
         t_max = float(rng.uniform(0.002, 0.012))
         v_in = float(rng.uniform(0.5, 5.0))
 
-        def potential(unit):
-            net = Network(neurons=(unit,), n_inputs=2, supply_voltage=v_in, t_max=t_max)
+        def potential(table):
+            net = Network(("u",), table, 1.0, supply_voltage=v_in, t_max=t_max)
             return infer_network(net, stimulus)[0]
 
         # dV/dG from the sensitivities train() uses, then dG/dR = -1/(R^2 C)
-        net = Network(neurons=(neuron,), n_inputs=2, supply_voltage=v_in, t_max=t_max)
+        net = Network(("u",), table, 1.0, supply_voltage=v_in, t_max=t_max)
         durations = duration_matrix([stimulus], t_max)
         fwd = forward(durations, net.conductances, v_in)
         dv_dg = sensitivities(fwd, v_in) @ durations
-        for k, syn in enumerate(neuron.synapses):
+        for syn in net.neurons[0].synapses:
             phase = int(syn.polarity == "inhibitory")
-            grad = -dv_dg[phase, 0, syn.input_index] / (syn.resistance**2 * neuron.capacitance)
+            grad = -dv_dg[phase, 0, syn.input_index] / (syn.resistance**2 * net.capacitance)
             if syn.polarity == "excitatory" and grad > 0:
                 sign_ok = False
             if syn.polarity == "inhibitory" and grad < 0:
@@ -133,9 +127,9 @@ def test_criterion_2_gradient_correctness():
             h = 1e-6 * syn.resistance
             fd_args = []
             for delta in (h, -h):
-                shifted = list(neuron.synapses)
-                shifted[k] = Synapse(syn.input_index, syn.polarity, syn.resistance + delta)
-                fd_args.append(potential(IFNeuron("u", 1.0, tuple(shifted))))
+                shifted = table.copy()
+                shifted[phase, 0, syn.input_index] = syn.resistance + delta
+                fd_args.append(potential(shifted))
             fd = (fd_args[0] - fd_args[1]) / (2 * h)
             if abs(grad - fd) > 1e-12:
                 worst = max(worst, _rel_err(grad, fd))
@@ -240,7 +234,7 @@ def test_criterion_6_physics_properties():
     net = load_network(example_model_path())
     for _ in range(200):
         # permutation invariance of the line sums in both phases
-        unit = Network(neurons=(_random_neuron(rng, 3),), n_inputs=3)
+        unit = _random_unit(rng, 3)
         durations = duration_matrix([rng.uniform(0.0, 1.0, 3)], t_max=0.05)
         order = rng.permutation(4)
         g = unit.conductances
@@ -256,12 +250,7 @@ def test_criterion_6_physics_properties():
         stimulus = tuple(float(x) for x in rng.uniform(0.0, 1.0, 2))
         alpha = float(rng.uniform(0.3, 3.0))
         base_pots = infer_network(net, stimulus)
-        alt = Network(
-            neurons=net.neurons,
-            n_inputs=net.n_inputs,
-            supply_voltage=net.supply_voltage * alpha,
-            t_max=net.t_max,
-        )
+        alt = replace(net, supply_voltage=net.supply_voltage * alpha)
         alt_pots = infer_network(alt, stimulus)
         worst_linear = max(
             _rel_err(a * alpha, b) for a, b in zip(base_pots, alt_pots)
@@ -275,11 +264,11 @@ def test_criterion_6_physics_properties():
         v0 = float(rng.uniform(0.0, 1.0))
         t0 = -tau * math.log1p(-v0)
         steps = np.concatenate([[0.0], np.cumsum(rng.uniform(1e-4, 0.02, 5))])
-        precharge = Synapse(0, "excitatory", r)
-        up = IFNeuron("up", 1e-6, (precharge, Synapse(1, "excitatory", r)))
-        down = IFNeuron("down", 1e-6, (precharge, Synapse(1, "inhibitory", r)))
+        precharge = (0, "excitatory")
+        up = {precharge: r, (1, "excitatory"): r}
+        down = {precharge: r, (1, "inhibitory"): r}
         t_max = t0 + steps[-1]
-        pair = Network(neurons=(up, down), n_inputs=2, t_max=t_max)
+        pair = Network(("up", "down"), wiring(2, up, down), 1e-6, t_max=t_max)
         curves = infer_batch(pair, [(t0 / t_max, dt / t_max) for dt in steps])
         ups, downs = curves[:, 0], curves[:, 1]
         mono_ok &= bool(
@@ -295,10 +284,9 @@ def test_criterion_6_physics_properties():
         r0 = float(10.0 ** rng.uniform(3, 6))
         tau0 = r0 * 1e-6
         t0 = -tau0 * math.log1p(-v_start / v_in)
-        lines = (Synapse(0, "excitatory", r0), Synapse(1, "excitatory", r))
-        unit = IFNeuron("u", 1e-6, lines)
+        lines = wiring(2, {(0, "excitatory"): r0, (1, "excitatory"): r})
         t_max = max(t0, duration)
-        charged = Network(neurons=(unit,), n_inputs=2, supply_voltage=v_in, t_max=t_max)
+        charged = Network(("u",), lines, 1e-6, supply_voltage=v_in, t_max=t_max)
         report = energy_per_inference(charged, (t0 / t_max, duration / t_max))
         analytic = v_in**2 / r0 * (tau0 / 2.0) * -math.expm1(-2.0 * t0 / tau0) + (
             (v_in - v_start) ** 2 / r * (tau / 2.0) * -math.expm1(-2.0 * duration / tau)

@@ -730,6 +730,19 @@ def test_quantize_custom_needs_values(tmp_path, capsys):
     assert "catalog-values" in err
 
 
+@pytest.mark.parametrize("values", ["abc", "1e3,,2e3"])
+def test_quantize_names_catalog_values_that_are_not_numbers(tmp_path, capsys, values):
+    # float() named only the piece: "could not convert string to float: 'abc'" (or '')
+    out = tmp_path / "q.json"
+    code, _, err = run_cli(
+        capsys, "quantize", "--model", "bundled", "--out", out,
+        "--catalog", "custom", "--catalog-values", values,
+    )
+    assert code == 1
+    assert err == f"error: --catalog-values must be numbers separated by commas, got {values!r}\n"
+    assert not out.exists()
+
+
 def test_quantize_series_refuses_explicit_values(tmp_path, capsys):
     # e24 once snapped to its series, ignored the values and exited 0
     out = tmp_path / "q.json"
@@ -771,8 +784,10 @@ def _null_field(key, doc):
         (lambda doc: {**doc, "threshold": None}, "model field threshold must be a finite number, got null"),
         (lambda doc: _null_field("resistance_ohms", doc),
          "model field neurons[0].synapses[2].resistance_ohms must be a finite number, got null"),
+        # checked before it sizes the wiring table, which numpy refused by its own words
+        (lambda doc: {**doc, "n_inputs": -1}, "n_inputs must be >= 0, got -1"),
     ],
-    ids=["list-root", "missing-threshold", "null-threshold", "null-resistance"],
+    ids=["list-root", "missing-threshold", "null-threshold", "null-resistance", "negative-n_inputs"],
 )
 def test_malformed_model_is_user_error(tmp_path, capsys, edit, message):
     model = _model_with(tmp_path, edit)

@@ -29,6 +29,7 @@ from ifcirc import (
     split,
     write_csv,
 )
+from conftest import wiring
 
 
 def test_classes_and_means():
@@ -182,6 +183,7 @@ def test_config_validation():
 
 
 _NEURON = IFNeuron("u", 1e-6, (Synapse(0, "excitatory", 1e5),))
+_TABLE = wiring(1, {(0, "excitatory"): 1e5})
 
 # every one-sided numeric setting without a config table of its own: (the call that takes
 # the value, its name, its floor), the floor an int for an integer setting, else "> 0" or
@@ -193,14 +195,15 @@ _SETTINGS = {
     "Synapse.input_index": (lambda v: Synapse(v, "excitatory", 1e5), "input_index", 0),
     "Synapse.resistance": (lambda v: Synapse(0, "excitatory", v), "resistance", "> 0"),
     "IFNeuron.capacitance": (lambda v: IFNeuron("u", v, ()), "capacitance", "> 0"),
-    "Network.n_inputs": (lambda v: Network((_NEURON,), v), "n_inputs", 0),
+    # the loader checks n_inputs, which sizes its table (test_neuron.py)
+    "Network.capacitance": (lambda v: Network(("u",), _TABLE, v), "capacitance", "> 0"),
     "Network.supply_voltage":
-        (lambda v: Network((_NEURON,), 1, supply_voltage=v), "supply_voltage", "> 0"),
-    "Network.t_max": (lambda v: Network((_NEURON,), 1, t_max=v), "t_max", "> 0"),
+        (lambda v: Network(("u",), _TABLE, 1e-6, supply_voltage=v), "supply_voltage", "> 0"),
+    "Network.t_max": (lambda v: Network(("u",), _TABLE, 1e-6, t_max=v), "t_max", "> 0"),
     # True and 1.0 acted as line 1; -1 and "1" matched no synapse, and the oracle skipped them
     "Slot.input_index": (lambda v: Slot(v, "excitatory", 0.01), "input_index", 0),
     "Slot.duration": (lambda v: Slot(0, "excitatory", v), "slot duration", ">= 0"),
-    "prune": (lambda v: prune(Network((_NEURON,), 1), r_max=v), "r_max", "> 0"),
+    "prune": (lambda v: prune(Network(("u",), _TABLE, 1e-6), r_max=v), "r_max", "> 0"),
     "round_resistance": (round_resistance, "resistance", "> 0"),
     "perturb_readout":
         (lambda v: perturb_readout(0.5, v, np.random.default_rng(0)), "sigma", ">= 0"),

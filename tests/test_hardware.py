@@ -6,6 +6,7 @@ charge from rest, derived independently of the per-step balance the
 implementation uses.
 """
 import dataclasses
+from dataclasses import replace
 import json
 import math
 import re
@@ -20,7 +21,7 @@ from ifcirc import (
     DEFAULT_CATALOG,
     CLASS_MEANS,
     MAX_GRID_POINTS,
-    IFNeuron,
+    POLARITIES,
     Network,
     ResistorCatalog,
     Synapse,
@@ -29,6 +30,7 @@ from ifcirc import (
     energy_report_to_dict,
     infer_network,
     max_inference_time,
+    network_from_dict,
     network_to_dict,
     perturb_readout,
     prune,
@@ -38,7 +40,7 @@ from ifcirc import (
     write_response_map_csv,
 )
 from ifcirc import hardware
-from conftest import networks, reversed_twin
+from conftest import networks, wiring
 
 
 # ------------------------------- catalogs -----------------------------------
@@ -153,11 +155,11 @@ def test_quantize_names_the_neuron_whose_time_constant_underflows(bundled_model)
 
 def _per_synapse(net, fn):
     """``net`` with each synapse s replaced by ``fn(s)``, None dropping it."""
-    neurons = []
-    for neuron in net.neurons:
-        kept = [s for s in map(fn, neuron.synapses) if s is not None]
-        neurons.append(IFNeuron(neuron.label, neuron.capacitance, tuple(kept)))
-    return Network(tuple(neurons), net.n_inputs, net.supply_voltage, net.t_max)
+    r = np.full(net.resistances.shape, np.inf)
+    for k, neuron in enumerate(net.neurons):
+        for s in filter(None, map(fn, neuron.synapses)):
+            r[POLARITIES.index(s.polarity), k, s.input_index] = s.resistance
+    return replace(net, resistances=r)
 
 
 def _same_model(got, want):
@@ -181,13 +183,13 @@ def test_quantize_matches_a_per_synapse_reference(net, catalog):
 
 
 def test_prune_and_quantize_write_canonical_order():
-    reversed_order = (
-        Synapse(2, "inhibitory", 4321.0),
-        Synapse(0, "inhibitory", 5e5),
-        Synapse(1, "excitatory", 1234.0),
-        Synapse(0, "excitatory", 2e4),
-    )
-    net = Network((IFNeuron("u", 1e-6, reversed_order),), n_inputs=2)
+    reversed_order = {
+        (2, "inhibitory"): 4321.0,
+        (0, "inhibitory"): 5e5,
+        (1, "excitatory"): 1234.0,
+        (0, "excitatory"): 2e4,
+    }
+    net = Network(("u",), wiring(2, reversed_order), 1e-6)
     canonical = [(0, "excitatory"), (1, "excitatory"),
                  (0, "inhibitory"), (2, "inhibitory")]
     for rebuilt in (prune(net), quantize_network(net)):
@@ -198,7 +200,10 @@ def test_prune_and_quantize_write_canonical_order():
 
 def test_prune_and_quantize_return_their_input_when_no_resistance_moves(bundled_model):
     # listed in reverse, a quantized network came back unequal: its synapses in another order
-    quantized = reversed_twin(quantize_network(bundled_model))
+    doc = network_to_dict(quantize_network(bundled_model))
+    for entry in doc["neurons"]:
+        entry["synapses"].reverse()
+    quantized = network_from_dict(doc)
     assert quantize_network(quantized) == quantized
     assert prune(quantized, r_max=1e12) == quantized
 
@@ -330,10 +335,7 @@ def test_response_map_validation(bundled_model):
             response_map(bundled_model, step)
     with pytest.raises(ValueError, match=r"^grid_step must be in \(0, 1\], got 1\.5$"):
         response_map(bundled_model, 1.5)
-    one_input = Network(
-        neurons=(IFNeuron("u", 1e-6, (Synapse(0, "excitatory", 1e4),)),),
-        n_inputs=1,
-    )
+    one_input = Network(("u",), wiring(1, {(0, "excitatory"): 1e4}), 1e-6)
     with pytest.raises(ValueError):
         response_map(one_input, 0.5)
 
@@ -364,8 +366,7 @@ def test_response_map_csv_rejects_ragged_rows(tmp_path):
 
 
 def _single_rc_network(t_max):
-    neuron = IFNeuron("u", 1e-6, (Synapse(0, "excitatory", 10e3),))
-    return Network(neurons=(neuron,), n_inputs=1, t_max=t_max)
+    return Network(("u",), wiring(1, {(0, "excitatory"): 10e3}), 1e-6, t_max=t_max)
 
 
 def test_energy_single_charge_frozen_values():
@@ -389,8 +390,7 @@ def test_energy_full_charge_splits_evenly():
 
 
 def test_energy_inhibition_only_draws_nothing():
-    neuron = IFNeuron("u", 1e-6, (Synapse(0, "inhibitory", 10e3),))
-    net = Network(neurons=(neuron,), n_inputs=1)
+    net = Network(("u",), wiring(1, {(0, "inhibitory"): 10e3}), 1e-6)
     report = energy_per_inference(net, (1.0,))
     assert report.supply_energy == 0.0
     assert report.stored_energy == 0.0
@@ -398,15 +398,9 @@ def test_energy_inhibition_only_draws_nothing():
 
 
 def test_energy_discharge_burns_stored_energy():
-    neuron = IFNeuron(
-        "u",
-        1e-6,
-        (Synapse(0, "excitatory", 10e3), Synapse(0, "inhibitory", 1e3)),
-    )
-    net = Network(neurons=(neuron,), n_inputs=1, t_max=0.01)
-    charged = energy_per_inference(
-        Network(neurons=(neuron,), n_inputs=1, t_max=0.01), (1.0,)
-    )
+    table = wiring(1, {(0, "excitatory"): 10e3, (0, "inhibitory"): 1e3})
+    net = Network(("u",), table, 1e-6, t_max=0.01)
+    charged = energy_per_inference(net, (1.0,))
     # with the inhibitory branch active the capacitor ends lower but the
     # supply draw (a charge-phase quantity) is unchanged
     assert charged.supply_energy > 0
@@ -462,7 +456,7 @@ def test_energy_totals_do_not_follow_builtin_sum(bundled_model, monkeypatch):
 def test_a_network_without_neurons_is_refused():
     # it took C = 1e-6 F whatever its model file said, and its energy totalled integer 0 J
     with pytest.raises(ValueError, match="^a network needs at least one neuron$"):
-        Network(neurons=(), n_inputs=2)
+        Network((), np.full((2, 0, 3), np.inf), 1e-6)
 
 
 def test_energy_stored_matches_final_potential(bundled_model):
@@ -498,7 +492,7 @@ def test_energy_rejects_wrong_arity(bundled_model):
     with pytest.raises(ValueError, match="expected 2 inputs, got 3"):
         energy_per_inference(bundled_model, (0.1, 0.2, 0.3))
     # the width is checked ahead of the C*v_in**2 refusal
-    overflowing = Network(bundled_model.neurons, 2, supply_voltage=1e300)
+    overflowing = replace(bundled_model, supply_voltage=1e300)
     with pytest.raises(ValueError, match="expected 2 inputs, got 3"):
         energy_per_inference(overflowing, (0.1, 0.2, 0.3))
     with pytest.raises(ValueError, match="overflow the energy"):
@@ -526,5 +520,5 @@ def test_max_inference_time_counts_each_wired_slot_once(net):
 
 
 def test_max_inference_time_empty_network():
-    net = Network(neurons=(IFNeuron("u", 1e-6, ()),), n_inputs=2)
+    net = Network(("u",), np.full((2, 1, 3), np.inf), 1e-6)
     assert max_inference_time(net) == 0.0

@@ -32,7 +32,7 @@ from ifcirc import (
     network_to_dict,
     save_network,
 )
-from conftest import neurons, networks, reversed_twin, stimulus_values, voltages
+from conftest import networks, stimulus_values, wiring
 
 
 # ------------------------------ schedules ----------------------------------
@@ -107,7 +107,7 @@ def test_a_label_is_a_string_as_in_model_files(tmp_path):
         message = f"label must be a string, got {label!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             IFNeuron(label, 1e-6, (Synapse(0, "excitatory", 1e4),))
-    net = Network((IFNeuron(np.str_("sit"), 1e-6, (Synapse(0, "excitatory", 1e4),)),), 1)
+    net = Network((np.str_("sit"),), wiring(1, {(0, "excitatory"): 1e4}), 1e-6)
     save_network(net, tmp_path / "model.json")
     assert load_network(tmp_path / "model.json") == net
     doc = network_to_dict(net)
@@ -121,8 +121,7 @@ def test_a_label_is_a_string_as_in_model_files(tmp_path):
 
 
 def _single(polarity, resistance, cap=1e-6, n_inputs=1, t_max=0.01):
-    neuron = IFNeuron(label="u", capacitance=cap, synapses=(Synapse(0, polarity, resistance),))
-    return Network(neurons=(neuron,), n_inputs=n_inputs, t_max=t_max)
+    return Network(("u",), wiring(n_inputs, {(0, polarity): resistance}), cap, t_max=t_max)
 
 
 def _fold(neuron, schedule, v_in):
@@ -160,23 +159,20 @@ def test_empty_schedule_leaves_capacitor_discharged():
     assert math.copysign(1.0, infer_network(net, (-0.0,))[0]) == 1.0
 
 
-@given(data=st.data(), v_in=voltages)
-def test_closed_form_equals_fold(data, v_in):
-    neuron, n_inputs = data.draw(neurons())
-    stimulus = [data.draw(stimulus_values) for _ in range(n_inputs)]
-    net = Network(neurons=(neuron,), n_inputs=n_inputs, supply_voltage=v_in, t_max=0.05)
+@given(net=networks(n_classes=1), data=st.data())
+def test_closed_form_equals_fold(net, data):
+    stimulus = [data.draw(stimulus_values) for _ in range(net.n_inputs)]
     (closed,) = infer_network(net, stimulus)
-    fold = _fold(neuron, build_schedule(stimulus, t_max=0.05), v_in)
+    v_in = net.supply_voltage
+    fold = _fold(net.neurons[0], build_schedule(stimulus, t_max=net.t_max), v_in)
     assert math.isclose(fold, closed, rel_tol=1e-12, abs_tol=1e-12 * v_in)
 
 
-@given(data=st.data(), v_in=voltages)
-def test_potential_bounded_by_supply(data, v_in):
-    neuron, n_inputs = data.draw(neurons())
-    stimulus = [data.draw(stimulus_values) for _ in range(n_inputs)]
-    net = Network(neurons=(neuron,), n_inputs=n_inputs, supply_voltage=v_in)
+@given(net=networks(n_classes=1), data=st.data())
+def test_potential_bounded_by_supply(net, data):
+    stimulus = [data.draw(stimulus_values) for _ in range(net.n_inputs)]
     (v,) = infer_network(net, stimulus)
-    assert 0.0 <= v <= v_in
+    assert 0.0 <= v <= net.supply_voltage
 
 
 batch_values = st.one_of(
@@ -228,27 +224,37 @@ def test_wiring_table_holds_each_synapse_once(net):
 
 def test_conductance_is_zero_where_the_time_constant_overflows():
     # R·C = 1e310 s is past the largest float: G = 1/(R·C) is 0, and numpy does not warn
-    net = Network((IFNeuron("u", 1e300, (Synapse(0, "excitatory", 1e10),)),), 1)
+    net = Network(("u",), wiring(1, {(0, "excitatory"): 1e10}), 1e300)
     assert net.resistances[0, 0, 0] == 1e10
     assert not net.conductances.any()
 
 
 def test_equal_networks_compare_and_hash_equal_and_repr_no_table(bundled_model):
-    # the compiled tables are derived from the fields: equality, hashing and repr leave them out
+    # the neurons are a view of the table: equality, hashing and repr read them, not the tables
     twin = network_from_dict(network_to_dict(bundled_model))
     assert twin.resistances is not bundled_model.resistances
     assert twin == bundled_model and hash(twin) == hash(bundled_model)
     assert replace(twin, t_max=0.1) != bundled_model
+    # the old bias line an input, and a new bias line unwired: the same synapses on 3 inputs
+    wide = np.concatenate([bundled_model.resistances, np.full((2, 3, 1), np.inf)], axis=2)
+    wider = replace(bundled_model, resistances=wide)
+    assert wider.resistances is wide and not wide.flags.writeable  # kept, not copied
+    assert wider.neurons == bundled_model.neurons and wider.n_inputs == 3
+    assert wider != bundled_model
     text = repr(twin)
-    assert text.startswith("Network(neurons=(IFNeuron(label='stand', capacitance=1e-06, ")
-    assert text.endswith(", n_inputs=2, supply_voltage=1.0, t_max=0.05, capacitance=1e-06)")
+    assert text.startswith("Network(capacitance=1e-06, supply_voltage=1.0, t_max=0.05, "
+                           "neurons=(IFNeuron(label='stand', capacitance=1e-06, ")
+    assert text.endswith(" polarity='inhibitory', resistance=1000000.0)))), n_inputs=2)")
     for table in ("array", "inf", "labels", "resistances", "conductances"):
         assert table not in text
 
 
 def test_a_network_in_another_synapse_order_is_the_same_network(bundled_model, tmp_path):
-    # a neuron holds its synapses in the table's C order, so the order given leaves no trace
-    twin = reversed_twin(bundled_model)
+    # the loader fills the table, so the order a file lists synapses in leaves no trace
+    doc = network_to_dict(bundled_model)
+    for entry in doc["neurons"]:
+        entry["synapses"].reverse()
+    twin = network_from_dict(doc)
     assert twin == bundled_model and hash(twin) == hash(bundled_model)
     assert repr(twin) == repr(bundled_model)
     save_network(twin, tmp_path / "twin.json")
@@ -257,8 +263,10 @@ def test_a_network_in_another_synapse_order_is_the_same_network(bundled_model, t
 
 @given(net=networks(), data=st.data())
 def test_synapses_are_held_and_written_in_the_tables_order(net, data):
-    shuffled = replace(net, neurons=tuple(
-        replace(n, synapses=data.draw(st.permutations(n.synapses))) for n in net.neurons))
+    doc = network_to_dict(net)
+    for entry in doc["neurons"]:
+        entry["synapses"] = data.draw(st.permutations(entry["synapses"]))
+    shuffled = network_from_dict(doc)
     assert shuffled == net and hash(shuffled) == hash(net)
     for neuron, entry in zip(shuffled.neurons, network_to_dict(shuffled)["neurons"]):
         written = [(s["input_index"], s["polarity"], s["resistance_ohms"]) for s in entry["synapses"]]
@@ -267,7 +275,7 @@ def test_synapses_are_held_and_written_in_the_tables_order(net, data):
 
 
 def test_a_resistance_is_written_as_the_float_the_table_holds():
-    net = Network((IFNeuron("u", 1e-6, (Synapse(0, "excitatory", 1000),)),), 1)
+    net = Network(("u",), [[[1000, math.inf]], [[math.inf, math.inf]]], 1e-6)
     (written,) = network_to_dict(net)["neurons"][0]["synapses"]
     assert json.dumps(written["resistance_ohms"]) == "1000.0"
 
@@ -404,9 +412,8 @@ def test_save_writes_plain_strings_and_numbers(case, tmp_path):
     # which the checks pass, raised TypeError: not JSON serializable
     settings = {"n_inputs": 1, "t_max": 0.05, "capacitance": 1e-6, "resistance": 1e4,
                 **_SAVED[case]}
-    neuron = IFNeuron("a", settings["capacitance"],
-                      (Synapse(0, "excitatory", settings["resistance"]),))
-    net = Network((neuron,), settings["n_inputs"], t_max=settings["t_max"])
+    table = wiring(settings["n_inputs"], {(0, "excitatory"): settings["resistance"]})
+    net = Network(("a",), table, settings["capacitance"], t_max=settings["t_max"])
     save_network(net, tmp_path / "m.json")
     loaded = load_network(tmp_path / "m.json")
     assert loaded == net
@@ -451,19 +458,7 @@ def test_network_from_dict_names_the_bad_synapse(bundled_model, field, value, me
     assert str(exc_info.value).startswith(message)
 
 
-def test_heterogeneous_capacitance_is_unserializable():
-    # a network has one capacitance: per-neuron values are refused when it is built
-    a = IFNeuron("a", 1e-6, (Synapse(0, "excitatory", 1e4),))
-    b = IFNeuron("b", 2e-6, (Synapse(0, "excitatory", 1e4),))
-    with pytest.raises(ValueError, match=r"one capacitance, got \[1e-06, 2e-06\] farads"):
-        Network(neurons=(a, b), n_inputs=1)
-    net = Network(neurons=(a, replace(b, capacitance=1e-6)), n_inputs=1)
-    assert net.capacitance == 1e-6
-    with pytest.raises(ValueError, match="one capacitance"):
-        replace(net, neurons=(a, b))
-
-
-def test_duplicate_synapse_rejected():
+def test_duplicate_synapse_rejected(bundled_model):
     # the refusals read the enum's .value, and raised AttributeError on a plain string
     with pytest.raises(ValueError, match=r"^duplicate synapse for input 0 \(excitatory\)$"):
         IFNeuron(
@@ -474,6 +469,12 @@ def test_duplicate_synapse_rejected():
                 Synapse(0, "excitatory", 2e4),
             ),
         )
+    # the loader names the synapse that fills a wired entry a second time
+    doc = network_to_dict(bundled_model)
+    doc["neurons"][2]["synapses"][4]["input_index"] = 0
+    message = "model field neurons[2].synapses[4]: duplicate synapse for input 0 (inhibitory)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        network_from_dict(doc)
 
 
 def test_a_time_constant_without_a_conductance_is_refused_by_line():
@@ -484,13 +485,54 @@ def test_a_time_constant_without_a_conductance_is_refused_by_line():
 
 
 def test_network_rejects_synapse_beyond_bias_line(bundled_model):
-    # named by neuron and line: a neuron holds its synapses in the table's order, not the file's
-    neuron = IFNeuron("u", 1e-6, (Synapse(5, "excitatory", 1e4),))
-    message = "neurons[0] ('u'): excitatory synapse on input 5 out of range for 2 inputs plus bias"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        Network(neurons=(neuron,), n_inputs=2)
+    # a table has no line past the bias: the loader names the synapse it cannot place
     doc = network_to_dict(bundled_model)
     doc["neurons"][1]["synapses"][0]["input_index"] = 7
-    message = "neurons[1] ('lie'): excitatory synapse on input 7 out of range for 2 inputs plus bias"
+    message = ("model field neurons[1].synapses[0]: excitatory synapse on input 7 out of range "
+               "for 2 inputs plus bias")
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         network_from_dict(doc)
+
+
+def _table(at=(0, 0, 0), ohms=1e4):
+    """Labels 'a' and 'b' on one input, each with an excitatory synapse, and ``ohms`` at ``at``."""
+    r = wiring(1, {(0, "excitatory"): 1e4}, {(1, "excitatory"): 2e4})
+    r[at] = ohms
+    return r
+
+
+_NOT_A_TABLE = "resistances of shape {} are not (2, 2, lines)"
+_NOT_A_RESISTANCE = "resistance must be a finite number > 0, got {}"
+
+
+@pytest.mark.parametrize("labels, table, message", [
+    (("a", "b"), np.full((2, 1, 2), np.inf), "neurons[0] ('a'): " + _NOT_A_TABLE.format((2, 1, 2))),
+    (("a", "b"), np.full((3, 2, 2), np.inf), "neurons[0] ('a'): " + _NOT_A_TABLE.format((3, 2, 2))),
+    (("a", "b"), np.full((2, 2), np.inf), "neurons[0] ('a'): " + _NOT_A_TABLE.format((2, 2))),
+    (("a", "b"), np.full((2, 2, 0), np.inf), "neurons[0] ('a'): " + _NOT_A_TABLE.format((2, 2, 0))),
+    (("a", "b"), _table((1, 1, 0), math.nan), "neurons[1] ('b'): " + _NOT_A_RESISTANCE.format("nan")),
+    (("a", "b"), _table((1, 1, 1), -math.inf), "neurons[1] ('b'): " + _NOT_A_RESISTANCE.format("-inf")),
+    (("a", "b"), _table((0, 0, 0), 0.0), "neurons[0] ('a'): " + _NOT_A_RESISTANCE.format("0.0")),
+    (("a", 5), _table(), "neurons[1] (5): label must be a string, got 5"),
+    # refused before G = 1/(R·C) is compiled: dividing by R·C = 0 warns, and warnings fail here
+    (("a", "b"), _table((1, 1, 1), 5e-324), "neurons[1] ('b'): time constant R·C of input 1 "
+     "(inhibitory) is 0.0 s, too small for a finite conductance: 5e-324 ohms, 1e-06 farads"),
+], ids=["classes", "phases", "rank", "no-bias-line", "nan", "-inf", "zero", "label", "underflow"])
+def test_a_network_names_the_neuron_of_an_entry_it_refuses(labels, table, message):
+    # the table once passed NaN, -inf and 0 as unwired lines, since only finite entries were read
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Network(labels, table, 1e-6)
+    assert table.flags.writeable  # a refused table is left as it was given
+
+
+def test_the_loader_refuses_a_bad_n_inputs_by_name(bundled_model):
+    # the table is sized by n_inputs, so it is checked first: -1 read "negative dimensions are
+    # not allowed" when the table was sized before the check
+    doc = network_to_dict(bundled_model)
+    for value in (True, False, 1.0, 2.0, "1", math.nan, math.inf, -math.inf):
+        message = f"model field n_inputs must be an integer, got {json.dumps(value)}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            network_from_dict({**doc, "n_inputs": value})
+    with pytest.raises(ValueError, match=r"^n_inputs must be >= 0, got -1$"):
+        network_from_dict({**doc, "n_inputs": -1})
+    assert network_from_dict({**doc, "n_inputs": 3}).n_inputs == 3

@@ -22,6 +22,7 @@ from ifcirc import (
     integrate_schedule,
 )
 from ifcirc.oracle import MAX_STEPS, STEP_DIVISOR
+from conftest import wiring
 
 R, C = 10e3, 1e-6
 TAU = R * C  # 10 ms
@@ -129,20 +130,17 @@ def test_negative_duration_rejected():
 
 
 def test_schedule_integration_matches_closed_form():
-    neuron = IFNeuron(
-        label="u",
-        capacitance=1e-6,
-        synapses=(
-            Synapse(0, "excitatory", 20e3),
-            Synapse(1, "excitatory", 100e3),
-            Synapse(2, "excitatory", 1.5e3),
-            Synapse(0, "inhibitory", 10e3),
-            Synapse(1, "inhibitory", 6.8e3),
-        ),
-    )
+    table = wiring(2, {
+        (0, "excitatory"): 20e3,
+        (1, "excitatory"): 100e3,
+        (2, "excitatory"): 1.5e3,
+        (0, "inhibitory"): 10e3,
+        (1, "inhibitory"): 6.8e3,
+    })
+    net = Network(("u",), table, 1e-6)
     schedule = build_schedule((0.3, 0.7), t_max=0.05)
-    ode = integrate_schedule(neuron, schedule, 1.0)
-    (closed,) = infer_network(Network(neurons=(neuron,), n_inputs=2), (0.3, 0.7))
+    ode = integrate_schedule(net.neurons[0], schedule, 1.0)
+    (closed,) = infer_network(net, (0.3, 0.7))
     assert ode == pytest.approx(closed, rel=1e-9)
 
 

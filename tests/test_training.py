@@ -18,15 +18,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ifcirc import (
     CLASS_MEANS,
     DatasetConfig,
-    IFNeuron,
     Network,
-    POLARITIES,
     PostureSample,
-    Synapse,
     TrainConfig,
     classify,
     energy_per_inference,
@@ -45,7 +43,7 @@ from ifcirc import training
 from ifcirc.kernel import duration_matrix, forward, sensitivities
 from ifcirc.neuron import infer_batch
 from ifcirc.training import _gradient, _loss, write_loss_csv
-from conftest import assert_dispatch_digest, exp_and_blas, rescaled
+from conftest import assert_dispatch_digest, exp_and_blas, rescaled, wiring
 
 
 # -------------------------------- loss --------------------------------------
@@ -118,8 +116,7 @@ def _dv_dg(net, stimuli, dl_dv=None):
 
 
 def test_gradient_single_excitatory_frozen_value():
-    neuron = IFNeuron("u", 1e-6, (Synapse(0, "excitatory", 10e3),))
-    net = Network(neurons=(neuron,), n_inputs=1, t_max=0.01)
+    net = Network(("u",), wiring(1, {(0, "excitatory"): 10e3}), 1e-6, t_max=0.01)
     grad = _dv_dg(net, [(1.0,)])
     assert grad[0, 0, 0] == pytest.approx(math.exp(-1) * 0.01, rel=1e-12)
     # chain rule dG/dR = -G/R, as train() applies it, gives dV/dR
@@ -130,12 +127,8 @@ def test_gradient_single_excitatory_frozen_value():
 
 
 def test_gradient_zero_for_zero_duration():
-    neuron = IFNeuron(
-        "u",
-        1e-6,
-        (Synapse(0, "excitatory", 10e3), Synapse(1, "excitatory", 10e3)),
-    )
-    net = Network(neurons=(neuron,), n_inputs=2, t_max=0.01)
+    table = wiring(2, {(0, "excitatory"): 10e3, (1, "excitatory"): 10e3})
+    net = Network(("u",), table, 1e-6, t_max=0.01)
     grad = _dv_dg(net, [(0.0, 1.0)])
     assert grad[0, 0, 0] == 0.0
     assert grad[0, 0, 1] != 0.0
@@ -143,8 +136,7 @@ def test_gradient_zero_for_zero_duration():
 
 def test_gradients_zero_without_excitation():
     # nothing ever charges, so no inhibitory conductance can influence the potential
-    neuron = IFNeuron("u", 1e-6, (Synapse(0, "inhibitory", 10e3),))
-    net = Network(neurons=(neuron,), n_inputs=1, t_max=0.01)
+    net = Network(("u",), wiring(1, {(0, "inhibitory"): 10e3}), 1e-6, t_max=0.01)
     assert _dv_dg(net, [(1.0,)])[1].tolist() == [[0.0, 0.0]]
 
 
@@ -157,18 +149,12 @@ def gradient_instances(draw):
     1-exp(...) nor the finite differences fall into cancellation noise.
     """
     n_classes = draw(st.integers(1, 3))
-    neurons = []
-    for k in range(n_classes):
-        synapses = [
-            Synapse(line, polarity, draw(st.floats(0.02, 1.0)))
-            for line in range(3)
-            for polarity in POLARITIES
-            if draw(st.booleans())
-        ]
-        neurons.append(IFNeuron(f"c{k}", 1.0, tuple(synapses)))
+    r = draw(arrays(np.float64, (2, n_classes, 3),
+                    elements=st.one_of(st.just(np.inf), st.floats(0.02, 1.0))))
     net = Network(
-        neurons=tuple(neurons),
-        n_inputs=2,
+        [f"c{k}" for k in range(n_classes)],
+        r,
+        1.0,
         supply_voltage=draw(st.floats(0.5, 5.0)),
         t_max=draw(st.floats(0.002, 0.012)),
     )
@@ -259,21 +245,13 @@ def test_loss_and_gradient_match_finite_differences_in_log_r(instance):
     value, (grad, _) = point[0], _gradient(point, durations, cfg)
     # the loss is the MSE of the potentials infer_batch gives for R = e^u, in units of
     # the supply, plus the energy term; V_e is the potential of the excitatory synapses alone
-    def network(polarities):
-        neurons = tuple(
-            IFNeuron(f"c{k}", cfg.capacitance, tuple(
-                Synapse(line, polarity, float(np.exp(log_r[phase, k, line])))
-                for phase, polarity in enumerate(POLARITIES)
-                if polarity in polarities
-                for line in range(log_r.shape[2])
-            ))
-            for k in range(log_r.shape[1])
-        )
-        return Network(neurons, n_inputs=2, supply_voltage=v_in, t_max=cfg.t_max)
+    def network(r):
+        labels = [f"c{k}" for k in range(r.shape[1])]
+        return Network(labels, r, cfg.capacitance, supply_voltage=v_in, t_max=cfg.t_max)
 
-    stimuli = durations[:, :-1]
-    v = infer_batch(network(POLARITIES), stimuli).T / v_in
-    v_e = infer_batch(network(("excitatory",)), stimuli).T / v_in
+    stimuli, r = durations[:, :-1], np.exp(log_r)
+    v = infer_batch(network(r), stimuli).T / v_in
+    v_e = infer_batch(network(np.stack((r[0], np.full_like(r[1], np.inf)))), stimuli).T / v_in
     expected = float(np.mean((v - targets) ** 2)) + cfg.energy_weight * float(np.mean(v_e))
     assert value == pytest.approx(expected, rel=1e-12)
     # the energy term's own gradient, d sum(V_e)/du: V_e is the V of the circuit without
@@ -926,7 +904,7 @@ def test_evaluate_accuracy_with_readout_noise(bundled_model):
 @pytest.mark.parametrize("sigma", [0.0, 0.3])
 def test_evaluate_accuracy_counts_a_repeated_label_by_label(bundled_model, labels, sigma):
     # a hit is a label match, whichever of a repeated label's neurons wins
-    net = Network(tuple(replace(n, label=label) for n, label in zip(bundled_model.neurons, labels)), 2)
+    net = replace(bundled_model, labels=labels)
     samples = [s for s in _quick_dataset(20, seed=4) if s.label in labels]
     rng = np.random.Generator(np.random.PCG64(5))
     hits = 0
@@ -944,7 +922,7 @@ def test_evaluate_accuracy_refuses_noise_without_a_generator(bundled_model):
 
 
 def test_evaluate_accuracy_rejects_unknown_labels(bundled_model):
-    sit_only = Network(neurons=bundled_model.neurons[2:], n_inputs=2)
+    sit_only = Network(bundled_model.labels[2:], bundled_model.resistances[:, 2:], 1e-6)
     with pytest.raises(ValueError):
         evaluate_accuracy(sit_only, _quick_dataset(2))
 

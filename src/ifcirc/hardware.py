@@ -3,8 +3,8 @@
 Trained resistances land on arbitrary reals, but a physical build picks
 from a parts catalog.  The default catalog keeps one significant digit
 (3230 ohms -> 3000 ohms); E12/E24 series and explicit part lists are also
-supported.  Rounding is to the nearest catalog value by absolute distance,
-ties toward the larger part.
+supported.  A catalog is its sorted array of parts, and rounding is one
+lookup of the nearest part by absolute distance, ties toward the larger part.
 
 Energy accounting follows the capacitor.  The excitatory phase charges it
 from rest to V_e, drawing q = C * V_e from the supply at voltage v_in, so
@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import math
 import operator
-import sys
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import reduce
 from pathlib import Path
 
@@ -60,19 +59,20 @@ _SERIES = {
     "e12": E12_MANTISSAS,
     "e24": E24_MANTISSAS,
 }
+_DECADES = np.array([float(f"1e{e}") for e in range(-307, 309)])  # 10^e as its literal parses
 
 
 @dataclass(frozen=True)
 class ResistorCatalog:
-    """Set of purchasable resistance values.
+    """Purchasable resistances, held once built as the sorted, read-only array ``parts``.
 
-    ``values`` is only used in ``custom`` mode and must then be a non-empty
-    list of positive resistances; the series modes repeat their mantissas
-    across every decade.
+    ``custom`` mode takes a non-empty list of positive ``values``, which are its parts; a series
+    puts its mantissas in every decade from 1e-307 up and keeps each finite product.
     """
 
     mode: str = "one_significant_digit"
     values: tuple[float, ...] = ()
+    parts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         values = tuple(self.values)  # an array has no truth value
@@ -81,44 +81,43 @@ class ResistorCatalog:
                 raise ValueError("custom catalog needs at least one value")
             for value in values:
                 _check_real("catalog value", value)
+            parts = np.sort(np.array(values, dtype=float))
         elif self.mode in _SERIES:
             if values:
                 raise ValueError(f"mode {self.mode!r} does not take explicit values")
+            with np.errstate(over="ignore"):  # the top decade's larger mantissas overflow
+                parts = np.multiply.outer(_DECADES, _SERIES[self.mode]).ravel()  # ascending
+            parts = parts[np.isfinite(parts)]
         else:
             choices = ", ".join([*_SERIES, "custom"])
             raise ValueError(f"unknown catalog mode {self.mode!r} (one of: {choices})")
+        parts.flags.writeable = False
         object.__setattr__(self, "values", tuple(sorted(values)))  # sorted once each is a number
+        object.__setattr__(self, "parts", parts)
 
-    def candidates(self, resistance: float) -> tuple[float, ...]:
-        """Catalog values bracketing ``resistance``."""
-        if self.mode == "custom":
-            return self.values
-        mantissas = _SERIES[self.mode]
-        decade = 10.0 ** math.floor(math.log10(resistance))
-        # floor(log10) can land one decade off at representation boundaries
-        while resistance < decade:
-            decade /= 10.0
-        if decade < sys.float_info.min:  # subnormal decades scale inexactly; 0 never grows
-            raise ValueError(f"resistance {resistance!r} ohms is below 1e-307, the lowest "
-                             f"decade of the {self.mode} series")
-        while resistance >= decade * 10.0:
-            decade *= 10.0
-        return tuple(m * decade for m in mantissas) + (mantissas[0] * decade * 10.0,)
+    def _nearest(self, r: np.ndarray) -> np.ndarray:
+        """The nearest part to each resistance, ties going larger; a series refuses one below it."""
+        if self.mode != "custom" and (low := r < self.parts[0]).any():  # names the first in C order
+            raise ValueError(f"resistance {float(r[low][0])!r} ohms is below 1e-307, "
+                             f"the lowest decade of the {self.mode} series")
+        i = np.searchsorted(self.parts, r).clip(1, len(self.parts) - 1)  # past an end: that end
+        lo, hi = self.parts[i - 1], self.parts[i]
+        return np.where(hi - r <= r - lo, hi, lo)
 
 
 DEFAULT_CATALOG = ResistorCatalog()
 
 
 def round_resistance(resistance: float, catalog: ResistorCatalog = DEFAULT_CATALOG) -> float:
-    """Snap a resistance to the nearest catalog value (ties go larger)."""
+    """Snap one resistance to its nearest catalog part (ties go larger), as quantizing does."""
     _check_real("resistance", resistance)
-    return min(catalog.candidates(resistance), key=lambda c: (abs(c - resistance), -c))
+    return catalog._nearest(np.array([resistance], dtype=float))[0].item()
 
 
 def quantize_network(net: Network, catalog: ResistorCatalog = DEFAULT_CATALOG) -> Network:
-    """Round every synapse resistance to the catalog."""
+    """Snap every wired resistance to its nearest catalog part, in one lookup."""
     r = net.resistances.copy()
-    r[np.isfinite(r)] = [round_resistance(x, catalog) for x in r[np.isfinite(r)].tolist()]
+    r[np.isfinite(r)] = catalog._nearest(r[np.isfinite(r)])
     return replace(net, resistances=r)
 
 
@@ -164,11 +163,9 @@ class ResponseMap(Sequence):
 
     def __getitem__(self, index: int) -> tuple[float, float, list[float]]:
         i = operator.index(index)
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
+        if not -len(self) <= i < len(self):
             raise IndexError("response map row index out of range")
-        p, r = divmod(i, len(self._axis))
+        p, r = divmod(i % len(self), len(self._axis))
         pitch, roll = self._axis[p], self._axis[r]
         return pitch, roll, infer_network(self._net, (pitch, roll))
 
@@ -198,8 +195,7 @@ def response_map(net: Network, grid_step: float) -> ResponseMap:
             f"grid_step {grid_step!r} is too fine: response maps are capped at "
             f"{MAX_GRID_POINTS} points"
         )
-    n_steps = int(math.floor(span))
-    axis = [min(i * grid_step, 1.0) for i in range(n_steps + 1)]
+    axis = [min(i * grid_step, 1.0) for i in range(int(span) + 1)]  # span > 0: int() floors
     if axis[-1] < 1.0:
         axis.append(1.0)
     return ResponseMap(net, axis)

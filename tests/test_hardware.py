@@ -113,10 +113,51 @@ def test_round_rejects_nonpositive():
         round_resistance(math.inf)
 
 
-@given(r=st.floats(1.0, 1e7))
-def test_rounding_is_idempotent(r):
-    snapped = round_resistance(r)
-    assert round_resistance(snapped) == snapped
+def test_rounding_is_idempotent():
+    # log-uniform over every decade a series holds: a snap near a decade's edge used to land an
+    # ulp off the next decade's part, and snapped again (12 to 26 of these draws per series)
+    draws = np.maximum(10.0 ** np.random.default_rng(34).uniform(-307, 308, 4000), 1e-307)
+    for mode in ("one_significant_digit", "e12", "e24"):
+        catalog = ResistorCatalog(mode)
+        for r in draws.tolist():
+            snapped = round_resistance(r, catalog)
+            assert round_resistance(snapped, catalog) == snapped, (mode, r)
+    assert round_resistance(9.57648785207776e-11) == 1e-10  # was 9.999999999999999e-11
+    assert round_resistance(9.999999999999999e-307) == 1e-306
+
+
+def test_a_catalog_is_its_sorted_read_only_parts():
+    for mode, mantissas in [("one_significant_digit", range(1, 10)),
+                            ("e12", hardware.E12_MANTISSAS), ("e24", hardware.E24_MANTISSAS)]:
+        catalog = ResistorCatalog(mode)
+        products = [m * float(f"1e{e}") for e in range(-307, 309) for m in mantissas]
+        assert catalog.parts.tolist() == [p for p in products if p < math.inf]
+        assert catalog.parts[0] == 1e-307 and (np.diff(catalog.parts) > 0).all()
+        assert not catalog.parts.flags.writeable
+        assert [round_resistance(p, catalog) for p in catalog.parts.tolist()] == \
+            catalog.parts.tolist()
+    custom = ResistorCatalog("custom", (2200.0, 100.0, 470.0))
+    assert custom.parts.tolist() == [100.0, 470.0, 2200.0]
+    # the parts are left out of equality and hashing, which an array could not take part in
+    twin = ResistorCatalog("custom", (100.0, 470.0, 2200.0))
+    assert custom == twin and hash(custom) == hash(twin)
+
+
+def test_a_snap_is_the_nearest_part_found_by_a_scan():
+    # the reference scans the parts within a factor of 100 (every part of a custom catalog)
+    # in Python floats; midpoints of adjacent parts test the ties, which go to the larger part
+    rng = np.random.default_rng(35)
+    for catalog in (DEFAULT_CATALOG, ResistorCatalog("e12"), ResistorCatalog("e24"),
+                    ResistorCatalog("custom", (100.0, 470.0, 2200.0))):
+        parts = catalog.parts
+        picks = rng.integers(0, len(parts) - 1, 100)
+        draws = np.maximum(10.0 ** rng.uniform(-307, 308, 300), 1e-307)
+        for r in [*draws.tolist(), *((parts[picks] + parts[picks + 1]) / 2).tolist()]:
+            near = parts
+            if catalog.mode != "custom":
+                near = parts[(r / 100 <= parts) & (parts <= r * 100)]
+            want = min(near.tolist(), key=lambda c: (abs(c - r), -c))
+            assert round_resistance(r, catalog) == want, (catalog.mode, r)
 
 
 @given(r=st.floats(1e3, 1e6))
@@ -174,7 +215,10 @@ def test_prune_matches_a_per_synapse_reference(net, r_max):
     _same_model(prune(net, r_max=r_max), want)
 
 
-@pytest.mark.parametrize("catalog", [DEFAULT_CATALOG, ResistorCatalog("e24")], ids=["default", "e24"])
+@pytest.mark.parametrize("catalog", [
+    DEFAULT_CATALOG, ResistorCatalog("e24"), ResistorCatalog("e12"),
+    ResistorCatalog("custom", (100.0, 470.0, 2200.0)),
+], ids=["default", "e24", "e12", "custom"])
 @given(net=networks())
 def test_quantize_matches_a_per_synapse_reference(net, catalog):
     want = _per_synapse(net, lambda s: Synapse(

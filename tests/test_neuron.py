@@ -303,6 +303,17 @@ def test_a_table_no_memory_holds_is_refused_at_load(tmp_path):
         load_network(path)
 
 
+@pytest.mark.parametrize("n_inputs", [10**30, 2**62], ids=["dimension", "size"])
+def test_a_table_numpy_cannot_shape_is_refused_by_name(tmp_path, n_inputs):
+    # past numpy's dimension or size limit: numpy's own line named neither the field nor the table
+    path = tmp_path / "wide.json"
+    doc = json.loads(example_model_path().read_text())
+    path.write_text(json.dumps({**doc, "n_inputs": n_inputs}))
+    message = f"{path}: model field n_inputs: {n_inputs} is too large for a table: "
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}."):
+        load_network(path)
+
+
 def test_infer_batch_checks_arity(bundled_model):
     with pytest.raises(ValueError, match="expected 2 inputs"):
         infer_batch(bundled_model, [(0.0, 0.0, 0.0)])

@@ -65,20 +65,30 @@ class PostureSample:
             raise ValueError(f"label must be one of {CLASSES}, got {self.label!r}")
 
 
+def _number(value: object, kind: type) -> int | float | None:
+    """``value`` as an int, or as a finite float if ``kind`` is float; None for a bool, another
+    type, NaN, an infinity or an integer past the float range.  numpy numbers convert."""
+    family = numbers.Integral if kind is int else numbers.Real  # skipped for an exact int or float
+    if type(value) is not kind and (isinstance(value, bool) or not isinstance(value, family)):
+        return None
+    try:
+        return kind(value) if kind is int or math.isfinite(value) else None
+    except OverflowError:  # math.isfinite of an integer past the float range
+        return None
+
+
 def _check_integer(name: str, value: object, least: int) -> None:
-    """Refuse, by ``name``, a ``value`` that is not an integer or is below ``least``.
-    A bool is refused; numpy integers pass."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    """Refuse, by ``name``, what ``_number`` makes no int, and one below ``least``."""
+    if _number(value, int) is None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 def _check_real(name: str, value: object, zero: bool = False) -> None:
-    """Refuse, by ``name``, a ``value`` that is not a finite number > 0 (>= 0 if ``zero``).
-    A bool is refused; numpy floats and integers pass."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not (math.isfinite(value) and (value >= 0 if zero else value > 0))):
+    """Refuse, by ``name``, what ``_number`` makes no float, and one not > 0 (>= 0 if ``zero``)."""
+    number = _number(value, float)
+    if number is None or not (number >= 0 if zero else number > 0):
         floor = ">= 0" if zero else "> 0"
         raise ValueError(f"{name} must be a finite number {floor}, got {value!r}")
 
@@ -180,8 +190,9 @@ def split(
     Per class, a shuffled copy contributes round(train_fraction * n) samples
     to the train side and the remainder to the test side.
     """
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
+    fraction = _number(train_fraction, float)
+    if fraction is None or not 0.0 < fraction < 1.0:
+        raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction!r}")
     _check_integer("seed", seed, 0)
     rng = np.random.Generator(np.random.PCG64(seed))
     by_label: dict[str, list[PostureSample]] = {}
@@ -191,7 +202,7 @@ def split(
     test: list[PostureSample] = []
     for label, group in by_label.items():
         order = rng.permutation(len(group))
-        n_train = round(train_fraction * len(group))
+        n_train = round(fraction * len(group))
         train.extend(group[i] for i in order[:n_train])
         test.extend(group[i] for i in order[n_train:])
     return train, test

@@ -54,20 +54,17 @@ E24_MANTISSAS = (
     3.3, 3.6, 3.9, 4.3, 4.7, 5.1, 5.6, 6.2, 6.8, 7.5, 8.2, 9.1,
 )
 
-_SERIES = {
-    "one_significant_digit": tuple(float(d) for d in range(1, 10)),
-    "e12": E12_MANTISSAS,
-    "e24": E24_MANTISSAS,
-}
-_DECADES = np.array([float(f"1e{e}") for e in range(-307, 309)])  # 10^e as its literal parses
+_SERIES = {mode: tuple(round(10 * m) for m in mantissas) for mode, mantissas in (  # 2.2 is 22
+    ("one_significant_digit", range(1, 10)), ("e12", E12_MANTISSAS), ("e24", E24_MANTISSAS))}
+_POWERS = np.array([float(f"1e{n}") for n in range(309)])  # 10^n as its literal parses
 
 
 @dataclass(frozen=True)
 class ResistorCatalog:
     """Purchasable resistances, held once built as the sorted, read-only array ``parts``.
 
-    ``custom`` mode takes a non-empty list of positive ``values``, which are its parts; a series
-    puts its mantissas in every decade from 1e-307 up and keeps each finite product.
+    ``custom`` mode takes a non-empty list of positive ``values``, which are its parts.  A series
+    part is each finite mantissa × 10^e from 1e-307 up, equal to its literal from 1e-21 to 1e24.
     """
 
     mode: str = "one_significant_digit"
@@ -85,8 +82,9 @@ class ResistorCatalog:
         elif self.mode in _SERIES:
             if values:
                 raise ValueError(f"mode {self.mode!r} does not take explicit values")
+            k = _SERIES[self.mode]  # ascending, one rounding each: k / 10^-n, then k * 10^n
             with np.errstate(over="ignore"):  # the top decade's larger mantissas overflow
-                parts = np.multiply.outer(_DECADES, _SERIES[self.mode]).ravel()  # ascending
+                parts = np.vstack((k / _POWERS[:0:-1, None], k * _POWERS[:, None])).ravel()
             parts = parts[np.isfinite(parts)]
         else:
             choices = ", ".join([*_SERIES, "custom"])

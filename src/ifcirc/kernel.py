@@ -41,7 +41,10 @@ def duration_matrix(stimuli: Sequence[Sequence[float]], t_max: float) -> np.ndar
     last, always runs for the full t_max.  Negative inputs clamp to zero
     duration: a negative stimulation time has no physical meaning.
     """
-    x = np.asarray(stimuli, dtype=np.float64)
+    try:
+        x = np.asarray(stimuli, dtype=np.float64)
+    except OverflowError:  # numpy's message names no input
+        raise ValueError("stimulus contains an integer past the float range") from None
     if x.ndim != 2:
         raise ValueError(f"expected a batch of input vectors, got shape {x.shape}")
     if np.isnan(x).any():

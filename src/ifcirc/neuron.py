@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import _check_integer, _check_real
+from .dataset import _check_integer, _check_real, _number
 from .kernel import Forward, duration_matrix, forward
 
 __all__ = [
@@ -229,8 +229,8 @@ def classify(potentials: Sequence[float]) -> int:
     if len(potentials) == 0:
         raise ValueError("cannot classify an empty potential vector")
     for p in potentials:
-        if not math.isfinite(p):
-            raise ValueError(f"potentials must be finite, got {p}")
+        if _number(p, float) is None:
+            raise ValueError(f"potentials must be finite numbers, got {p!r}")
     return max(range(len(potentials)), key=lambda i: potentials[i])
 
 
@@ -258,28 +258,16 @@ def network_to_dict(net: Network) -> dict:
     }
 
 
-_FIELD_TYPES = {
-    float: ((int, float), "a finite number"),
-    int: ((int,), "an integer"),
-    str: ((str,), "a string"),
-    list: ((list,), "a list"),
-}
-
-
 def json_value(value: object, kind: type, name: str):
     """A value parsed from JSON, as ``kind``: int, str, list, or a finite float (ints convert).
 
-    Booleans are not numbers here.  A mismatch raises ValueError naming ``name``.
+    Numbers are taken as ``dataset._number`` takes them, so a bool is none.  A mismatch
+    raises ValueError naming ``name``.
     """
-    types, description = _FIELD_TYPES[kind]
-    try:
-        ok = isinstance(value, types) and not isinstance(value, bool)
-        converted = kind(value) if ok else None
-        ok = ok and (kind is not float or math.isfinite(converted))
-    except OverflowError:  # an integer beyond the float range
-        ok = False
-    if not ok:
-        raise ValueError(f"{name} must be {description}, got {json.dumps(value)}")
+    converted = _number(value, kind) if kind in (int, float) else value
+    if not isinstance(converted, kind):  # None, where _number refuses the value
+        description = {int: "an integer", float: "a finite number", str: "a string", list: "a list"}[kind]
+        raise ValueError(f"{name} must be {description}, got {json.dumps(value, default=repr)}")
     return converted
 
 

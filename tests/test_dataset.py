@@ -29,6 +29,8 @@ from ifcirc import (
     split,
     write_csv,
 )
+from ifcirc.dataset import _check_real
+from ifcirc.neuron import json_value
 from conftest import wiring
 
 
@@ -162,7 +164,8 @@ def test_config_validation():
         with pytest.raises(ValueError, match=f"^n_per_class must be >= 1, got {n}$"):
             DatasetConfig(n_per_class=n)
     # True was taken as a sigma of 1
-    for sigma in (True, -0.1, -5e-324, math.nan, math.inf, -math.inf):
+    # an int past the float range escaped as OverflowError; a string or None as TypeError
+    for sigma in (True, -0.1, -5e-324, math.nan, math.inf, -math.inf, 10**400, -10**400, "0.1", None):
         message = f"noise_sigma must be a finite number >= 0, got {sigma!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             DatasetConfig(n_per_class=10, noise_sigma=sigma)
@@ -232,12 +235,42 @@ def test_a_one_sided_setting_is_refused_by_name(site):
         refusals.append((floor - 1, f"{name} must be >= {floor}, got {floor - 1}"))
     else:
         below = -5e-324 if floor == ">= 0" else 0.0
+        # an int past the float range escaped as OverflowError
         refusals = [(value, f"{name} must be a finite number {floor}, got {value!r}")
-                    for value in (True, False, "1", math.nan, math.inf, -math.inf, below, -1.0)]
+                    for value in (True, False, "1", math.nan, math.inf, -math.inf, below, -1.0,
+                                  10**400, -10**400)]
     for value, message in refusals:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call(value)
     call(np.float64(1.0) if isinstance(floor, str) else np.int64(1))  # numpy numbers pass
+
+
+_NUMBERS = st.one_of(
+    st.integers(-2**1100, 2**1100), st.floats(allow_subnormal=True), st.booleans(),
+    st.sampled_from([np.float64, np.float32, np.float16]).flatmap(
+        lambda t: st.floats(width=np.finfo(t).bits).map(t)),
+    st.sampled_from([np.int8, np.int64, np.uint64]).flatmap(
+        lambda t: st.integers(np.iinfo(t).min, np.iinfo(t).max).map(t)),
+    st.sampled_from([np.True_, math.nan, math.inf, -math.inf, 5e-324, 2**1024, -2**1024]),
+)
+
+
+@given(value=_NUMBERS)
+def test_a_file_and_a_setting_take_a_number_by_one_rule(value):
+    """``json_value`` reads model and config files, ``_check_real`` checks settings; a
+    setting >= 0 takes exactly the numbers a file takes that are >= 0."""
+    try:
+        number = json_value(value, float, "x")
+    except ValueError:
+        number = None
+    else:
+        assert type(number) is float and number == float(value)
+    try:
+        _check_real("x", value, zero=True)
+    except ValueError:
+        assert number is None or number < 0
+    else:
+        assert number is not None and number >= 0
 
 
 def test_csv_round_trip_is_exact(tmp_path):
@@ -299,10 +332,12 @@ def test_split_deterministic():
 
 def test_split_rejects_bad_fraction():
     samples = generate(DatasetConfig(n_per_class=5, seed=0))
-    with pytest.raises(ValueError):
-        split(samples, 1.5, seed=0)
-    with pytest.raises(ValueError):
-        split(samples, -0.1, seed=0)
+    # a string or None failed in the comparison, with TypeError
+    for fraction in (1.5, -0.1, 0.0, 1.0, math.nan, True, 10**400, -10**400, "0.5", None):
+        message = f"train_fraction must be in (0, 1), got {fraction!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            split(samples, fraction, seed=0)
+    assert split(samples, np.float64(0.8), 9) == split(samples, 0.8, 9)
 
 
 def test_split_refuses_a_seed_by_name():

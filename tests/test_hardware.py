@@ -87,8 +87,9 @@ def test_catalog_validation():
         ResistorCatalog("e96")
     with pytest.raises(ValueError):
         ResistorCatalog("custom")
-    # True was a 1-ohm part; a string died in the sort before this check, with TypeError
-    for value in (True, -5.0, 0.0, math.nan, math.inf, -math.inf, "a"):
+    # True was a 1-ohm part; a string died in the sort before this check, with TypeError; an
+    # int past the float range escaped as OverflowError
+    for value in (True, -5.0, 0.0, math.nan, math.inf, -math.inf, "a", None, 10**400, -10**400):
         message = f"catalog value must be a finite number > 0, got {value!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             ResistorCatalog("custom", (100.0, value))
@@ -102,6 +103,13 @@ def test_catalog_validation():
     with pytest.raises(ValueError, match="does not take explicit values"):
         ResistorCatalog("e12", np.array([1.0, 2.0]))
     assert ResistorCatalog("custom", np.array([2e3, 1e3])).values == (1e3, 2e3)
+
+
+def test_a_series_part_is_its_decimal_value():
+    # the parts were mantissa times decade: 2.2 * 100.0 is 220.00000000000003
+    assert round_resistance(215.0, ResistorCatalog("e12")) == 220.0
+    assert round_resistance(8.2e5, ResistorCatalog("e24")) == 820000.0
+    assert round_resistance(0.3) == 0.3
 
 
 def test_round_rejects_nonpositive():
@@ -130,9 +138,12 @@ def test_a_catalog_is_its_sorted_read_only_parts():
     for mode, mantissas in [("one_significant_digit", range(1, 10)),
                             ("e12", hardware.E12_MANTISSAS), ("e24", hardware.E24_MANTISSAS)]:
         catalog = ResistorCatalog(mode)
-        products = [m * float(f"1e{e}") for e in range(-307, 309) for m in mantissas]
-        assert catalog.parts.tolist() == [p for p in products if p < math.inf]
+        # a part is its decimal literal as Python parses it, 220.0 and not 2.2 * 1e2
+        literals = [float(f"{m}e{e}") for e in range(-22, 25) for m in mantissas]
+        parts = catalog.parts[(1e-21 <= catalog.parts) & (catalog.parts <= 1e24)]
+        assert parts.tolist() == [p for p in literals if 1e-21 <= p <= 1e24]
         assert catalog.parts[0] == 1e-307 and (np.diff(catalog.parts) > 0).all()
+        assert len(catalog.parts) == 616 * len(mantissas) - sum(m * 1e308 == math.inf for m in mantissas)
         assert not catalog.parts.flags.writeable
         assert [round_resistance(p, catalog) for p in catalog.parts.tolist()] == \
             catalog.parts.tolist()
@@ -372,8 +383,8 @@ def test_response_map_memory_is_one_row_not_the_grid(bundled_model, tmp_path):
 
 
 def test_response_map_validation(bundled_model):
-    # True was a step of 1: a 4-row map
-    for step in (True, False, "0.5", 0.0, -0.5, math.nan, math.inf, -math.inf):
+    # True was a step of 1: a 4-row map; an int past the float range escaped as OverflowError
+    for step in (True, False, "0.5", None, 0.0, -0.5, math.nan, math.inf, -math.inf, 10**400, -10**400):
         message = f"grid_step must be a finite number > 0, got {step!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             response_map(bundled_model, step)
@@ -411,6 +422,14 @@ def test_response_map_csv_rejects_ragged_rows(tmp_path):
 
 def _single_rc_network(t_max):
     return Network(("u",), wiring(1, {(0, "excitatory"): 10e3}), 1e-6, t_max=t_max)
+
+
+def test_a_stimulus_past_the_float_range_is_refused_by_name(bundled_model):
+    # numpy's OverflowError escaped: "int too large to convert to float"
+    for stimulus in ((10**400, 0.5), (0.5, -10**400)):
+        for call in (infer_network, energy_per_inference):
+            with pytest.raises(ValueError, match="^stimulus contains an integer past the float range$"):
+                call(bundled_model, stimulus)
 
 
 def test_energy_single_charge_frozen_values():

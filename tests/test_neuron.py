@@ -365,8 +365,12 @@ def test_classify_tie_prefers_lowest_index():
 def test_classify_rejects_bad_input():
     with pytest.raises(ValueError):
         classify([])
-    with pytest.raises(ValueError):
-        classify([0.1, float("nan")])
+    # an int past the float range escaped as OverflowError, a string or None as TypeError
+    for bad in (math.nan, math.inf, True, 10**400, -10**400, "a", None):
+        message = f"potentials must be finite numbers, got {bad!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            classify([0.1, bad])
+    assert classify([np.float32(0.1), 2, np.float64(0.3)]) == 1
 
 
 # ----------------------------- serialization -------------------------------

@@ -461,13 +461,14 @@ def test_trainconfig_validation():
     # True was taken as 1
     for name, floor, below in (("capacitance", "> 0", 0.0), ("t_max", "> 0", -1.0),
                                ("supply_voltage", "> 0", 0.0), ("energy_weight", ">= 0", -5e-324)):
-        for value in (True, below, math.nan, math.inf, -math.inf):
+        for value in (True, below, math.nan, math.inf, -math.inf, 10**400, -10**400, "1", None):
             message = f"{name} must be a finite number {floor}, got {value!r}"
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 TrainConfig(**{name: value})
-    # True was a 1-ohm floor or a 1 V target
+    # True was a 1-ohm floor or a 1 V target; an int past the float range escaped as OverflowError
     for name in ("r_min", "r_max", "target_high"):
-        for value in (True, False, "1", 0.0, -1.0, math.nan, math.inf, -math.inf):
+        for value in (True, False, "1", 0.0, -1.0, math.nan, math.inf, -math.inf, 10**400, -10**400,
+                      *([None] if name != "target_high" else [])):  # None: target_high unset
             message = f"{name} must be a finite number > 0, got {value!r}"
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 TrainConfig(**{name: value})

@@ -4,9 +4,10 @@ Subcommands cover the full loop: gen-data, train, eval, prune, quantize,
 infer, response-map, energy, validate.  Each subcommand's settings live in
 one table (``_COMMANDS``): a setting is ``(key, type, default, help)``, and
 the table generates the ``--key-with-dashes`` flags, the help text with
-each default, the defaults themselves and the type check of config-file
-values.  Settings come from those defaults, overlaid by an optional JSON
-config file (--config), overlaid by explicit command-line flags.  The
+each default, the defaults themselves and the one type check that
+config-file values and flags both pass.  Settings come from those
+defaults, overlaid by an optional JSON config file (--config), overlaid by
+explicit command-line flags.  The
 effective merged config is echoed on the first output line so any run can
 be reproduced from its log.  ``main`` then refuses any unset setting named
 in ``_REQUIRED``, reads the command's inputs (the model, then the --data
@@ -72,9 +73,14 @@ def _merge_config(args: argparse.Namespace, settings: Sequence[tuple]) -> dict:
     """defaults <- config file <- explicit flags, rejecting unknown keys and mistyped values.
 
     A config-file value must match its setting's type (an integer also
-    passes as a float); null passes only where the default is unset.
+    passes as a float); null passes only where the default is unset.  A flag's
+    text is converted by its setting's type, as argparse's ``type=`` would,
+    and then checked by the same rule under the flag's name.  Settings are
+    checked in the command's order, so the first bad one is named wherever
+    it was given.
     """
     cfg = {key: default for key, _, default, _ in settings}
+    file_cfg = {}
     if args.config is not None:
         with open(args.config) as fh:
             try:
@@ -86,13 +92,16 @@ def _merge_config(args: argparse.Namespace, settings: Sequence[tuple]) -> dict:
         unknown = sorted(set(file_cfg) - set(cfg))
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-        for key, kind, default, _ in settings:
-            if key in file_cfg and (file_cfg[key] is not None or default is not None):
-                cfg[key] = json_value(file_cfg[key], kind, f"config key {key}")
-    for key in cfg:
-        value = getattr(args, key)
-        if value is not None:
-            cfg[key] = value
+    for key, kind, default, _ in settings:
+        if key in file_cfg and (file_cfg[key] is not None or default is not None):
+            cfg[key] = json_value(file_cfg[key], kind, f"config key {key}")
+        text = getattr(args, key)
+        if text is not None:
+            try:
+                value = kind(text)
+            except ValueError:  # json_value refuses the text itself, by the flag's name
+                value = text
+            cfg[key] = json_value(value, kind, "--" + key.replace("_", "-"))
     return cfg
 
 
@@ -318,9 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
     for command, (command_help, _, settings) in _COMMANDS.items():
         sub = subs.add_parser(command, help=command_help)
         sub.add_argument("--config", help="JSON file of settings; flags override it")
-        for key, kind, default, help_text in settings:
+        for key, _, default, help_text in settings:
             shown = "" if default is None else f" (default {default})"
-            sub.add_argument("--" + key.replace("_", "-"), type=kind, help=help_text + shown)
+            sub.add_argument("--" + key.replace("_", "-"), help=help_text + shown)
     return parser
 
 

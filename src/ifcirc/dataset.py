@@ -93,6 +93,27 @@ def _check_real(name: str, value: object, zero: bool = False) -> None:
         raise ValueError(f"{name} must be a finite number {floor}, got {value!r}")
 
 
+def _real_array(values: object, name: str) -> np.ndarray:
+    """``values`` as a float64 array; refuse, by ``name``, one that holds anything but real numbers.
+
+    The dtype decides, with no pass over the elements: ints and floats convert, and
+    bool, str, bytes, complex and the like are refused.  An object array, which is how
+    numpy holds an int past int64, is the exception: each element must be a real
+    number, not a bool, and one past the float range is refused.
+    """
+    x = np.asarray(values)
+    if x.dtype.kind == "O":
+        for value in x.flat:
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must hold real numbers, got {value!r}")
+    elif x.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must hold real numbers, got dtype {x.dtype}")
+    try:
+        return x.astype(np.float64, copy=False)
+    except OverflowError:  # numpy's message names no input
+        raise ValueError(f"{name} contains an integer past the float range") from None
+
+
 @dataclass(frozen=True)
 class DatasetConfig:
     n_per_class: int
@@ -101,6 +122,10 @@ class DatasetConfig:
 
     def __post_init__(self) -> None:
         _check_integer("n_per_class", self.n_per_class, 1)
+        try:  # generate's draw, shaped but not allocated; a MemoryError there names its shape
+            np.broadcast_to(0.0, (len(CLASS_MEANS), 2 * self.n_per_class))
+        except ValueError as exc:
+            raise ValueError(f"n_per_class {self.n_per_class} is too large for a draw: {exc}") from None
         _check_real("noise_sigma", self.noise_sigma, zero=True)
         if not math.isfinite(self.noise_sigma * _MAX_ABS_Z):  # then every sample is finite
             raise ValueError(f"noise_sigma {self.noise_sigma!r} is too large: "

@@ -23,6 +23,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .dataset import _real_array
+
 __all__ = ["Forward", "duration_matrix", "forward", "sensitivities"]
 
 
@@ -39,12 +41,10 @@ def duration_matrix(stimuli: Sequence[Sequence[float]], t_max: float) -> np.ndar
 
     Each component maps to clamp(x, 0, 1) * t_max; the bias line, appended
     last, always runs for the full t_max.  Negative inputs clamp to zero
-    duration: a negative stimulation time has no physical meaning.
+    duration: a negative stimulation time has no physical meaning.  A stimulus
+    that holds anything but real numbers, or NaN, is refused.
     """
-    try:
-        x = np.asarray(stimuli, dtype=np.float64)
-    except OverflowError:  # numpy's message names no input
-        raise ValueError("stimulus contains an integer past the float range") from None
+    x = _real_array(stimuli, "stimulus")
     if x.ndim != 2:
         raise ValueError(f"expected a batch of input vectors, got shape {x.shape}")
     if np.isnan(x).any():

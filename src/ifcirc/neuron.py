@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import _check_integer, _check_real, _number
+from .dataset import _check_integer, _check_real, _number, _real_array
 from .kernel import Forward, duration_matrix, forward
 
 __all__ = [
@@ -133,7 +133,7 @@ class Network:
         _check_real("capacitance", self.capacitance)
         _check_real("supply_voltage", self.supply_voltage)
         _check_real("t_max", self.t_max)
-        r = np.asarray(self.resistances, dtype=np.float64)
+        r = _real_array(self.resistances, "resistances")
         neurons = []
         for k, label in enumerate(labels):
             try:

@@ -11,6 +11,7 @@ import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 
 import ifcirc
 from ifcirc import TrainConfig, example_model_path, load_network, read_csv, train
-from ifcirc.cli import main
+from ifcirc.cli import _COMMANDS, main
 from conftest import assert_dispatch_digest
 
 
@@ -397,9 +398,9 @@ def test_train_defaults_come_from_trainconfig(tmp_path, tiny_csv, capsys):
 
 @pytest.mark.parametrize("argv, file_cfg, message", [
     (("--target-high", -1), {}, "target_high must be a finite number > 0, got -1.0"),
-    (("--target-high", "nan"), {}, "target_high must be a finite number > 0, got nan"),
+    (("--target-high", "nan"), {}, "--target-high must be a finite number, got NaN"),
     (("--energy-weight", -0.5), {}, "energy_weight must be a finite number >= 0, got -0.5"),
-    (("--energy-weight", "inf"), {}, "energy_weight must be a finite number >= 0, got inf"),
+    (("--energy-weight", "inf"), {}, "--energy-weight must be a finite number, got Infinity"),
     ((), {"target_high": 0}, "target_high must be a finite number > 0, got 0.0"),
     ((), {"energy_weight": -1}, "energy_weight must be a finite number >= 0, got -1.0"),
 ])
@@ -490,12 +491,15 @@ def test_train_refuses_a_circuit_without_time_constants(tmp_path, tiny_csv, caps
 def test_train_refuses_a_time_constant_that_overflows(tmp_path, tiny_csv, capsys, key, value):
     # 1e-320 F ran into numpy warnings and a non-finite loss; t_max 1e308 overflowed D * G
     # and wrote a saturated model; both overflow t_max/(r_min*C); an infinite supply warned
-    # before its error
+    # before its error, and is now refused as the flag's value
     model = tmp_path / "m.json"
-    argv = ("--" + key.replace("_", "-"), value, "--out", model)
-    code, _, err = run_cli(capsys, "train", "--data", tiny_csv, *argv)
+    flag = "--" + key.replace("_", "-")
+    code, _, err = run_cli(capsys, "train", "--data", tiny_csv, flag, value, "--out", model)
     assert code == 1
-    assert err.startswith("error: ") and key in err and f"{float(value)}" in err
+    if math.isinf(float(value)):
+        assert err == f"error: {flag} must be a finite number, got Infinity\n"
+    else:
+        assert err.startswith("error: ") and key in err and f"{float(value)}" in err
     assert not model.exists()
 
 
@@ -610,12 +614,17 @@ def test_eval_with_readout_noise_is_seeded(tmp_path, tiny_csv, capsys):
 @pytest.mark.parametrize("sigma", ["-1", "nan", "inf"])
 @pytest.mark.parametrize("command", ["infer", "eval"])
 def test_readout_noise_refuses_a_sigma_that_is_not_a_noise(tiny_csv, capsys, command, sigma):
-    # infer used to ignore -1 and nan, eval blamed nan on the potentials, both took inf
+    # infer used to ignore -1 and nan, eval blamed nan on the potentials, both took inf;
+    # nan and inf are refused as the flag's value, before the config is echoed
     inputs = ("--pitch", 0.1, "--roll", 0.1) if command == "infer" else ("--data", tiny_csv)
     code, out, err = run_cli(capsys, command, "--model", "bundled", *inputs, "--noise-sigma", sigma)
     assert code == 1
-    assert err == f"error: sigma must be a finite number >= 0, got {float(sigma)}\n"
-    assert len(out.splitlines()) == 1  # the echoed config, nothing else
+    if sigma == "-1":
+        assert err == "error: sigma must be a finite number >= 0, got -1.0\n"
+        assert len(out.splitlines()) == 1  # the echoed config, nothing else
+    else:
+        assert err == f"error: --noise-sigma must be a finite number, got {json.dumps(float(sigma))}\n"
+        assert out == ""
 
 
 def _csv_with(tmp_path, row):
@@ -968,10 +977,10 @@ def test_validate_fails_above_tolerance(capsys):
     [
         ("--trials", 0, "trials must be >= 1, got 0"),
         ("--trials", -3, "trials must be >= 1, got -3"),
-        ("--tolerance", "nan", "tolerance must be a finite number >= 0, got nan"),
+        ("--tolerance", "nan", "--tolerance must be a finite number, got NaN"),
         ("--tolerance", "-0.5", "tolerance must be a finite number >= 0, got -0.5"),
         ("--step-divisor", 0, "step divisor must be a finite number > 0, got 0.0"),
-        ("--step-divisor", "inf", "step divisor must be a finite number > 0, got inf"),
+        ("--step-divisor", "inf", "--step-divisor must be a finite number, got Infinity"),
         ("--step-divisor", "1e-320", "step divisor 1e-320 is too small: the step 1/divisor overflows"),
     ],
 )
@@ -1020,11 +1029,66 @@ def test_non_finite_parameters_are_user_errors(tmp_path, capsys):
     pruned, data = tmp_path / "pruned.json", tmp_path / "data.csv"
     code, _, err = run_cli(capsys, "prune", "--model", "bundled", "--r-max", "nan", "--out", pruned)
     assert code == 1
-    assert err == "error: r_max must be a finite number > 0, got nan\n"
+    assert err == "error: --r-max must be a finite number, got NaN\n"
     code, _, err = run_cli(capsys, "gen-data", "--n", 2, "--sigma", "nan", "--out", data)
     assert code == 1
-    assert err == "error: noise_sigma must be a finite number >= 0, got nan\n"
+    assert err == "error: --sigma must be a finite number, got NaN\n"
     assert not pruned.exists() and not data.exists()
+
+
+@pytest.mark.parametrize("command", ["infer", "energy"])
+@pytest.mark.parametrize("flag, text, shown", [
+    ("--pitch", "inf", "Infinity"), ("--pitch", "1e400", "Infinity"), ("--pitch", "nan", "NaN"),
+    ("--roll", "-inf", "-Infinity"),
+])
+def test_a_non_finite_input_flag_is_refused_by_name(capsys, command, flag, text, shown):
+    # inf and 1e400 were taken as a full-scale input (exit 0, class lie); nan was echoed as
+    # NaN before the stimulus refused it.  "=" keeps argparse from reading -inf as an option
+    values = {"--pitch": 0.3, "--roll": 0.2, flag: text}
+    argv = (f"{key}={value}" for key, value in values.items())
+    code, out, err = run_cli(capsys, command, "--model", "bundled", *argv)
+    assert (code, out, err) == (1, "", f"error: {flag} must be a finite number, got {shown}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("gen-data", "--n", "abc"), '--n must be an integer, got "abc"'),
+    (("gen-data", "--n", "2.5"), '--n must be an integer, got "2.5"'),
+    (("infer", "--model", "bundled", "--pitch", "0.1", "--roll", "x"),
+     '--roll must be a finite number, got "x"'),
+])
+def test_a_flag_that_is_no_number_is_refused_by_name(tmp_path, monkeypatch, capsys, argv, message):
+    # argparse printed its usage block and "invalid int value: 'abc'"
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
+    assert not list(tmp_path.iterdir())
+
+
+def test_gen_data_refuses_a_draw_numpy_cannot_shape(tmp_path, capsys):
+    # numpy's "Maximum allowed dimension exceeded" named no setting
+    data = tmp_path / "d.csv"
+    code, out, err = run_cli(capsys, "gen-data", "--n", 10**20, "--out", data)
+    assert code == 1 and len(out.splitlines()) == 1
+    assert err.startswith("error: n_per_class 100000000000000000000 is too large for a draw: ")
+    assert not data.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("gen-data", "--n", 20, "--holdout", 0.25, "--holdout-out", "h.csv", "--out", "d.csv"),
+    ("train", "--data", "tiny.csv", "--epochs", 20, "--loss-out", "l.csv", "--out", "m.json"),
+    ("quantize", "--model", "bundled", "--catalog", "e24", "--out", "q.json"),
+    ("energy", "--model", "bundled", "--pitch", ".5", "--roll", "1e-1", "--out", "e.json"),
+], ids=lambda argv: argv[0])
+def test_an_echo_line_replays_its_run(tmp_path, argv):
+    assert _run_in(tmp_path, ["gen-data", "--n", 10, "--seed", 1, "--out", "tiny.csv"])[0] == 0
+    code, out, err = _run_in(tmp_path, argv)
+    assert (code, err) == (0, "")
+    written = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    echo = out.splitlines()[0].removeprefix("config ")
+    json.loads(echo, parse_constant=_strict_constant)
+    (tmp_path / "echo.json").write_text(echo)
+    assert _run_in(tmp_path, [argv[0], "--config", "echo.json"]) == (code, out, err)
+    assert {name: (tmp_path / name).read_bytes() for name in written} == written
 
 
 # ---------------------------- reproducibility --------------------------------
@@ -1119,13 +1183,35 @@ def _run_in(directory, argv):
 
 
 def _assert_clean_exit(directory, argv):
-    code, _, err = _run_in(directory, argv)
+    code, out, err = _run_in(directory, argv)
     assert code in ((0, 1, 2) if argv[0] == "validate" else (0, 1))
     if code == 1:
         assert err.startswith("error: ")
     if code == 2:
         assert "validation FAILED" in err
     assert "Traceback" not in err
+    return code, out, err
+
+
+def _flag_text(kind, value):
+    """How a flag spells the config value ``value`` of a ``kind`` setting; None where it cannot."""
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        return None
+    return value if kind is str else repr(value)
+
+
+def _strict_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def _run_fresh(fuzz_dir, settings_file, argv):
+    """``argv`` with ``settings_file`` as --config, from a directory holding only tiny.csv."""
+    run_dir = fuzz_dir / "run"
+    shutil.rmtree(run_dir, ignore_errors=True)
+    run_dir.mkdir()
+    shutil.copy(fuzz_dir / "tiny.csv", run_dir)
+    (run_dir / "cfg.json").write_text(settings_file)
+    return _assert_clean_exit(run_dir, [argv[0], "--config", "cfg.json", *argv[1:]])
 
 
 @pytest.mark.parametrize("command", sorted(FROZEN_SETTINGS))
@@ -1134,8 +1220,23 @@ def _assert_clean_exit(directory, argv):
 def test_fuzzed_config_is_never_a_crash(fuzz_dir, command, data):
     keys = st.sampled_from(sorted(FROZEN_SETTINGS[command]))
     mutation = data.draw(st.dictionaries(keys, _JSON_VALUES, max_size=4))
-    (fuzz_dir / "cfg.json").write_text(json.dumps({**_FUZZ_BASE[command], **mutation}))
-    _assert_clean_exit(fuzz_dir, [command, "--config", "cfg.json"])
+    base = _FUZZ_BASE[command]
+    code, out, err = _run_fresh(fuzz_dir, json.dumps({**base, **mutation}), [command])
+    # the same run with each value that a flag can spell given as that flag: the same
+    # exit, stdout and stderr, but for the name of a refused value
+    kinds = {key: kind for key, kind, _, _ in _COMMANDS[command][2]}
+    texts = {key: _flag_text(kinds[key], value) for key, value in mutation.items()}
+    flags = {key: text for key, text in texts.items() if text is not None}
+    in_file = {key: value for key, value in mutation.items() if key not in flags}
+    flag_argv = [command, *(f"--{key.replace('_', '-')}={text}" for key, text in flags.items())]
+    flag_err = err
+    for key in flags:
+        flag_err = flag_err.replace(f"config key {key} must", f"--{key.replace('_', '-')} must")
+    assert _run_fresh(fuzz_dir, json.dumps({**base, **in_file}), flag_argv) == (code, out, flag_err)
+    if out:  # the echo line is strict JSON, and fed back as --config it replays the run
+        echo = out.splitlines()[0].removeprefix("config ")
+        json.loads(echo, parse_constant=_strict_constant)
+        assert _run_fresh(fuzz_dir, echo, [command]) == (code, out, err)
 
 
 _CSV_FIELDS = st.one_of(

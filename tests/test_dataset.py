@@ -185,6 +185,15 @@ def test_config_validation():
     assert len(generate(DatasetConfig(n_per_class=np.int64(2), seed=np.int64(3)))) == 6
 
 
+@pytest.mark.parametrize("n", [10**20, 10**400, 2**63 // 48 + 1], ids=["dimension", "past-float", "size"])
+def test_a_draw_numpy_cannot_shape_is_refused_by_name(n):
+    # generate's (3, 2n) draw: numpy's own line named no setting, and only generate() raised it
+    message = f"n_per_class {n} is too large for a draw: "
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}."):
+        DatasetConfig(n_per_class=n)
+    DatasetConfig(n_per_class=2**63 // 48)  # 8 EiB: numpy shapes it, and no memory holds it
+
+
 _NEURON = IFNeuron("u", 1e-6, (Synapse(0, "excitatory", 1e5),))
 _TABLE = wiring(1, {(0, "excitatory"): 1e5})
 

@@ -28,6 +28,7 @@ from ifcirc import (
     classify,
     energy_per_inference,
     energy_report_to_dict,
+    infer_batch,
     infer_network,
     max_inference_time,
     network_from_dict,
@@ -430,6 +431,23 @@ def test_a_stimulus_past_the_float_range_is_refused_by_name(bundled_model):
         for call in (infer_network, energy_per_inference):
             with pytest.raises(ValueError, match="^stimulus contains an integer past the float range$"):
                 call(bundled_model, stimulus)
+
+
+def test_a_stimulus_that_holds_no_real_numbers_is_refused_by_name(pruned_bundled_model):
+    # complex raised TypeError, None was reported as NaN, strings were parsed, bools read as 1, 0
+    cases = (((0.3 + 0j, 0.5), "dtype complex128"), ((None, 0.5), "None"),
+             (("0.3", "0.5"), "dtype <U3"), ((b"0.3", b"0.5"), "dtype |S3"), ((True, False), "dtype bool"))
+    for stimulus, shown in cases:
+        message = f"^stimulus must hold real numbers, got {re.escape(shown)}$"
+        for call in (infer_network, energy_per_inference):
+            with pytest.raises(ValueError, match=message):
+                call(pruned_bundled_model, stimulus)
+        with pytest.raises(ValueError, match=message):
+            infer_batch(pruned_bundled_model, [stimulus])
+    # taken: an int past int64 (an object array), and a bool beside a float, which numpy
+    # promotes to float64 before any check sees it
+    assert infer_network(pruned_bundled_model, (2**70, 0)) == infer_network(pruned_bundled_model, (1.0, 0.0))
+    assert infer_network(pruned_bundled_model, (True, 0.5)) == infer_network(pruned_bundled_model, (1.0, 0.5))
 
 
 def test_energy_single_charge_frozen_values():

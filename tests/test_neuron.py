@@ -314,6 +314,34 @@ def test_a_table_numpy_cannot_shape_is_refused_by_name(tmp_path, n_inputs):
         load_network(path)
 
 
+def test_a_table_that_holds_no_real_numbers_is_refused_by_name(pruned_bundled_model):
+    # a str table built, a complex one built with numpy's ComplexWarning, and True was 1 ohm
+    net = pruned_bundled_model
+    r = net.resistances
+
+    def build(table):
+        return Network(net.labels, table, net.capacitance, net.supply_voltage, net.t_max)
+
+    for table in (r.astype(str), r.astype(bytes), r.astype(complex), np.ones(r.shape, bool)):
+        with pytest.raises(ValueError, match=f"^resistances must hold real numbers, got dtype {table.dtype}$"):
+            build(table)
+    for bad in (None, "1e3", True, 1j):
+        table = r.astype(object)
+        table[0, 1, 2] = bad
+        with pytest.raises(ValueError, match=f"^resistances must hold real numbers, got {re.escape(repr(bad))}$"):
+            build(table)
+    table = r.astype(object)
+    table[0, 1, 2] = 10**400
+    with pytest.raises(ValueError, match="^resistances contains an integer past the float range$"):
+        build(table)
+    # an object array is how numpy holds an int past int64: one of real numbers is taken
+    table = r.astype(object)
+    table[0, 1, 2] = 2**70
+    assert build(table).resistances[0, 1, 2] == 2.0**70
+    assert build(r.astype(object)) == net
+    assert build(np.full(r.shape, 10**4)) == build(np.full(r.shape, 1e4))
+
+
 def test_infer_batch_checks_arity(bundled_model):
     with pytest.raises(ValueError, match="expected 2 inputs"):
         infer_batch(bundled_model, [(0.0, 0.0, 0.0)])

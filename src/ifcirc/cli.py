@@ -33,8 +33,10 @@ from .dataset import (
     _check_integer,
     _check_real,
     generate,
+    json_value,
     read_csv,
     split,
+    text_value,
     write_csv,
 )
 from .hardware import (
@@ -52,7 +54,6 @@ from .neuron import (
     build_schedule,
     classify,
     infer_network,
-    json_value,
     load_network,
     save_network,
 )
@@ -67,6 +68,10 @@ from .training import (
 
 _BUNDLED = "bundled"  # sentinel meaning "use the packaged example model"
 _REQUIRED = ("data", "model", "pitch", "roll")  # settings a command needs that have no default
+
+
+def _flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
 
 
 def _merge_config(args: argparse.Namespace, settings: Sequence[tuple]) -> dict:
@@ -97,17 +102,13 @@ def _merge_config(args: argparse.Namespace, settings: Sequence[tuple]) -> dict:
             cfg[key] = json_value(file_cfg[key], kind, f"config key {key}")
         text = getattr(args, key)
         if text is not None:
-            try:
-                value = kind(text)
-            except ValueError:  # json_value refuses the text itself, by the flag's name
-                value = text
-            cfg[key] = json_value(value, kind, "--" + key.replace("_", "-"))
+            cfg[key] = text_value(text, kind, _flag(key))
     return cfg
 
 
 def _require(cfg: dict, key: str) -> None:
     if cfg[key] is None:
-        raise ValueError(f"missing required setting --{key.replace('_', '-')}")
+        raise ValueError(f"missing required setting {_flag(key)}")
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -173,10 +174,8 @@ def _cmd_prune(cfg: dict, net: Network) -> int:
 
 def _cmd_quantize(cfg: dict, net: Network) -> int:
     raw = cfg["catalog_values"]
-    try:
-        values = tuple(float(v) for v in raw.split(",")) if raw else ()
-    except ValueError:  # float() names the piece, not the flag
-        raise ValueError(f"--catalog-values must be numbers separated by commas, got {raw!r}") from None
+    pieces = () if raw is None else raw.split(",")
+    values = tuple(text_value(piece, float, "--catalog-values") for piece in pieces)
     if cfg["catalog"] == "custom" and not values:
         raise ValueError("--catalog custom needs --catalog-values")
     catalog = ResistorCatalog(mode=cfg["catalog"], values=values)
@@ -329,14 +328,20 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--config", help="JSON file of settings; flags override it")
         for key, _, default, help_text in settings:
             shown = "" if default is None else f" (default {default})"
-            sub.add_argument("--" + key.replace("_", "-"), help=help_text + shown)
+            sub.add_argument(_flag(key), help=help_text + shown)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
+    flags = {"--config", *(_flag(key) for _, _, settings in _COMMANDS.values() for key, *_ in settings)}
+    words = []  # a setting flag takes the next word as its value; argparse reads -1e-5 as an option
+    for word in sys.argv[1:] if argv is None else argv:
+        if words and words[-1] in flags and word.startswith("-") and word not in flags:
+            word = words.pop() + "=" + word
+        words.append(word)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(words)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; those are user errors here
         return 0 if exc.code in (0, None) else 1

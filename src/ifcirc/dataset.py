@@ -21,6 +21,7 @@ features and promises no particular rounding.
 from __future__ import annotations
 
 import csv
+import json
 import math
 import numbers
 from collections import deque
@@ -75,6 +76,30 @@ def _number(value: object, kind: type) -> int | float | None:
         return kind(value) if kind is int or math.isfinite(value) else None
     except OverflowError:  # math.isfinite of an integer past the float range
         return None
+
+
+def json_value(value: object, kind: type, name: str):
+    """A value parsed from JSON, as ``kind``: int, str, list, or a finite float (ints convert).
+
+    Numbers are taken as ``_number`` takes them, so a bool is none.  A mismatch raises
+    ValueError naming ``name``.
+    """
+    converted = _number(value, kind) if kind in (int, float) else value
+    if not isinstance(converted, kind):  # None, where _number refuses the value
+        description = {int: "an integer", float: "a finite number", str: "a string", list: "a list"}[kind]
+        raise ValueError(f"{name} must be {description}, got {json.dumps(value, default=repr)}")
+    return converted
+
+
+def text_value(text: str, kind: type, name: str):
+    """``text`` as ``kind``: read by ``kind(text)``, so ``.5`` and ``1_0`` are numbers, and checked
+    by ``json_value`` under ``name``, which refuses text ``kind`` cannot read as itself.  Flags,
+    ``--catalog-values`` pieces and CSV fields all reach the package as text."""
+    try:
+        value = kind(text)
+    except ValueError:
+        value = text
+    return json_value(value, kind, name)
 
 
 def _check_integer(name: str, value: object, least: int) -> None:
@@ -194,9 +219,7 @@ def read_csv(path: str | Path) -> list[PostureSample]:
                     continue
                 if len(row) != 3:
                     raise ValueError(f"expected 3 fields, got {len(row)}")
-                pitch, roll = float(row[0]), float(row[1])
-                if not (math.isfinite(pitch) and math.isfinite(roll)):
-                    raise ValueError(f"non-finite value in {row[0]!r},{row[1]!r}")
+                pitch, roll = text_value(row[0], float, "pitch"), text_value(row[1], float, "roll")
                 samples.append(PostureSample(pitch, roll, row[2]))
         except UnicodeDecodeError as exc:  # raised while reading, at no line of its own
             raise ValueError(f"{path}: {exc}") from None

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import _check_integer, _check_real, _number, _real_array
+from .dataset import _check_integer, _check_real, _number, _real_array, json_value
 from .kernel import Forward, duration_matrix, forward
 
 __all__ = [
@@ -256,19 +256,6 @@ def network_to_dict(net: Network) -> dict:
             for k, label in enumerate(net.labels)
         ],
     }
-
-
-def json_value(value: object, kind: type, name: str):
-    """A value parsed from JSON, as ``kind``: int, str, list, or a finite float (ints convert).
-
-    Numbers are taken as ``dataset._number`` takes them, so a bool is none.  A mismatch
-    raises ValueError naming ``name``.
-    """
-    converted = _number(value, kind) if kind in (int, float) else value
-    if not isinstance(converted, kind):  # None, where _number refuses the value
-        description = {int: "an integer", float: "a finite number", str: "a string", list: "a list"}[kind]
-        raise ValueError(f"{name} must be {description}, got {json.dumps(value, default=repr)}")
-    return converted
 
 
 def _field(obj: object, key: str, kind: type, where: str = ""):

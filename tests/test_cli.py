@@ -637,7 +637,7 @@ def test_eval_rejects_infinite_csv_field(tmp_path, capsys):
     data = _csv_with(tmp_path, "inf,0.0,lie")
     code, out, err = run_cli(capsys, "eval", "--model", "bundled", "--data", data)
     assert code == 1
-    assert err.startswith(f"error: {data}: line 3: non-finite") and "Traceback" not in err
+    assert err == f"error: {data}: line 3: pitch must be a finite number, got Infinity\n"
     assert "accuracy" not in out
 
 
@@ -646,7 +646,7 @@ def test_train_rejects_infinite_csv_field(tmp_path, capsys):
     model = tmp_path / "model.json"
     code, _, err = run_cli(capsys, "train", "--data", data, "--epochs", 5, "--out", model)
     assert code == 1
-    assert err.startswith(f"error: {data}: line 3: non-finite")
+    assert err == f"error: {data}: line 3: roll must be a finite number, got -Infinity\n"
     assert not model.exists()
 
 
@@ -672,7 +672,7 @@ def test_nan_csv_field_reports_its_line(tmp_path, capsys):
     data = _csv_with(tmp_path, "nan,0.0,lie")
     code, _, err = run_cli(capsys, "eval", "--model", "bundled", "--data", data)
     assert code == 1
-    assert err.startswith(f"error: {data}: line 3: non-finite")
+    assert err == f"error: {data}: line 3: pitch must be a finite number, got NaN\n"
 
 
 # --------------------------- prune / quantize --------------------------------
@@ -739,16 +739,18 @@ def test_quantize_custom_needs_values(tmp_path, capsys):
     assert "catalog-values" in err
 
 
-@pytest.mark.parametrize("values", ["abc", "1e3,,2e3"])
-def test_quantize_names_catalog_values_that_are_not_numbers(tmp_path, capsys, values):
-    # float() named only the piece: "could not convert string to float: 'abc'" (or '')
+@pytest.mark.parametrize("values, piece", [("abc", "abc"), ("1e3,,2e3", "")],
+                         ids=["abc", "1e3,,2e3"])
+def test_quantize_names_catalog_values_that_are_not_numbers(tmp_path, capsys, values, piece):
+    # float() named only the piece: "could not convert string to float: 'abc'" (or ''); a
+    # piece is read as a flag is, by name
     out = tmp_path / "q.json"
     code, _, err = run_cli(
         capsys, "quantize", "--model", "bundled", "--out", out,
         "--catalog", "custom", "--catalog-values", values,
     )
     assert code == 1
-    assert err == f"error: --catalog-values must be numbers separated by commas, got {values!r}\n"
+    assert err == f'error: --catalog-values must be a finite number, got "{piece}"\n'
     assert not out.exists()
 
 
@@ -1039,15 +1041,66 @@ def test_non_finite_parameters_are_user_errors(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["infer", "energy"])
 @pytest.mark.parametrize("flag, text, shown", [
     ("--pitch", "inf", "Infinity"), ("--pitch", "1e400", "Infinity"), ("--pitch", "nan", "NaN"),
-    ("--roll", "-inf", "-Infinity"),
+    ("--roll", "-inf", "-Infinity"), ("--roll", "-1e400", "-Infinity"),
 ])
 def test_a_non_finite_input_flag_is_refused_by_name(capsys, command, flag, text, shown):
     # inf and 1e400 were taken as a full-scale input (exit 0, class lie); nan was echoed as
-    # NaN before the stimulus refused it.  "=" keeps argparse from reading -inf as an option
+    # NaN before the stimulus refused it.  Written as two words, -inf and -1e400 were read
+    # by argparse as options: "argument --roll: expected one argument"
     values = {"--pitch": 0.3, "--roll": 0.2, flag: text}
-    argv = (f"{key}={value}" for key, value in values.items())
-    code, out, err = run_cli(capsys, command, "--model", "bundled", *argv)
-    assert (code, out, err) == (1, "", f"error: {flag} must be a finite number, got {shown}\n")
+    for argv in ([f"{key}={value}" for key, value in values.items()],
+                 [word for item in values.items() for word in item]):
+        code, out, err = run_cli(capsys, command, "--model", "bundled", *argv)
+        assert (code, out, err) == (1, "", f"error: {flag} must be a finite number, got {shown}\n")
+
+
+def test_a_setting_flag_takes_the_next_word_whatever_it_starts_with(tmp_path, monkeypatch, capsys):
+    # argparse read -1e-5 as an option and printed its usage block; only --roll=-1e-5 worked
+    joined = run_cli(capsys, "infer", "--model", "bundled", "--pitch", 0, "--roll=-1e-5")
+    assert joined[0] == 0 and echoed_config(joined[1])["roll"] == -1e-5
+    assert run_cli(capsys, "infer", "--model", "bundled", "--pitch", 0, "--roll", "-1e-5") == joined
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "-c.json").write_text('{"model": "bundled", "pitch": 0, "roll": -1e-5}')
+    assert run_cli(capsys, "infer", "--config", "-c.json") == joined
+    # a flag is never taken as a value: --pitch still has none
+    code, out, err = run_cli(capsys, "infer", "--model", "bundled", "--pitch", "--roll", 0)
+    assert (code, out) == (1, "") and err.endswith("error: argument --pitch: expected one argument\n")
+
+
+# text -> the float that every boundary reads it as, or the JSON spelling each refusal shows
+_TEXTS = {
+    "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity", "1e400": "Infinity", "abc": '"abc"',
+    "": '""', ".5": 0.5, " 0.5 ": 0.5, "1_0": 10.0,
+}
+
+
+@pytest.mark.parametrize("text", _TEXTS)
+def test_text_becomes_a_number_by_one_rule_at_every_boundary(tmp_path, capsys, text):
+    # read_csv said "non-finite value in 'nan','0.0'" or float()'s "could not convert string
+    # to float: 'abc'", naming no column; --catalog-values said "must be numbers separated by
+    # commas", and let nan through to the catalog's own check
+    data, model = tmp_path / "d.csv", tmp_path / "q.json"
+    data.write_text(f"pitch,roll,label\n{text},0,stand\n")
+    runs = {
+        "--pitch": ("infer", "--model", "bundled", "--pitch", text, "--roll", 0),
+        f"{data}: line 2: pitch": ("eval", "--model", "bundled", "--data", data),
+        "--catalog-values": ("quantize", "--model", "bundled", "--out", model,
+                             "--catalog", "custom", "--catalog-values", text),
+    }
+    expected = _TEXTS[text]
+    results = {name: run_cli(capsys, *argv) for name, argv in runs.items()}
+    if isinstance(expected, str):
+        for name, (code, _, err) in results.items():
+            assert (code, err) == (1, f"error: {name} must be a finite number, got {expected}\n")
+        assert not model.exists()
+    else:
+        assert {code for code, _, _ in results.values()} == {0}
+        read = {
+            echoed_config(results["--pitch"][1])["pitch"],
+            read_csv(data)[0].pitch,
+            *(s.resistance for n in load_network(model).neurons for s in n.synapses),
+        }
+        assert read == {expected}
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -29,8 +29,7 @@ from ifcirc import (
     split,
     write_csv,
 )
-from ifcirc.dataset import _check_real
-from ifcirc.neuron import json_value
+from ifcirc.dataset import _check_real, json_value, text_value
 from conftest import wiring
 
 
@@ -266,14 +265,24 @@ _NUMBERS = st.one_of(
 
 @given(value=_NUMBERS)
 def test_a_file_and_a_setting_take_a_number_by_one_rule(value):
-    """``json_value`` reads model and config files, ``_check_real`` checks settings; a
-    setting >= 0 takes exactly the numbers a file takes that are >= 0."""
+    """``json_value`` reads model and config files, ``text_value`` flags and CSV fields,
+    ``_check_real`` checks settings.  The text of a number, its ``str`` (``repr`` for a
+    Python number), is taken exactly when the number is; a setting >= 0 takes exactly the
+    numbers a file takes that are >= 0."""
     try:
         number = json_value(value, float, "x")
     except ValueError:
         number = None
     else:
         assert type(number) is float and number == float(value)
+    try:
+        from_text = text_value(str(value), float, "x")
+    except ValueError:
+        assert number is None
+    else:
+        assert number is not None
+        if type(value) in (int, float):  # numpy's narrow floats print fewer digits
+            assert from_text == number
     try:
         _check_real("x", value, zero=True)
     except ValueError:

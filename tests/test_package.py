@@ -1,13 +1,18 @@
-"""The package's public names: each module's ``__all__``, re-exported."""
+"""The package's public names, each module's ``__all__`` re-exported, and what reaches its code."""
 import ast
+import inspect
 import os
 import re
+import runpy
+import shlex
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import ifcirc
 from ifcirc import dataset, hardware, kernel, neuron, oracle, training
+from ifcirc.cli import main
 
 # Every name the package exported before it re-exported the module lists.
 EXPORTED = {
@@ -69,15 +74,26 @@ def test_the_benchmark_finds_every_name_it_binds():
     assert proc.returncode == 0, proc.stderr
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def readme_blocks(section, language):
+    """The fenced ``language`` blocks of the README section headed ``section``."""
+    text = (ROOT / "README.md").read_text().split(f"\n## {section}\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(rf"```{language}\n(.*?)```", text, re.S)
+
+
+def run_readme_library_blocks():
+    namespace = {}
+    for block in readme_blocks("Quick start: library", "python"):
+        exec(compile(block, "README.md", "exec"), namespace)
+    return namespace
+
+
 def test_the_readme_library_quick_start_runs(capsys):
     # the README's examples call public names; run them, so a renamed name cannot leave them stale
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    section = readme.split("\n## Quick start: library\n", 1)[1].split("\n## ", 1)[0]
-    blocks = re.findall(r"```python\n(.*?)```", section, re.S)
-    assert len(blocks) == 2
-    namespace = {}
-    for block in blocks:
-        exec(compile(block, "README.md", "exec"), namespace)
+    assert len(readme_blocks("Quick start: library", "python")) == 2
+    namespace = run_readme_library_blocks()
     accuracy, label = capsys.readouterr().out.splitlines()
     assert float(accuracy) >= 0.95 and label == "sit"
     assert namespace["net"] == ifcirc.load_network(ifcirc.example_model_path())
@@ -114,3 +130,59 @@ def test_only_main_reads_the_cli_inputs():
                 if name in ("load_network", "read_csv"):
                     calls.append(f"{getattr(top, 'name', None)}:{node.lineno} {name}")
     assert [call.split(":")[0] for call in calls] == ["main", "main"], calls
+
+
+# src/ functions that nothing below calls, each kept for a reason
+UNREACHED = {
+    "hardware.round_resistance":
+        "public: the README and acceptance criterion 7 snap a single resistance with it",
+    "hardware.ResponseMap.__getitem__":
+        "perfbench's Batch._check_map indexes a response map; it goes with a benchmark change",
+}
+
+
+def src_functions():
+    """Every function and method in src/ifcirc, as {(file, first line): qualified name}.
+
+    Lambdas, comprehensions and generator expressions are left out, and so are class
+    bodies, which run at import.
+    """
+    found = {}
+
+    def walk(code, path, prefix):
+        for const in code.co_consts:
+            if isinstance(const, types.CodeType) and not const.co_name.startswith("<"):
+                if const.co_flags & inspect.CO_OPTIMIZED:  # a function, not a class body
+                    found[path, const.co_firstlineno] = prefix + const.co_name
+                walk(const, path, f"{prefix}{const.co_name}.")
+
+    for path in Path(ifcirc.__file__).resolve().parent.glob("*.py"):
+        walk(compile(path.read_text(), str(path), "exec"), str(path), f"{path.stem}.")
+    return found
+
+
+def test_every_src_function_is_reached(tmp_path, monkeypatch, capsys):
+    # code that only its own tests call should go; the README's flows and the two scripts
+    # must reach every src/ function but the few kept on purpose
+    monkeypatch.chdir(tmp_path)
+    flow = readme_blocks("Quick start: CLI", "sh")[0].replace("\\\n", " ")
+    commands = [shlex.split(line)[1:] for line in flow.splitlines()]
+    assert commands[-1][0] == "validate" and commands[-1][-2:] == ["--trials", "100"]
+    commands[-1][-1] = "2"
+    scripts = [("run_experiment.py", "--out-dir", "run"), ("sweep_seeds.py", "--seeds", "1")]
+    called, previous = set(), sys.getprofile()
+    sys.setprofile(lambda frame, event, arg: event == "call" and called.add(frame.f_code))
+    try:
+        run_readme_library_blocks()
+        codes = [main(argv) for argv in commands]
+        for name, *argv in scripts:
+            monkeypatch.setattr(sys, "argv", [name, *argv])
+            runpy.run_path(str(ROOT / "scripts" / name), run_name="__main__")
+    finally:
+        sys.setprofile(previous)
+    capsys.readouterr()
+    assert codes == [0] * len(commands)
+    functions = src_functions()
+    for code in called:
+        functions.pop((str(Path(code.co_filename).resolve()), code.co_firstlineno), None)
+    assert sorted(functions.values()) == sorted(UNREACHED)

@@ -13,8 +13,10 @@ be reproduced from its log.  ``main`` then refuses any unset setting named
 in ``_REQUIRED``, reads the command's inputs (the model, then the --data
 CSV) and hands them to the subcommand, which only computes and writes.
 
-Exit codes: 0 success, 1 user error (bad flags, bad files, bad values), 2
-internal/validation failure (e.g. the oracle check exceeding tolerance).
+Exit codes: 0 success (``--help`` and ``--version`` too), 1 user error (bad
+flags, bad files, bad values: every refusal, argparse's included, is one
+``error: …`` line, and a flag is spelled in full), 2 internal/validation
+failure (e.g. the oracle check exceeding tolerance).
 """
 from __future__ import annotations
 
@@ -101,6 +103,8 @@ def _merge_config(args: argparse.Namespace, settings: Sequence[tuple]) -> dict:
         if key in file_cfg and (file_cfg[key] is not None or default is not None):
             cfg[key] = json_value(file_cfg[key], kind, f"config key {key}")
         text = getattr(args, key)
+        if text == []:  # argparse (Python 3.11 at least) strips a flag's value "--" to no words
+            text = "--"
         if text is not None:
             cfg[key] = text_value(text, kind, _flag(key))
     return cfg
@@ -316,13 +320,23 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses by raising ValueError, for ``main`` to print, and takes no abbreviated flag."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message: str) -> None:
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ifcirc",
         description="Simulate, train, and analyze switched-RC integrate-and-fire classifiers.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    subs = parser.add_subparsers(dest="command", metavar="command")
+    subs = parser.add_subparsers(dest="command", metavar="command", required=True)
     for command, (command_help, _, settings) in _COMMANDS.items():
         sub = subs.add_parser(command, help=command_help)
         sub.add_argument("--config", help="JSON file of settings; flags override it")
@@ -342,14 +356,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         words.append(word)
     try:
         args = parser.parse_args(words)
-    except SystemExit as exc:
-        # argparse exits 2 on usage errors; those are user errors here
-        return 0 if exc.code in (0, None) else 1
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return 1
-    _, handler, settings = _COMMANDS[args.command]
-    try:
+        _, handler, settings = _COMMANDS[args.command]
         cfg = _merge_config(args, settings)
         print("config", json.dumps(cfg, sort_keys=True))
         if "seed" in cfg:  # numpy's refusal does not name the setting
@@ -364,6 +371,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         if "data" in cfg:
             inputs.append(read_csv(cfg["data"]))
         return handler(cfg, *inputs)
+    except SystemExit:  # only --help and --version exit; a refusal raises ValueError
+        return 0
     except (ValueError, OSError, MemoryError) as exc:  # MemoryError: an input size no array holds
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -134,11 +134,11 @@ class Network:
         _check_real("supply_voltage", self.supply_voltage)
         _check_real("t_max", self.t_max)
         r = _real_array(self.resistances, "resistances")
+        if r.ndim != 3 or r.shape[:2] != (2, len(labels)) or r.shape[2] < 1:
+            raise ValueError(f"resistances of shape {r.shape} are not (2, {len(labels)}, lines)")
         neurons = []
         for k, label in enumerate(labels):
             try:
-                if r.ndim != 3 or r.shape[:2] != (2, len(labels)) or r.shape[2] < 1:
-                    raise ValueError(f"resistances of shape {r.shape} are not (2, {len(labels)}, lines)")
                 neurons.append(IFNeuron(label, self.capacitance, map(Synapse, *_wiring(r[:, k]))))
             except ValueError as exc:
                 raise ValueError(f"neurons[{k}] ({label!r}): {exc}") from None

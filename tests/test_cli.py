@@ -61,17 +61,30 @@ def test_version(capsys):
 
 
 def test_no_subcommand_is_user_error(capsys):
-    code, _, err = run_cli(capsys)
-    assert code == 1
-    assert "usage" in err
+    # argparse's refusals were a usage block and "ifcirc: error: …"; here it was the block alone
+    assert run_cli(capsys) == (1, "", "error: the following arguments are required: command\n")
 
 
 def test_unknown_subcommand_is_user_error(capsys):
-    assert run_cli(capsys, "frobnicate")[0] == 1
+    code, out, err = run_cli(capsys, "frobnicate")
+    assert (code, out) == (1, "")
+    # Python 3.11 quotes each choice; later releases may print them bare
+    assert err in {
+        f"error: argument command: invalid choice: 'frobnicate' (choose from {choices})\n"
+        for choices in (", ".join(map(repr, _COMMANDS)), ", ".join(_COMMANDS))
+    }
 
 
 def test_unknown_flag_is_user_error(capsys):
-    assert run_cli(capsys, "infer", "--model", "bundled", "--frobnicate", 1)[0] == 1
+    # argparse took a unique prefix of a flag: --pit ran as --pitch, and --rol did not take
+    # -1e-5 as its value, since main joins only a flag spelled in full with its next word
+    for argv, unknown in [
+        (("--frobnicate", 1), "--frobnicate 1"),
+        (("--pit", 0, "--roll", 0.2), "--pit 0"),
+        (("--pitch", 0, "--rol", "-1e-5"), "--rol -1e-5"),
+    ]:
+        code, out, err = run_cli(capsys, "infer", "--model", "bundled", *argv)
+        assert (code, out, err) == (1, "", f"error: unrecognized arguments: {unknown}\n")
 
 
 def test_module_entry_point():
@@ -1064,13 +1077,13 @@ def test_a_setting_flag_takes_the_next_word_whatever_it_starts_with(tmp_path, mo
     assert run_cli(capsys, "infer", "--config", "-c.json") == joined
     # a flag is never taken as a value: --pitch still has none
     code, out, err = run_cli(capsys, "infer", "--model", "bundled", "--pitch", "--roll", 0)
-    assert (code, out) == (1, "") and err.endswith("error: argument --pitch: expected one argument\n")
+    assert (code, out, err) == (1, "", "error: argument --pitch: expected one argument\n")
 
 
 # text -> the float that every boundary reads it as, or the JSON spelling each refusal shows
 _TEXTS = {
     "nan": "NaN", "inf": "Infinity", "-inf": "-Infinity", "1e400": "Infinity", "abc": '"abc"',
-    "": '""', ".5": 0.5, " 0.5 ": 0.5, "1_0": 10.0,
+    "": '""', "--": '"--"', ".5": 0.5, " 0.5 ": 0.5, "1_0": 10.0,
 }
 
 
@@ -1078,7 +1091,8 @@ _TEXTS = {
 def test_text_becomes_a_number_by_one_rule_at_every_boundary(tmp_path, capsys, text):
     # read_csv said "non-finite value in 'nan','0.0'" or float()'s "could not convert string
     # to float: 'abc'", naming no column; --catalog-values said "must be numbers separated by
-    # commas", and let nan through to the catalog's own check
+    # commas", and let nan through to the catalog's own check.  argparse read the flag value
+    # "--" as no words: --pitch ended in a TypeError traceback
     data, model = tmp_path / "d.csv", tmp_path / "q.json"
     data.write_text(f"pitch,roll,label\n{text},0,stand\n")
     runs = {

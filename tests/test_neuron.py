@@ -549,10 +549,11 @@ _NOT_A_RESISTANCE = "resistance must be a finite number > 0, got {}"
 
 
 @pytest.mark.parametrize("labels, table, message", [
-    (("a", "b"), np.full((2, 1, 2), np.inf), "neurons[0] ('a'): " + _NOT_A_TABLE.format((2, 1, 2))),
-    (("a", "b"), np.full((3, 2, 2), np.inf), "neurons[0] ('a'): " + _NOT_A_TABLE.format((3, 2, 2))),
-    (("a", "b"), np.full((2, 2), np.inf), "neurons[0] ('a'): " + _NOT_A_TABLE.format((2, 2))),
-    (("a", "b"), np.full((2, 2, 0), np.inf), "neurons[0] ('a'): " + _NOT_A_TABLE.format((2, 2, 0))),
+    # a table of the wrong shape is the table's fault, refused before any neuron is named
+    (("a", "b"), np.full((2, 1, 2), np.inf), _NOT_A_TABLE.format((2, 1, 2))),
+    (("a", "b"), np.full((3, 2, 2), np.inf), _NOT_A_TABLE.format((3, 2, 2))),
+    (("a", "b"), np.full((2, 2), np.inf), _NOT_A_TABLE.format((2, 2))),
+    (("a", "b"), np.full((2, 2, 0), np.inf), _NOT_A_TABLE.format((2, 2, 0))),
     (("a", "b"), _table((1, 1, 0), math.nan), "neurons[1] ('b'): " + _NOT_A_RESISTANCE.format("nan")),
     (("a", "b"), _table((1, 1, 1), -math.inf), "neurons[1] ('b'): " + _NOT_A_RESISTANCE.format("-inf")),
     (("a", "b"), _table((0, 0, 0), 0.0), "neurons[0] ('a'): " + _NOT_A_RESISTANCE.format("0.0")),

@@ -3,27 +3,27 @@
 Subcommands cover the full loop: gen-data, train, eval, prune, quantize,
 infer, response-map, energy, validate.  Each subcommand's settings live in
 one table (``_COMMANDS``): a setting is ``(key, type, default, help)``, and
-the table generates the ``--key-with-dashes`` flags, the help text with
-each default, the defaults themselves and the one type check that
-config-file values and flags both pass.  Settings come from those
-defaults, overlaid by an optional JSON config file (--config), overlaid by
-explicit command-line flags.  The
+the table is the grammar of the command line (``command --key-with-dashes
+value …``), the help page with each default, the defaults themselves and the
+one type check that config-file values and flags both pass.  Settings come
+from those defaults, overlaid by an optional JSON config file (--config),
+overlaid by explicit command-line flags.  The
 effective merged config is echoed on the first output line so any run can
 be reproduced from its log.  ``main`` then refuses any unset setting named
 in ``_REQUIRED``, reads the command's inputs (the model, then the --data
 CSV) and hands them to the subcommand, which only computes and writes.
 
 Exit codes: 0 success (``--help`` and ``--version`` too), 1 user error (bad
-flags, bad files, bad values: every refusal, argparse's included, is one
-``error: …`` line, and a flag is spelled in full), 2 internal/validation
-failure (e.g. the oracle check exceeding tolerance).
+flags, bad files, bad values: every refusal is one ``error: …`` line, and a
+flag is spelled in full), 2 internal/validation failure (e.g. the oracle
+check exceeding tolerance).
 """
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 from dataclasses import fields
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -76,37 +76,34 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
-def _merge_config(args: argparse.Namespace, settings: Sequence[tuple]) -> dict:
+def _merge_config(texts: dict, settings: Sequence[tuple]) -> dict:
     """defaults <- config file <- explicit flags, rejecting unknown keys and mistyped values.
 
     A config-file value must match its setting's type (an integer also
     passes as a float); null passes only where the default is unset.  A flag's
-    text is converted by its setting's type, as argparse's ``type=`` would,
+    text, ``texts[key]``, is converted by its setting's type,
     and then checked by the same rule under the flag's name.  Settings are
     checked in the command's order, so the first bad one is named wherever
     it was given.
     """
     cfg = {key: default for key, _, default, _ in settings}
     file_cfg = {}
-    if args.config is not None:
-        with open(args.config) as fh:
+    if "config" in texts:
+        with open(texts["config"]) as fh:
             try:
                 file_cfg = json.load(fh)
             except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
-                raise ValueError(f"config file {args.config}: {exc}") from exc
+                raise ValueError(f"config file {texts['config']}: {exc}") from exc
         if not isinstance(file_cfg, dict):
-            raise ValueError(f"config file {args.config} must hold a JSON object")
+            raise ValueError(f"config file {texts['config']} must hold a JSON object")
         unknown = sorted(set(file_cfg) - set(cfg))
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     for key, kind, default, _ in settings:
         if key in file_cfg and (file_cfg[key] is not None or default is not None):
             cfg[key] = json_value(file_cfg[key], kind, f"config key {key}")
-        text = getattr(args, key)
-        if text == []:  # argparse (Python 3.11 at least) strips a flag's value "--" to no words
-            text = "--"
-        if text is not None:
-            cfg[key] = text_value(text, kind, _flag(key))
+        if key in texts:
+            cfg[key] = text_value(texts[key], kind, _flag(key))
     return cfg
 
 
@@ -257,6 +254,7 @@ _NOISE = ("noise_sigma", float, 0.0, "gaussian readout noise, volts")
 _PITCH = ("pitch", float, None, "pitch input")
 _ROLL = ("roll", float, None, "roll input")
 _TRAIN = TrainConfig()
+_CONFIG = ("config", str, None, "JSON file of settings; flags override it")
 
 # command -> (help, handler, settings); a setting is (key, type, default, help)
 _COMMANDS = {
@@ -320,50 +318,60 @@ _COMMANDS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    """Refuses by raising ValueError, for ``main`` to print, and takes no abbreviated flag."""
-
-    def __init__(self, **kwargs) -> None:
-        super().__init__(allow_abbrev=False, **kwargs)
-
-    def error(self, message: str) -> None:
-        raise ValueError(message)
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="ifcirc",
-        description="Simulate, train, and analyze switched-RC integrate-and-fire classifiers.",
-    )
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    subs = parser.add_subparsers(dest="command", metavar="command", required=True)
-    for command, (command_help, _, settings) in _COMMANDS.items():
-        sub = subs.add_parser(command, help=command_help)
-        sub.add_argument("--config", help="JSON file of settings; flags override it")
-        for key, _, default, help_text in settings:
-            shown = "" if default is None else f" (default {default})"
-            sub.add_argument(_flag(key), help=help_text + shown)
-    return parser
-
-
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    flags = {"--config", *(_flag(key) for _, _, settings in _COMMANDS.values() for key, *_ in settings)}
-    words = []  # a setting flag takes the next word as its value; argparse reads -1e-5 as an option
-    for word in sys.argv[1:] if argv is None else argv:
-        if words and words[-1] in flags and word.startswith("-") and word not in flags:
-            word = words.pop() + "=" + word
-        words.append(word)
+    words = list(sys.argv[1:] if argv is None else argv) or [None]
+    command = words[0]
+    flags = {_flag(key) for _, _, settings in _COMMANDS.values() for key, *_ in (_CONFIG, *settings)}
     try:
-        args = parser.parse_args(words)
-        _, handler, settings = _COMMANDS[args.command]
-        cfg = _merge_config(args, settings)
+        if command == "--version":
+            print(f"ifcirc {__version__}")
+            return 0
+        if command not in (*_COMMANDS, "-h", "--help"):
+            choices = ", ".join(map(repr, _COMMANDS))
+            raise ValueError("the following arguments are required: command" if command is None else
+                             f"argument command: invalid choice: {command!r} (choose from {choices})")
+        summary, handler, settings = _COMMANDS.get(command, (None, None, ()))
+        names = {_flag(key): key for key, *_ in (_CONFIG, *settings)}
+        texts, stray = {}, []
+        rest = iter(words[command in _COMMANDS:])  # after the command, or from a first -h or --help
+        for word in rest:
+            if word in ("-h", "--help"):
+                if summary is None:
+                    head = "ifcirc [--version] command [--flag value ...]\n\nSimulate, train, and " \
+                        "analyze switched-RC integrate-and-fire classifiers.\n\ncommands:"
+                    rows = [(name, text) for name, (text, *_) in _COMMANDS.items()]
+                else:
+                    head = f"ifcirc {command} [--flag value ...]\n\n{summary}\n\noptions:"
+                    rows = [("-h, --help", "show this help message and exit")] + [
+                        (_flag(key), text + ("" if default is None else f" (default {default})"))
+                        for key, _, default, text in (_CONFIG, *settings)
+                    ]
+                print(f"usage: {head}", *(f"  {name:<18}  {text}" for name, text in rows), sep="\n")
+                return 0
+            name, equals, text = word.partition("=")
+            if name not in names:
+                stray.append(word)
+                continue
+            if not equals:  # the next word is the value, whatever it starts with, but no flag
+                text = next(rest, None)
+                if text is None or text in flags:
+                    raise ValueError(f"argument {name}: expected one argument")
+            texts[names[name]] = text
+        if stray:
+            raise ValueError(f"unrecognized arguments: {' '.join(stray)}")
+        cfg = _merge_config(texts, settings)
         print("config", json.dumps(cfg, sort_keys=True))
         if "seed" in cfg:  # numpy's refusal does not name the setting
             _check_integer("seed", cfg["seed"], 0)
+        outputs = {}  # the file each output setting names -> the first setting that names it
         for key in cfg:  # in the command's order, and before any file is read
             if key in _REQUIRED:
                 _require(cfg, key)
+            if (key == "out" or key.endswith("_out")) and cfg[key] is not None:
+                first = outputs.setdefault(Path(cfg[key]).resolve(), key)
+                if first != key:  # the second write would overwrite the first
+                    raise ValueError(
+                        f"{_flag(first)} {cfg[first]} and {_flag(key)} {cfg[key]} name one file")
         inputs = []
         if "model" in cfg:
             path = example_model_path() if cfg["model"] == _BUNDLED else cfg["model"]
@@ -371,8 +379,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         if "data" in cfg:
             inputs.append(read_csv(cfg["data"]))
         return handler(cfg, *inputs)
-    except SystemExit:  # only --help and --version exit; a refusal raises ValueError
-        return 0
     except (ValueError, OSError, MemoryError) as exc:  # MemoryError: an input size no array holds
         print(f"error: {exc}", file=sys.stderr)
         return 1

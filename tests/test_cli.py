@@ -49,9 +49,17 @@ def tiny_csv(tmp_path, capsys):
 # ----------------------------- parser basics --------------------------------
 
 
-def test_help_exits_zero(capsys):
-    assert run_cli(capsys, "--help")[0] == 0
+def test_help_exits_zero(tmp_path, monkeypatch, capsys):
+    code, out, _ = run_cli(capsys, "--help")
+    assert code == 0
+    for command, (summary, _, _) in _COMMANDS.items():
+        assert f"  {command} " in out and summary in out
     assert run_cli(capsys, "train", "--help")[0] == 0
+    # -h in a flag's value is the value: a model path here
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "infer", "--model", "-h", "--pitch", 0, "--roll", 0)
+    assert (code, err) == (1, "error: [Errno 2] No such file or directory: '-h'\n")
+    assert echoed_config(out)["model"] == "-h"
 
 
 def test_version(capsys):
@@ -61,27 +69,30 @@ def test_version(capsys):
 
 
 def test_no_subcommand_is_user_error(capsys):
-    # argparse's refusals were a usage block and "ifcirc: error: …"; here it was the block alone
+    # a missing command printed a usage block alone, and other refusals the block and
+    # "ifcirc: error: …"
     assert run_cli(capsys) == (1, "", "error: the following arguments are required: command\n")
 
 
 def test_unknown_subcommand_is_user_error(capsys):
-    code, out, err = run_cli(capsys, "frobnicate")
-    assert (code, out) == (1, "")
-    # Python 3.11 quotes each choice; later releases may print them bare
-    assert err in {
-        f"error: argument command: invalid choice: 'frobnicate' (choose from {choices})\n"
-        for choices in (", ".join(map(repr, _COMMANDS)), ", ".join(_COMMANDS))
-    }
+    # the choices are quoted on every Python, as argparse quoted them up to Python 3.11
+    choices = "'gen-data', 'train', 'eval', 'prune', 'quantize', 'infer', 'response-map', " \
+        "'energy', 'validate'"
+    assert run_cli(capsys, "frobnicate") == (
+        1, "", f"error: argument command: invalid choice: 'frobnicate' (choose from {choices})\n"
+    )
 
 
 def test_unknown_flag_is_user_error(capsys):
-    # argparse took a unique prefix of a flag: --pit ran as --pitch, and --rol did not take
-    # -1e-5 as its value, since main joins only a flag spelled in full with its next word
+    # a unique prefix of a flag was once taken: --pit ran as --pitch, and --rol did not take
+    # -1e-5 as its value, since only a flag spelled in full took its next word.  "--" ends
+    # no flags: it is one more unknown word, and --roll after it is read
     for argv, unknown in [
         (("--frobnicate", 1), "--frobnicate 1"),
         (("--pit", 0, "--roll", 0.2), "--pit 0"),
         (("--pitch", 0, "--rol", "-1e-5"), "--rol -1e-5"),
+        (("--pitch", 0, "--", "--roll", 0), "--"),
+        (("--pitch", 0, "stray", "--roll", 0), "stray"),
     ]:
         code, out, err = run_cli(capsys, "infer", "--model", "bundled", *argv)
         assert (code, out, err) == (1, "", f"error: unrecognized arguments: {unknown}\n")
@@ -96,6 +107,10 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("ifcirc ")
+    # the command line is read by the settings table, not by argparse
+    check = "import ifcirc.cli, sys; print('argparse' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", check], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
 # ------------------------------- gen-data -----------------------------------
@@ -137,6 +152,21 @@ def test_gen_data_rejects_bad_holdout_fraction(tmp_path, capsys):
     )
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (("gen-data", "--n", 10, "--holdout", 0.2, "--out", "d.csv", "--holdout-out", "./d.csv"),
+     "--out d.csv and --holdout-out ./d.csv"),
+    (("train", "--data", "tiny.csv", "--epochs", 1, "--out", "m.json", "--loss-out", "m.json"),
+     "--out m.json and --loss-out m.json"),
+], ids=["gen-data", "train"])
+def test_two_outputs_may_not_name_one_file(tmp_path, tiny_csv, monkeypatch, capsys, argv, flags):
+    # gen-data wrote its 24 training rows and then its 6 held-out rows over them; train wrote
+    # the loss CSV over the model it had just reported writing
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, len(out.splitlines()), err) == (1, 1, f"error: {flags} name one file\n")
+    assert [path.name for path in tmp_path.iterdir()] == ["tiny.csv"]
 
 
 @pytest.mark.parametrize("holdout, name", [(0.9, "training"), (0.2, "held-out")])
@@ -188,7 +218,7 @@ FROZEN_SETTINGS = {
 
 
 def _help_entries(help_text):
-    """--flag -> its help text, whitespace-normalized, from an argparse --help page."""
+    """--flag -> its help text, whitespace-normalized, from a command's --help page."""
     entries, current = {}, None
     for line in help_text.split("options:", 1)[1].splitlines():
         if line.startswith("  -"):
@@ -1058,8 +1088,8 @@ def test_non_finite_parameters_are_user_errors(tmp_path, capsys):
 ])
 def test_a_non_finite_input_flag_is_refused_by_name(capsys, command, flag, text, shown):
     # inf and 1e400 were taken as a full-scale input (exit 0, class lie); nan was echoed as
-    # NaN before the stimulus refused it.  Written as two words, -inf and -1e400 were read
-    # by argparse as options: "argument --roll: expected one argument"
+    # NaN before the stimulus refused it.  Written as two words, -inf and -1e400 were once
+    # read as options: "argument --roll: expected one argument"
     values = {"--pitch": 0.3, "--roll": 0.2, flag: text}
     for argv in ([f"{key}={value}" for key, value in values.items()],
                  [word for item in values.items() for word in item]):
@@ -1068,7 +1098,7 @@ def test_a_non_finite_input_flag_is_refused_by_name(capsys, command, flag, text,
 
 
 def test_a_setting_flag_takes_the_next_word_whatever_it_starts_with(tmp_path, monkeypatch, capsys):
-    # argparse read -1e-5 as an option and printed its usage block; only --roll=-1e-5 worked
+    # -1e-5 was once read as an option, with a usage block; only --roll=-1e-5 worked
     joined = run_cli(capsys, "infer", "--model", "bundled", "--pitch", 0, "--roll=-1e-5")
     assert joined[0] == 0 and echoed_config(joined[1])["roll"] == -1e-5
     assert run_cli(capsys, "infer", "--model", "bundled", "--pitch", 0, "--roll", "-1e-5") == joined
@@ -1091,8 +1121,8 @@ _TEXTS = {
 def test_text_becomes_a_number_by_one_rule_at_every_boundary(tmp_path, capsys, text):
     # read_csv said "non-finite value in 'nan','0.0'" or float()'s "could not convert string
     # to float: 'abc'", naming no column; --catalog-values said "must be numbers separated by
-    # commas", and let nan through to the catalog's own check.  argparse read the flag value
-    # "--" as no words: --pitch ended in a TypeError traceback
+    # commas", and let nan through to the catalog's own check.  The flag value "--" was once
+    # read as no words: --pitch ended in a TypeError traceback
     data, model = tmp_path / "d.csv", tmp_path / "q.json"
     data.write_text(f"pitch,roll,label\n{text},0,stand\n")
     runs = {
@@ -1124,7 +1154,7 @@ def test_text_becomes_a_number_by_one_rule_at_every_boundary(tmp_path, capsys, t
      '--roll must be a finite number, got "x"'),
 ])
 def test_a_flag_that_is_no_number_is_refused_by_name(tmp_path, monkeypatch, capsys, argv, message):
-    # argparse printed its usage block and "invalid int value: 'abc'"
+    # a usage block and "invalid int value: 'abc'" were printed
     monkeypatch.chdir(tmp_path)
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (1, "", f"error: {message}\n")

@@ -198,8 +198,8 @@ _TABLE = wiring(1, {(0, "excitatory"): 1e5})
 
 # every one-sided numeric setting without a config table of its own: (the call that takes
 # the value, its name, its floor), the floor an int for an integer setting, else "> 0" or
-# ">= 0".  The CLI's trials, tolerance and seed reach the same checks through argparse and
-# json_value, which let no bool through (test_cli.py).
+# ">= 0".  The CLI's trials, tolerance and seed reach the same checks through text_value
+# and json_value, which let no bool through (test_cli.py).
 _SETTINGS = {
     # numpy reads an index True as a mask: the wiring table wired every line, and at
     # (0.2, 0.9) the kernel gave 0.650 V where integrate_schedule, reading line 1, gave 0.362 V

@@ -136,7 +136,6 @@ def test_only_main_reads_the_cli_inputs():
 UNREACHED = {
     "hardware.round_resistance":
         "public: the README and acceptance criterion 7 snap a single resistance with it",
-    "cli._Parser.error": "the README flows and the scripts refuse nothing",
     "hardware.ResponseMap.__getitem__":
         "perfbench's Batch._check_map indexes a response map; it goes with a benchmark change",
 }

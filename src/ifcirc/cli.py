@@ -15,12 +15,14 @@ CSV) and hands them to the subcommand, which only computes and writes.
 
 Exit codes: 0 success (``--help`` and ``--version`` too), 1 user error (bad
 flags, bad files, bad values: every refusal is one ``error: …`` line, and a
-flag is spelled in full), 2 internal/validation failure (e.g. the oracle
-check exceeding tolerance).
+flag is spelled in full) or a stdout whose reader has gone (nothing more is
+printed), 2 internal/validation failure (e.g. the oracle check exceeding
+tolerance).
 """
 from __future__ import annotations
 
 import json
+import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -120,13 +122,15 @@ def _rng(seed: int) -> np.random.Generator:
 
 
 def _cmd_gen_data(cfg: dict) -> int:
-    samples = generate(DatasetConfig(n_per_class=cfg["n"], noise_sigma=cfg["sigma"], seed=cfg["seed"]))
+    config = DatasetConfig(n_per_class=cfg["n"], noise_sigma=cfg["sigma"], seed=cfg["seed"])
     holdout = cfg["holdout"]
     if not 0.0 <= holdout < 1.0:
         raise ValueError(f"holdout fraction must be in [0, 1), got {holdout}")
-    outputs = [(samples, cfg["out"])]
     if holdout > 0.0:
         _require(cfg, "holdout_out")
+    samples = generate(config)  # after every check: a large n takes seconds
+    outputs = [(samples, cfg["out"])]
+    if holdout > 0.0:
         kept, held = split(samples, 1.0 - holdout, seed=cfg["seed"])
         outputs = [(kept, cfg["out"]), (held, cfg["holdout_out"])]
         for rows, name in ((kept, "training"), (held, "held-out")):
@@ -324,7 +328,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     flags = {_flag(key) for _, _, settings in _COMMANDS.values() for key, *_ in (_CONFIG, *settings)}
     try:
         if command == "--version":
-            print(f"ifcirc {__version__}")
+            print(f"ifcirc {__version__}", flush=True)
             return 0
         if command not in (*_COMMANDS, "-h", "--help"):
             choices = ", ".join(map(repr, _COMMANDS))
@@ -346,7 +350,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                         (_flag(key), text + ("" if default is None else f" (default {default})"))
                         for key, _, default, text in (_CONFIG, *settings)
                     ]
-                print(f"usage: {head}", *(f"  {name:<18}  {text}" for name, text in rows), sep="\n")
+                print(f"usage: {head}", *(f"  {name:<18}  {text}" for name, text in rows), sep="\n",
+                      flush=True)
                 return 0
             name, equals, text = word.partition("=")
             if name not in names:
@@ -368,17 +373,27 @@ def main(argv: Sequence[str] | None = None) -> int:
             if key in _REQUIRED:
                 _require(cfg, key)
             if (key == "out" or key.endswith("_out")) and cfg[key] is not None:
-                first = outputs.setdefault(Path(cfg[key]).resolve(), key)
+                out = Path(cfg[key])
+                first = outputs.setdefault(out.resolve(), key)
                 if first != key:  # the second write would overwrite the first
                     raise ValueError(
                         f"{_flag(first)} {cfg[first]} and {_flag(key)} {cfg[key]} name one file")
+                if not out.parent.is_dir():  # found now, not at the write after the work
+                    raise ValueError(f"{_flag(key)} {cfg[key]}: no directory {out.parent}")
         inputs = []
         if "model" in cfg:
             path = example_model_path() if cfg["model"] == _BUNDLED else cfg["model"]
             inputs.append(load_network(path))
         if "data" in cfg:
             inputs.append(read_csv(cfg["data"]))
-        return handler(cfg, *inputs)
+        code = handler(cfg, *inputs)
+        sys.stdout.flush()  # a reader that has gone is found here, not as Python exits
+        return code
+    except BrokenPipeError:  # stdout's reader has gone: nothing more can reach it
+        devnull = os.open(os.devnull, os.O_WRONLY)  # the exit's flush of stdout then succeeds
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (ValueError, OSError, MemoryError) as exc:  # MemoryError: an input size no array holds
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -11,7 +11,8 @@ by :mod:`ifcirc.kernel` from the network's conductances.
 Classification picks the neuron with the highest potential.
 
 A network is built from its wiring table, one R per (polarity, neuron, line),
-and one capacitance; its ``neurons`` are a view of that table.
+and one capacitance, and checked there by array; its ``neurons`` view and
+``build_schedule``'s slots are plain records, which check nothing.
 
 Every input additionally carries an always-on bias connection (input value
 fixed at 1) so a neuron can charge even when the pattern is all zeros.
@@ -20,7 +21,6 @@ The bias occupies the last input index.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -54,52 +54,22 @@ MODEL_SCHEMA_VERSION = 1
 POLARITIES = ("excitatory", "inhibitory")
 
 
-def _check_line(input_index: object, polarity: object) -> None:
-    """Refuse, by name, an index that is not an integer >= 0 or a polarity not in POLARITIES."""
-    _check_integer("input_index", input_index, 0)
-    if not (isinstance(polarity, str) and polarity in POLARITIES):
-        raise ValueError(f"polarity must be 'excitatory' or 'inhibitory', got {polarity!r}")
-
-
 @dataclass(frozen=True)
 class Synapse:
-    """One resistive input channel of a neuron."""
+    """One wired entry of a network's table, as ``Network.neurons`` holds it."""
 
     input_index: int
     polarity: str  # one of POLARITIES
     resistance: float  # ohms
 
-    def __post_init__(self) -> None:
-        _check_line(self.input_index, self.polarity)
-        _check_real("resistance", self.resistance)
-
 
 @dataclass(frozen=True)
 class IFNeuron:
-    """A capacitor and its synapses, one neuron per output class."""
+    """A capacitor and its synapses, one neuron per output class, as ``Network.neurons`` holds it."""
 
     label: str
     capacitance: float  # farads
     synapses: tuple[Synapse, ...]
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.label, str):  # model files hold a label as a JSON string
-            raise ValueError(f"label must be a string, got {self.label!r}")
-        _check_real("capacitance", self.capacitance)
-        object.__setattr__(self, "synapses", tuple(self.synapses))
-        seen = set()
-        for syn in self.synapses:
-            key = (syn.input_index, syn.polarity)
-            if key in seen:
-                raise ValueError(f"duplicate synapse for input {syn.input_index} ({syn.polarity})")
-            seen.add(key)
-            tau = syn.resistance * self.capacitance
-            if tau == 0.0 or math.isinf(1.0 / tau):  # the kernel needs a finite G = 1/(R·C)
-                raise ValueError(
-                    f"time constant R·C of input {syn.input_index} ({syn.polarity}) is "
-                    f"{tau!r} s, too small for a finite conductance: "
-                    f"{syn.resistance!r} ohms, {self.capacitance!r} farads"
-                )
 
     def synapse_map(self) -> dict[tuple[int, str], Synapse]:
         return {(s.input_index, s.polarity): s for s in self.synapses}
@@ -112,8 +82,9 @@ class Network:
     ``resistances`` has :mod:`ifcirc.kernel`'s layout (2, classes, n_inputs + 1):
     one R per (polarity in ``POLARITIES``, neuron, line), +inf where a line is
     unwired, the bias line last.  It is kept, not copied, and made read-only.
-    A build checks each entry that is not +inf as a ``Synapse`` of ``neurons``,
-    a view in the table's C order, and compiles G = 1/(R·C) (0 where unwired).
+    A build compiles G = 1/(R·C) (0 where unwired) and checks, by array, that each
+    entry is +inf or an R > 0 with a finite G and each label a string.  ``neurons``
+    is a view of the entries other than +inf, as ``Synapse`` records in C order.
     Equality and hashing follow ``neurons``, ``n_inputs`` and the scalars.
     """
 
@@ -136,20 +107,32 @@ class Network:
         r = _real_array(self.resistances, "resistances")
         if r.ndim != 3 or r.shape[:2] != (2, len(labels)) or r.shape[2] < 1:
             raise ValueError(f"resistances of shape {r.shape} are not (2, {len(labels)}, lines)")
-        neurons = []
-        for k, label in enumerate(labels):
-            try:
-                neurons.append(IFNeuron(label, self.capacitance, map(Synapse, *_wiring(r[:, k]))))
-            except ValueError as exc:
-                raise ValueError(f"neurons[{k}] ({label!r}): {exc}") from None
-        # after the neurons: an R·C they refuse would divide by zero
-        with np.errstate(over="ignore"):  # R·C past the largest float: G = 1/inf = 0
+        # R·C past the largest float gives G = 1/inf = 0; an R·C of 0, refused below, gives inf
+        with np.errstate(over="ignore", divide="ignore"):
             g = np.multiply(r, self.capacitance)
             np.divide(1.0, g, out=g)  # in place: a build holds two tables, not three
+        bad_r, bad_g = ~(r > 0), g == np.inf  # +inf, an unwired line, is > 0 and has G = 0
+        if bad_r.any() or bad_g.any() or not all(isinstance(label, str) for label in labels):
+            for k, label in enumerate(labels):  # the first fault: label, R, then R·C, in C order
+                at = f"neurons[{k}] ({label!r}): "
+                if not isinstance(label, str):  # model files hold a label as a JSON string
+                    raise ValueError(f"{at}label must be a string, got {label!r}")
+                if bad_r[:, k].any():
+                    phase, line = np.argwhere(bad_r[:, k])[0]
+                    raise ValueError(f"{at}resistance must be a finite number > 0, got "
+                                     f"{r[phase, k, line].item()!r}")
+                if bad_g[:, k].any():
+                    phase, line = np.argwhere(bad_g[:, k])[0].tolist()
+                    ohms = r[phase, k, line].item()  # R·C below is the Python product
+                    raise ValueError(f"{at}time constant R·C of input {line} ({POLARITIES[phase]}) "
+                                     f"is {ohms * self.capacitance!r} s, too small for a finite "
+                                     f"conductance: {ohms!r} ohms, {self.capacitance!r} farads")
+        neurons = tuple(IFNeuron(label, self.capacitance, tuple(map(Synapse, *_wiring(r[:, k]))))
+                        for k, label in enumerate(labels))
         r.flags.writeable = g.flags.writeable = False
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "resistances", r)
-        object.__setattr__(self, "neurons", tuple(neurons))
+        object.__setattr__(self, "neurons", neurons)
         object.__setattr__(self, "n_inputs", r.shape[2] - 1)
         object.__setattr__(self, "conductances", g)
 
@@ -169,22 +152,12 @@ class Slot:
     polarity: str  # one of POLARITIES
     duration: float  # seconds
 
-    def __post_init__(self) -> None:
-        _check_line(self.input_index, self.polarity)
-        _check_real("slot duration", self.duration, zero=True)
-
 
 @dataclass(frozen=True)
 class StimulationSchedule:
-    """Ordered stimulation slots; all excitatory slots precede inhibitory ones."""
+    """Ordered stimulation slots; ``build_schedule`` puts every excitatory slot first."""
 
     slots: tuple[Slot, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "slots", tuple(self.slots))
-        phases = [POLARITIES.index(slot.polarity) for slot in self.slots]
-        if phases != sorted(phases):
-            raise ValueError("excitatory slot after an inhibitory one; charge must precede discharge")
 
 
 def build_schedule(stimulus: Sequence[float], t_max: float) -> StimulationSchedule:
@@ -293,7 +266,9 @@ def network_from_dict(doc: object) -> Network:
             polarity = _field(syn, "polarity", str, at)
             resistance = _field(syn, "resistance_ohms", float, at)
             try:
-                _check_line(index, polarity)
+                _check_integer("input_index", index, 0)
+                if polarity not in POLARITIES:
+                    raise ValueError(f"polarity must be 'excitatory' or 'inhibitory', got {polarity!r}")
                 _check_real("resistance", resistance)
                 if index > n_inputs:
                     raise ValueError(f"{polarity} synapse on input {index} out of range "

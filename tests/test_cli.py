@@ -113,6 +113,29 @@ def test_module_entry_point():
     assert (proc.returncode, proc.stdout) == (0, "False\n")
 
 
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ("--help",),
+    ("infer", "--model", "bundled", "--pitch", 0, "--roll", 0),
+    pytest.param(("response-map", "--model", "bundled", "--step", 0.5, "--out", "/dev/stdout"),
+                 marks=pytest.mark.skipif(not Path("/dev/stdout").exists(), reason="no /dev/stdout")),
+], ids=["help", "infer", "response-map"])
+def test_a_closed_stdout_ends_the_run_quietly(unbuffered, argv):
+    # `ifcirc --help | head -0`: a help page exited 120 with "Exception ignored … BrokenPipeError"
+    # on stderr, and a write to the pipe mid-run printed "error: [Errno 32] Broken pipe"
+    src = str(Path(ifcirc.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+               PYTHONUNBUFFERED=unbuffered)
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the child writes
+    try:
+        proc = subprocess.run([sys.executable, "-m", "ifcirc", *map(str, argv)], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
+
+
 # ------------------------------- gen-data -----------------------------------
 
 
@@ -152,6 +175,40 @@ def test_gen_data_rejects_bad_holdout_fraction(tmp_path, capsys):
     )
     assert code == 1
     assert "error:" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("--holdout", 1.5), "holdout fraction must be in [0, 1), got 1.5"),
+    (("--holdout", 0.2), "missing required setting --holdout-out"),
+], ids=["fraction", "second-path"])
+def test_gen_data_checks_the_holdout_before_it_generates(tmp_path, monkeypatch, capsys, argv, message):
+    # both were found after the draw: --n 2000000 took 3.5 to 3.8 s to print the refusal
+    def generate(config):
+        raise AssertionError("generated before the holdout was checked")
+
+    monkeypatch.setattr("ifcirc.cli.generate", generate)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "gen-data", "--n", 2000000, *argv)
+    assert (code, len(out.splitlines()), err) == (1, 1, f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("train", "--data", "tiny.csv", "--epochs", 1, "--out", "m.json", "--loss-out", "nodir/l.csv"),
+     "--loss-out nodir/l.csv"),
+    (("gen-data", "--n", 5, "--holdout", 0.2, "--out", "t.csv", "--holdout-out", "nodir/h.csv"),
+     "--holdout-out nodir/h.csv"),
+    (("train", "--data", "tiny.csv", "--epochs", 1, "--out", "nodir/m.json"), "--out nodir/m.json"),
+], ids=["train-loss", "gen-data", "train-model"])
+def test_an_output_in_a_missing_directory_is_refused_first(tmp_path, tiny_csv, monkeypatch, capsys,
+                                                           argv, flag):
+    # each was found at its write, after the work: train had written m.json over any old one,
+    # and gen-data t.csv
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, len(out.splitlines()), err) == (1, 1, f"error: {flag}: no directory nodir\n")
+    assert out.startswith("config ")
+    assert [path.name for path in tmp_path.iterdir()] == ["tiny.csv"]
 
 
 @pytest.mark.parametrize("argv, flags", [
@@ -987,15 +1044,19 @@ def test_energy_report(tmp_path, capsys):
 
 
 def test_energy_to_an_unwritable_path_prints_no_report(tmp_path, capsys):
-    # as in every writing subcommand, a failed write leaves stdout at the config line
-    out = tmp_path / "missing" / "energy.json"
-    code, stdout, err = run_cli(
-        capsys, "energy", "--model", "bundled", "--pitch", 0, "--roll", 0, "--out", out
-    )
-    assert code == 1
-    assert len(stdout.splitlines()) == 1 and echoed_config(stdout)["out"] == str(out)
-    assert err.startswith("error: [Errno 2] ") and len(err.splitlines()) == 1
-    assert not out.exists()
+    # as in every writing subcommand, a failed write leaves stdout at the config line; an
+    # output in a missing directory, which once failed at the write, is refused before it
+    missing = tmp_path / "missing"
+    for out, refusal in ((missing / "energy.json", f"error: --out {missing / 'energy.json'}: "
+                                                   f"no directory {missing}\n"),
+                         (tmp_path, "error: [Errno 21] ")):  # a directory: the write fails
+        code, stdout, err = run_cli(
+            capsys, "energy", "--model", "bundled", "--pitch", 0, "--roll", 0, "--out", out
+        )
+        assert code == 1
+        assert len(stdout.splitlines()) == 1 and echoed_config(stdout)["out"] == str(out)
+        assert err.startswith(refusal) and len(err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 # -------------------------------- validate -----------------------------------

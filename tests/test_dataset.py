@@ -17,7 +17,6 @@ from ifcirc import (
     IFNeuron,
     Network,
     PostureSample,
-    Slot,
     Synapse,
     build_schedule,
     generate,
@@ -201,19 +200,12 @@ _TABLE = wiring(1, {(0, "excitatory"): 1e5})
 # ">= 0".  The CLI's trials, tolerance and seed reach the same checks through text_value
 # and json_value, which let no bool through (test_cli.py).
 _SETTINGS = {
-    # numpy reads an index True as a mask: the wiring table wired every line, and at
-    # (0.2, 0.9) the kernel gave 0.650 V where integrate_schedule, reading line 1, gave 0.362 V
-    "Synapse.input_index": (lambda v: Synapse(v, "excitatory", 1e5), "input_index", 0),
-    "Synapse.resistance": (lambda v: Synapse(0, "excitatory", v), "resistance", "> 0"),
-    "IFNeuron.capacitance": (lambda v: IFNeuron("u", v, ()), "capacitance", "> 0"),
-    # the loader checks n_inputs, which sizes its table (test_neuron.py)
+    # the loader checks n_inputs, which sizes its table, and each synapse's input_index and
+    # resistance (test_neuron.py); a network checks each wired entry of its table (below)
     "Network.capacitance": (lambda v: Network(("u",), _TABLE, v), "capacitance", "> 0"),
     "Network.supply_voltage":
         (lambda v: Network(("u",), _TABLE, 1e-6, supply_voltage=v), "supply_voltage", "> 0"),
     "Network.t_max": (lambda v: Network(("u",), _TABLE, 1e-6, t_max=v), "t_max", "> 0"),
-    # True and 1.0 acted as line 1; -1 and "1" matched no synapse, and the oracle skipped them
-    "Slot.input_index": (lambda v: Slot(v, "excitatory", 0.01), "input_index", 0),
-    "Slot.duration": (lambda v: Slot(0, "excitatory", v), "slot duration", ">= 0"),
     "prune": (lambda v: prune(Network(("u",), _TABLE, 1e-6), r_max=v), "r_max", "> 0"),
     "round_resistance": (round_resistance, "resistance", "> 0"),
     "perturb_readout":
@@ -251,6 +243,16 @@ def test_a_one_sided_setting_is_refused_by_name(site):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call(value)
     call(np.float64(1.0) if isinstance(floor, str) else np.int64(1))  # numpy numbers pass
+
+
+def test_a_wired_entry_is_refused_by_name():
+    # a resistance lives in a float table, which holds no bool, text or int past the float
+    # range (_real_array refuses those: test_neuron.py), and +inf there is an unwired line
+    for value in (math.nan, -math.inf, 0.0, -0.0, -5e-324, -1.0, -1.7976931348623157e308):
+        message = f"neurons[0] ('u'): resistance must be a finite number > 0, got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Network(("u",), wiring(1, {(0, "excitatory"): value}), 1e-6)
+    assert Network(("u",), wiring(1, {(0, "excitatory"): np.float64(1.0)}), 1e-6).n_inputs == 1
 
 
 _NUMBERS = st.one_of(

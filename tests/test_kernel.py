@@ -16,9 +16,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ifcirc import IFNeuron, Synapse
+from ifcirc import Network
 from ifcirc.kernel import duration_matrix, forward
-from conftest import capacitances, resistances, voltages
+from conftest import capacitances, resistances, voltages, wiring
 
 R, TAU = 10e3, 10e3 * 1e-6  # 10 kOhm into 1 uF: tau = 10 ms
 
@@ -73,12 +73,12 @@ def test_zero_duration_is_identity():
 
 
 def test_invalid_params_rejected():
-    with pytest.raises(ValueError):
-        Synapse(0, "excitatory", -1.0)
-    with pytest.raises(ValueError):
-        IFNeuron("u", 0.0, (Synapse(0, "excitatory", 1e3),))
-    with pytest.raises(ValueError):
-        Synapse(0, "excitatory", math.inf)
+    # the network that compiles the kernel's conductances refuses them; +inf is an unwired line
+    message = r"^neurons\[0\] \('u'\): resistance must be a finite number > 0, got -1\.0$"
+    with pytest.raises(ValueError, match=message):
+        Network(("u",), wiring(1, {(0, "excitatory"): -1.0}), 1e-6)
+    with pytest.raises(ValueError, match="^capacitance must be a finite number > 0, got 0.0$"):
+        Network(("u",), wiring(1, {(0, "excitatory"): 1e3}), 0.0)
 
 
 def test_invalid_step_arguments_rejected():

@@ -17,11 +17,7 @@ from hypothesis import strategies as st
 
 from ifcirc import (
     POLARITIES,
-    IFNeuron,
     Network,
-    Slot,
-    StimulationSchedule,
-    Synapse,
     build_schedule,
     classify,
     example_model_path,
@@ -72,41 +68,29 @@ def test_schedule_rejects_nan():
         build_schedule((float("nan"), 0.0), t_max=0.05)
 
 
-def test_schedule_type_rejects_interleaved_phases():
-    # phases were told apart by identity with an enum member: these two slots were accepted
-    message = "excitatory slot after an inhibitory one; charge must precede discharge"
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        StimulationSchedule(
-            slots=(
-                Slot(0, "inhibitory", 0.01),
-                Slot(0, "excitatory", 0.01),
-            )
-        )
-
-
-def test_slot_rejects_negative_duration():
-    with pytest.raises(ValueError, match="^slot duration must be a finite number >= 0, got -0.01$"):
-        Slot(0, "excitatory", -0.01)
-
-
 def test_a_polarity_is_spelled_as_in_model_files():
     assert POLARITIES == ("excitatory", "inhibitory")  # the phases of Network.resistances
-    for build in (lambda p: Synapse(0, p, 1e4), lambda p: Slot(0, p, 0.01)):
-        for polarity in POLARITIES:
-            assert build(polarity).polarity == polarity
-        # each built, and a network failed later with "'sideways' is not in list"
-        for polarity in ("sideways", "Excitatory", "", None, 0, ("excitatory",)):
-            message = f"polarity must be 'excitatory' or 'inhibitory', got {polarity!r}"
-            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                build(polarity)
+    doc = {"schema_version": 1, "supply_voltage": 1.0, "t_max": 0.05, "threshold": 0.5,
+           "capacitance": 1e-6, "n_inputs": 1}
+    for polarity in POLARITIES:
+        synapse = {"input_index": 0, "polarity": polarity, "resistance_ohms": 1e4}
+        net = network_from_dict({**doc, "neurons": [{"label": "u", "synapses": [synapse]}]})
+        assert [s.polarity for s in net.neurons[0].synapses] == [polarity]
+    # a record once took these, and a network failed later with "'sideways' is not in list"
+    for polarity in ("sideways", "Excitatory", ""):
+        synapse = {"input_index": 0, "polarity": polarity, "resistance_ohms": 1e4}
+        message = ("model field neurons[0].synapses[0]: polarity must be 'excitatory' or "
+                   f"'inhibitory', got {polarity!r}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            network_from_dict({**doc, "neurons": [{"label": "u", "synapses": [synapse]}]})
 
 
 def test_a_label_is_a_string_as_in_model_files(tmp_path):
     # a label of 5 built, inferred and saved, and load_network then refused the file
     for label in (5, None, b"sit", ("sit",)):
-        message = f"label must be a string, got {label!r}"
+        message = f"neurons[0] ({label!r}): label must be a string, got {label!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            IFNeuron(label, 1e-6, (Synapse(0, "excitatory", 1e4),))
+            Network((label,), wiring(1, {(0, "excitatory"): 1e4}), 1e-6)
     net = Network((np.str_("sit"),), wiring(1, {(0, "excitatory"): 1e4}), 1e-6)
     save_network(net, tmp_path / "model.json")
     assert load_network(tmp_path / "model.json") == net
@@ -502,17 +486,8 @@ def test_network_from_dict_names_the_bad_synapse(bundled_model, field, value, me
 
 
 def test_duplicate_synapse_rejected(bundled_model):
-    # the refusals read the enum's .value, and raised AttributeError on a plain string
-    with pytest.raises(ValueError, match=r"^duplicate synapse for input 0 \(excitatory\)$"):
-        IFNeuron(
-            "u",
-            1e-6,
-            (
-                Synapse(0, "excitatory", 1e4),
-                Synapse(0, "excitatory", 2e4),
-            ),
-        )
-    # the loader names the synapse that fills a wired entry a second time
+    # the loader names the synapse that fills a wired entry a second time; a table has one
+    # entry per line and polarity, so no built network holds a duplicate
     doc = network_to_dict(bundled_model)
     doc["neurons"][2]["synapses"][4]["input_index"] = 0
     message = "model field neurons[2].synapses[4]: duplicate synapse for input 0 (inhibitory)"
@@ -521,10 +496,10 @@ def test_duplicate_synapse_rejected(bundled_model):
 
 
 def test_a_time_constant_without_a_conductance_is_refused_by_line():
-    message = ("time constant R·C of input 1 (inhibitory) is 0.0 s, too small for a finite "
-               "conductance: 1e-300 ohms, 1e-30 farads")
+    message = ("neurons[0] ('u'): time constant R·C of input 1 (inhibitory) is 0.0 s, too small "
+               "for a finite conductance: 1e-300 ohms, 1e-30 farads")
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        IFNeuron("u", 1e-30, (Synapse(1, "inhibitory", 1e-300),))
+        Network(("u",), wiring(1, {(1, "inhibitory"): 1e-300}), 1e-30)
 
 
 def test_network_rejects_synapse_beyond_bias_line(bundled_model):
@@ -557,16 +532,36 @@ _NOT_A_RESISTANCE = "resistance must be a finite number > 0, got {}"
     (("a", "b"), _table((1, 1, 0), math.nan), "neurons[1] ('b'): " + _NOT_A_RESISTANCE.format("nan")),
     (("a", "b"), _table((1, 1, 1), -math.inf), "neurons[1] ('b'): " + _NOT_A_RESISTANCE.format("-inf")),
     (("a", "b"), _table((0, 0, 0), 0.0), "neurons[0] ('a'): " + _NOT_A_RESISTANCE.format("0.0")),
+    (("a", "b"), _table((1, 0, 1), -1.0), "neurons[0] ('a'): " + _NOT_A_RESISTANCE.format("-1.0")),
     (("a", 5), _table(), "neurons[1] (5): label must be a string, got 5"),
-    # refused before G = 1/(R·C) is compiled: dividing by R·C = 0 warns, and warnings fail here
+    # G = 1/(R·C) is compiled before the check: dividing by R·C = 0 must not warn, and warnings
+    # fail here
     (("a", "b"), _table((1, 1, 1), 5e-324), "neurons[1] ('b'): time constant R·C of input 1 "
      "(inhibitory) is 0.0 s, too small for a finite conductance: 5e-324 ohms, 1e-06 farads"),
-], ids=["classes", "phases", "rank", "no-bias-line", "nan", "-inf", "zero", "label", "underflow"])
+], ids=["classes", "phases", "rank", "no-bias-line", "nan", "-inf", "zero", "negative", "label",
+        "underflow"])
 def test_a_network_names_the_neuron_of_an_entry_it_refuses(labels, table, message):
     # the table once passed NaN, -inf and 0 as unwired lines, since only finite entries were read
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         Network(labels, table, 1e-6)
     assert table.flags.writeable  # a refused table is left as it was given
+
+
+def test_a_network_names_its_first_fault_in_class_order():
+    # one whole-table check, then a walk: by class, and in a neuron its label, then its first
+    # R not > 0, then its first R·C without a finite G, each in (phase, line) C order
+    underflow, negative = {(0, "excitatory"): 5e-324}, {(1, "inhibitory"): -1.0}
+    not_r = _NOT_A_RESISTANCE.format(-1.0)
+    cases = [
+        (("a", "b"), [underflow | negative, {}], f"neurons[0] ('a'): {not_r}"),
+        (("a", 5), [{}, negative], "neurons[1] (5): label must be a string, got 5"),
+        ((5, "b"), [{}, negative], "neurons[0] (5): label must be a string, got 5"),
+        (("a", "b"), [underflow, negative], "neurons[0] ('a'): time constant R·C of input 0 "
+         "(excitatory) is 0.0 s, too small for a finite conductance: 5e-324 ohms, 1e-06 farads"),
+    ]
+    for labels, synapses, message in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Network(labels, wiring(1, *synapses), 1e-6)
 
 
 def test_the_loader_refuses_a_bad_n_inputs_by_name(bundled_model):

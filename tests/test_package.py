@@ -119,6 +119,37 @@ def test_only_the_oracle_path_reads_neuron_objects():
     assert reads == oracle_path  # the scan sees the reads it allows
 
 
+def test_only_the_network_and_build_schedule_build_records():
+    # the four records check nothing: Network.__post_init__ writes the neurons from the table
+    # it has checked, and build_schedule the slots from a clamped duration row.  A record
+    # named as a value anywhere else in src/ (called, passed to map, or read as an attribute)
+    # would go unchecked.
+    records = ("Synapse", "IFNeuron", "Slot", "StimulationSchedule")
+    builds = set()
+    for path in sorted(Path(ifcirc.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        annotations = set()  # a type annotation names a record and builds none
+        for node in ast.walk(tree):
+            for annotation in (getattr(node, "annotation", None), getattr(node, "returns", None)):
+                annotations.update(map(id, ast.walk(annotation)) if annotation else ())
+
+        def visit(node, where):
+            for child in ast.iter_child_nodes(node):
+                inner = where
+                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    inner = f"{where}.{child.name}"
+                name = getattr(child, "id", getattr(child, "attr", None))  # a Name or an Attribute
+                if name in records and id(child) not in annotations:
+                    builds.add((inner, name))
+                visit(child, inner)
+
+        visit(tree, path.stem)
+    assert builds == {  # the scan sees the builds it allows
+        ("neuron.Network.__post_init__", "IFNeuron"), ("neuron.Network.__post_init__", "Synapse"),
+        ("neuron.build_schedule", "Slot"), ("neuron.build_schedule", "StimulationSchedule"),
+    }
+
+
 def test_only_main_reads_the_cli_inputs():
     # main loads the model and the CSV once and hands them to the subcommand
     tree = ast.parse((Path(ifcirc.__file__).parent / "cli.py").read_text())

@@ -390,13 +390,18 @@ def main(argv: Sequence[str] | None = None) -> int:
         sys.stdout.flush()  # a reader that has gone is found here, not as Python exits
         return code
     except BrokenPipeError:  # stdout's reader has gone: nothing more can reach it
-        devnull = os.open(os.devnull, os.O_WRONLY)  # the exit's flush of stdout then succeeds
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return 1
+        pass
     except (ValueError, OSError, MemoryError) as exc:  # MemoryError: an input size no array holds
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        try:
+            sys.stdout.flush()  # the echoed config line may still wait for a reader that has gone
+            return 1
+        except BrokenPipeError:
+            pass
+    devnull = os.open(os.devnull, os.O_WRONLY)  # the exit's flush of stdout then succeeds
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+    return 1
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
 import ctypes
+import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -8,6 +9,7 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import ifcirc
 from ifcirc import POLARITIES, Network, example_model_path, load_network
 
 settings.register_profile(
@@ -86,6 +88,12 @@ def assert_dispatch_digest(digests, digest, platform=exp_dispatch):
     key = platform()
     assert key in digests, f"no pin for platform {key}, which gave {digest}"
     assert digest == digests[key], f"platform {key} gave {digest}"
+
+
+def child_env(**extra):
+    """``os.environ`` and ``extra`` for a child Python on the same ``ifcirc`` as this suite, installed or not."""
+    src = str(Path(ifcirc.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]), **extra)
 
 
 def rescaled(net, k):

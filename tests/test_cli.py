@@ -1,5 +1,10 @@
 """End-to-end command-line behavior, run in-process through main().
 
+The tests run against whichever ``ifcirc`` pytest imports, the checkout or an
+installed wheel, and the few that start a child Python start it on that same
+copy (``conftest.child_env``).  CI runs this file a second time against the
+installed wheel, from outside the checkout.
+
 Covers the config-merge precedence (defaults < config file < flags), the
 exit-code contract (0 ok, 1 user error, 2 validation failure), and byte-level
 reproducibility of every artifact a seeded run writes.
@@ -20,10 +25,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import ifcirc
 from ifcirc import TrainConfig, example_model_path, load_network, read_csv, train
 from ifcirc.cli import _COMMANDS, main
-from conftest import assert_dispatch_digest
+from conftest import assert_dispatch_digest, child_env
 
 
 def run_cli(capsys, *argv):
@@ -99,9 +103,7 @@ def test_unknown_flag_is_user_error(capsys):
 
 
 def test_module_entry_point():
-    # the child imports the same ifcirc as this suite, installed or not
-    src = str(Path(ifcirc.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = child_env()
     proc = subprocess.run(
         [sys.executable, "-m", "ifcirc", "--version"], capture_output=True, text=True, env=env
     )
@@ -114,18 +116,19 @@ def test_module_entry_point():
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("argv", [
-    ("--help",),
-    ("infer", "--model", "bundled", "--pitch", 0, "--roll", 0),
-    pytest.param(("response-map", "--model", "bundled", "--step", 0.5, "--out", "/dev/stdout"),
+@pytest.mark.parametrize("argv, refusal", [
+    (("--help",), ""),
+    (("infer", "--model", "bundled", "--pitch", 0, "--roll", 0), ""),
+    pytest.param(("response-map", "--model", "bundled", "--step", 0.5, "--out", "/dev/stdout"), "",
                  marks=pytest.mark.skipif(not Path("/dev/stdout").exists(), reason="no /dev/stdout")),
-], ids=["help", "infer", "response-map"])
-def test_a_closed_stdout_ends_the_run_quietly(unbuffered, argv):
+    (("infer", "--model", "nope"), "error: missing required setting --pitch\n"),
+], ids=["help", "infer", "response-map", "refusal"])
+def test_a_closed_stdout_ends_the_run_quietly(unbuffered, argv, refusal):
     # `ifcirc --help | head -0`: a help page exited 120 with "Exception ignored … BrokenPipeError"
-    # on stderr, and a write to the pipe mid-run printed "error: [Errno 32] Broken pipe"
-    src = str(Path(ifcirc.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
-               PYTHONUNBUFFERED=unbuffered)
+    # on stderr, and a write to the pipe mid-run printed "error: [Errno 32] Broken pipe".  A
+    # refusal after the buffered config line also exited 120, its error line followed by the
+    # traceback; unbuffered, that line's own write meets the closed pipe before the refusal
+    env = child_env(PYTHONUNBUFFERED=unbuffered)
     read_end, write_end = os.pipe()
     os.close(read_end)  # the reader is gone before the child writes
     try:
@@ -133,7 +136,7 @@ def test_a_closed_stdout_ends_the_run_quietly(unbuffered, argv):
                               stderr=subprocess.PIPE, text=True, env=env, timeout=120)
     finally:
         os.close(write_end)
-    assert (proc.returncode, proc.stderr) == (1, "")
+    assert (proc.returncode, proc.stderr) == (1, "" if unbuffered else refusal)
 
 
 # ------------------------------- gen-data -----------------------------------
@@ -934,12 +937,10 @@ def _tiny_resistance(doc):
 def test_quantize_refuses_a_resistance_below_every_decade(tmp_path):
     # 10.0 ** floor(log10(5e-324)) is 0.0, and the decade search multiplied 0 by 10 forever
     model = _model_with(tmp_path, _tiny_resistance)
-    src = str(Path(ifcirc.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
         [sys.executable, "-m", "ifcirc", "quantize", "--model", str(model),
          "--out", str(tmp_path / "q.json")],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=child_env(), timeout=60,
     )
     assert proc.returncode == 1
     assert proc.stderr == (
@@ -1231,14 +1232,20 @@ def test_gen_data_refuses_a_draw_numpy_cannot_shape(tmp_path, capsys):
     assert not data.exists()
 
 
-@pytest.mark.parametrize("argv", [
-    ("gen-data", "--n", 20, "--holdout", 0.25, "--holdout-out", "h.csv", "--out", "d.csv"),
-    ("train", "--data", "tiny.csv", "--epochs", 20, "--loss-out", "l.csv", "--out", "m.json"),
-    ("quantize", "--model", "bundled", "--catalog", "e24", "--out", "q.json"),
-    ("energy", "--model", "bundled", "--pitch", ".5", "--roll", "1e-1", "--out", "e.json"),
-], ids=lambda argv: argv[0])
-def test_an_echo_line_replays_its_run(tmp_path, argv):
-    assert _run_in(tmp_path, ["gen-data", "--n", 10, "--seed", 1, "--out", "tiny.csv"])[0] == 0
+@pytest.mark.parametrize("setup, argv", [
+    ((), ("gen-data", "--n", 20, "--holdout", 0.25, "--holdout-out", "h.csv", "--out", "d.csv")),
+    ((), ("train", "--data", "tiny.csv", "--epochs", 20, "--loss-out", "l.csv", "--out", "m.json")),
+    ((), ("quantize", "--model", "bundled", "--catalog", "e24", "--out", "q.json")),
+    ((), ("energy", "--model", "bundled", "--pitch", ".5", "--roll", "1e-1", "--out", "e.json")),
+    ((), ("infer", "--model", "bundled", "--pitch", 0.3, "--roll", 0.2)),
+    ((("train", "--data", "tiny.csv", "--epochs", 30, "--out", "m.json"),
+      ("quantize", "--model", "m.json", "--catalog", "e12", "--out", "q.json")),
+     ("eval", "--model", "q.json", "--data", "tiny.csv")),
+], ids=["gen-data", "train", "quantize", "energy", "infer", "e12-eval"])
+def test_an_echo_line_replays_its_run(tmp_path, setup, argv):
+    for before in (("gen-data", "--n", 10, "--seed", 1, "--out", "tiny.csv"), *setup):
+        code, _, err = _run_in(tmp_path, before)
+        assert (code, err) == (0, "")
     code, out, err = _run_in(tmp_path, argv)
     assert (code, err) == (0, "")
     written = {path.name: path.read_bytes() for path in tmp_path.iterdir()}

@@ -1,7 +1,6 @@
 """The package's public names, each module's ``__all__`` re-exported, and what reaches its code."""
 import ast
 import inspect
-import os
 import re
 import runpy
 import shlex
@@ -13,6 +12,7 @@ from pathlib import Path
 import ifcirc
 from ifcirc import dataset, hardware, kernel, neuron, oracle, training
 from ifcirc.cli import main
+from conftest import child_env
 
 # Every name the package exported before it re-exported the module lists.
 EXPORTED = {
@@ -66,11 +66,10 @@ def test_the_benchmark_finds_every_name_it_binds():
     # perfbench imports public names and looks up each traced layer's functions by module; a
     # name dropped from the package fails here, not only in the benchmark's own run.  The child
     # runs from the repo root, where perfbench is, on the same ifcirc as this suite.
-    src = Path(ifcirc.__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     code = "import perfbench.workloads; from perfbench.tracing import bind; bind(None)"
     proc = subprocess.run([sys.executable, "-c", code], cwd=Path(__file__).resolve().parents[1],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=child_env(PYTHONDONTWRITEBYTECODE="1"),
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr
 
 

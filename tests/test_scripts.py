@@ -5,25 +5,21 @@ there shows up here as a failed run rather than only in the next manual
 experiment.
 """
 import json
-import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
-import ifcirc
 from ifcirc import load_network
+from conftest import child_env
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def run_script(name, *argv):
-    # the child imports the same ifcirc as this suite, installed or not
-    src = str(Path(ifcirc.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run(
         [sys.executable, str(SCRIPTS / name), *map(str, argv)],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=child_env(), timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()

@@ -10,8 +10,8 @@ byte for byte.
 
     python3 scripts/run_experiment.py --out-dir runs/demo
 """
-import argparse
 import json
+import sys
 import time
 from pathlib import Path
 
@@ -38,35 +38,40 @@ from ifcirc import (
     write_loss_csv,
     write_response_map_csv,
 )
+from ifcirc.cli import _COMMANDS, read_flags
+
+SHARED = {row[0]: row for command in ("gen-data", "train") for row in _COMMANDS[command][2]}
+SETTINGS = (  # (key, type, default, help), each read as --key-with-dashes
+    ("out_dir", str, "runs/experiment", "directory of every artifact"),
+    SHARED["n"], SHARED["sigma"],
+    ("data_seed", int, 42, "dataset and split seed"),
+    ("train_seed", int, TrainConfig().seed, "initialization seed"),
+    SHARED["epochs"],
+    ("holdout", float, 0.2, "fraction held out, in (0, 1)"),
+    ("grid_step", float, 0.01, "response-map grid step in (0, 1]"),
+    ("catalog", str, "one_significant_digit", "catalog mode: one_significant_digit, e12 or e24"),
+)
 
 
-def parse_args():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out-dir", type=Path, default=Path("runs/experiment"))
-    parser.add_argument("--n", type=int, default=300, help="samples per class")
-    parser.add_argument("--sigma", type=float, default=0.04, help="dataset noise")
-    parser.add_argument("--data-seed", type=int, default=42)
-    parser.add_argument("--train-seed", type=int, default=TrainConfig().seed)
-    parser.add_argument("--epochs", type=int, default=TrainConfig().epochs)
-    parser.add_argument("--holdout", type=float, default=0.2)
-    parser.add_argument("--grid-step", type=float, default=0.01)
-    parser.add_argument("--catalog", default="one_significant_digit")
-    return parser.parse_args()
-
-
-def main():
-    args = parse_args()
-    out = args.out_dir
+def main(args):
+    if not 0.0 < args["holdout"] < 1.0:  # before any work, as the catalog and both configs are
+        raise ValueError(f"--holdout must be in (0, 1), got {args['holdout']}")
+    try:
+        catalog = ResistorCatalog(args["catalog"])
+    except ValueError as exc:
+        raise ValueError(f"--catalog {args['catalog']}: {exc}") from None
+    train_config = TrainConfig(epochs=args["epochs"], seed=args["train_seed"])
+    samples = generate(DatasetConfig(args["n"], args["sigma"], args["data_seed"]))
+    out = Path(args["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
 
-    samples = generate(DatasetConfig(args.n, args.sigma, args.data_seed))
-    train_set, test_set = split(samples, 1.0 - args.holdout, seed=args.data_seed)
+    train_set, test_set = split(samples, 1.0 - args["holdout"], seed=args["data_seed"])
     write_csv(train_set, out / "train.csv")
     write_csv(test_set, out / "test.csv")
-    print(f"dataset: {len(train_set)} train / {len(test_set)} test, sigma={args.sigma}")
+    print(f"dataset: {len(train_set)} train / {len(test_set)} test, sigma={args['sigma']}")
 
     started = time.perf_counter()
-    result = train(train_set, TrainConfig(epochs=args.epochs, seed=args.train_seed))
+    result = train(train_set, train_config)
     elapsed = time.perf_counter() - started
     save_network(result.network, out / "model.json")
     write_loss_csv(result.loss_history, out / "loss.csv")
@@ -89,16 +94,16 @@ def main():
         f"(was {max_inference_time(result.network) * 1e3:.0f} ms)"
     )
 
-    quantized = quantize_network(pruned, ResistorCatalog(args.catalog))
+    quantized = quantize_network(pruned, catalog)
     save_network(quantized, out / "quantized.json")
     print(
-        f"quantized to {args.catalog}: "
+        f"quantized to {args['catalog']}: "
         f"held-out accuracy {evaluate_accuracy(quantized, test_set):.4f}"
     )
 
-    rows = response_map(quantized, args.grid_step)
+    rows = response_map(quantized, args["grid_step"])
     write_response_map_csv(rows, quantized.labels, out / "response_map.csv")
-    print(f"response map: {len(rows)} grid points at step {args.grid_step}")
+    print(f"response map: {len(rows)} grid points at step {args['grid_step']}")
 
     energy = {
         label: energy_report_to_dict(energy_per_inference(quantized, mean))
@@ -115,4 +120,5 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    if read_flags(sys.argv[1:], "run_experiment.py", __doc__.splitlines()[0], SETTINGS, main):
+        raise SystemExit(1)  # a refusal; a run that ends returns None

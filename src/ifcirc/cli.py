@@ -7,11 +7,11 @@ the table is the grammar of the command line (``command --key-with-dashes
 value …``), the help page with each default, the defaults themselves and the
 one type check that config-file values and flags both pass.  Settings come
 from those defaults, overlaid by an optional JSON config file (--config),
-overlaid by explicit command-line flags.  The
-effective merged config is echoed on the first output line so any run can
-be reproduced from its log.  ``main`` then refuses any unset setting named
-in ``_REQUIRED``, reads the command's inputs (the model, then the --data
-CSV) and hands them to the subcommand, which only computes and writes.
+overlaid by explicit command-line flags.  The effective merged config is
+echoed on the first output line so any run can be reproduced from its log.
+``main`` then refuses any unset setting named in ``_REQUIRED``, reads the
+command's inputs (the model, then the --data CSV) and hands them to the
+subcommand, which only computes and writes.
 
 Exit codes: 0 success (``--help`` and ``--version`` too), 1 user error (bad
 flags, bad files, bad values: every refusal is one ``error: …`` line, and a
@@ -88,16 +88,16 @@ def _merge_config(texts: dict, settings: Sequence[tuple]) -> dict:
     checked in the command's order, so the first bad one is named wherever
     it was given.
     """
-    cfg = {key: default for key, _, default, _ in settings}
-    file_cfg = {}
-    if "config" in texts:
-        with open(texts["config"]) as fh:
+    cfg = {key: default for key, _, default, _ in settings if key != "config"}
+    file_cfg, path = {}, texts.pop("config", None)  # --config names a file of settings, no setting
+    if path is not None:
+        with open(path) as fh:
             try:
                 file_cfg = json.load(fh)
             except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
-                raise ValueError(f"config file {texts['config']}: {exc}") from exc
+                raise ValueError(f"config file {path}: {exc}") from exc
         if not isinstance(file_cfg, dict):
-            raise ValueError(f"config file {texts['config']} must hold a JSON object")
+            raise ValueError(f"config file {path} must hold a JSON object")
         unknown = sorted(set(file_cfg) - set(cfg))
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
@@ -322,36 +322,28 @@ _COMMANDS = {
 }
 
 
-def main(argv: Sequence[str] | None = None) -> int:
-    words = list(sys.argv[1:] if argv is None else argv) or [None]
-    command = words[0]
-    flags = {_flag(key) for _, _, settings in _COMMANDS.values() for key, *_ in (_CONFIG, *settings)}
+def read_flags(words: Sequence[str], prog: str, summary: str, settings: Sequence[tuple], run) -> int:
+    """``run(cfg)``'s exit code, ``cfg`` read from the ``--flag value`` words by ``settings``.
+
+    Each setting ``(key, type, default, help)`` is the flag ``--key-with-dashes``, spelled in
+    full, whose value is ``--flag=value`` or the next word, whatever it starts with but a flag.
+    ``-h`` or ``--help`` prints ``prog``'s page of every flag and its default, and returns 0.
+    ``cfg`` is ``_merge_config``'s.  A ValueError, OSError or MemoryError, met reading the words
+    or in ``run``, is one ``error: …`` line on stderr and exit 1, and a stdout whose reader has
+    gone ends the run with exit 1 and nothing more printed.  ``main`` reads every command line
+    here, and so do the experiment scripts, each by its own table.
+    """
+    names = {_flag(key): key for key, *_ in settings}
+    flags = {_flag(key) for _, _, table in _COMMANDS.values() for key, *_ in (_CONFIG, *table)}
     try:
-        if command == "--version":
-            print(f"ifcirc {__version__}", flush=True)
-            return 0
-        if command not in (*_COMMANDS, "-h", "--help"):
-            choices = ", ".join(map(repr, _COMMANDS))
-            raise ValueError("the following arguments are required: command" if command is None else
-                             f"argument command: invalid choice: {command!r} (choose from {choices})")
-        summary, handler, settings = _COMMANDS.get(command, (None, None, ()))
-        names = {_flag(key): key for key, *_ in (_CONFIG, *settings)}
-        texts, stray = {}, []
-        rest = iter(words[command in _COMMANDS:])  # after the command, or from a first -h or --help
+        texts, stray, rest = {}, [], iter(words)
         for word in rest:
             if word in ("-h", "--help"):
-                if summary is None:
-                    head = "ifcirc [--version] command [--flag value ...]\n\nSimulate, train, and " \
-                        "analyze switched-RC integrate-and-fire classifiers.\n\ncommands:"
-                    rows = [(name, text) for name, (text, *_) in _COMMANDS.items()]
-                else:
-                    head = f"ifcirc {command} [--flag value ...]\n\n{summary}\n\noptions:"
-                    rows = [("-h, --help", "show this help message and exit")] + [
-                        (_flag(key), text + ("" if default is None else f" (default {default})"))
-                        for key, _, default, text in (_CONFIG, *settings)
-                    ]
-                print(f"usage: {head}", *(f"  {name:<18}  {text}" for name, text in rows), sep="\n",
-                      flush=True)
+                rows = [("-h, --help", "show this help message and exit")] + [
+                    (_flag(key), text + ("" if default is None else f" (default {default})"))
+                    for key, _, default, text in settings]
+                print(f"usage: {prog} [--flag value ...]\n\n{summary}\n\noptions:",
+                      *(f"  {name:<18}  {text}" for name, text in rows), sep="\n")
                 return 0
             name, equals, text = word.partition("=")
             if name not in names:
@@ -359,12 +351,45 @@ def main(argv: Sequence[str] | None = None) -> int:
                 continue
             if not equals:  # the next word is the value, whatever it starts with, but no flag
                 text = next(rest, None)
-                if text is None or text in flags:
+                if text is None or text in flags | names.keys():
                     raise ValueError(f"argument {name}: expected one argument")
             texts[names[name]] = text
         if stray:
             raise ValueError(f"unrecognized arguments: {' '.join(stray)}")
-        cfg = _merge_config(texts, settings)
+        code = run(_merge_config(texts, settings))
+        sys.stdout.flush()  # a reader that has gone is found here, not as Python exits
+        return code
+    except BrokenPipeError:  # stdout's reader has gone: nothing more can reach it
+        pass
+    except (ValueError, OSError, MemoryError) as exc:  # MemoryError: an input size no array holds
+        print(f"error: {exc}", file=sys.stderr)
+        try:
+            sys.stdout.flush()  # an earlier line may still wait for a reader that has gone
+            return 1
+        except BrokenPipeError:
+            pass
+    devnull = os.open(os.devnull, os.O_WRONLY)  # the exit's flush of stdout then succeeds
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+    return 1
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    command, *words = list(sys.argv[1:] if argv is None else argv) or [None]
+    summary, handler, settings = _COMMANDS.get(command, (None, None, ()))
+    def run(cfg: dict) -> int:  # a first word that names no command ends here, before any flag
+        if command in ("-h", "--help"):
+            print("usage: ifcirc [--version] command [--flag value ...]\n\nSimulate, train, and "
+                  "analyze switched-RC integrate-and-fire classifiers.\n\ncommands:",
+                  *(f"  {name:<18}  {text}" for name, (text, *_) in _COMMANDS.items()), sep="\n")
+            return 0
+        if command == "--version":
+            print(f"ifcirc {__version__}")
+            return 0
+        if handler is None:
+            choices = ", ".join(map(repr, _COMMANDS))
+            raise ValueError("the following arguments are required: command" if command is None else
+                             f"argument command: invalid choice: {command!r} (choose from {choices})")
         print("config", json.dumps(cfg, sort_keys=True))
         if "seed" in cfg:  # numpy's refusal does not name the setting
             _check_integer("seed", cfg["seed"], 0)
@@ -386,22 +411,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             inputs.append(load_network(path))
         if "data" in cfg:
             inputs.append(read_csv(cfg["data"]))
-        code = handler(cfg, *inputs)
-        sys.stdout.flush()  # a reader that has gone is found here, not as Python exits
-        return code
-    except BrokenPipeError:  # stdout's reader has gone: nothing more can reach it
-        pass
-    except (ValueError, OSError, MemoryError) as exc:  # MemoryError: an input size no array holds
-        print(f"error: {exc}", file=sys.stderr)
-        try:
-            sys.stdout.flush()  # the echoed config line may still wait for a reader that has gone
-            return 1
-        except BrokenPipeError:
-            pass
-    devnull = os.open(os.devnull, os.O_WRONLY)  # the exit's flush of stdout then succeeds
-    os.dup2(devnull, sys.stdout.fileno())
-    os.close(devnull)
-    return 1
+        return handler(cfg, *inputs)
+    return read_flags(words if handler else [], f"ifcirc {command}", summary, (_CONFIG, *settings), run)
 
 
 if __name__ == "__main__":

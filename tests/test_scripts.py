@@ -1,8 +1,8 @@
 """Smoke runs of the experiment scripts, as subprocesses on small inputs.
 
-The scripts import ``ifcirc``'s public names; a rename or a deletion
-there shows up here as a failed run rather than only in the next manual
-experiment.
+The scripts import ``ifcirc``'s public names and read their flags through
+``ifcirc.cli.read_flags``; a rename or a deletion there shows up here as a
+failed run rather than only in the next manual experiment.
 """
 import json
 import re
@@ -10,19 +10,91 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from ifcirc import load_network
 from conftest import child_env
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def run_script(name, *argv):
-    proc = subprocess.run(
+def start_script(name, *argv, cwd=None):
+    return subprocess.run(
         [sys.executable, str(SCRIPTS / name), *map(str, argv)],
-        capture_output=True, text=True, env=child_env(), timeout=120,
+        capture_output=True, text=True, env=child_env(), timeout=120, cwd=cwd,
     )
+
+
+def run_script(name, *argv):
+    proc = start_script(name, *argv)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()
+
+
+# each script's flags and their defaults, as they were read before the scripts shared the
+# command line's reader; None: no default shown
+FLAGS = {
+    "run_experiment.py": {
+        "--out-dir": "runs/experiment", "--n": 300, "--sigma": 0.04, "--data-seed": 42,
+        "--train-seed": 0, "--epochs": 5000, "--holdout": 0.2, "--grid-step": 0.01,
+        "--catalog": "one_significant_digit",
+    },
+    "sweep_seeds.py": {
+        "--seeds": 12, "--epochs": 5000, "--energy-weight": 0.1, "--target-high": None,
+        "--n": 300, "--sigma": 0.04, "--data-seed": 42, "--target": 0.95,
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLAGS))
+def test_help_lists_every_flag_with_its_default(name):
+    proc = start_script(name, "-h")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith(f"usage: {name} [--flag value ...]\n")
+    lines = proc.stdout.split("\noptions:\n", 1)[1].splitlines()
+    assert lines[0].split() == ["-h,", "--help", "show", "this", "help", "message", "and", "exit"]
+    entries = {line.split()[0]: line for line in lines[1:]}
+    assert list(entries) == list(FLAGS[name])  # in the order the flags are checked
+    for flag, default in FLAGS[name].items():
+        if default is None:
+            assert "(default" not in entries[flag]
+        else:
+            assert entries[flag].endswith(f" (default {default})")
+
+
+_UNRECOGNIZED = "error: unrecognized arguments: "
+
+
+REFUSALS = [  # (script, flags, its one stderr line)
+    ("run_experiment.py", ("--frobnicate", 1), _UNRECOGNIZED + "--frobnicate 1"),
+    ("sweep_seeds.py", ("--frobnicate", 1), _UNRECOGNIZED + "--frobnicate 1"),
+    ("run_experiment.py", ("--se", 1), _UNRECOGNIZED + "--se 1"),
+    ("sweep_seeds.py", ("--se", 1), _UNRECOGNIZED + "--se 1"),  # argparse took it for --seeds
+    ("run_experiment.py", ("--epochs", 1, "--n"), "error: argument --n: expected one argument"),
+    ("sweep_seeds.py", ("--epochs", 1, "--n"), "error: argument --n: expected one argument"),
+    ("run_experiment.py", ("--seeds", "x"), _UNRECOGNIZED + "--seeds x"),
+    ("sweep_seeds.py", ("--seeds", "x"), 'error: --seeds must be an integer, got "x"'),
+    ("run_experiment.py", ("--n", 0), "error: n_per_class must be >= 1, got 0"),
+    ("sweep_seeds.py", ("--n", 0), "error: n_per_class must be >= 1, got 0"),
+    ("run_experiment.py", ("--catalog", "e13"), "error: --catalog e13: unknown catalog mode "
+     "'e13' (one of: one_significant_digit, e12, e24, custom)"),
+    ("sweep_seeds.py", ("--catalog", "e13"), _UNRECOGNIZED + "--catalog e13"),
+    # these three trained and wrote, or were refused by the wrong name, or exited 0
+    ("run_experiment.py", ("--holdout", 1.5), "error: --holdout must be in (0, 1), got 1.5"),
+    ("run_experiment.py", ("--holdout", 0), "error: --holdout must be in (0, 1), got 0.0"),
+    ("sweep_seeds.py", ("--seeds", -1), "error: --seeds must be >= 1, got -1"),
+    ("run_experiment.py", ("--epochs", 0), "error: epochs must be >= 1, got 0"),
+]
+
+
+@pytest.mark.parametrize("name, argv, error", REFUSALS,
+                         ids=[f"{name[:-3]}:{'_'.join(map(str, argv))}" for name, argv, _ in REFUSALS])
+def test_a_bad_command_line_is_one_error_line_before_any_work(tmp_path, name, argv, error):
+    # run_experiment.py writes to its default --out-dir, runs/experiment, under the working
+    # directory: a refusal leaves that directory empty
+    proc = start_script(name, *argv, cwd=tmp_path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", error + "\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_run_experiment_writes_every_artifact(tmp_path):
@@ -50,7 +122,7 @@ def test_run_experiment_writes_every_artifact(tmp_path):
 
 
 HEADER = ["seed", "epochs", "final", "loss", "accuracy", "quantized", "noisy", "kept", "nJ",
-          "margin_p1", "margin_p50", "bayes_gap"]
+          "margin_p1", "margin_p50", "bayes_gap", "prune_shift", "pruned_train"]
 
 
 def test_sweep_seeds_reports_every_seed():
@@ -60,6 +132,8 @@ def test_sweep_seeds_reports_every_seed():
     for line in lines[1:3]:  # on the default seed-42 split the true class means score 1.0
         row = dict(zip(HEADER[:3] + HEADER[4:], line.split()))
         assert abs(float(row["bayes_gap"]) - (float(row["accuracy"]) - 1.0)) < 1e-9
+        # prune drops the two synapses train returns at r_max: each moves a potential a little
+        assert 0 < float(row["prune_shift"]) < 0.2 and 0.9 <= float(row["pruned_train"]) <= 1
     assert re.fullmatch(r"[0-2]/2 seeds reach 0\.95 within 50 epochs: \[[0-9, ]*\]", lines[-1])
     assert len(lines) == 4
 

@@ -650,6 +650,26 @@ def test_elimination_keeps_five_synapses_at_the_first_fits_accuracy(split_42, se
     assert all(final[key] == TrainConfig.r_max for key in dropped)
 
 
+# max |dV| over the held-out split between the trained default model and its pruned
+# circuit, in units of v_in: the same on both exp dispatches measured
+DEFAULT_PRUNE_SHIFT = 0.07060355769122623
+
+
+def test_prune_keeps_held_out_accuracy_and_moves_potentials_by_a_pinned_shift(split_42, seed_sweep):
+    """``train`` returns the two dropped synapses at r_max, where they still conduct; the circuit
+    that is built is the pruned one.  Pruned, it scores as well held out and two training samples
+    better, and no held-out potential moves by more than the pin."""
+    train_set, test_set = split_42
+    network = seed_sweep[1][TrainConfig().seed].network
+    pruned = prune(network)
+    assert evaluate_accuracy(network, test_set) == evaluate_accuracy(pruned, test_set) == 1.0
+    assert evaluate_accuracy(network, train_set) == 716 / 720
+    assert evaluate_accuracy(pruned, train_set) == 718 / 720
+    points = [(s.pitch, s.roll) for s in test_set]
+    shift = np.abs(infer_batch(pruned, points) - infer_batch(network, points)).max()
+    assert shift / network.supply_voltage == pytest.approx(DEFAULT_PRUNE_SHIFT, rel=1e-12, abs=0)
+
+
 def _quantized_and_supply_nj(network):
     """The pruned, quantized circuit and its mean supply energy at the class means, nJ."""
     quantized = quantize_network(prune(network))

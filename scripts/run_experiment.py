@@ -39,6 +39,7 @@ from ifcirc import (
     write_response_map_csv,
 )
 from ifcirc.cli import _COMMANDS, read_flags
+from ifcirc.hardware import _grid_axis
 
 SHARED = {row[0]: row for command in ("gen-data", "train") for row in _COMMANDS[command][2]}
 SETTINGS = (  # (key, type, default, help), each read as --key-with-dashes
@@ -54,18 +55,25 @@ SETTINGS = (  # (key, type, default, help), each read as --key-with-dashes
 
 
 def main(args):
-    if not 0.0 < args["holdout"] < 1.0:  # before any work, as the catalog and both configs are
+    # every flag is checked before any work: the grid step and the catalog by the rules that
+    # response_map and ResistorCatalog apply, and the two configs as they are built
+    if not 0.0 < args["holdout"] < 1.0:
         raise ValueError(f"--holdout must be in (0, 1), got {args['holdout']}")
-    try:
-        catalog = ResistorCatalog(args["catalog"])
-    except ValueError as exc:
-        raise ValueError(f"--catalog {args['catalog']}: {exc}") from None
+    for key, check in (("grid_step", _grid_axis), ("catalog", ResistorCatalog)):
+        try:
+            check(args[key])
+        except ValueError as exc:
+            raise ValueError(f"--{key.replace('_', '-')} {args[key]}: {exc}") from None
     train_config = TrainConfig(epochs=args["epochs"], seed=args["train_seed"])
     samples = generate(DatasetConfig(args["n"], args["sigma"], args["data_seed"]))
+    train_set, test_set = split(samples, 1.0 - args["holdout"], seed=args["data_seed"])
+    for rows, name in ((train_set, "training"), (test_set, "held-out")):
+        if not rows:  # as gen-data refuses its split
+            raise ValueError(f"--holdout {args['holdout']!r} with --n {args['n']} per class "
+                             f"leaves the {name} set empty")
     out = Path(args["out_dir"])
     out.mkdir(parents=True, exist_ok=True)
 
-    train_set, test_set = split(samples, 1.0 - args["holdout"], seed=args["data_seed"])
     write_csv(train_set, out / "train.csv")
     write_csv(test_set, out / "test.csv")
     print(f"dataset: {len(train_set)} train / {len(test_set)} test, sigma={args['sigma']}")
@@ -94,7 +102,7 @@ def main(args):
         f"(was {max_inference_time(result.network) * 1e3:.0f} ms)"
     )
 
-    quantized = quantize_network(pruned, catalog)
+    quantized = quantize_network(pruned, ResistorCatalog(args["catalog"]))
     save_network(quantized, out / "quantized.json")
     print(
         f"quantized to {args['catalog']}: "

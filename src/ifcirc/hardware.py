@@ -20,8 +20,8 @@ from __future__ import annotations
 import math
 import operator
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field, replace
-from functools import reduce
+from dataclasses import dataclass, replace
+from functools import cached_property, reduce
 from pathlib import Path
 
 import numpy as np
@@ -54,22 +54,19 @@ E24_MANTISSAS = (
     3.3, 3.6, 3.9, 4.3, 4.7, 5.1, 5.6, 6.2, 6.8, 7.5, 8.2, 9.1,
 )
 
-_SERIES = {mode: tuple(round(10 * m) for m in mantissas) for mode, mantissas in (  # 2.2 is 22
-    ("one_significant_digit", range(1, 10)), ("e12", E12_MANTISSAS), ("e24", E24_MANTISSAS))}
-_POWERS = np.array([float(f"1e{n}") for n in range(309)])  # 10^n as its literal parses
+_SERIES = {"one_significant_digit": range(1, 10), "e12": E12_MANTISSAS, "e24": E24_MANTISSAS}
 
 
 @dataclass(frozen=True)
 class ResistorCatalog:
-    """Purchasable resistances, held once built as the sorted, read-only array ``parts``.
+    """Purchasable resistances: ``parts``, the sorted, read-only array built when first read.
 
     ``custom`` mode takes a non-empty list of positive ``values``, which are its parts.  A series
-    part is each finite mantissa × 10^e from 1e-307 up, equal to its literal from 1e-21 to 1e24.
+    part is the literal ``f"{m}e{e}"`` of a mantissa m and decade e from 1e-307 up, if finite.
     """
 
     mode: str = "one_significant_digit"
     values: tuple[float, ...] = ()
-    parts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         values = tuple(self.values)  # an array has no truth value
@@ -78,20 +75,22 @@ class ResistorCatalog:
                 raise ValueError("custom catalog needs at least one value")
             for value in values:
                 _check_real("catalog value", value)
-            parts = np.sort(np.array(values, dtype=float))
-        elif self.mode in _SERIES:
-            if values:
-                raise ValueError(f"mode {self.mode!r} does not take explicit values")
-            k = _SERIES[self.mode]  # ascending, one rounding each: k / 10^-n, then k * 10^n
-            with np.errstate(over="ignore"):  # the top decade's larger mantissas overflow
-                parts = np.vstack((k / _POWERS[:0:-1, None], k * _POWERS[:, None])).ravel()
-            parts = parts[np.isfinite(parts)]
-        else:
+        elif self.mode not in _SERIES:
             choices = ", ".join([*_SERIES, "custom"])
             raise ValueError(f"unknown catalog mode {self.mode!r} (one of: {choices})")
-        parts.flags.writeable = False
+        elif values:
+            raise ValueError(f"mode {self.mode!r} does not take explicit values")
         object.__setattr__(self, "values", tuple(sorted(values)))  # sorted once each is a number
-        object.__setattr__(self, "parts", parts)
+
+    @cached_property
+    def parts(self) -> np.ndarray:
+        if self.mode == "custom":
+            parts = np.array(self.values, dtype=float)  # sorted, and a float conversion keeps order
+        else:  # decade by decade, each mantissa in turn, so ascending; 9e308 parses to inf
+            literals = (float(f"{m}e{e}") for e in range(-307, 309) for m in _SERIES[self.mode])
+            parts = np.fromiter((p for p in literals if p < math.inf), float)
+        parts.flags.writeable = False
+        return parts
 
     def _nearest(self, r: np.ndarray) -> np.ndarray:
         """The nearest part to each resistance, ties going larger; a series refuses one below it."""
@@ -175,15 +174,8 @@ class ResponseMap(Sequence):
                 yield pitch, roll, potentials
 
 
-def response_map(net: Network, grid_step: float) -> ResponseMap:
-    """Membrane potentials over the full [0,1]^2 input grid, at most MAX_GRID_POINTS.
-
-    Both axes include the endpoints 0 and 1.  Validates and builds the axis
-    only; the rows are computed as they are read, each bitwise equal to
-    :func:`ifcirc.infer_network` at its point.
-    """
-    if net.n_inputs != 2:
-        raise ValueError(f"response maps need a 2-input network, got {net.n_inputs}")
+def _grid_axis(grid_step: float) -> list[float]:
+    """A response map's axis, 0 to 1 at ``grid_step``; a step outside (0, 1] or too fine is refused."""
     _check_real("grid_step", grid_step)
     if grid_step > 1.0:
         raise ValueError(f"grid_step must be in (0, 1], got {grid_step}")
@@ -196,7 +188,19 @@ def response_map(net: Network, grid_step: float) -> ResponseMap:
     axis = [min(i * grid_step, 1.0) for i in range(int(span) + 1)]  # span > 0: int() floors
     if axis[-1] < 1.0:
         axis.append(1.0)
-    return ResponseMap(net, axis)
+    return axis
+
+
+def response_map(net: Network, grid_step: float) -> ResponseMap:
+    """Membrane potentials over the full [0,1]^2 input grid, at most MAX_GRID_POINTS.
+
+    Both axes include the endpoints 0 and 1.  Validates and builds the axis
+    only; the rows are computed as they are read, each bitwise equal to
+    :func:`ifcirc.infer_network` at its point.
+    """
+    if net.n_inputs != 2:
+        raise ValueError(f"response maps need a 2-input network, got {net.n_inputs}")
+    return ResponseMap(net, _grid_axis(grid_step))
 
 
 def write_response_map_csv(

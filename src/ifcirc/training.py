@@ -99,6 +99,9 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class TrainResult:
+    """``loss_history``, and the ``final_loss`` and ``train_accuracy`` of ``ifcirc train``, describe
+    ``network``, whose dropped synapses still conduct at r_max, not :func:`prune`'s circuit."""
+
     network: Network
     loss_history: list[float]  # each kept fit in turn: its starting loss, one per accepted iteration
     epochs_run: int  # accepted iterations of every fit, the discarded last refit included
@@ -213,7 +216,9 @@ def train(samples: Sequence[PostureSample], cfg: TrainConfig = TrainConfig()) ->
     the loss least (ties to the lowest flat index) and refits warm, until a refit falls
     below the first fit's training accuracy and is discarded.  Dropped synapses sit at
     r_max exactly, for :func:`prune`.  ``cfg.epochs`` caps the accepted iterations of
-    all fits together.  Deterministic for a given config.
+    all fits together.  Deterministic for a given config.  Loss and training accuracy are the
+    returned network's; :func:`prune`'s circuit, the one built, gets 718 of 720 training samples
+    right on the default seed-42 split, not 716, and moves held-out potentials by 0.0706 v_in.
     """
     if len(samples) == 0:
         raise ValueError("cannot train on an empty dataset")

@@ -11,6 +11,7 @@ measured number that broke the bound.
 import json
 import math
 import sys
+import tempfile
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -357,14 +358,9 @@ def test_criterion_8_inference_time_bound():
     )
 
 
-def test_criterion_9_cli_determinism(tmp_path=None):
+def test_criterion_9_cli_determinism(tmp_path):
     import contextlib
     import io
-    import tempfile
-
-    if tmp_path is None:
-        tmp_path = Path(tempfile.mkdtemp(prefix="ifcirc-acceptance-"))
-    tmp_path = Path(tmp_path)
 
     def run(argv, out_paths):
         buffer = io.StringIO()
@@ -440,7 +436,11 @@ if __name__ == "__main__":
         test_criterion_9_cli_determinism,
     ):
         try:
-            check()
+            if check is test_criterion_9_cli_determinism:  # pytest gives it a tmp_path
+                with tempfile.TemporaryDirectory(prefix="ifcirc-acceptance-") as tmp:
+                    check(Path(tmp))
+            else:
+                check()
         except AssertionError:
             failures += 1
     sys.exit(1 if failures else 0)

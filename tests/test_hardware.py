@@ -111,6 +111,9 @@ def test_a_series_part_is_its_decimal_value():
     assert round_resistance(215.0, ResistorCatalog("e12")) == 220.0
     assert round_resistance(8.2e5, ResistorCatalog("e24")) == 820000.0
     assert round_resistance(0.3) == 0.3
+    # far from 1 ohm too: mantissa times a rounded power of ten gave 2.9999999999999996e-300
+    assert round_resistance(2.9e-300, ResistorCatalog("e24")) == 3e-300
+    assert round_resistance(6.8e-200, ResistorCatalog("e12")) == 6.8e-200
 
 
 def test_round_rejects_nonpositive():
@@ -139,10 +142,10 @@ def test_a_catalog_is_its_sorted_read_only_parts():
     for mode, mantissas in [("one_significant_digit", range(1, 10)),
                             ("e12", hardware.E12_MANTISSAS), ("e24", hardware.E24_MANTISSAS)]:
         catalog = ResistorCatalog(mode)
-        # a part is its decimal literal as Python parses it, 220.0 and not 2.2 * 1e2
-        literals = [float(f"{m}e{e}") for e in range(-22, 25) for m in mantissas]
-        parts = catalog.parts[(1e-21 <= catalog.parts) & (catalog.parts <= 1e24)]
-        assert parts.tolist() == [p for p in literals if 1e-21 <= p <= 1e24]
+        # a part is its decimal literal as Python parses it, 220.0 and not 2.2 * 1e2, from the
+        # lowest decade to the largest finite part
+        literals = [float(f"{m}e{e}") for e in range(-307, 309) for m in mantissas]
+        assert catalog.parts.tolist() == [p for p in literals if p < math.inf]
         assert catalog.parts[0] == 1e-307 and (np.diff(catalog.parts) > 0).all()
         assert len(catalog.parts) == 616 * len(mantissas) - sum(m * 1e308 == math.inf for m in mantissas)
         assert not catalog.parts.flags.writeable

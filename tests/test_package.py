@@ -73,6 +73,15 @@ def test_the_benchmark_finds_every_name_it_binds():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_import_builds_no_catalog():
+    # a catalog parses its series parts the first time it snaps, not when ifcirc is imported
+    code = ("import ifcirc; catalog = ifcirc.DEFAULT_CATALOG; assert 'parts' not in vars(catalog); "
+            "assert ifcirc.round_resistance(215.0) == 200.0 and 'parts' in vars(catalog)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 ROOT = Path(__file__).resolve().parents[1]
 
 

@@ -84,6 +84,18 @@ REFUSALS = [  # (script, flags, its one stderr line)
     ("run_experiment.py", ("--holdout", 0), "error: --holdout must be in (0, 1), got 0.0"),
     ("sweep_seeds.py", ("--seeds", -1), "error: --seeds must be >= 1, got -1"),
     ("run_experiment.py", ("--epochs", 0), "error: epochs must be >= 1, got 0"),
+    # these trained and wrote every file but the response map, or wrote an empty test.csv, first
+    ("run_experiment.py", ("--grid-step", 0),
+     "error: --grid-step 0.0: grid_step must be a finite number > 0, got 0.0"),
+    ("run_experiment.py", ("--grid-step", 1.5),
+     "error: --grid-step 1.5: grid_step must be in (0, 1], got 1.5"),
+    ("run_experiment.py", ("--grid-step", 0.0001), "error: --grid-step 0.0001: grid_step 0.0001 "
+     "is too fine: response maps are capped at 1050625 points"),
+    ("run_experiment.py", ("--n", 1),
+     "error: --holdout 0.2 with --n 1 per class leaves the held-out set empty"),
+    ("run_experiment.py", ("--holdout", 0.9, "--n", 2),
+     "error: --holdout 0.9 with --n 2 per class leaves the training set empty"),
+    ("sweep_seeds.py", ("--n", 2), "error: --n 2 per class leaves the held-out set empty"),
 ]
 
 

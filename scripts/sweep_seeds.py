@@ -64,8 +64,6 @@ def main(args):
     base = TrainConfig(**{key: args[key] for key in ("epochs", "energy_weight", "target_high")})
     samples = generate(DatasetConfig(args["n"], args["sigma"], args["data_seed"]))
     train_set, test_set = split(samples, 0.8, seed=args["data_seed"])
-    if not test_set:  # as gen-data refuses its split; 0.8 of n >= 1 keeps a training sample
-        raise ValueError(f"--n {args['n']} per class leaves the held-out set empty")
     points = [(s.pitch, s.roll) for s in test_set]
     # the nearest true class mean: each class's one training sample is its mean
     means = [PostureSample(*mean, label) for label, mean in CLASS_MEANS.items()]

@@ -133,11 +133,6 @@ def _cmd_gen_data(cfg: dict) -> int:
     if holdout > 0.0:
         kept, held = split(samples, 1.0 - holdout, seed=cfg["seed"])
         outputs = [(kept, cfg["out"]), (held, cfg["holdout_out"])]
-        for rows, name in ((kept, "training"), (held, "held-out")):
-            if not rows:
-                raise ValueError(
-                    f"holdout {holdout!r} with n {cfg['n']} per class leaves the {name} CSV empty"
-                )
     for rows, path in outputs:
         write_csv(rows, path)
     for rows, path in outputs:

@@ -61,7 +61,9 @@ class PostureSample:
     roll: float
     label: str
 
-    def __post_init__(self) -> None:
+    def __post_init__(self) -> None:  # as read_csv refuses a field; ints and numpy floats convert
+        object.__setattr__(self, "pitch", json_value(self.pitch, float, "pitch"))
+        object.__setattr__(self, "roll", json_value(self.roll, float, "roll"))
         if self.label not in CLASSES:
             raise ValueError(f"label must be one of {CLASSES}, got {self.label!r}")
 
@@ -236,12 +238,15 @@ def split(
     """Seeded stratified split: per-class proportions are preserved.
 
     Per class, a shuffled copy contributes round(train_fraction * n) samples
-    to the train side and the remainder to the test side.
+    to the training side and the remainder to the held-out side.  Refuses an
+    empty ``samples``, and a class that would leave either side without a sample.
     """
     fraction = _number(train_fraction, float)
     if fraction is None or not 0.0 < fraction < 1.0:
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction!r}")
     _check_integer("seed", seed, 0)
+    if not samples:
+        raise ValueError("cannot split an empty dataset")
     rng = np.random.Generator(np.random.PCG64(seed))
     by_label: dict[str, list[PostureSample]] = {}
     for s in samples:
@@ -251,6 +256,10 @@ def split(
     for label, group in by_label.items():
         order = rng.permutation(len(group))
         n_train = round(fraction * len(group))
+        if n_train in (0, len(group)):
+            side = "training" if n_train == 0 else "held-out"
+            raise ValueError(f"class {label!r} has {len(group)} sample{'s' * (len(group) > 1)}: "
+                             f"a train_fraction of {fraction:g} leaves its {side} side empty")
         train.extend(group[i] for i in order[:n_train])
         test.extend(group[i] for i in order[n_train:])
     return train, test

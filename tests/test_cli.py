@@ -236,7 +236,8 @@ def test_gen_data_refuses_a_holdout_that_empties_a_csv(tmp_path, capsys, holdout
         capsys, "gen-data", "--n", 1, "--holdout", holdout, "--out", out, "--holdout-out", held,
     )
     assert code == 1
-    assert err == f"error: holdout {holdout!r} with n 1 per class leaves the {name} CSV empty\n"
+    assert err == (f"error: class 'stand' has 1 sample: a train_fraction of {1 - holdout:g} "
+                   f"leaves its {name} side empty\n")
     assert not out.exists() and not held.exists()
 
 

@@ -372,6 +372,70 @@ def test_split_refuses_a_seed_by_name():
     assert split(samples, 0.8, np.int64(9)) == split(samples, 0.8, 9)
 
 
+@pytest.mark.parametrize("n, fraction, message", [
+    (1, 0.8, "class 'stand' has 1 sample: a train_fraction of 0.8 leaves its held-out side empty"),
+    (2, 1.0 - 0.9, "class 'stand' has 2 samples: a train_fraction of 0.1 "
+     "leaves its training side empty"),
+], ids=["held-out", "training"])
+def test_split_refuses_a_side_it_would_leave_empty(n, fraction, message):
+    samples = generate(DatasetConfig(n_per_class=n, seed=0))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        split(samples, fraction, seed=0)
+
+
+def test_split_names_the_one_class_it_cannot_split():
+    """stand and sit split 8/2; lie's one sample would leave its held-out side empty."""
+    samples = generate(DatasetConfig(n_per_class=10, seed=0))[:21]
+    assert [s.label for s in samples].count("lie") == 1
+    message = "class 'lie' has 1 sample: a train_fraction of 0.8 leaves its held-out side empty"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        split(samples, 0.8, seed=0)
+    train, test = split(samples[:20], 0.8, seed=0)
+    assert (len(train), len(test)) == (16, 4)
+
+
+def test_split_refuses_an_empty_dataset():
+    with pytest.raises(ValueError, match="^cannot split an empty dataset$"):
+        split([], 0.8, seed=0)
+
+
+@pytest.mark.parametrize("value, shown", [
+    (math.nan, "NaN"), (math.inf, "Infinity"), (-math.inf, "-Infinity"), (True, "true"),
+    (None, "null"), ("abc", '"abc"'), ("0.5", '"0.5"'), (10**400, "1" + "0" * 400),
+], ids=["nan", "inf", "-inf", "bool", "none", "text", "numeric-text", "past-float-range"])
+def test_posture_sample_refuses_a_field_read_csv_refuses(tmp_path, value, shown):
+    for field, args in (("pitch", (value, 0.0)), ("roll", (0.0, value))):
+        message = f"{field} must be a finite number, got {shown}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PostureSample(*args, "sit")
+    if isinstance(value, float):  # the row write_csv would write for it
+        path = tmp_path / "data.csv"
+        path.write_text(f"pitch,roll,label\n{value!r},0.0,sit\n")
+        message = f"{path}: line 2: pitch must be a finite number, got {shown}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_csv(path)
+
+
+@given(value=_NUMBERS)
+def test_a_sample_takes_a_number_as_a_file_does(value):
+    try:
+        number = json_value(value, float, "pitch")
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            PostureSample(value, 0.0, "sit")
+    else:
+        sample = PostureSample(value, 0.0, "sit")
+        assert type(sample.pitch) is float and sample.pitch == number
+
+
+def test_a_built_sample_round_trips_through_csv(tmp_path):
+    samples = [PostureSample(1, np.float64(-0.25), "sit"), PostureSample(np.float32(0.5), -3, "lie")]
+    path = tmp_path / "data.csv"
+    write_csv(samples, path)
+    assert path.read_bytes() == b"pitch,roll,label\r\n1.0,-0.25,sit\r\n0.5,-3.0,lie\r\n"
+    assert read_csv(path) == samples
+
+
 def test_posture_sample_is_frozen():
     s = PostureSample(0.1, 0.2, "stand")
     with pytest.raises(AttributeError):

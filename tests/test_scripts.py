@@ -91,11 +91,12 @@ REFUSALS = [  # (script, flags, its one stderr line)
      "error: --grid-step 1.5: grid_step must be in (0, 1], got 1.5"),
     ("run_experiment.py", ("--grid-step", 0.0001), "error: --grid-step 0.0001: grid_step 0.0001 "
      "is too fine: response maps are capped at 1050625 points"),
-    ("run_experiment.py", ("--n", 1),
-     "error: --holdout 0.2 with --n 1 per class leaves the held-out set empty"),
-    ("run_experiment.py", ("--holdout", 0.9, "--n", 2),
-     "error: --holdout 0.9 with --n 2 per class leaves the training set empty"),
-    ("sweep_seeds.py", ("--n", 2), "error: --n 2 per class leaves the held-out set empty"),
+    ("run_experiment.py", ("--n", 1), "error: class 'stand' has 1 sample: "
+     "a train_fraction of 0.8 leaves its held-out side empty"),
+    ("run_experiment.py", ("--holdout", 0.9, "--n", 2), "error: class 'stand' has 2 samples: "
+     "a train_fraction of 0.1 leaves its training side empty"),
+    ("sweep_seeds.py", ("--n", 2), "error: class 'stand' has 2 samples: "
+     "a train_fraction of 0.8 leaves its held-out side empty"),
 ]
 
 

@@ -96,6 +96,11 @@ def child_env(**extra):
     return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]), **extra)
 
 
+def loss_rises(history):
+    """The indices at which a loss history rises above the entry before it."""
+    return [i for i in range(1, len(history)) if history[i] > history[i - 1]]
+
+
 def rescaled(net, k):
     """``net`` with every resistance times k and its capacitance over k: same R·C."""
     return replace(net, resistances=net.resistances * k, capacitance=net.capacitance / k)

@@ -1,24 +1,19 @@
 """Release gate: nine behavioral criteria, one [PASS]/[FAIL] line each.
 
-Run under pytest, or standalone:
+Run it under pytest, with -s to see the lines:
 
-    python3 tests/test_acceptance.py
+    python3 -m pytest tests/test_acceptance.py -s
 
 Every criterion prints exactly one line and the suite never weakens a
 tolerance to pass; a genuine regression shows up as a [FAIL] plus the
 measured number that broke the bound.
 """
-import json
 import math
-import sys
-import tempfile
 import time
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from ifcirc import (
     CLASS_MEANS,
@@ -46,7 +41,7 @@ from ifcirc import (
 )
 from ifcirc.cli import main as cli_main
 from ifcirc.kernel import duration_matrix, forward, sensitivities
-from conftest import rescaled, wiring
+from conftest import loss_rises, rescaled, wiring
 
 
 def _verdict(number: int, description: str, ok: bool, detail: str) -> None:
@@ -174,17 +169,14 @@ def test_criterion_4_training_run():
     elapsed = time.perf_counter() - start
     history = result.loss_history
     finite = all(math.isfinite(loss) for loss in history)
-    # after warm-up no 100-epoch window may increase by more than 1%
-    warmup = min(500, len(history) // 2)
-    stable = all(
-        history[i + 100] <= history[i] * 1.01
-        for i in range(warmup, len(history) - 100)
-    )
+    # the history rises only where a kept refit starts, with one more synapse held at
+    # r_max: at most twice on this split
+    rises = len(loss_rises(history))
     accuracy = evaluate_accuracy(result.network, test_set)
     baseline = nearest_centroid_accuracy(train_set, test_set)
     ok = (
         finite
-        and stable
+        and rises <= 2
         and accuracy >= 0.95
         and elapsed < 120.0
         and baseline >= 0.98
@@ -194,8 +186,8 @@ def test_criterion_4_training_run():
         4,
         "projected Levenberg–Marquardt reaches 0.95 held-out accuracy within budget",
         ok,
-        f"acc {accuracy:.4f} >= 0.95 in {result.epochs_run} epochs / {elapsed:.1f}s, "
-        f"finite={finite}, stable={stable}, baseline {baseline:.4f}, "
+        f"acc {accuracy:.4f} >= 0.95 in {result.epochs_run} epochs / {elapsed * 1e3:.0f} ms, "
+        f"finite={finite}, {rises} loss rises <= 2, baseline {baseline:.4f}, "
         f"gap {abs(accuracy - baseline):.4f} <= 0.05",
     )
 
@@ -420,27 +412,3 @@ def test_criterion_9_cli_determinism(tmp_path):
         ok,
         "9 of 9 subcommands identical" if ok else f"diverged: {', '.join(mismatched)}",
     )
-
-
-if __name__ == "__main__":
-    failures = 0
-    for check in (
-        test_criterion_1_oracle_equivalence,
-        test_criterion_2_gradient_correctness,
-        test_criterion_3_bundled_model_behavior,
-        test_criterion_4_training_run,
-        test_criterion_5_rescaling_invariance,
-        test_criterion_6_physics_properties,
-        test_criterion_7_hardware_model,
-        test_criterion_8_inference_time_bound,
-        test_criterion_9_cli_determinism,
-    ):
-        try:
-            if check is test_criterion_9_cli_determinism:  # pytest gives it a tmp_path
-                with tempfile.TemporaryDirectory(prefix="ifcirc-acceptance-") as tmp:
-                    check(Path(tmp))
-            else:
-                check()
-        except AssertionError:
-            failures += 1
-    sys.exit(1 if failures else 0)

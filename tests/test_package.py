@@ -225,3 +225,25 @@ def test_every_src_function_is_reached(tmp_path, monkeypatch, capsys):
     for code in called:
         functions.pop((str(Path(code.co_filename).resolve()), code.co_firstlineno), None)
     assert sorted(functions.values()) == sorted(UNREACHED)
+
+
+def test_a_failing_property_test_is_one_failure(tmp_path):
+    # pyproject.toml turns warnings into errors; a warning raised inside hypothesis's
+    # failure report must not end the run in INTERNALERROR before the next test runs
+    (tmp_path / "test_two.py").write_text(
+        "from hypothesis import given, settings, strategies as st\n\n"
+        "@settings(derandomize=True, database=None)\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x < 0\n\n"
+        "def test_passes():\n"
+        "    pass\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-c", str(ROOT / "pyproject.toml"),
+         "-p", "no:cacheprovider", "test_two.py"],
+        cwd=tmp_path, capture_output=True, text=True, env=child_env(), timeout=120,
+    )
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr, proc.stdout
+    assert proc.returncode == 1, proc.stdout
+    assert "1 failed, 1 passed" in proc.stdout, proc.stdout

@@ -43,7 +43,7 @@ from ifcirc import training
 from ifcirc.kernel import duration_matrix, forward, sensitivities
 from ifcirc.neuron import infer_batch
 from ifcirc.training import _gradient, _loss, write_loss_csv
-from conftest import assert_dispatch_digest, exp_and_blas, rescaled, wiring
+from conftest import assert_dispatch_digest, exp_and_blas, loss_rises, rescaled, wiring
 
 
 # -------------------------------- loss --------------------------------------
@@ -692,8 +692,7 @@ def test_loss_history_never_increases(seed_sweep):
     r_max: at most twice, for the two synapses elimination drops (7 -> 5)."""
     _, results = seed_sweep
     for seed, result in enumerate(results):
-        history = result.loss_history
-        increases = [i for i in range(1, len(history)) if history[i] > history[i - 1]]
+        increases = loss_rises(result.loss_history)
         assert len(increases) <= 2, (seed, increases[:5])
 
 

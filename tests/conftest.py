@@ -1,4 +1,5 @@
 import ctypes
+import math
 import os
 from dataclasses import replace
 from pathlib import Path
@@ -36,6 +37,22 @@ def wiring(n_inputs, *neurons):
         for (line, polarity), ohms in synapses.items():
             r[POLARITIES.index(polarity), k, line] = ohms
     return r
+
+
+def wired(net):
+    """``{(label, line, polarity): ohms}`` for every finite entry of ``net.resistances``.
+
+    The inverse of ``wiring``: entries in class, then phase, then line order, as a
+    model file lists them.  Keyed by label, so the labels must be distinct.
+    """
+    assert len(set(net.labels)) == len(net.labels), net.labels
+    found = {}
+    for k, label in enumerate(net.labels):
+        for phase, polarity in enumerate(POLARITIES):
+            for line, ohms in enumerate(net.resistances[phase, k].tolist()):
+                if math.isfinite(ohms):
+                    found[label, line, polarity] = ohms
+    return found
 
 
 @st.composite

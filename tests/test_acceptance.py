@@ -39,9 +39,10 @@ from ifcirc import (
     split,
     train,
 )
+from ifcirc import hardware
 from ifcirc.cli import main as cli_main
 from ifcirc.kernel import duration_matrix, forward, sensitivities
-from conftest import loss_rises, rescaled, wiring
+from conftest import loss_rises, rescaled, wired, wiring
 
 
 def _verdict(number: int, description: str, ok: bool, detail: str) -> None:
@@ -80,6 +81,9 @@ def test_criterion_1_oracle_equivalence():
         ode = integrate_schedule(unit.neurons[0], schedule, 1.0, step_divisor=300.0)
         worst = max(worst, _rel_err(exact, ode))
     elapsed = time.perf_counter() - start
+    # the RK4 march takes step_divisor steps per time constant of a slot and returns no
+    # count of them: a step size gone wrong shows as time alone, so 30 s stops a runaway
+    # march rather than timing a fast one
     ok = worst <= 1e-6 and elapsed < 30.0
     _verdict(
         1,
@@ -113,18 +117,18 @@ def test_criterion_2_gradient_correctness():
         durations = duration_matrix([stimulus], t_max)
         fwd = forward(durations, net.conductances, v_in)
         dv_dg = sensitivities(fwd, v_in) @ durations
-        for syn in net.neurons[0].synapses:
-            phase = int(syn.polarity == "inhibitory")
-            grad = -dv_dg[phase, 0, syn.input_index] / (syn.resistance**2 * net.capacitance)
-            if syn.polarity == "excitatory" and grad > 0:
+        for (_, line, polarity), ohms in wired(net).items():
+            phase = POLARITIES.index(polarity)
+            grad = -dv_dg[phase, 0, line] / (ohms**2 * net.capacitance)
+            if polarity == "excitatory" and grad > 0:
                 sign_ok = False
-            if syn.polarity == "inhibitory" and grad < 0:
+            if polarity == "inhibitory" and grad < 0:
                 sign_ok = False
-            h = 1e-6 * syn.resistance
+            h = 1e-6 * ohms
             fd_args = []
             for delta in (h, -h):
                 shifted = table.copy()
-                shifted[phase, 0, syn.input_index] = syn.resistance + delta
+                shifted[phase, 0, line] = ohms + delta
                 fd_args.append(potential(shifted))
             fd = (fd_args[0] - fd_args[1]) / (2 * h)
             if abs(grad - fd) > 1e-12:
@@ -141,8 +145,8 @@ def test_criterion_2_gradient_correctness():
 def test_criterion_3_bundled_model_behavior():
     net = load_network(example_model_path())
     pruned = prune(net)
-    before = sum(len(n.synapses) for n in net.neurons)
-    after = sum(len(n.synapses) for n in pruned.neurons)
+    before = len(wired(net))
+    after = len(wired(pruned))
     expected = {(0.0, 0.0): "stand", (0.0, 0.25): "sit", (0.5, 0.0): "lie"}
     classes_ok = True
     argmax_agree = True
@@ -164,6 +168,7 @@ def test_criterion_3_bundled_model_behavior():
 def test_criterion_4_training_run():
     samples = generate(DatasetConfig(n_per_class=300, noise_sigma=0.04, seed=42))
     train_set, test_set = split(samples, 0.8, seed=42)
+    budget = TrainConfig().epochs
     start = time.perf_counter()
     result = train(train_set, TrainConfig())
     elapsed = time.perf_counter() - start
@@ -178,7 +183,7 @@ def test_criterion_4_training_run():
         finite
         and rises <= 2
         and accuracy >= 0.95
-        and elapsed < 120.0
+        and result.epochs_run < budget
         and baseline >= 0.98
         and abs(accuracy - baseline) <= 0.05
     )
@@ -186,7 +191,8 @@ def test_criterion_4_training_run():
         4,
         "projected Levenberg–Marquardt reaches 0.95 held-out accuracy within budget",
         ok,
-        f"acc {accuracy:.4f} >= 0.95 in {result.epochs_run} epochs / {elapsed * 1e3:.0f} ms, "
+        f"acc {accuracy:.4f} >= 0.95 in {result.epochs_run} < {budget} epochs, stopped by "
+        f"its tolerance, {elapsed * 1e3:.0f} ms, "
         f"finite={finite}, {rises} loss rises <= 2, baseline {baseline:.4f}, "
         f"gap {abs(accuracy - baseline):.4f} <= 0.05",
     )
@@ -246,7 +252,7 @@ def test_criterion_6_physics_properties():
         alt = replace(net, supply_voltage=net.supply_voltage * alpha)
         alt_pots = infer_network(alt, stimulus)
         worst_linear = max(
-            _rel_err(a * alpha, b) for a, b in zip(base_pots, alt_pots)
+            worst_linear, *(_rel_err(a * alpha, b) for a, b in zip(base_pots, alt_pots))
         )
         argmax_ok &= classify(base_pots) == classify(alt_pots)
 
@@ -308,7 +314,7 @@ def test_criterion_6_physics_properties():
     )
 
 
-def test_criterion_7_hardware_model():
+def test_criterion_7_hardware_model(monkeypatch):
     rounded = round_resistance(3230.0)
     net = load_network(example_model_path())
     quantized = quantize_network(net)
@@ -316,20 +322,30 @@ def test_criterion_7_hardware_model():
         quantized.labels[classify(infer_network(quantized, mean))] == label
         for label, mean in CLASS_MEANS.items()
     )
-    start = time.perf_counter()  # rows are computed as they are read, so time both
+    calls, kernel = [], hardware.infer_batch
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    # rows are computed as they are read: one kernel call per pitch row, counted on the
+    # map's own binding, so the infer_network calls below are not
+    monkeypatch.setattr(hardware, "infer_batch", counted)
+    start = time.perf_counter()
     rows = list(response_map(net, 0.01))
     elapsed = time.perf_counter() - start
     exact = all(
         potentials == infer_network(net, (pitch, roll))
         for pitch, roll, potentials in rows
     )
-    ok = rounded == 3000.0 and means_ok and elapsed < 10.0 and exact and len(rows) == 101**2
+    ok = rounded == 3000.0 and means_ok and len(calls) == 101 and exact and len(rows) == 101**2
     _verdict(
         7,
         "catalog rounding, quantized classes, and the response map hold up",
         ok,
         f"3230->{rounded:.0f}, means {'ok' if means_ok else 'WRONG'}, "
-        f"{len(rows)} grid points in {elapsed:.3f}s < 10s, exact={exact}",
+        f"{len(rows)} grid points in {len(calls)} kernel calls == 101, {elapsed * 1e3:.0f} ms, "
+        f"exact={exact}",
     )
 
 

@@ -27,7 +27,7 @@ from hypothesis import strategies as st
 
 from ifcirc import TrainConfig, example_model_path, load_network, read_csv, train
 from ifcirc.cli import _COMMANDS, main
-from conftest import assert_dispatch_digest, child_env
+from conftest import assert_dispatch_digest, child_env, wired
 
 
 def run_cli(capsys, *argv):
@@ -541,7 +541,7 @@ def test_train_has_no_rescale_flag(tmp_path, tiny_csv, capsys):
 
 
 def _trained_resistances(model):
-    return [syn.resistance for n in load_network(model).neurons for syn in n.synapses]
+    return list(wired(load_network(model)).values())
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -634,7 +634,7 @@ def test_train_writes_a_model_from_a_useless_fit(tmp_path, tiny_csv, capsys, arg
     model = tmp_path / "m.json"
     code, out, _ = run_cli(capsys, "train", "--data", tiny_csv, *argv, "--out", model)
     assert code == 0 and accuracy in out.splitlines()
-    assert len(load_network(model).neurons) == 3
+    assert len(load_network(model).labels) == 3
     for command in (("eval", "--data", tiny_csv), ("validate", "--trials", 2),
                     ("response-map", "--step", 0.5, "--out", tmp_path / "map.csv")):
         assert run_cli(capsys, command[0], "--model", model, *command[1:])[0] == 0, command
@@ -648,7 +648,7 @@ def test_train_and_prune_share_a_narrower_box(tmp_path, capsys):
     model, pruned = tmp_path / "m.json", tmp_path / "p.json"
     code, _, _ = run_cli(capsys, "train", "--data", data, "--r-max", 5e5, "--out", model)
     assert code == 0
-    rs = [syn.resistance for n in load_network(model).neurons for syn in n.synapses]
+    rs = _trained_resistances(model)
     assert all(1e3 <= r <= 5e5 for r in rs)
     code, out, _ = run_cli(capsys, "prune", "--model", model, "--r-max", 5e5, "--out", pruned)
     assert code == 0
@@ -789,7 +789,7 @@ def test_prune_bundled(tmp_path, capsys):
     assert "synapses_before 18" in stdout
     assert "synapses_after 9" in stdout
     assert "max_inference_time_s 0.25" in stdout
-    assert sum(len(n.synapses) for n in load_network(out).neurons) == 9
+    assert len(wired(load_network(out))) == 9
     digest = "c20f976e35b7c9a93b3f9d8865396d8932ae2f65107e3935f6a24a68eddaf4e7"
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
@@ -813,11 +813,7 @@ def test_quantize_bundled(tmp_path, capsys):
     code, stdout, _ = run_cli(capsys, "quantize", "--model", "bundled", "--out", out)
     assert code == 0
     assert "synapses_changed" in stdout
-    net = load_network(out)
-    mantissas = {
-        float(f"{s.resistance:e}".split("e")[0])
-        for n in net.neurons for s in n.synapses
-    }
+    mantissas = {float(f"{ohms:e}".split("e")[0]) for ohms in wired(load_network(out)).values()}
     assert mantissas <= {float(d) for d in range(1, 10)}
     digest = "03079e9d974b83231b2ef34a4b6aafd3a342e8a1d2514b93d14f252518bc8044"
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
@@ -830,7 +826,7 @@ def test_quantize_custom_catalog(tmp_path, capsys):
         "--catalog", "custom", "--catalog-values", "1000,100000",
     )
     assert code == 0
-    values = {s.resistance for n in load_network(out).neurons for s in n.synapses}
+    values = set(wired(load_network(out)).values())
     assert values <= {1000.0, 100000.0}
 
 
@@ -1205,7 +1201,7 @@ def test_text_becomes_a_number_by_one_rule_at_every_boundary(tmp_path, capsys, t
         read = {
             echoed_config(results["--pitch"][1])["pitch"],
             read_csv(data)[0].pitch,
-            *(s.resistance for n in load_network(model).neurons for s in n.synapses),
+            *wired(load_network(model)).values(),
         }
         assert read == {expected}
 

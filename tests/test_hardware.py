@@ -24,7 +24,6 @@ from ifcirc import (
     POLARITIES,
     Network,
     ResistorCatalog,
-    Synapse,
     classify,
     energy_per_inference,
     energy_report_to_dict,
@@ -41,7 +40,7 @@ from ifcirc import (
     write_response_map_csv,
 )
 from ifcirc import hardware
-from conftest import networks, wiring
+from conftest import networks, wired, wiring
 
 
 # ------------------------------- catalogs -----------------------------------
@@ -188,9 +187,8 @@ def test_quantize_bundled_model_preserves_classification(bundled_model):
     for label, mean in CLASS_MEANS.items():
         assert quantized.labels[classify(infer_network(quantized, mean))] == label
         assert bundled_model.labels[classify(infer_network(bundled_model, mean))] == label
-    for neuron in quantized.neurons:
-        for syn in neuron.synapses:
-            assert round_resistance(syn.resistance) == syn.resistance
+    for ohms in wired(quantized).values():
+        assert round_resistance(ohms) == ohms
 
 
 def test_quantize_is_idempotent(bundled_model):
@@ -210,11 +208,11 @@ def test_quantize_names_the_neuron_whose_time_constant_underflows(bundled_model)
 
 
 def _per_synapse(net, fn):
-    """``net`` with each synapse s replaced by ``fn(s)``, None dropping it."""
+    """``net`` with each synapse's resistance R replaced by ``fn(R)``, None dropping it."""
     r = np.full(net.resistances.shape, np.inf)
-    for k, neuron in enumerate(net.neurons):
-        for s in filter(None, map(fn, neuron.synapses)):
-            r[POLARITIES.index(s.polarity), k, s.input_index] = s.resistance
+    for (label, line, polarity), ohms in wired(net).items():
+        if (kept := fn(ohms)) is not None:
+            r[POLARITIES.index(polarity), net.labels.index(label), line] = kept
     return replace(net, resistances=r)
 
 
@@ -226,7 +224,7 @@ def _same_model(got, want):
 
 @given(net=networks(), r_max=st.floats(1e3, 1e6))
 def test_prune_matches_a_per_synapse_reference(net, r_max):
-    want = _per_synapse(net, lambda s: s if s.resistance < 0.999 * r_max else None)
+    want = _per_synapse(net, lambda ohms: ohms if ohms < 0.999 * r_max else None)
     _same_model(prune(net, r_max=r_max), want)
 
 
@@ -236,8 +234,7 @@ def test_prune_matches_a_per_synapse_reference(net, r_max):
 ], ids=["default", "e24", "e12", "custom"])
 @given(net=networks())
 def test_quantize_matches_a_per_synapse_reference(net, catalog):
-    want = _per_synapse(net, lambda s: Synapse(
-        s.input_index, s.polarity, round_resistance(s.resistance, catalog)))
+    want = _per_synapse(net, lambda ohms: round_resistance(ohms, catalog))
     _same_model(quantize_network(net, catalog), want)
 
 
@@ -252,9 +249,10 @@ def test_prune_and_quantize_write_canonical_order():
     canonical = [(0, "excitatory"), (1, "excitatory"),
                  (0, "inhibitory"), (2, "inhibitory")]
     for rebuilt in (prune(net), quantize_network(net)):
-        assert [(s.input_index, s.polarity) for s in rebuilt.neurons[0].synapses] == canonical
-    assert [s.resistance for s in quantize_network(net).neurons[0].synapses] == [
-        2e4, 1000.0, 5e5, 4000.0]
+        (entry,) = network_to_dict(rebuilt)["neurons"]
+        assert [(s["input_index"], s["polarity"]) for s in entry["synapses"]] == canonical
+    (entry,) = network_to_dict(quantize_network(net))["neurons"]
+    assert [s["resistance_ohms"] for s in entry["synapses"]] == [2e4, 1000.0, 5e5, 4000.0]
 
 
 def test_prune_and_quantize_return_their_input_when_no_resistance_moves(bundled_model):
@@ -598,7 +596,7 @@ def test_max_inference_time_pruned(pruned_bundled_model):
 
 @given(net=networks())
 def test_max_inference_time_counts_each_wired_slot_once(net):
-    slots = {(syn.input_index, syn.polarity) for neuron in net.neurons for syn in neuron.synapses}
+    slots = {(line, polarity) for _, line, polarity in wired(net)}
     assert max_inference_time(net) == len(slots) * net.t_max
     assert type(max_inference_time(net)) is float  # the CLI prints its repr
 

@@ -28,7 +28,7 @@ from ifcirc import (
     network_to_dict,
     save_network,
 )
-from conftest import networks, stimulus_values, wiring
+from conftest import networks, stimulus_values, wired, wiring
 
 
 # ------------------------------ schedules ----------------------------------
@@ -75,7 +75,7 @@ def test_a_polarity_is_spelled_as_in_model_files():
     for polarity in POLARITIES:
         synapse = {"input_index": 0, "polarity": polarity, "resistance_ohms": 1e4}
         net = network_from_dict({**doc, "neurons": [{"label": "u", "synapses": [synapse]}]})
-        assert [s.polarity for s in net.neurons[0].synapses] == [polarity]
+        assert list(wired(net)) == [("u", 0, polarity)]
     # a record once took these, and a network failed later with "'sideways' is not in list"
     for polarity in ("sideways", "Excitatory", ""):
         synapse = {"input_index": 0, "polarity": polarity, "resistance_ohms": 1e4}
@@ -171,7 +171,7 @@ def test_batch_rows_equal_single_inference(net, data):
     n = data.draw(st.integers(1, 40))
     stimuli = [[data.draw(batch_values) for _ in range(net.n_inputs)] for _ in range(n)]
     rows = infer_batch(net, stimuli)
-    assert rows.shape == (n, len(net.neurons))
+    assert rows.shape == (n, len(net.labels))
     for row, stimulus in zip(rows.tolist(), stimuli):
         assert row == infer_network(net, stimulus)
 
@@ -181,10 +181,10 @@ def test_conductances_compiled_once(bundled_model, pruned_bundled_model):
     assert g is bundled_model.conductances
     assert g.shape == (2, 3, 3)
     assert not g.flags.writeable
-    stand = bundled_model.neurons[0]
-    syn = stand.synapses[0]
-    phase = int(syn.polarity == "inhibitory")
-    assert g[phase, 0, syn.input_index] == 1.0 / (syn.resistance * stand.capacitance)
+    (label, line, polarity), ohms = next(iter(wired(bundled_model).items()))
+    assert label == "stand"
+    phase = POLARITIES.index(polarity)
+    assert g[phase, 0, line] == 1.0 / (ohms * bundled_model.capacitance)
     # a pruned synapse is an unwired line: conductance 0
     assert np.count_nonzero(pruned_bundled_model.conductances) == 9
 
@@ -204,6 +204,19 @@ def test_wiring_table_holds_each_synapse_once(net):
     assert net.conductances.tobytes() == g.tobytes()
     assert not net.resistances.flags.writeable and not net.conductances.flags.writeable
     assert net.capacitance == net.neurons[0].capacitance
+
+
+@given(net=networks())
+def test_wired_is_the_inverse_of_wiring(net):
+    # the reader the other tests count and compare wired entries through
+    found = wired(net)
+    neurons = [{(line, polarity): ohms for (at, line, polarity), ohms in found.items() if at == label}
+               for label in net.labels]
+    assert np.array_equal(wiring(net.n_inputs, *neurons), net.resistances)
+    # class, then phase, then line: the order a model file lists them in
+    order = [(net.labels.index(label), POLARITIES.index(polarity), line)
+             for label, line, polarity in found]
+    assert order == sorted(order)
 
 
 def test_conductance_is_zero_where_the_time_constant_overflows():

@@ -107,24 +107,43 @@ def test_the_readme_library_quick_start_runs(capsys):
     assert namespace["net"] == ifcirc.load_network(ifcirc.example_model_path())
 
 
+# The readers of neuron objects outside neuron.py, by file and top-level name; None allows
+# the whole file.  Everything else reads a network by its wiring table (tests through
+# conftest.wired), so this is the list of code that deleting the view would touch.
+VIEW_READERS = {
+    # the RK4 oracle, and the validate command that feeds it
+    "oracle.py": {"integrate_schedule"},
+    "cli.py": {"_cmd_validate"},
+    # the oracle's tests, and the release gate's oracle criterion
+    "test_oracle.py": None,
+    "test_acceptance.py": {"test_criterion_1_oracle_equivalence"},
+    # the view's own tests, and the slot-by-slot fold they hold the closed form to
+    "test_neuron.py": {
+        "_fold", "test_closed_form_equals_fold", "test_wiring_table_holds_each_synapse_once",
+        "test_equal_networks_compare_and_hash_equal_and_repr_no_table",
+        "test_synapses_are_held_and_written_in_the_tables_order",
+    },
+}
+
+
 def test_only_the_oracle_path_reads_neuron_objects():
-    # outside neuron.py a network is its wiring table; the RK4 oracle and the validate
-    # command that feeds it still walk neuron objects
-    oracle_path = {("oracle.py", "integrate_schedule"), ("cli.py", "_cmd_validate")}
+    # outside neuron.py a network is its wiring table; only the readers above walk neuron
+    # objects, in src/ and in tests/
+    src = [path for path in Path(ifcirc.__file__).parent.glob("*.py") if path.name != "neuron.py"]
     reads, stray = set(), []
-    for path in sorted(Path(ifcirc.__file__).parent.glob("*.py")):
-        if path.name == "neuron.py":
-            continue
+    for path in sorted(src) + sorted(Path(__file__).parent.glob("*.py")):
+        allowed = VIEW_READERS.get(path.name, set())
         for top in ast.parse(path.read_text()).body:
+            name = None if allowed is None else getattr(top, "name", None)
             for node in ast.walk(top):
                 if isinstance(node, ast.Attribute) and node.attr in ("neurons", "synapses", "synapse_map"):
-                    where = (path.name, getattr(top, "name", None))
-                    if where in oracle_path:
-                        reads.add(where)
+                    if allowed is None or name in allowed:
+                        reads.add((path.name, name))
                     else:
                         stray.append(f"{path.name}:{node.lineno} .{node.attr}")
     assert stray == []
-    assert reads == oracle_path  # the scan sees the reads it allows
+    # the scan sees the reads it allows
+    assert reads == {(file, name) for file, names in VIEW_READERS.items() for name in names or [None]}
 
 
 def test_only_the_network_and_build_schedule_build_records():

@@ -24,6 +24,7 @@ from ifcirc import (
     CLASS_MEANS,
     DatasetConfig,
     Network,
+    POLARITIES,
     PostureSample,
     TrainConfig,
     classify,
@@ -43,7 +44,7 @@ from ifcirc import training
 from ifcirc.kernel import duration_matrix, forward, sensitivities
 from ifcirc.neuron import infer_batch
 from ifcirc.training import _gradient, _loss, write_loss_csv
-from conftest import assert_dispatch_digest, exp_and_blas, loss_rises, rescaled, wiring
+from conftest import assert_dispatch_digest, exp_and_blas, loss_rises, rescaled, wired, wiring
 
 
 # -------------------------------- loss --------------------------------------
@@ -51,12 +52,9 @@ from conftest import assert_dispatch_digest, exp_and_blas, loss_rises, rescaled,
 
 def _log_r(net):
     """u = ln R of a fully wired ``net``, (2, classes, lines), as train() lays it out."""
-    log_r = np.empty((2, len(net.neurons), net.n_inputs + 1))
-    for k, neuron in enumerate(net.neurons):
-        for syn in neuron.synapses:
-            log_r[int(syn.polarity == "inhibitory"), k, syn.input_index] = math.log(
-                syn.resistance
-            )
+    log_r = np.empty((2, len(net.labels), net.n_inputs + 1))
+    for (label, line, polarity), ohms in wired(net).items():
+        log_r[POLARITIES.index(polarity), net.labels.index(label), line] = math.log(ohms)
     return log_r
 
 
@@ -67,7 +65,7 @@ def _train_loss(net, stimulus, targets):
     fractions of the supply, and a loss in units of v_in squared.
     """
     cfg = TrainConfig(
-        capacitance=net.neurons[0].capacitance, t_max=net.t_max, supply_voltage=net.supply_voltage,
+        capacitance=net.capacitance, t_max=net.t_max, supply_voltage=net.supply_voltage,
         energy_weight=0.0,
     )
     durations = duration_matrix([stimulus], 1.0)
@@ -332,9 +330,9 @@ def test_clamp_examples():
     stand = [s for s in _quick_dataset(5) if s.label == "stand"]
     cfg = TrainConfig(r_min=2e3, r_max=5e5, energy_weight=0.0, target_high=1.0)
     first_fit = train(stand, replace(cfg, epochs=11))  # the budget ends training there
-    assert {s.resistance for s in first_fit.network.neurons[0].synapses} == {2e3, 5e5}
-    rs = [syn.resistance for neuron in train(stand, cfg).network.neurons for syn in neuron.synapses]
-    assert set(rs) == {5e5}
+    assert first_fit.network.labels == ("stand",)
+    assert set(wired(first_fit.network).values()) == {2e3, 5e5}
+    assert set(wired(train(stand, cfg).network).values()) == {5e5}
 
 
 def test_clamp_rejects_inverted_bounds():
@@ -344,8 +342,8 @@ def test_clamp_rejects_inverted_bounds():
 
 def test_prune_bundled_model_leaves_nine(bundled_model):
     pruned = prune(bundled_model)
-    assert sum(len(n.synapses) for n in bundled_model.neurons) == 18
-    assert sum(len(n.synapses) for n in pruned.neurons) == 9
+    assert len(wired(bundled_model)) == 18
+    assert len(wired(pruned)) == 9
 
 
 def test_prune_no_ceiling_is_identity(pruned_bundled_model):
@@ -380,7 +378,7 @@ def _quick_dataset(n=20, seed=0):
 
 
 def _resistances(net):
-    return [syn.resistance for neuron in net.neurons for syn in neuron.synapses]
+    return list(wired(net).values())
 
 
 def test_single_step_descends():
@@ -404,7 +402,7 @@ def test_training_respects_bounds():
     # a floor of 10 kohm, never past
     cfg = TrainConfig(seed=0, r_min=1e4, energy_weight=0.0, target_high=1.0)
     result = train(_quick_dataset(5), cfg)
-    rs = [syn.resistance for neuron in result.network.neurons for syn in neuron.synapses]
+    rs = _resistances(result.network)
     assert all(1e4 <= r <= 1e6 for r in rs)
     assert 1e4 in rs and 1e6 in rs  # pinned synapses carry their bound exactly
 
@@ -506,9 +504,9 @@ def test_trained_network_shape():
     assert net.labels == ("stand", "sit", "lie")
     assert net.n_inputs == 2
     # every neuron fully wired: both polarities on pitch, roll, and bias
-    for neuron in net.neurons:
-        assert len(neuron.synapses) == 6
-        assert neuron.capacitance == 1e-6
+    assert list(wired(net)) == [(label, line, polarity) for label in net.labels
+                                for polarity in POLARITIES for line in range(3)]
+    assert net.capacitance == 1e-6
 
 
 @pytest.fixture(scope="module")
@@ -590,8 +588,8 @@ def test_training_converges_from_most_inits(seed_sweep):
 def test_trained_default_model_prunes_to_half(seed_sweep):
     _, results = seed_sweep
     network = results[TrainConfig().seed].network
-    assert sum(len(n.synapses) for n in network.neurons) == 18
-    assert sum(len(n.synapses) for n in prune(network).neurons) <= 9
+    assert len(wired(network)) == 18
+    assert len(wired(prune(network))) <= 9
 
 
 def test_mse_objective_reproduces_its_model_byte_for_byte(mse_result, tmp_path):
@@ -608,9 +606,9 @@ def test_prune_cuts_a_synapse_just_below_the_ceiling(split_42, tmp_path):
     digest = _sha256_of_saved(network, tmp_path / "model.json")
     assert_dispatch_digest(MSE_FIRST_FIT_SHA256, digest, exp_and_blas)
     r_max = TrainConfig.r_max
-    rs = [s.resistance for n in network.neurons for s in n.synapses]
+    rs = _resistances(network)
     assert any(0.999 * r_max <= r < r_max for r in rs), rs
-    assert sum(len(n.synapses) for n in prune(network).neurons) == 8
+    assert len(wired(prune(network))) == 8
 
 
 def test_default_objective_reproduces_its_model_byte_for_byte(seed_sweep, tmp_path):
@@ -624,7 +622,7 @@ def test_first_fit_is_unchanged_by_elimination(first_fit, tmp_path):
     assert first_fit.epochs_run == 87
     digest = _sha256_of_saved(first_fit.network, tmp_path / "model.json")
     assert_dispatch_digest(DEFAULT_FIRST_FIT_SHA256, digest, exp_and_blas)
-    assert sum(len(n.synapses) for n in prune(first_fit.network).neurons) == 7
+    assert len(wired(prune(first_fit.network))) == 7
 
 
 def test_a_platform_without_a_pin_fails_naming_itself_and_its_digest():
@@ -639,14 +637,12 @@ def test_elimination_keeps_five_synapses_at_the_first_fits_accuracy(split_42, se
     train_set, _ = split_42
     network = seed_sweep[1][TrainConfig().seed].network
     assert evaluate_accuracy(network, train_set) >= evaluate_accuracy(first_fit.network, train_set)
-    kept = {(n.label, s.input_index, s.polarity) for n in prune(network).neurons for s in n.synapses}
-    first = {(n.label, s.input_index, s.polarity): s.resistance
-             for n in prune(first_fit.network).neurons for s in n.synapses}
+    kept = wired(prune(network)).keys()
+    first = wired(prune(first_fit.network))
     assert len(kept) == 5 and kept < first.keys()
     dropped = first.keys() - kept
     assert dropped == {("sit", 0, "inhibitory"), ("lie", 1, "inhibitory")}
-    final = {(n.label, s.input_index, s.polarity): s.resistance
-             for n in network.neurons for s in n.synapses}
+    final = wired(network)
     assert all(final[key] == TrainConfig.r_max for key in dropped)
 
 
@@ -704,7 +700,7 @@ def _assert_one_final_loss(results):
 def test_every_init_lands_on_the_same_optimum(seed_sweep):
     _, results = seed_sweep
     _assert_one_final_loss(results)
-    kept = [sum(len(n.synapses) for n in prune(result.network).neurons) for result in results]
+    kept = [len(wired(prune(result.network))) for result in results]
     assert kept == [5] * 12, kept
 
 

@@ -8,6 +8,9 @@ is the stimulation scheduler's job.
 Reproducibility: noise is generated with the Box-Muller transform over a
 seeded PCG64 uniform stream (one pair of uniforms per sample, all drawn in
 one call), so a given seed yields bit-identical datasets across platforms.
+The stream, and ``split``'s shuffles, are ifcirc's own (``ifcirc._pcg``):
+numpy's ``Generator(PCG64(seed))`` bit for bit, without importing
+``numpy.random``.
 The transform runs on one class's row of uniforms at a time.  numpy does
 the steps IEEE 754 rounds exactly, so they match scalar Python bit for bit:
 1 - u1, -2 * ln, sqrt, 2*pi * u2, the products and the sum with the mean.
@@ -31,6 +34,8 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
+
+from ._pcg import PCG64
 
 __all__ = [
     "CLASSES",
@@ -171,9 +176,8 @@ _SLOT_SETTERS = (
 def generate(cfg: DatasetConfig) -> list[PostureSample]:
     """n_per_class noisy samples per class, in class order, deterministic per seed."""
     n = cfg.n_per_class
-    rng = np.random.Generator(np.random.PCG64(cfg.seed))
     # one call draws the same PCG64 stream as 2n scalar draws: u1, u2 alternate
-    uniforms = rng.random((len(CLASS_MEANS), 2 * n))
+    uniforms = PCG64(cfg.seed).random((len(CLASS_MEANS), 2 * n))
     samples: list[PostureSample] = []
     for row, (label, (mean_pitch, mean_roll)) in zip(uniforms, CLASS_MEANS.items()):
         u1, u2 = row[0::2], row[1::2]
@@ -247,7 +251,7 @@ def split(
     _check_integer("seed", seed, 0)
     if not samples:
         raise ValueError("cannot split an empty dataset")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = PCG64(seed)
     by_label: dict[str, list[PostureSample]] = {}
     for s in samples:
         by_label.setdefault(s.label, []).append(s)

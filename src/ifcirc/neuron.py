@@ -83,8 +83,8 @@ class Network:
     one R per (polarity in ``POLARITIES``, neuron, line), +inf where a line is
     unwired, the bias line last.  It is kept, not copied, and made read-only.
     A build compiles G = 1/(R·C) (0 where unwired) and checks, by array, that each
-    entry is +inf or an R > 0 with a finite G and each label a string.  ``neurons``
-    is a view of the entries other than +inf, as ``Synapse`` records in C order.
+    entry is +inf or an R > 0 with a finite G, and that the labels are distinct strings.
+    ``neurons`` is a view of the entries other than +inf, as ``Synapse`` records in C order.
     Equality and hashing follow ``neurons``, ``n_inputs`` and the scalars.
     """
 
@@ -112,11 +112,14 @@ class Network:
             g = np.multiply(r, self.capacitance)
             np.divide(1.0, g, out=g)  # in place: a build holds two tables, not three
         bad_r, bad_g = ~(r > 0), g == np.inf  # +inf, an unwired line, is > 0 and has G = 0
-        if bad_r.any() or bad_g.any() or not all(isinstance(label, str) for label in labels):
+        strings = all(isinstance(label, str) for label in labels)
+        if bad_r.any() or bad_g.any() or not strings or len(set(labels)) < len(labels):
             for k, label in enumerate(labels):  # the first fault: label, R, then R·C, in C order
                 at = f"neurons[{k}] ({label!r}): "
                 if not isinstance(label, str):  # model files hold a label as a JSON string
                     raise ValueError(f"{at}label must be a string, got {label!r}")
+                if label in labels[:k]:  # a class no prediction could name
+                    raise ValueError(f"{at}label repeats neurons[{labels.index(label)}]")
                 if bad_r[:, k].any():
                     phase, line = np.argwhere(bad_r[:, k])[0]
                     raise ValueError(f"{at}resistance must be a finite number > 0, got "

@@ -40,6 +40,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._pcg import PCG64
 from .dataset import PostureSample, _check_integer, _check_real, _write_rows
 from .hardware import perturb_readout
 from .kernel import Forward, duration_matrix, forward, sensitivities
@@ -230,11 +231,10 @@ def train(samples: Sequence[PostureSample], cfg: TrainConfig = TrainConfig()) ->
     targets = np.zeros((len(classes), len(samples)))  # fractions of the supply
     targets[truth, np.arange(len(samples))] = high
 
-    rng = np.random.Generator(np.random.PCG64(cfg.seed))
     log_lo, log_hi = math.log(cfg.r_min), math.log(cfg.r_max)
     # (polarity, class, line): excitatory in [0], inhibitory in [1]; log-uniform init
-    u = rng.uniform(max(log_lo, math.log(cfg.r_max / _INIT_SPAN)), log_hi,
-                    size=(2, len(classes), durations.shape[1]))
+    u = PCG64(cfg.seed).uniform(max(log_lo, math.log(cfg.r_max / _INIT_SPAN)), log_hi,
+                                size=(2, len(classes), durations.shape[1]))
 
     def hits(v: np.ndarray) -> int:  # training samples whose argmax neuron is their class
         return int(np.count_nonzero(v.argmax(axis=0) == truth))
@@ -276,7 +276,7 @@ def evaluate_accuracy(
     if len(samples) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     labels = net.labels
-    index = {label: i for i, label in enumerate(labels)}  # a repeated label: any of its indices
+    index = {label: i for i, label in enumerate(labels)}
     try:
         truth = np.array([index[s.label] for s in samples])
     except KeyError as exc:

@@ -1464,6 +1464,22 @@ def test_model_commands_refuse_inputs_no_array_holds(tmp_path, argv):
     assert sorted(path.name for path in tmp_path.iterdir()) == ["model.json", "tiny.csv"]
 
 
+def test_model_commands_refuse_a_repeated_label(tmp_path):
+    # a model whose neurons shared a label loaded, and one class could never be predicted
+    def repeat(doc):
+        doc["neurons"][1]["label"] = doc["neurons"][0]["label"]
+        return doc
+
+    _model_with(tmp_path, repeat)
+    assert _run_in(tmp_path, ["gen-data", "--n", 3, "--out", "tiny.csv"])[0] == 0
+    for argv in _MODEL_COMMANDS:
+        code, out, err = _run_in(tmp_path, [argv[0], "--model", "model.json", *argv[1:]])
+        message = "error: model.json: neurons[1] ('stand'): label repeats neurons[0]\n"
+        assert (code, err) == (1, message), argv
+        assert out.startswith("config ") and out.count("\n") == 1
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["model.json", "tiny.csv"]
+
+
 @pytest.mark.parametrize("option, opening", [("--model", "["), ("--config", '{"a":')],
                          ids=["model", "config"])
 def test_deeply_nested_json_is_one_error_line(fuzz_dir, option, opening):

@@ -101,6 +101,18 @@ def test_a_label_is_a_string_as_in_model_files(tmp_path):
         network_from_dict(doc)
 
 
+def test_a_repeated_label_is_refused(bundled_model):
+    # labels ('stand', 'stand', 'sit') loaded, and no prediction could name the lost class
+    message = "neurons[2] ('a'): label repeats neurons[0]"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Network(("a", "b", "a"), wiring(1, *[{(0, "excitatory"): 1e4}] * 3), 1e-6)
+    doc = network_to_dict(bundled_model)
+    doc["neurons"][1]["label"] = doc["neurons"][0]["label"]
+    message = f"neurons[1] ({bundled_model.labels[0]!r}): label repeats neurons[0]"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        network_from_dict(doc)
+
+
 # ------------------------------ inference ----------------------------------
 
 

@@ -9,6 +9,8 @@ import sys
 import types
 from pathlib import Path
 
+import pytest
+
 import ifcirc
 from ifcirc import dataset, hardware, kernel, neuron, oracle, training
 from ifcirc.cli import main
@@ -80,6 +82,30 @@ def test_import_builds_no_catalog():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=child_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+_SEEDED_WORK = (
+    "from ifcirc import DatasetConfig, TrainConfig, generate, split, train\n"
+    "kept, _ = split(generate(DatasetConfig(n_per_class=20, seed=1)), 0.8, seed=1)\n"
+    "train(kept, TrainConfig(epochs=5))\n"
+    "for argv in ('gen-data --n 5 --holdout 0.2 --out d.csv --holdout-out h.csv',\n"
+    "             'train --data d.csv --epochs 5 --out m.json', 'eval --model m.json --data h.csv',\n"
+    "             'validate --model m.json --trials 1'):\n"
+    "    assert main(argv.split()) == 0, argv\n"
+)
+_NOISY_READOUT = ("argv = 'infer --model bundled --pitch 0.1 --roll 0.2 --noise-sigma 0.01'\n"
+                  "assert main(argv.split()) == 0\n")
+
+
+@pytest.mark.parametrize("work, loaded", [(_SEEDED_WORK, False), (_NOISY_READOUT, True)],
+                         ids=["seeded-draws", "readout-noise"])
+def test_only_readout_noise_loads_numpy_random(tmp_path, work, loaded):
+    # seeded draws come from ifcirc._pcg; noise is numpy's normal, from the caller's Generator
+    code = f"import sys\nfrom ifcirc.cli import main\n{work}print('numpy.random' in sys.modules)\n"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+                          text=True, env=child_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == str(loaded)
 
 
 ROOT = Path(__file__).resolve().parents[1]

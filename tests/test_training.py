@@ -915,13 +915,13 @@ def test_evaluate_accuracy_with_readout_noise(bundled_model):
     assert noisy_accuracy < evaluate_accuracy(bundled_model, samples)
 
 
-@pytest.mark.parametrize("labels", [("sit", "lie", "sit"), ("stand", "stand", "stand"),
-                                    ("lie", "sit", "lie"), ("stand", "lie", "sit")])
+@pytest.mark.parametrize("labels", [("sit", "lie", "stand"), ("lie", "stand", "sit"),
+                                    ("stand", "sit", "lie"), ("stand", "lie", "sit")])
 @pytest.mark.parametrize("sigma", [0.0, 0.3])
-def test_evaluate_accuracy_counts_a_repeated_label_by_label(bundled_model, labels, sigma):
-    # a hit is a label match, whichever of a repeated label's neurons wins
+def test_evaluate_accuracy_counts_by_label(bundled_model, labels, sigma):
+    # a hit is a label match, in whatever order the neurons hold the labels
     net = replace(bundled_model, labels=labels)
-    samples = [s for s in _quick_dataset(20, seed=4) if s.label in labels]
+    samples = _quick_dataset(20, seed=4)
     rng = np.random.Generator(np.random.PCG64(5))
     hits = 0
     for s in samples:

@@ -10,7 +10,6 @@ byte for byte.
 
     python3 scripts/run_experiment.py --out-dir runs/demo
 """
-import json
 import sys
 import time
 from pathlib import Path
@@ -39,6 +38,7 @@ from ifcirc import (
     write_response_map_csv,
 )
 from ifcirc.cli import _COMMANDS, read_flags
+from ifcirc.dataset import _write_json
 from ifcirc.hardware import _grid_axis
 
 SHARED = {row[0]: row for command in ("gen-data", "train") for row in _COMMANDS[command][2]}
@@ -50,7 +50,7 @@ SETTINGS = (  # (key, type, default, help), each read as --key-with-dashes
     SHARED["epochs"],
     ("holdout", float, 0.2, "fraction held out, in (0, 1)"),
     ("grid_step", float, 0.01, "response-map grid step in (0, 1]"),
-    ("catalog", str, "one_significant_digit", "catalog mode: one_significant_digit, e12 or e24"),
+    ("catalog", str, ResistorCatalog.mode, "catalog mode: one_significant_digit, e12 or e24"),
 )
 
 
@@ -113,7 +113,7 @@ def main(args):
         label: energy_report_to_dict(energy_per_inference(quantized, mean))
         for label, mean in CLASS_MEANS.items()
     }
-    (out / "energy.json").write_text(json.dumps(energy, indent=2) + "\n")
+    _write_json(out / "energy.json", energy)
     for label, report in energy.items():
         print(
             f"energy at {label} mean: {report['supply_energy_joules']:.3e} J supplied, "

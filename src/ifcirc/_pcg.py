@@ -15,10 +15,10 @@ seeded draws of ``generate``, ``split``, ``train`` and ``validate`` need not pay
   high half left over is kept for the next call.
 
 The LCG runs in ``_LANES`` lanes at once.  The next ``_LANES`` states sit in one
-Python int, one in each 256-bit slot, and a single multiply and add move all of
-them ``count`` steps on: slot by slot, ``s -> A_count * s + C_count``.  Python
-ints do the 128-bit products and numpy the output function, so no Python code
-runs per draw, except in the shuffle itself.
+Python int, one in each 256-bit slot, and one multiply and add move them all a
+jump of ``_LANES`` steps, the only jump a generator makes.  Python ints do the
+128-bit products and numpy the output function, up to ``_GROUP`` packed ints in a
+pass, decoded ahead: a draw takes what the last pass left before it decodes more.
 """
 from __future__ import annotations
 
@@ -39,20 +39,24 @@ _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 
 
+def _hasher(const: int, mult: int):
+    """SeedSequence's ``hashmix``: each call hashes one word and moves the constant on."""
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * mult & _M32
+        value = value * const & _M32
+        return value ^ value >> 16
+    return hashmix
+
+
 def _seeded(seed: int) -> tuple[int, int]:
     """The LCG's (state, increment) after numpy's ``PCG64(SeedSequence(seed))`` seeding."""
     seed = operator.index(seed)
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     words = [seed >> shift & _M32 for shift in range(0, max(seed.bit_length(), 1), 32)]
-    const = _INIT_A
-
-    def hashmix(value: int) -> int:
-        nonlocal const
-        value ^= const
-        const = const * _MULT_A & _M32
-        value = value * const & _M32
-        return value ^ value >> 16
+    hashmix = _hasher(_INIT_A, _MULT_A)
 
     def mix(x: int, y: int) -> int:
         result = (_MIX_L * x - _MIX_R * y) & _M32
@@ -66,12 +70,8 @@ def _seeded(seed: int) -> tuple[int, int]:
     for word in words[4:]:
         for dst in range(4):
             pool[dst] = mix(pool[dst], hashmix(word))
-    const, state = _INIT_B, []  # generate_state(4, uint64): eight words of the pool, hashed
-    for i in range(8):
-        value = pool[i % 4] ^ const
-        const = const * _MULT_B & _M32
-        value = value * const & _M32
-        state.append(value ^ value >> 16)
+    # generate_state(4, uint64): eight words of the pool, hashed
+    state = list(map(_hasher(_INIT_B, _MULT_B), pool * 2))
     seed_128 = state[1] << 96 | state[0] << 64 | state[3] << 32 | state[2]
     increment = (state[5] << 96 | state[4] << 64 | state[7] << 32 | state[6]) << 1 & _M128 | 1
     return ((increment + seed_128) * _MULT + increment) & _M128, increment
@@ -89,37 +89,32 @@ class PCG64:
     """A seeded stream equal to ``numpy.random.Generator(numpy.random.PCG64(seed))``."""
 
     def __init__(self, seed: int) -> None:
-        state, self._increment = _seeded(seed)
+        state, increment = _seeded(seed)
         states = []
         for _ in range(_LANES):
-            state = (state * _MULT + self._increment) & _M128
+            state = (state * _MULT + increment) & _M128
             states.append(state.to_bytes(32, "little"))
         self._lanes = int.from_bytes(b"".join(states), "little")  # the next _LANES states
-        self._half: int | None = None  # a high 32-bit half not yet used
-        self._full_step = self._step(_LANES)
-
-    def _step(self, count: int) -> tuple[int, int]:
-        """(A, C * _ONES) such that ``count`` LCG steps take each state s to A*s + C."""
-        mult, plus, acc_mult, acc_plus = _MULT, self._increment, 1, 0
-        while count:
-            if count & 1:
-                acc_mult, acc_plus = acc_mult * mult & _M128, (acc_plus * mult + plus) & _M128
+        mult, plus = _MULT, increment
+        for _ in range(_LANES.bit_length() - 1):  # (A, C) of 2k steps from those of k
             mult, plus = mult * mult & _M128, (mult + 1) * plus & _M128
-            count >>= 1
-        return acc_mult, acc_plus * _ONES
+        self._jump = mult, plus * _ONES  # _LANES steps, every slot at once
+        self._decoded = np.empty(0, np.uint64)  # outputs decoded but not yet drawn
+        self._half: int | None = None  # a high 32-bit half not yet used
 
     def _outputs(self, count: int):
         """The next ``count`` 64-bit outputs, in uint64 arrays of at most ``_GROUP * _LANES``."""
-        blocks = []
+        mult, plus = self._jump
         while count > 0:
-            taken = min(count, _LANES)
-            blocks.append(self._lanes.to_bytes(32 * _LANES, "little")[:32 * taken])
-            mult, plus = self._full_step if taken == _LANES else self._step(taken)
-            self._lanes = (self._lanes * mult + plus) & _SLOTS
-            count -= taken
-            if len(blocks) == _GROUP or count == 0:  # numpy's passes cost more than their data
-                yield _xsl_rr(b"".join(blocks))
+            if not self._decoded.size:  # numpy's passes cost more than their data: group them
                 blocks = []
+                for _ in range(min(-(-count // _LANES), _GROUP)):
+                    blocks.append(self._lanes.to_bytes(32 * _LANES, "little"))
+                    self._lanes = (self._lanes * mult + plus) & _SLOTS
+                self._decoded = _xsl_rr(b"".join(blocks))
+            words, self._decoded = self._decoded[:count], self._decoded[count:]
+            count -= words.size
+            yield words
 
     def random(self, size) -> np.ndarray:
         """Doubles in [0, 1) of shape ``size``, as numpy's ``Generator.random(size)``."""

@@ -37,6 +37,7 @@ from .dataset import (
     PostureSample,
     _check_integer,
     _check_real,
+    _write_json,
     generate,
     json_value,
     read_csv,
@@ -208,9 +209,7 @@ def _cmd_response_map(cfg: dict, net: Network) -> int:
 def _cmd_energy(cfg: dict, net: Network) -> int:
     report = energy_report_to_dict(energy_per_inference(net, (cfg["pitch"], cfg["roll"])))
     if cfg["out"] is not None:  # write first: a failed write prints no result
-        payload = {"schema_version": 1, **report}
-        with open(cfg["out"], "w") as fh:
-            fh.write(json.dumps(payload, indent=2) + "\n")
+        _write_json(cfg["out"], {"schema_version": 1, **report})
     for key, joules in report.items():
         if key != "per_neuron":
             print(f"{key} {joules!r}")
@@ -257,7 +256,7 @@ _CONFIG = ("config", str, None, "JSON file of settings; flags override it")
 _COMMANDS = {
     "gen-data": ("generate a synthetic posture dataset CSV", _cmd_gen_data, (
         ("n", int, 300, "samples per class"),
-        ("sigma", float, 0.04, "gaussian noise sigma"),
+        ("sigma", float, DatasetConfig.noise_sigma, "gaussian noise sigma"),
         _SEED,
         ("out", str, "data.csv", "output CSV path"),
         ("holdout", float, 0.0, "fraction held out to a second CSV"),
@@ -290,7 +289,7 @@ _COMMANDS = {
     "quantize": ("snap resistances to a parts catalog", _cmd_quantize, (
         _MODEL,
         ("out", str, "quantized.json", "output model JSON"),
-        ("catalog", str, "one_significant_digit",
+        ("catalog", str, ResistorCatalog.mode,
          "catalog mode: one_significant_digit, e12, e24 or custom"),
         ("catalog_values", str, None, "comma-separated ohms for --catalog custom"),
     )),

@@ -208,6 +208,12 @@ def _write_rows(path: str | Path, header: Sequence[str], rows: Iterable[Iterable
         fh.writelines(",".join(fields) + "\r\n" for fields in rows)
 
 
+def _write_json(path: str | Path, doc) -> None:
+    """Write ``doc`` as JSON, indented by 2, and a newline: every JSON file the package writes."""
+    # a numpy scalar, which the checks pass, is written as the Python number it holds
+    Path(path).write_text(json.dumps(doc, indent=2, default=np.generic.item) + "\n")
+
+
 def write_csv(samples: Iterable[PostureSample], path: str | Path) -> None:
     """Write samples as CSV; float fields use shortest round-trip repr."""
     _write_rows(path, _CSV_HEADER, ((repr(s.pitch), repr(s.roll), s.label) for s in samples))

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataset import _check_integer, _check_real, _number, _real_array, json_value
+from .dataset import _check_integer, _check_real, _number, _real_array, _write_json, json_value
 from .kernel import Forward, duration_matrix, forward
 
 __all__ = [
@@ -290,9 +290,7 @@ def network_from_dict(doc: object) -> Network:
 
 def save_network(net: Network, path: str | Path) -> None:
     """Write the model as JSON; floats round-trip exactly (shortest repr)."""
-    # a numpy scalar, which the checks pass, is written as the Python number it holds
-    text = json.dumps(network_to_dict(net), indent=2, default=np.generic.item)
-    Path(path).write_text(text + "\n")
+    _write_json(path, network_to_dict(net))
 
 
 def load_network(path: str | Path) -> Network:

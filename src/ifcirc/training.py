@@ -285,8 +285,7 @@ def evaluate_accuracy(
     potentials = infer_batch(net, _features(samples))
     if noise_sigma != 0.0:
         potentials = perturb_readout(potentials, noise_sigma, rng, supply_voltage=net.supply_voltage)
-    predicted = np.array([index[label] for label in labels])[potentials.argmax(axis=1)]
-    return int(np.count_nonzero(predicted == truth)) / len(samples)
+    return int(np.count_nonzero(potentials.argmax(axis=1) == truth)) / len(samples)
 
 
 def write_loss_csv(history: Sequence[float], path: str | Path) -> None:

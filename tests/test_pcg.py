@@ -26,7 +26,8 @@ def numpy_stream(seed):
 @pytest.mark.parametrize("seed", SEEDS, ids=SEED_IDS)
 def test_random_is_numpys(seed):
     ours, theirs = PCG64(seed), numpy_stream(seed)
-    for n in (1, 2, 255, 256, 257, 60000):  # around the 256 lanes, and past 16 packed ints
+    # around the 256 lanes, around a group of 16 packed ints decoded at once, and past it
+    for n in (1, 2, 255, 256, 257, 4095, 4096, 4097, 60000):
         assert np.array_equal(ours.random(n), theirs.random(n)), n
     drawn = ours.random((3, 4))
     assert drawn.shape == (3, 4) and np.array_equal(drawn, theirs.random((3, 4)))
@@ -35,8 +36,10 @@ def test_random_is_numpys(seed):
 @pytest.mark.parametrize("seed", SEEDS, ids=SEED_IDS)
 def test_chained_permutations_are_numpys(seed):
     # one generator throughout: a high half left by one shuffle starts the next, across the
-    # doubles drawn in between, which take whole outputs
+    # doubles drawn in between, which take whole outputs; the first shuffles take their
+    # halves from outputs the 4000 doubles left decoded
     ours, theirs = PCG64(seed), numpy_stream(seed)
+    assert np.array_equal(ours.random(4000), theirs.random(4000))
     for n in (1, 2, 3, 300, 1025, 65537):
         assert ours.permutation(n) == theirs.permutation(n).tolist(), n
         assert np.array_equal(ours.random(3), theirs.random(3)), n

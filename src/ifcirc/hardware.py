@@ -127,9 +127,12 @@ def perturb_readout(
 ) -> float | np.ndarray:
     """Add Gaussian readout noise drawn from ``rng`` and clamp to the physical voltage range.
 
-    An array of potentials draws its noise in C order, as one call per element would.
+    An array of potentials draws its noise in C order, as one call per element would.  An
+    ``rng`` with no ``normal`` method, None included, is refused before anything is drawn.
     """
     _check_real("sigma", sigma, zero=True)
+    if not hasattr(rng, "normal"):
+        raise ValueError(f"rng must be a numpy Generator to draw noise from, got {rng!r}")
     _check_real("supply_voltage", supply_voltage)
     if isinstance(potential, np.ndarray):  # one draw call; a float stays on the cheaper scalar path
         return np.clip(potential + rng.normal(0.0, sigma, potential.shape), 0.0, supply_voltage)

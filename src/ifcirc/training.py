@@ -186,7 +186,7 @@ def _fit(u: np.ndarray, held: np.ndarray, budget: int, durations: np.ndarray,
         free, rhs = (x.transpose(1, 0, 2).reshape(n_classes, -1) for x in (free, -grad))
         hess = jac.transpose(0, 2, 1) @ jac * (2.0 / targets.size)
         while mu <= _MU_MAX:
-            a = hess + mu * (np.einsum("cii->ci", hess) + 1e-12)[:, None] * eye
+            a = hess + mu * (hess.diagonal(axis1=1, axis2=2) + 1e-12)[:, None] * eye
             a = np.where(free[:, :, None] & free[:, None], a, eye)  # a pinned synapse steps 0
             try:
                 step = np.linalg.solve(a, np.where(free, rhs, 0.0)[..., None])
@@ -266,13 +266,10 @@ def evaluate_accuracy(
 ) -> float:
     """Fraction of samples whose argmax class matches the label.
 
-    Ties go to the lowest neuron index, as in :func:`ifcirc.classify`.  A
-    nonzero ``noise_sigma`` first passes every potential through
-    :func:`ifcirc.perturb_readout`, drawing from ``rng`` sample by sample,
-    neuron by neuron; it needs an ``rng``.
+    Ties go to the lowest neuron index, as in :func:`ifcirc.classify`.  A nonzero
+    ``noise_sigma`` first passes every potential through :func:`ifcirc.perturb_readout`,
+    drawing from ``rng`` sample by sample, neuron by neuron; it refuses a missing ``rng``.
     """
-    if noise_sigma != 0.0 and rng is None:
-        raise ValueError("a nonzero noise_sigma needs rng, a numpy Generator to draw from")
     if len(samples) == 0:
         raise ValueError("cannot evaluate on an empty dataset")
     labels = net.labels

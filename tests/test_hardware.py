@@ -310,6 +310,14 @@ def test_perturb_rejects_negative_sigma():
         perturb_readout(0.5, -0.1, np.random.default_rng(0))
 
 
+def test_perturb_refuses_an_rng_it_cannot_draw_from():
+    # refused by name on the float path and on the array path, before anything is drawn
+    for rng in (None, object()):
+        for potential in (0.5, np.zeros(3)):
+            with pytest.raises(ValueError, match="^rng must be a numpy Generator"):
+                perturb_readout(potential, 0.02, rng)
+
+
 # ----------------------------- response maps --------------------------------
 
 

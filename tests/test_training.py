@@ -933,7 +933,7 @@ def test_evaluate_accuracy_counts_by_label(bundled_model, labels, sigma):
 
 def test_evaluate_accuracy_refuses_noise_without_a_generator(bundled_model):
     # without one, each call drew from OS entropy: 0.903, 0.882, 0.890, 0.898 on the same 600
-    with pytest.raises(ValueError, match="noise_sigma needs rng"):
+    with pytest.raises(ValueError, match="rng must be a numpy Generator"):
         evaluate_accuracy(bundled_model, _quick_dataset(2), noise_sigma=0.3)
 
 

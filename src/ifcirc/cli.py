@@ -383,7 +383,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise ValueError("the following arguments are required: command" if command is None else
                              f"argument command: invalid choice: {command!r} (choose from {choices})")
         print("config", json.dumps(cfg, sort_keys=True))
-        if "seed" in cfg:  # numpy's refusal does not name the setting
+        # eval and infer draw from --seed only for readout noise: checked here, a negative
+        # seed is refused whether or not a run draws from it
+        if "seed" in cfg:
             _check_integer("seed", cfg["seed"], 0)
         outputs = {}  # the file each output setting names -> the first setting that names it
         for key in cfg:  # in the command's order, and before any file is read

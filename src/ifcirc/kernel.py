@@ -23,7 +23,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .dataset import _real_array
+from .dataset import _check_real, _real_array
 
 __all__ = ["Forward", "duration_matrix", "forward", "sensitivities"]
 
@@ -42,8 +42,10 @@ def duration_matrix(stimuli: Sequence[Sequence[float]], t_max: float) -> np.ndar
     Each component maps to clamp(x, 0, 1) * t_max; the bias line, appended
     last, always runs for the full t_max.  Negative inputs clamp to zero
     duration: a negative stimulation time has no physical meaning.  A stimulus
-    that holds anything but real numbers, or NaN, is refused.
+    that holds anything but real numbers, or NaN, is refused, and so is a
+    ``t_max`` that is not a finite number > 0.
     """
+    _check_real("t_max", t_max)
     x = _real_array(stimuli, "stimulus")
     if x.ndim != 2:
         raise ValueError(f"expected a batch of input vectors, got shape {x.shape}")

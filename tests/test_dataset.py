@@ -29,6 +29,7 @@ from ifcirc import (
     write_csv,
 )
 from ifcirc.dataset import _check_real, json_value, text_value
+from ifcirc.kernel import duration_matrix
 from conftest import wiring
 
 
@@ -206,6 +207,10 @@ _SETTINGS = {
     "Network.supply_voltage":
         (lambda v: Network(("u",), _TABLE, 1e-6, supply_voltage=v), "supply_voltage", "> 0"),
     "Network.t_max": (lambda v: Network(("u",), _TABLE, 1e-6, t_max=v), "t_max", "> 0"),
+    # both took any t_max: at -0.05 s a schedule's slots ran for negative times, and the
+    # oracle integrated them without a word
+    "duration_matrix": (lambda v: duration_matrix([[0.5, 0.2]], v), "t_max", "> 0"),
+    "build_schedule": (lambda v: build_schedule((0.5, 0.2), v), "t_max", "> 0"),
     "prune": (lambda v: prune(Network(("u",), _TABLE, 1e-6), r_max=v), "r_max", "> 0"),
     "round_resistance": (round_resistance, "resistance", "> 0"),
     "perturb_readout":

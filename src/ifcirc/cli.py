@@ -126,6 +126,8 @@ def _cmd_gen_data(cfg: dict) -> int:
         raise ValueError(f"holdout fraction must be in [0, 1), got {holdout}")
     if holdout > 0.0:
         _require(cfg, "holdout_out")
+    elif cfg["holdout_out"] is not None:  # echoed, and never written
+        raise ValueError(f"--holdout-out needs a --holdout > 0, got {holdout}")
     samples = generate(config)  # after every check: a large n takes seconds
     outputs = [(samples, cfg["out"])]
     if holdout > 0.0:
@@ -328,7 +330,7 @@ def read_flags(words: Sequence[str], prog: str, summary: str, settings: Sequence
     names = {_flag(key): key for key, *_ in settings}
     flags = {_flag(key) for _, _, table in _COMMANDS.values() for key, *_ in (_CONFIG, *table)}
     try:
-        texts, stray, rest = {}, [], iter(words)
+        texts, stray, repeated, rest = {}, [], [], iter(words)
         for word in rest:
             if word in ("-h", "--help"):
                 rows = [("-h, --help", "show this help message and exit")] + [
@@ -345,9 +347,13 @@ def read_flags(words: Sequence[str], prog: str, summary: str, settings: Sequence
                 text = next(rest, None)
                 if text is None or text in flags | names.keys():
                     raise ValueError(f"argument {name}: expected one argument")
+            if names[name] in texts:  # the last would win without a word
+                repeated.append(name)
             texts[names[name]] = text
         if stray:
             raise ValueError(f"unrecognized arguments: {' '.join(stray)}")
+        if repeated:
+            raise ValueError(f"argument {repeated[0]}: given more than once")
         code = run(_merge_config(texts, settings))
         sys.stdout.flush()  # a reader that has gone is found here, not as Python exits
         return code

@@ -59,6 +59,7 @@ def test_help_exits_zero(tmp_path, monkeypatch, capsys):
     for command, (summary, _, _) in _COMMANDS.items():
         assert f"  {command} " in out and summary in out
     assert run_cli(capsys, "train", "--help")[0] == 0
+    assert run_cli(capsys, "infer", "--pitch", 0, "--pitch", 0, "--help")[0] == 0  # before the repeat
     # -h in a flag's value is the value: a model path here
     monkeypatch.chdir(tmp_path)
     code, out, err = run_cli(capsys, "infer", "--model", "-h", "--pitch", 0, "--roll", 0)
@@ -202,6 +203,14 @@ REFUSALS = {
                                                   {"--pitch": 0.3, "--roll": 0.2, flag: text}.items()),
          {}, f"error: {flag} must be a finite number, got {shown}", False)
         for flag, text, shown in _NON_FINITE for command in ("infer", "energy") for sep in (" ", "=")],
+    # the last one was taken without a word: this infer classified pitch 0.9
+    "test_a_repeated_flag_is_refused_by_name": [
+        ("flag-value", "infer --model bundled --pitch 0 --pitch 0.9 --roll 0", {},
+         "error: argument --pitch: given more than once", False),
+        ("flag=value", "infer --model bundled --pitch=0 --roll 0 --pitch 0.9", {},
+         "error: argument --pitch: given more than once", False),
+        ("config", "gen-data --config cfg.json --n 2 --config=cfg.json", _cfg(n=3),
+         "error: argument --config: given more than once", False)],
     "test_non_finite_parameters_are_user_errors": [
         ("gen-data-sigma-nan", "gen-data --n 2 --sigma nan --out d.csv", {},
          "error: --sigma must be a finite number, got NaN", False),
@@ -260,6 +269,10 @@ REFUSALS = {
         ("train", "train --data tiny.csv --epochs 1 --out m.json --loss-out m.json", _TINY,
          "error: --out m.json and --loss-out m.json name one file", True)],
 
+    # it exited 0 and wrote no h.csv, while the echoed config named it
+    "test_gen_data_holdout_out_needs_a_holdout": [
+        (None, "gen-data --n 5 --out d.csv --holdout-out h.csv", {},
+         "error: --holdout-out needs a --holdout > 0, got 0.0", True)],
     "test_gen_data_rejects_bad_holdout_fraction": [
         (None, "gen-data --n 5 --holdout 1.5 --out d.csv --holdout-out h.csv", {},
          "error: holdout fraction must be in [0, 1), got 1.5", True)],
@@ -1184,7 +1197,7 @@ _JSON_VALUES = st.one_of(
 
 # settings that keep an unmutated run small and, where they can, successful
 _FUZZ_BASE = {
-    "gen-data": {"n": 2, "out": "d.csv", "holdout_out": "h.csv"},
+    "gen-data": {"n": 2, "holdout": 0.5, "out": "d.csv", "holdout_out": "h.csv"},
     "train": {"data": "tiny.csv", "epochs": 2, "out": "m.json", "loss_out": "l.csv"},
     "eval": {"model": "bundled", "data": "tiny.csv"},
     "prune": {"model": "bundled", "out": "p.json"},
@@ -1329,7 +1342,7 @@ def test_model_commands_refuse_inputs_no_array_holds(tmp_path, argv):
 def test_deeply_nested_json_is_one_error_line(fuzz_dir, option, opening):
     """A model or config file nested past the decoder's recursion limit is refused."""
     (fuzz_dir / "deep.json").write_text(opening * 100_000)
-    argv = ["infer", "--model", "bundled", "--pitch", 0.3, "--roll", 0.1, option, "deep.json"]
+    argv = ["infer", "--pitch", 0.3, "--roll", 0.1, option, "deep.json"]
     code, _, err = _run_in(fuzz_dir, argv)
     assert code == 1
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -31,6 +31,7 @@ from ifcirc import (
 from ifcirc.dataset import _check_real, json_value, text_value
 from ifcirc.kernel import duration_matrix
 from conftest import wiring
+from test_refusals import LIBRARY_REFUSALS, refusal_tests
 
 
 def test_classes_and_means():
@@ -158,39 +159,9 @@ def test_noise_statistics_match_config():
         assert sd == pytest.approx(0.04, abs=0.005)
 
 
-def test_config_validation():
-    for n in (0, -1):
-        with pytest.raises(ValueError, match=f"^n_per_class must be >= 1, got {n}$"):
-            DatasetConfig(n_per_class=n)
-    # True was taken as a sigma of 1
-    # an int past the float range escaped as OverflowError; a string or None as TypeError
-    for sigma in (True, -0.1, -5e-324, math.nan, math.inf, -math.inf, 10**400, -10**400, "0.1", None):
-        message = f"noise_sigma must be a finite number >= 0, got {sigma!r}"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            DatasetConfig(n_per_class=10, noise_sigma=sigma)
-    # sigma * z overflowed to inf in some samples (52 of 300 at 1e308, n=100, seed 0)
-    for sigma in (math.nextafter(_LARGEST_SIGMA, math.inf), 1e308, sys.float_info.max):
-        with pytest.raises(ValueError, match=re.escape(f"noise_sigma {sigma!r} is too large")):
-            DatasetConfig(n_per_class=10, noise_sigma=sigma)
-    for n in (1.5, 2.0, True, False, "3"):
-        with pytest.raises(ValueError, match=f"^n_per_class must be an integer, got {n!r}$"):
-            DatasetConfig(n_per_class=n)
-    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
-        DatasetConfig(n_per_class=10, seed=-1)
-    # True once generated data; 1.5 failed only inside generate(), in numpy's SeedSequence
-    for seed in (1.5, 2.0, True, False, "3", None):
-        with pytest.raises(ValueError, match=f"^seed must be an integer, got {seed!r}$"):
-            DatasetConfig(n_per_class=10, seed=seed)
-    assert len(generate(DatasetConfig(n_per_class=np.int64(2), seed=np.int64(3)))) == 6
-
-
-@pytest.mark.parametrize("n", [10**20, 10**400, 2**63 // 48 + 1], ids=["dimension", "past-float", "size"])
-def test_a_draw_numpy_cannot_shape_is_refused_by_name(n):
-    # generate's (3, 2n) draw: numpy's own line named no setting, and only generate() raised it
-    message = f"n_per_class {n} is too large for a draw: "
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}."):
-        DatasetConfig(n_per_class=n)
+def test_config_validation():  # its refusals are rows of test_refusals.py
     DatasetConfig(n_per_class=2**63 // 48)  # 8 EiB: numpy shapes it, and no memory holds it
+    assert len(generate(DatasetConfig(n_per_class=np.int64(2), seed=np.int64(3)))) == 6
 
 
 _NEURON = IFNeuron("u", 1e-6, (Synapse(0, "excitatory", 1e5),))
@@ -317,27 +288,6 @@ def test_csv_bytes(tmp_path):
     assert path.read_bytes() == b"pitch,roll,label\r\n0.1,-0.25,sit\r\n1e-300,0.5,lie\r\n"
 
 
-def test_read_csv_rejects_wrong_header(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("roll,pitch,label\n0.1,0.2,stand\n")
-    with pytest.raises(ValueError):
-        read_csv(path)
-
-
-def test_read_csv_reports_line_number(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("pitch,roll,label\n0.1,0.2,stand\n0.3,oops,sit\n")
-    with pytest.raises(ValueError, match="line 3"):
-        read_csv(path)
-
-
-def test_read_csv_rejects_unknown_label(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("pitch,roll,label\n0.1,0.2,crawl\n")
-    with pytest.raises(ValueError):
-        read_csv(path)
-
-
 def test_split_is_stratified_and_disjoint():
     samples = generate(DatasetConfig(n_per_class=300, seed=42))
     train, test = split(samples, 0.8, seed=42)
@@ -377,17 +327,6 @@ def test_split_refuses_a_seed_by_name():
     assert split(samples, 0.8, np.int64(9)) == split(samples, 0.8, 9)
 
 
-@pytest.mark.parametrize("n, fraction, message", [
-    (1, 0.8, "class 'stand' has 1 sample: a train_fraction of 0.8 leaves its held-out side empty"),
-    (2, 1.0 - 0.9, "class 'stand' has 2 samples: a train_fraction of 0.1 "
-     "leaves its training side empty"),
-], ids=["held-out", "training"])
-def test_split_refuses_a_side_it_would_leave_empty(n, fraction, message):
-    samples = generate(DatasetConfig(n_per_class=n, seed=0))
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        split(samples, fraction, seed=0)
-
-
 def test_split_names_the_one_class_it_cannot_split():
     """stand and sit split 8/2; lie's one sample would leave its held-out side empty."""
     samples = generate(DatasetConfig(n_per_class=10, seed=0))[:21]
@@ -397,28 +336,6 @@ def test_split_names_the_one_class_it_cannot_split():
         split(samples, 0.8, seed=0)
     train, test = split(samples[:20], 0.8, seed=0)
     assert (len(train), len(test)) == (16, 4)
-
-
-def test_split_refuses_an_empty_dataset():
-    with pytest.raises(ValueError, match="^cannot split an empty dataset$"):
-        split([], 0.8, seed=0)
-
-
-@pytest.mark.parametrize("value, shown", [
-    (math.nan, "NaN"), (math.inf, "Infinity"), (-math.inf, "-Infinity"), (True, "true"),
-    (None, "null"), ("abc", '"abc"'), ("0.5", '"0.5"'), (10**400, "1" + "0" * 400),
-], ids=["nan", "inf", "-inf", "bool", "none", "text", "numeric-text", "past-float-range"])
-def test_posture_sample_refuses_a_field_read_csv_refuses(tmp_path, value, shown):
-    for field, args in (("pitch", (value, 0.0)), ("roll", (0.0, value))):
-        message = f"{field} must be a finite number, got {shown}"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            PostureSample(*args, "sit")
-    if isinstance(value, float):  # the row write_csv would write for it
-        path = tmp_path / "data.csv"
-        path.write_text(f"pitch,roll,label\n{value!r},0.0,sit\n")
-        message = f"{path}: line 2: pitch must be a finite number, got {shown}"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            read_csv(path)
 
 
 @given(value=_NUMBERS)
@@ -446,3 +363,6 @@ def test_posture_sample_is_frozen():
     with pytest.raises(AttributeError):
         s.pitch = 0.5
     assert not hasattr(s, "__dict__")  # slotted: datasets hold many of these
+
+
+globals().update(refusal_tests(LIBRARY_REFUSALS["test_dataset"]))

@@ -41,6 +41,7 @@ from ifcirc import (
 )
 from ifcirc import hardware
 from conftest import networks, wired, wiring
+from test_refusals import LIBRARY_REFUSALS, refusal_tests
 
 
 # ------------------------------- catalogs -----------------------------------
@@ -82,26 +83,7 @@ def test_round_custom_catalog():
     assert round_resistance(10.0, catalog) == 100.0
 
 
-def test_catalog_validation():
-    with pytest.raises(ValueError, match="one of"):
-        ResistorCatalog("e96")
-    with pytest.raises(ValueError):
-        ResistorCatalog("custom")
-    # True was a 1-ohm part; a string died in the sort before this check, with TypeError; an
-    # int past the float range escaped as OverflowError
-    for value in (True, -5.0, 0.0, math.nan, math.inf, -math.inf, "a", None, 10**400, -10**400):
-        message = f"catalog value must be a finite number > 0, got {value!r}"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            ResistorCatalog("custom", (100.0, value))
-    with pytest.raises(ValueError):
-        ResistorCatalog("e12", (100.0,))
-    with pytest.raises(ValueError, match="^mode 'e12' does not take explicit values$"):
-        ResistorCatalog("e12", (1.0, "a"))
-    # numpy arrays of values get the catalog's own messages, not numpy's ambiguous truth value
-    with pytest.raises(ValueError, match="custom catalog needs at least one value"):
-        ResistorCatalog("custom", np.array([]))
-    with pytest.raises(ValueError, match="does not take explicit values"):
-        ResistorCatalog("e12", np.array([1.0, 2.0]))
+def test_catalog_validation():  # its refusals are rows of test_refusals.py
     assert ResistorCatalog("custom", np.array([2e3, 1e3])).values == (1e3, 2e3)
 
 
@@ -113,15 +95,6 @@ def test_a_series_part_is_its_decimal_value():
     # far from 1 ohm too: mantissa times a rounded power of ten gave 2.9999999999999996e-300
     assert round_resistance(2.9e-300, ResistorCatalog("e24")) == 3e-300
     assert round_resistance(6.8e-200, ResistorCatalog("e12")) == 6.8e-200
-
-
-def test_round_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        round_resistance(0.0)
-    with pytest.raises(ValueError):
-        round_resistance(-100.0)
-    with pytest.raises(ValueError):
-        round_resistance(math.inf)
 
 
 def test_rounding_is_idempotent():
@@ -194,14 +167,6 @@ def test_quantize_bundled_model_preserves_classification(bundled_model):
 def test_quantize_is_idempotent(bundled_model):
     once = quantize_network(bundled_model)
     assert quantize_network(once) == once
-
-
-def test_quantize_names_the_neuron_whose_time_constant_underflows(bundled_model):
-    # as a loaded model and an out-of-range synapse do; the message used to name the line alone
-    message = ("neurons[0] ('stand'): time constant R·C of input 0 (excitatory) is 0.0 s, "
-               "too small for a finite conductance: 5e-324 ohms, 1e-06 farads")
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        quantize_network(bundled_model, ResistorCatalog("custom", (5e-324,)))
 
 
 # ------------------ prune and quantize rebuild from the table -----------------
@@ -305,19 +270,6 @@ def test_perturb_noise_statistics():
     assert all(0.0 <= d <= 1.0 for d in draws)
 
 
-def test_perturb_rejects_negative_sigma():
-    with pytest.raises(ValueError):
-        perturb_readout(0.5, -0.1, np.random.default_rng(0))
-
-
-def test_perturb_refuses_an_rng_it_cannot_draw_from():
-    # refused by name on the float path and on the array path, before anything is drawn
-    for rng in (None, object()):
-        for potential in (0.5, np.zeros(3)):
-            with pytest.raises(ValueError, match="^rng must be a numpy Generator"):
-                perturb_readout(potential, 0.02, rng)
-
-
 # ----------------------------- response maps --------------------------------
 
 
@@ -392,19 +344,6 @@ def test_response_map_memory_is_one_row_not_the_grid(bundled_model, tmp_path):
     assert peak < 256 * 1024
 
 
-def test_response_map_validation(bundled_model):
-    # True was a step of 1: a 4-row map; an int past the float range escaped as OverflowError
-    for step in (True, False, "0.5", None, 0.0, -0.5, math.nan, math.inf, -math.inf, 10**400, -10**400):
-        message = f"grid_step must be a finite number > 0, got {step!r}"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            response_map(bundled_model, step)
-    with pytest.raises(ValueError, match=r"^grid_step must be in \(0, 1\], got 1\.5$"):
-        response_map(bundled_model, 1.5)
-    one_input = Network(("u",), wiring(1, {(0, "excitatory"): 1e4}), 1e-6)
-    with pytest.raises(ValueError):
-        response_map(one_input, 0.5)
-
-
 def test_response_map_csv(tmp_path, bundled_model):
     rows = response_map(bundled_model, 0.5)
     path = tmp_path / "map.csv"
@@ -422,24 +361,11 @@ def test_response_map_csv_quotes_labels_like_csv_writer(tmp_path):
     assert path.read_bytes() == b'pitch,roll,"a,b","say ""hi""",c\r\n0.0,0.5,0.1,1e-300,2.0\r\n'
 
 
-def test_response_map_csv_rejects_ragged_rows(tmp_path):
-    with pytest.raises(ValueError):
-        write_response_map_csv([(0.0, 0.0, [0.1, 0.2])], ["a", "b", "c"], tmp_path / "x.csv")
-
-
 # -------------------------------- energy ------------------------------------
 
 
 def _single_rc_network(t_max):
     return Network(("u",), wiring(1, {(0, "excitatory"): 10e3}), 1e-6, t_max=t_max)
-
-
-def test_a_stimulus_past_the_float_range_is_refused_by_name(bundled_model):
-    # numpy's OverflowError escaped: "int too large to convert to float"
-    for stimulus in ((10**400, 0.5), (0.5, -10**400)):
-        for call in (infer_network, energy_per_inference):
-            with pytest.raises(ValueError, match="^stimulus contains an integer past the float range$"):
-                call(bundled_model, stimulus)
 
 
 def test_a_stimulus_that_holds_no_real_numbers_is_refused_by_name(pruned_bundled_model):
@@ -543,12 +469,6 @@ def test_energy_totals_do_not_follow_builtin_sum(bundled_model, monkeypatch):
     assert [energy_per_inference(bundled_model, stimulus) for stimulus in _ENERGY_STIMULI] == reports
 
 
-def test_a_network_without_neurons_is_refused():
-    # it took C = 1e-6 F whatever its model file said, and its energy totalled integer 0 J
-    with pytest.raises(ValueError, match="^a network needs at least one neuron$"):
-        Network((), np.full((2, 0, 3), np.inf), 1e-6)
-
-
 def test_energy_stored_matches_final_potential(bundled_model):
     report = energy_per_inference(bundled_model, (0.0, 0.0))
     potentials = infer_network(bundled_model, (0.0, 0.0))
@@ -576,19 +496,6 @@ def test_energy_reports_are_slotted(bundled_model):
             record.supply_energy = 0.0
 
 
-def test_energy_rejects_wrong_arity(bundled_model):
-    with pytest.raises(ValueError):
-        energy_per_inference(bundled_model, (0.5,))
-    with pytest.raises(ValueError, match="expected 2 inputs, got 3"):
-        energy_per_inference(bundled_model, (0.1, 0.2, 0.3))
-    # the width is checked ahead of the C*v_in**2 refusal
-    overflowing = replace(bundled_model, supply_voltage=1e300)
-    with pytest.raises(ValueError, match="expected 2 inputs, got 3"):
-        energy_per_inference(overflowing, (0.1, 0.2, 0.3))
-    with pytest.raises(ValueError, match="overflow the energy"):
-        energy_per_inference(overflowing, (0.1, 0.2))
-
-
 # ----------------------------- inference time -------------------------------
 
 
@@ -612,3 +519,6 @@ def test_max_inference_time_counts_each_wired_slot_once(net):
 def test_max_inference_time_empty_network():
     net = Network(("u",), np.full((2, 1, 3), np.inf), 1e-6)
     assert max_inference_time(net) == 0.0
+
+
+globals().update(refusal_tests(LIBRARY_REFUSALS["test_hardware"]))

@@ -16,9 +16,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from ifcirc import Network
 from ifcirc.kernel import duration_matrix, forward
-from conftest import capacitances, resistances, voltages, wiring
+from conftest import capacitances, resistances, voltages
+from test_refusals import LIBRARY_REFUSALS, refusal_tests
 
 R, TAU = 10e3, 10e3 * 1e-6  # 10 kOhm into 1 uF: tau = 10 ms
 
@@ -72,20 +72,7 @@ def test_zero_duration_is_identity():
     assert padded == alone
 
 
-def test_invalid_params_rejected():
-    # the network that compiles the kernel's conductances refuses them; +inf is an unwired line
-    message = r"^neurons\[0\] \('u'\): resistance must be a finite number > 0, got -1\.0$"
-    with pytest.raises(ValueError, match=message):
-        Network(("u",), wiring(1, {(0, "excitatory"): -1.0}), 1e-6)
-    with pytest.raises(ValueError, match="^capacitance must be a finite number > 0, got 0.0$"):
-        Network(("u",), wiring(1, {(0, "excitatory"): 1e3}), 0.0)
-
-
-def test_invalid_step_arguments_rejected():
-    with pytest.raises(ValueError):
-        duration_matrix([(0.5, float("nan"))], 0.05)
-    with pytest.raises(ValueError):
-        duration_matrix((0.5, 0.2), 0.05)  # one vector, not a batch
+def test_invalid_step_arguments_rejected():  # its refusals are rows of test_refusals.py
     # negative inputs clamp to zero time, never to a negative duration
     assert duration_matrix([(-0.5, -0.0)], 0.05).tolist() == [[0.0, 0.0, 0.05]]
     assert not np.signbit(duration_matrix([(-0.0,)], 0.05)).any()
@@ -128,3 +115,6 @@ def test_discharge_semigroup(r, c, v_in, dt1, dt2):
     (split,) = phases(charge=[full], discharge=[(r, dt1), (r, dt2)], cap=c, v_in=v_in)
     (joint,) = phases(charge=[full], discharge=[(r, dt1 + dt2)], cap=c, v_in=v_in)
     assert math.isclose(split, joint, rel_tol=1e-12, abs_tol=1e-13 * v_in)
+
+
+globals().update(refusal_tests(LIBRARY_REFUSALS["test_kernel"]))

@@ -29,6 +29,7 @@ from ifcirc import (
     save_network,
 )
 from conftest import networks, stimulus_values, wired, wiring
+from test_refusals import LIBRARY_REFUSALS, refusal_tests
 
 
 # ------------------------------ schedules ----------------------------------
@@ -63,11 +64,6 @@ def test_schedule_bias_always_full_duration():
     assert all(s.duration == 0.0 for s in others)
 
 
-def test_schedule_rejects_nan():
-    with pytest.raises(ValueError):
-        build_schedule((float("nan"), 0.0), t_max=0.05)
-
-
 def test_a_polarity_is_spelled_as_in_model_files():
     assert POLARITIES == ("excitatory", "inhibitory")  # the phases of Network.resistances
     doc = {"schema_version": 1, "supply_voltage": 1.0, "t_max": 0.05, "threshold": 0.5,
@@ -97,18 +93,6 @@ def test_a_label_is_a_string_as_in_model_files(tmp_path):
     doc = network_to_dict(net)
     doc["neurons"][0]["label"] = 5  # the loader names the field first, as before
     message = "model field neurons[0].label must be a string, got 5"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        network_from_dict(doc)
-
-
-def test_a_repeated_label_is_refused(bundled_model):
-    # labels ('stand', 'stand', 'sit') loaded, and no prediction could name the lost class
-    message = "neurons[2] ('a'): label repeats neurons[0]"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        Network(("a", "b", "a"), wiring(1, *[{(0, "excitatory"): 1e4}] * 3), 1e-6)
-    doc = network_to_dict(bundled_model)
-    doc["neurons"][1]["label"] = doc["neurons"][0]["label"]
-    message = f"neurons[1] ({bundled_model.labels[0]!r}): label repeats neurons[0]"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         network_from_dict(doc)
 
@@ -303,26 +287,6 @@ def test_a_build_holds_the_table_and_its_conductances_at_its_peak():
     assert peak < 2.5 * table
 
 
-def test_a_table_no_memory_holds_is_refused_at_load(tmp_path):
-    # 10**15 inputs: the (2, 3, 10**15 + 1) wiring table needs 48 PB, and loading builds it
-    path = tmp_path / "wide.json"
-    doc = json.loads(example_model_path().read_text())
-    path.write_text(json.dumps({**doc, "n_inputs": 10**15}))
-    with pytest.raises(MemoryError, match=r"^Unable to allocate .* \(2, 3, 1000000000000001\)"):
-        load_network(path)
-
-
-@pytest.mark.parametrize("n_inputs", [10**30, 2**62], ids=["dimension", "size"])
-def test_a_table_numpy_cannot_shape_is_refused_by_name(tmp_path, n_inputs):
-    # past numpy's dimension or size limit: numpy's own line named neither the field nor the table
-    path = tmp_path / "wide.json"
-    doc = json.loads(example_model_path().read_text())
-    path.write_text(json.dumps({**doc, "n_inputs": n_inputs}))
-    message = f"{path}: model field n_inputs: {n_inputs} is too large for a table: "
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}."):
-        load_network(path)
-
-
 def test_a_table_that_holds_no_real_numbers_is_refused_by_name(pruned_bundled_model):
     # a str table built, a complex one built with numpy's ComplexWarning, and True was 1 ohm
     net = pruned_bundled_model
@@ -351,13 +315,6 @@ def test_a_table_that_holds_no_real_numbers_is_refused_by_name(pruned_bundled_mo
     assert build(np.full(r.shape, 10**4)) == build(np.full(r.shape, 1e4))
 
 
-def test_infer_batch_checks_arity(bundled_model):
-    with pytest.raises(ValueError, match="expected 2 inputs"):
-        infer_batch(bundled_model, [(0.0, 0.0, 0.0)])
-    with pytest.raises(ValueError):
-        infer_batch(bundled_model, [(0.0, float("nan"))])
-
-
 # ------------------------- bundled-model behavior --------------------------
 
 
@@ -382,11 +339,6 @@ def test_bundled_model_classifies_class_means(bundled_model):
         assert bundled_model.labels[classify(pots)] == want
 
 
-def test_infer_network_checks_arity(bundled_model):
-    with pytest.raises(ValueError):
-        infer_network(bundled_model, (0.0, 0.0, 0.0))
-
-
 # -------------------------------- classify ---------------------------------
 
 
@@ -399,14 +351,7 @@ def test_classify_tie_prefers_lowest_index():
     assert classify([0.2, 0.7, 0.7]) == 1
 
 
-def test_classify_rejects_bad_input():
-    with pytest.raises(ValueError):
-        classify([])
-    # an int past the float range escaped as OverflowError, a string or None as TypeError
-    for bad in (math.nan, math.inf, True, 10**400, -10**400, "a", None):
-        message = f"potentials must be finite numbers, got {bad!r}"
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            classify([0.1, bad])
+def test_classify_rejects_bad_input():  # its refusals are rows of test_refusals.py
     assert classify([np.float32(0.1), 2, np.float64(0.3)]) == 1
 
 
@@ -473,70 +418,6 @@ def test_save_writes_plain_strings_and_numbers(case, tmp_path):
     assert infer_batch(loaded, stimuli).tobytes() == infer_batch(net, stimuli).tobytes()
 
 
-def test_load_rejects_malformed_json(tmp_path):
-    path = tmp_path / "bad.json"
-    path.write_text("{not json")
-    with pytest.raises(ValueError):
-        load_network(path)
-
-
-def test_load_rejects_unknown_schema_version(bundled_model, tmp_path):
-    doc = network_to_dict(bundled_model)
-    doc["schema_version"] = 99
-    path = tmp_path / "future.json"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ValueError):
-        load_network(path)
-
-
-@pytest.mark.parametrize(
-    "field, value, message",
-    [
-        ("polarity", "sideways", "model field neurons[1].synapses[0]: polarity must be "
-                                 "'excitatory' or 'inhibitory', got 'sideways'"),
-        ("polarity", "Excitatory", "model field neurons[1].synapses[0]: polarity must be "
-                                   "'excitatory' or 'inhibitory', got 'Excitatory'"),
-        ("resistance_ohms", -5.0, "model field neurons[1].synapses[0]: resistance must be"),
-        ("input_index", 0.5, "model field neurons[1].synapses[0].input_index must be an integer"),
-        ("input_index", True, "model field neurons[1].synapses[0].input_index must be an integer"),
-        ("resistance_ohms", 10**400, "model field neurons[1].synapses[0].resistance_ohms must be a"),
-    ],
-)
-def test_network_from_dict_names_the_bad_synapse(bundled_model, field, value, message):
-    doc = network_to_dict(bundled_model)
-    doc["neurons"][1]["synapses"][0][field] = value
-    with pytest.raises(ValueError) as exc_info:
-        network_from_dict(doc)
-    assert str(exc_info.value).startswith(message)
-
-
-def test_duplicate_synapse_rejected(bundled_model):
-    # the loader names the synapse that fills a wired entry a second time; a table has one
-    # entry per line and polarity, so no built network holds a duplicate
-    doc = network_to_dict(bundled_model)
-    doc["neurons"][2]["synapses"][4]["input_index"] = 0
-    message = "model field neurons[2].synapses[4]: duplicate synapse for input 0 (inhibitory)"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        network_from_dict(doc)
-
-
-def test_a_time_constant_without_a_conductance_is_refused_by_line():
-    message = ("neurons[0] ('u'): time constant R·C of input 1 (inhibitory) is 0.0 s, too small "
-               "for a finite conductance: 1e-300 ohms, 1e-30 farads")
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        Network(("u",), wiring(1, {(1, "inhibitory"): 1e-300}), 1e-30)
-
-
-def test_network_rejects_synapse_beyond_bias_line(bundled_model):
-    # a table has no line past the bias: the loader names the synapse it cannot place
-    doc = network_to_dict(bundled_model)
-    doc["neurons"][1]["synapses"][0]["input_index"] = 7
-    message = ("model field neurons[1].synapses[0]: excitatory synapse on input 7 out of range "
-               "for 2 inputs plus bias")
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        network_from_dict(doc)
-
-
 def _table(at=(0, 0, 0), ohms=1e4):
     """Labels 'a' and 'b' on one input, each with an excitatory synapse, and ``ohms`` at ``at``."""
     r = wiring(1, {(0, "excitatory"): 1e4}, {(1, "excitatory"): 2e4})
@@ -572,23 +453,6 @@ def test_a_network_names_the_neuron_of_an_entry_it_refuses(labels, table, messag
     assert table.flags.writeable  # a refused table is left as it was given
 
 
-def test_a_network_names_its_first_fault_in_class_order():
-    # one whole-table check, then a walk: by class, and in a neuron its label, then its first
-    # R not > 0, then its first R·C without a finite G, each in (phase, line) C order
-    underflow, negative = {(0, "excitatory"): 5e-324}, {(1, "inhibitory"): -1.0}
-    not_r = _NOT_A_RESISTANCE.format(-1.0)
-    cases = [
-        (("a", "b"), [underflow | negative, {}], f"neurons[0] ('a'): {not_r}"),
-        (("a", 5), [{}, negative], "neurons[1] (5): label must be a string, got 5"),
-        ((5, "b"), [{}, negative], "neurons[0] (5): label must be a string, got 5"),
-        (("a", "b"), [underflow, negative], "neurons[0] ('a'): time constant R·C of input 0 "
-         "(excitatory) is 0.0 s, too small for a finite conductance: 5e-324 ohms, 1e-06 farads"),
-    ]
-    for labels, synapses, message in cases:
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            Network(labels, wiring(1, *synapses), 1e-6)
-
-
 def test_the_loader_refuses_a_bad_n_inputs_by_name(bundled_model):
     # the table is sized by n_inputs, so it is checked first: -1 read "negative dimensions are
     # not allowed" when the table was sized before the check
@@ -600,3 +464,6 @@ def test_the_loader_refuses_a_bad_n_inputs_by_name(bundled_model):
     with pytest.raises(ValueError, match=r"^n_inputs must be >= 0, got -1$"):
         network_from_dict({**doc, "n_inputs": -1})
     assert network_from_dict({**doc, "n_inputs": 3}).n_inputs == 3
+
+
+globals().update(refusal_tests(LIBRARY_REFUSALS["test_neuron"]))

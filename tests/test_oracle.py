@@ -23,6 +23,7 @@ from ifcirc import (
 )
 from ifcirc.oracle import MAX_STEPS, STEP_DIVISOR
 from conftest import wiring
+from test_refusals import refusal_tests
 
 R, C = 10e3, 1e-6
 TAU = R * C  # 10 ms
@@ -62,33 +63,12 @@ def test_default_step_is_tau_over_1000():
         integrate_schedule(beside_fast, schedule, 1.0, step_divisor=250.0)
 
 
-def test_config_rejects_bad_arguments():
-    for divisor in (0.0, -1000.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="step divisor must be a finite number > 0"):
-            line((CHARGE, 0.01), step_divisor=divisor)
-
-
 def test_a_divisor_whose_step_overflows_is_refused():
     # 1 / 1e-320 is inf: the partial step would be inf * 0 = nan and skip every slot (0 V)
     with pytest.raises(ValueError, match=re.escape("step divisor 1e-320 is too small")):
         line((CHARGE, 0.01), step_divisor=1e-320)
     # a divisor of 1e-308 leaves a finite step: one RK4 step of the whole slot, 1 - 3/8
     assert line((CHARGE, 0.01), step_divisor=1e-308) == pytest.approx(0.625, rel=1e-12)
-
-
-def test_step_that_is_not_positive_is_refused():
-    # a step of 1/divisor cannot underflow to 0, and R·C that underflows to 0
-    # (or leaves 1/(R·C) infinite) is refused by the network whose neurons the oracle reads
-    for capacitance in (1e-30, 1e-23):
-        with pytest.raises(ValueError, match="too small for a finite conductance"):
-            Network(("u",), wiring(1, {(0, CHARGE): 1e-300}), capacitance)
-
-
-def test_march_refuses_more_than_max_steps():
-    with pytest.raises(ValueError, match=f"takes over {MAX_STEPS} steps"):
-        line((CHARGE, TAU / 1e7 * (MAX_STEPS + 1)), step_divisor=1e7)
-    with pytest.raises(ValueError, match=f"takes over {MAX_STEPS} steps"):
-        line((DISCHARGE, 1e300), step_divisor=1e7)
 
 
 def test_rk4_matches_analytic_charge():
@@ -151,3 +131,25 @@ def test_a_slot_spelled_as_in_model_files_charges():
     neuron = IFNeuron("a", 1e-6, (Synapse(1, "excitatory", 1e4),))
     schedule = StimulationSchedule((Slot(1, "excitatory", 0.01),))
     assert integrate_schedule(neuron, schedule, 1.0) == pytest.approx(EXACT_ONE_TAU, rel=1e-9)
+
+
+# the oracle's refusal rows, run by the library table's harness (test_refusals.py): kept here,
+# where the view scan reads the neuron line() builds (test_package.py)
+globals().update(refusal_tests({
+    "test_config_rejects_bad_arguments": [
+        (None, lambda d=divisor: line((CHARGE, 0.01), step_divisor=d), ValueError,
+         f"step divisor must be a finite number > 0, got {divisor!r}")
+        for divisor in (0.0, -1000.0, math.nan, math.inf)],
+    # a step of 1/divisor cannot underflow to 0, and R·C that underflows to 0 (or leaves
+    # 1/(R·C) infinite) is refused by the network whose neurons the oracle reads
+    "test_step_that_is_not_positive_is_refused": [
+        (None, lambda c=capacitance: Network(("u",), wiring(1, {(0, CHARGE): 1e-300}), c), ValueError,
+         f"neurons[0] ('u'): time constant R·C of input 0 (excitatory) is {tau} s, too small for a "
+         f"finite conductance: 1e-300 ohms, {capacitance} farads")
+        for capacitance, tau in ((1e-30, "0.0"), (1e-23, "1e-323"))],
+    "test_march_refuses_more_than_max_steps": [
+        (None, lambda: line((CHARGE, TAU / 1e7 * (MAX_STEPS + 1)), step_divisor=1e7), ValueError,
+         "integrating 1.0000001 time constants at 10000000.0 steps each takes over 10000000 steps"),
+        (None, lambda: line((DISCHARGE, 1e300), step_divisor=1e7), ValueError,
+         "integrating 1e+302 time constants at 10000000.0 steps each takes over 10000000 steps")],
+}))

@@ -216,6 +216,19 @@ def test_only_main_reads_the_cli_inputs():
     assert [call.split(":")[0] for call in calls] == ["main", "main"], calls
 
 
+def test_no_library_test_catches_a_bare_value_error():
+    # alone, pytest.raises(ValueError) passes on any ValueError, numpy's or an earlier check's:
+    # a refusal is a row of LIBRARY_REFUSALS (test_refusals.py), or names its message
+    bare = []
+    for name in ("dataset", "hardware", "neuron", "oracle", "training", "kernel", "pcg"):
+        tree = ast.parse((ROOT / "tests" / f"test_{name}.py").read_text())
+        bare += [f"test_{name}.py:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 and ast.unparse(node.func) == "pytest.raises" and node.args[:1]
+                 and ast.unparse(node.args[0]) == "ValueError"
+                 and "match" not in [keyword.arg for keyword in node.keywords]]
+    assert bare == []
+
+
 # src/ functions that nothing below calls, each kept for a reason
 UNREACHED = {
     "hardware.round_resistance":

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from ifcirc import TrainConfig
 from ifcirc._pcg import PCG64
 from ifcirc.training import _INIT_SPAN
+from test_refusals import LIBRARY_REFUSALS, refusal_tests
 
 SEEDS = [0, 1, 42, 2**32 - 1, 2**32, 2**64 + 1, 2**128 + 3, np.int64(7)]
 SEED_IDS = ["0", "1", "42", "2**32-1", "2**32", "2**64+1", "2**128+3", "int64"]
@@ -70,11 +71,4 @@ def test_stream_frozen_for_seed_42():
     assert PCG64(2**128 + 3).random(2).tolist() == [0.10033602866159974, 0.6325138865874828]
 
 
-def test_refusals():
-    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
-        PCG64(-1)
-    with pytest.raises(TypeError):
-        PCG64(1.0)
-    # refused before the list is built: 2**32 elements would take over 100 GB
-    with pytest.raises(ValueError, match=r"^cannot permute 4294967296 elements: at most 4294967295$"):
-        PCG64(0).permutation(2**32)
+globals().update(refusal_tests(LIBRARY_REFUSALS["test_pcg"]))

@@ -76,6 +76,7 @@ REFUSALS = [  # (script, flags, its one stderr line)
     ("sweep_seeds.py", ("--seeds", "x"), 'error: --seeds must be an integer, got "x"'),
     ("run_experiment.py", ("--n", 0), "error: n_per_class must be >= 1, got 0"),
     ("sweep_seeds.py", ("--n", 0), "error: n_per_class must be >= 1, got 0"),
+    ("sweep_seeds.py", ("--n", 2, "--n=3"), "error: argument --n: given more than once"),
     ("run_experiment.py", ("--catalog", "e13"), "error: --catalog e13: unknown catalog mode "
      "'e13' (one of: one_significant_digit, e12, e24, custom)"),
     ("sweep_seeds.py", ("--catalog", "e13"), _UNRECOGNIZED + "--catalog e13"),

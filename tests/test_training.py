@@ -45,6 +45,7 @@ from ifcirc.kernel import duration_matrix, forward, sensitivities
 from ifcirc.neuron import infer_batch
 from ifcirc.training import _gradient, _loss, write_loss_csv
 from conftest import assert_dispatch_digest, exp_and_blas, loss_rises, rescaled, wired, wiring
+from test_refusals import LIBRARY_REFUSALS, refusal_tests
 
 
 # -------------------------------- loss --------------------------------------
@@ -335,11 +336,6 @@ def test_clamp_examples():
     assert set(wired(train(stand, cfg).network).values()) == {5e5}
 
 
-def test_clamp_rejects_inverted_bounds():
-    with pytest.raises(ValueError, match="need 0 < r_min < r_max"):
-        train(_quick_dataset(5), TrainConfig(r_min=1e6, r_max=1e3))
-
-
 def test_prune_bundled_model_leaves_nine(bundled_model):
     pruned = prune(bundled_model)
     assert len(wired(bundled_model)) == 18
@@ -353,21 +349,6 @@ def test_prune_no_ceiling_is_identity(pruned_bundled_model):
 def test_prune_is_idempotent(bundled_model):
     once = prune(bundled_model)
     assert prune(once) == once
-
-
-@pytest.mark.parametrize(
-    "kwargs, message",
-    [
-        ({"r_max": math.nan}, "r_max must be a finite number > 0, got nan"),
-        ({"r_max": math.inf}, "r_max must be a finite number > 0, got inf"),
-        ({"r_max": 0.0}, "r_max must be a finite number > 0, got 0.0"),
-        ({"r_max": -1e6}, "r_max must be a finite number > 0, got -1000000.0"),
-    ],
-)
-def test_prune_rejects_bad_ceiling(bundled_model, kwargs, message):
-    # a nan ceiling compares false everywhere and would drop every synapse
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        prune(bundled_model, **kwargs)
 
 
 # ------------------------------ training ------------------------------------
@@ -434,68 +415,10 @@ def test_a_supply_of_1_3e154_volts_trains_to_the_1_volt_resistances():
     assert result.network.supply_voltage == 1.3e154
 
 
-def test_train_rejects_empty_dataset():
-    with pytest.raises(ValueError):
-        train([], TrainConfig())
-
-
-def test_trainconfig_validation():
-    with pytest.raises(ValueError):
-        TrainConfig(epochs=0)
-    inverted = "need 0 < r_min < r_max < inf, got 1000000.0, 1000.0"
-    with pytest.raises(ValueError, match=f"^{re.escape(inverted)}$"):
-        TrainConfig(r_min=1e6, r_max=1e3)
-    # numpy's PCG64 refused it only inside train(), without naming the seed
-    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
-        TrainConfig(seed=-1)
-    # 1.5 failed only inside train(), in numpy's SeedSequence; epochs 2.5 trained 2
-    # iterations and True 1
-    for name in ("epochs", "seed"):
-        for value in (1.5, 2.0, True, False, "3", None):
-            with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
-                TrainConfig(**{name: value})
+def test_trainconfig_validation():  # its refusals are rows of test_refusals.py
     assert TrainConfig(epochs=np.int64(3), seed=np.uint8(2)).epochs == 3
-    # capacitance 0 made every G infinite and the loss non-finite; t_max 0 trained on nothing;
-    # True was taken as 1
-    for name, floor, below in (("capacitance", "> 0", 0.0), ("t_max", "> 0", -1.0),
-                               ("supply_voltage", "> 0", 0.0), ("energy_weight", ">= 0", -5e-324)):
-        for value in (True, below, math.nan, math.inf, -math.inf, 10**400, -10**400, "1", None):
-            message = f"{name} must be a finite number {floor}, got {value!r}"
-            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                TrainConfig(**{name: value})
-    # True was a 1-ohm floor or a 1 V target; an int past the float range escaped as OverflowError
-    for name in ("r_min", "r_max", "target_high"):
-        for value in (True, False, "1", 0.0, -1.0, math.nan, math.inf, -math.inf, 10**400, -10**400,
-                      *([None] if name != "target_high" else [])):  # None: target_high unset
-            message = f"{name} must be a finite number > 0, got {value!r}"
-            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                TrainConfig(**{name: value})
     cfg = TrainConfig(r_min=np.float32(2e3), r_max=np.int64(10**6), target_high=np.float64(0.5))
     assert (cfg.r_min, cfg.r_max, cfg.target_high) == (2e3, 1e6, 0.5)  # numpy numbers pass
-
-
-@pytest.mark.parametrize("kwargs, message", [
-    # -1 once trained without complaint, to 0% training accuracy
-    ({"target_high": -1.0}, "target_high must be a finite number > 0, got -1.0"),
-    ({"target_high": 0.0}, "target_high must be a finite number > 0, got 0.0"),
-    ({"target_high": -math.inf}, "target_high must be a finite number > 0, got -inf"),
-    ({"target_high": math.nan}, "target_high must be a finite number > 0, got nan"),
-    ({"target_high": math.inf}, "target_high must be a finite number > 0, got inf"),
-    ({"supply_voltage": 0.0}, "supply_voltage must be a finite number > 0, got 0.0"),
-    ({"energy_weight": -0.1}, "energy_weight must be a finite number >= 0, got -0.1"),
-    ({"energy_weight": math.nan}, "energy_weight must be a finite number >= 0, got nan"),
-    ({"energy_weight": math.inf}, "energy_weight must be a finite number >= 0, got inf"),
-    # -1 was refused only by the trained Network, after every epoch had run; nan diverged
-    ({"supply_voltage": math.nan}, "supply_voltage must be a finite number > 0, got nan"),
-    ({"supply_voltage": -1.0}, "supply_voltage must be a finite number > 0, got -1.0"),
-    # the potential never exceeds the supply
-    ({"target_high": 2.0, "supply_voltage": 1.5},
-     "target_high must be finite and at most supply_voltage 1.5, got 2.0"),
-    ({"supply_voltage": math.inf}, "supply_voltage must be a finite number > 0, got inf"),
-])
-def test_trainconfig_refuses_targets_it_cannot_meet(kwargs, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
-        TrainConfig(**kwargs)
 
 
 def test_trained_network_shape():
@@ -930,18 +853,6 @@ def test_evaluate_accuracy_counts_by_label(bundled_model, labels, sigma):
     assert evaluate_accuracy(net, samples, noise_sigma=sigma, rng=rng) == hits / len(samples)
 
 
-def test_evaluate_accuracy_refuses_noise_without_a_generator(bundled_model):
-    # without one, each call drew from OS entropy: 0.903, 0.882, 0.890, 0.898 on the same 600
-    with pytest.raises(ValueError, match="rng must be a numpy Generator"):
-        evaluate_accuracy(bundled_model, _quick_dataset(2), noise_sigma=0.3)
-
-
-def test_evaluate_accuracy_rejects_unknown_labels(bundled_model):
-    sit_only = Network(bundled_model.labels[2:], bundled_model.resistances[:, 2:], 1e-6)
-    with pytest.raises(ValueError):
-        evaluate_accuracy(sit_only, _quick_dataset(2))
-
-
 def test_write_loss_csv(tmp_path):
     path = tmp_path / "loss.csv"
     write_loss_csv([0.5, 0.25, 0.125], path)
@@ -954,16 +865,6 @@ def test_write_loss_csv(tmp_path):
 def test_baseline_single_class_is_perfect():
     samples = [PostureSample(0.0, 0.0, "stand") for _ in range(10)]
     assert nearest_centroid_accuracy(samples, samples) == 1.0
-
-
-def test_baseline_refuses_an_empty_held_out_set():
-    with pytest.raises(ValueError, match="^cannot evaluate on an empty dataset$"):
-        nearest_centroid_accuracy(_quick_dataset(2), [])
-
-
-def test_baseline_refuses_an_empty_training_set():
-    with pytest.raises(ValueError, match="^cannot train on an empty dataset$"):
-        nearest_centroid_accuracy([], _quick_dataset(2))
 
 
 def test_baseline_separates_quick_dataset():
@@ -985,3 +886,6 @@ def test_baseline_ties_go_to_the_first_class_and_unseen_labels_miss():
     midway = [PostureSample(0.25, 0.0, "sit"), PostureSample(0.25, 0.0, "stand")]
     assert nearest_centroid_accuracy(train_set, midway) == 0.5  # "sit" appeared first
     assert nearest_centroid_accuracy(train_set, [PostureSample(0.5, 0.0, "lie")]) == 0.0
+
+
+globals().update(refusal_tests(LIBRARY_REFUSALS["test_training"]))

@@ -154,7 +154,7 @@ class DatasetConfig:
 
     def __post_init__(self) -> None:
         _check_integer("n_per_class", self.n_per_class, 1)
-        try:  # generate's draw, shaped but not allocated; a MemoryError there names its shape
+        try:  # generate's draw, shaped but not allocated; generate refuses one no memory holds
             np.broadcast_to(0.0, (len(CLASS_MEANS), 2 * self.n_per_class))
         except ValueError as exc:
             raise ValueError(f"n_per_class {self.n_per_class} is too large for a draw: {exc}") from None
@@ -177,7 +177,10 @@ def generate(cfg: DatasetConfig) -> list[PostureSample]:
     """n_per_class noisy samples per class, in class order, deterministic per seed."""
     n = cfg.n_per_class
     # one call draws the same PCG64 stream as 2n scalar draws: u1, u2 alternate
-    uniforms = PCG64(cfg.seed).random((len(CLASS_MEANS), 2 * n))
+    try:
+        uniforms = PCG64(cfg.seed).random((len(CLASS_MEANS), 2 * n))
+    except MemoryError as exc:
+        raise ValueError(f"n_per_class {n} is too large for a draw: {exc}") from None
     samples: list[PostureSample] = []
     for row, (label, (mean_pitch, mean_roll)) in zip(uniforms, CLASS_MEANS.items()):
         u1, u2 = row[0::2], row[1::2]

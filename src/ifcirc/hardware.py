@@ -211,12 +211,14 @@ def write_response_map_csv(
     labels: Sequence[str],
     path: str | Path,
 ) -> None:
-    """Write rows as CSV; floats use shortest round-trip repr."""
+    """Write rows as CSV, floats in shortest round-trip repr, each as it is read: memory holds one
+    row.  A ragged row is refused by its index, pitch and roll, after the rows before it."""
 
     def fields() -> Iterator[Iterator[str]]:
-        for pitch, roll, potentials in rows:
+        for i, (pitch, roll, potentials) in enumerate(rows):
             if len(potentials) != len(labels):
-                raise ValueError(f"row has {len(potentials)} potentials for {len(labels)} labels")
+                raise ValueError(f"row {i} at pitch {pitch!r}, roll {roll!r} has {len(potentials)} "
+                                 f"potentials for {len(labels)} labels")
             yield map(repr, (pitch, roll, *potentials))
 
     _write_rows(path, ("pitch", "roll", *labels), fields())

@@ -256,9 +256,9 @@ def network_from_dict(doc: object) -> Network:
     entries = _field(doc, "neurons", list)
     n_inputs = _field(doc, "n_inputs", int)
     _check_integer("n_inputs", n_inputs, 0)  # before the table is sized by it
-    try:  # a shape past numpy's limits; a MemoryError names the shape itself
+    try:  # a shape past numpy's limits, or one no memory holds
         labels, r = [], np.full((2, len(entries), n_inputs + 1), np.inf)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         raise ValueError(f"model field n_inputs: {n_inputs} is too large for a table: {exc}") from None
     for k, entry in enumerate(entries):
         where = f"neurons[{k}]"

@@ -333,12 +333,6 @@ def test_pruned_sit_unit_potential(pruned_bundled_model):
     assert pots[labels.index("lie")] == 0.0
 
 
-def test_bundled_model_classifies_class_means(bundled_model):
-    for stim, want in [((0.0, 0.0), "stand"), ((0.0, 0.25), "sit"), ((0.5, 0.0), "lie")]:
-        pots = infer_network(bundled_model, stim)
-        assert bundled_model.labels[classify(pots)] == want
-
-
 # -------------------------------- classify ---------------------------------
 
 

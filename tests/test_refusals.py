@@ -32,6 +32,8 @@ from ifcirc.kernel import duration_matrix
 from conftest import wiring
 
 _BUNDLED = load_network(example_model_path())
+# response-map rows for labels a, b and c, the second one potential short
+RAGGED_ROWS = [(0.0, 0.0, [0.1, 0.2, 0.3]), (0.0, 0.5, [0.1, 0.2])]
 _NOT_AN_RNG = object()
 
 
@@ -170,10 +172,10 @@ LIBRARY_REFUSALS["test_hardware"] = {
         (None, lambda: response_map(_BUNDLED, 1.5), ValueError, "grid_step must be in (0, 1], got 1.5"),
         (None, lambda: response_map(Network(("u",), wiring(1, {(0, "excitatory"): 1e4}), 1e-6), 0.5),
          ValueError, "response maps need a 2-input network, got 1")],
+    # the message named no row
     "test_response_map_csv_rejects_ragged_rows": [
-        (None, lambda tmp_path: write_response_map_csv([(0.0, 0.0, [0.1, 0.2])], ["a", "b", "c"],
-                                                       tmp_path / "x.csv"),
-         ValueError, "row has 2 potentials for 3 labels")],
+        (None, lambda tmp_path: write_response_map_csv(RAGGED_ROWS, ["a", "b", "c"], tmp_path / "x.csv"),
+         ValueError, "row 1 at pitch 0.0, roll 0.5 has 2 potentials for 3 labels")],
     # numpy's OverflowError escaped: "int too large to convert to float"
     "test_a_stimulus_past_the_float_range_is_refused_by_name": [
         (None, lambda c=call, s=stimulus: c(_BUNDLED, s), ValueError,
@@ -205,12 +207,13 @@ LIBRARY_REFUSALS["test_neuron"] = {
          ValueError, "neurons[2] ('a'): label repeats neurons[0]"),
         (None, lambda: network_from_dict(_doc("neurons", 1, "label", value="stand")), ValueError,
          "neurons[1] ('stand'): label repeats neurons[0]")],
-    # 10**15 inputs: the (2, 3, 10**15 + 1) wiring table needs 48 PB, and loading builds it
+    # 10**15 inputs: the (2, 3, 10**15 + 1) wiring table needs 48 PB, and loading builds it;
+    # numpy's MemoryError named neither the file nor the field
     "test_a_table_no_memory_holds_is_refused_at_load": [
         (None, _reading(load_network, "wide.json", json.dumps(_doc("n_inputs", value=10**15))),
-         np._core._exceptions._ArrayMemoryError,
-         "Unable to allocate 42.6 PiB for an array with shape (2, 3, 1000000000000001) and data type "
-         "float64")],
+         ValueError, "{tmp_path}/wide.json: model field n_inputs: 1000000000000000 is too large for "
+         "a table: Unable to allocate 42.6 PiB for an array with shape (2, 3, 1000000000000001) and "
+         "data type float64")],
     # past numpy's dimension or size limit: numpy's own line named neither the field nor the table
     "test_a_table_numpy_cannot_shape_is_refused_by_name": [
         (case, _reading(load_network, "wide.json", json.dumps(_doc("n_inputs", value=n))), ValueError,

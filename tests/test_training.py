@@ -336,12 +336,6 @@ def test_clamp_examples():
     assert set(wired(train(stand, cfg).network).values()) == {5e5}
 
 
-def test_prune_bundled_model_leaves_nine(bundled_model):
-    pruned = prune(bundled_model)
-    assert len(wired(bundled_model)) == 18
-    assert len(wired(pruned)) == 9
-
-
 def test_prune_no_ceiling_is_identity(pruned_bundled_model):
     assert prune(pruned_bundled_model) == pruned_bundled_model
 
